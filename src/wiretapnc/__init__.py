@@ -47,9 +47,6 @@ from .equivocation import (
 )
 from .oracle import (
     CosetChannelOracle,
-    JointDistribution,
-    conditional_entropy_q,
-    enumerate_joint,
     min_equivocation_bruteforce,
 )
 

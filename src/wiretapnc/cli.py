@@ -278,8 +278,6 @@ def build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallelism hint (currently single-process)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):

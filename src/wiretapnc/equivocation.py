@@ -1,12 +1,12 @@
 """Exact wiretapper-equivocation analysis via the rank formula.
 
-For a full-rank observation W the equivocation contribution is
-rank(H [C_W; C_W_perp]^{-1} J_{n,mu}) where C_W_perp is the canonical kernel
-basis of C_W and J_{n,mu} selects the last n - mu coordinates.  Delta(mu) is
-the minimum over all qualifying W.  Rank-deficient observations are reduced
-to a row basis first; by matroid augmentation the minimizer can always be
-taken among observations of maximal achievable rank, so restricting to those
-is exact.
+Y is uniform on F_q^n, so the equivocation of an observation W is
+H(S | Z_W) = rank [H; C_W] - rank C_W (`securecode.observation_equivocation`),
+for full-rank and rank-deficient C_W alike.  Delta(mu) is its minimum over
+all W of size mu, and a subset whose C_W has the largest rank always
+attains it.  The witness is the first minimiser, in lexicographic order,
+among those largest-rank subsets; Delta(mu) is flagged when that rank is
+below mu.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .exceptions import (
 )
 from .fmatrix import FMatrix
 from .netgraph import NetworkCode
-from .securecode import wiretappable_edges
+from .securecode import observation_equivocation, wiretappable_edges
 
 GHW_CODEWORD_CAP = 10 ** 6
 
@@ -39,52 +39,13 @@ class EquivocationReport:
     method: str = "rank-formula"
 
 
-def complete_to_invertible(C: FMatrix) -> FMatrix:
-    """Rows extending C's rows to a basis of the full space.
-
-    The kernel basis is preferred (the textbook completion), but over a finite
-    field a code can intersect its own dual, making [C; kernel] singular; in
-    that case unit vectors are added greedily instead.  The equivocation
-    formula is completion-independent, so either choice is valid.
-    """
-    n = C.cols
-    kernel = C.null_space_basis()
-    if C.stack(kernel).rank() == n:
-        return kernel
-    rows = [list(r) for r in C.data]
-    added = []
-    rank = C.rows
-    for i in range(n):
-        unit = [1 if j == i else 0 for j in range(n)]
-        cand = FMatrix(C.field, rows + added + [unit], n)
-        if cand.rank() > rank:
-            added.append(unit)
-            rank += 1
-            if rank == n:
-                break
-    return FMatrix(C.field, added, n)
-
-
-def _observation_equivocation(H: FMatrix, C: FMatrix) -> int:
-    """Exact H(S|Z_W) in q-ary symbols for a full-rank observation matrix C."""
-    n = C.cols
-    r = C.rows
-    if r == 0:
-        return H.rows
-    A = C.stack(complete_to_invertible(C))
-    Ainv = A.invert()
-    # rank of H A^-1 J_{n,r}: the last n - r columns of H A^-1
-    HA = H.mul_mat(Ainv)
-    return HA.submatrix_columns(range(r, n)).rank()
-
-
 def equivocation_rank(H: FMatrix, code: NetworkCode, mu: int, restricted=None):
     """Delta(mu) by the rank formula: exact minimum over edge subsets.
 
     Returns (delta, witness, flagged).  flagged means no size-mu subset
-    achieves rank mu; the minimum is then taken over subsets of the maximal
-    achievable rank (reduced to a row basis), which is still the exact
-    minimum of H(S|Z_W) over all size-mu subsets.
+    achieves rank mu.  One pass builds each coding matrix once; the
+    equivocation of a subset is computed only when its rank is not below
+    the largest rank seen so far.
     """
     k = H.rows
     edges = wiretappable_edges(code, restricted)
@@ -92,29 +53,19 @@ def equivocation_rank(H: FMatrix, code: NetworkCode, mu: int, restricted=None):
         return k, (), False
     if mu > len(edges):
         raise DimensionMismatch(f"mu={mu} exceeds {len(edges)} wiretappable edges")
-    subsets = list(combinations(edges, mu))
-    ranks = {}
-    max_rank = 0
-    for W in subsets:
-        r = code.coding_matrix(W).rank()
-        ranks[W] = r
-        if r > max_rank:
-            max_rank = r
-    flagged = max_rank < mu
-    best = None
-    witness = None
-    for W in subsets:
-        if ranks[W] != max_rank:
-            continue
+    top = min(mu, code.n)
+    best_r, best, witness = -1, None, None
+    for W in combinations(edges, mu):
         C = code.coding_matrix(W)
-        if flagged:
-            C = C.row_basis()
-        d = _observation_equivocation(H, C)
-        if best is None or d < best:
-            best, witness = d, W
-            if best == 0:
+        r = C.rank()
+        if r < best_r:
+            continue
+        d = observation_equivocation(H, C, r)
+        if r > best_r or d < best:
+            best_r, best, witness = r, d, W
+            if r == top and d == 0:
                 break
-    return best, witness, flagged
+    return best, witness, best_r < mu
 
 
 def equivocation_sweep(H: FMatrix, code: NetworkCode, mu_max: int,

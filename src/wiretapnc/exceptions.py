@@ -92,10 +92,6 @@ class CutNotInvertible(WiretapNCError):
     pass
 
 
-class NoFullRankObservation(WiretapNCError):
-    pass
-
-
 class TooLargeForExhaustive(WiretapNCError):
     pass
 
@@ -104,5 +100,9 @@ class EnumerationTooLarge(WiretapNCError):
     pass
 
 
-class GoldenMismatch(WiretapNCError):
-    pass
+class InvariantViolated(WiretapNCError):
+    """A result failed its own final check; `witness` shows where."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness

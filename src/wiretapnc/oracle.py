@@ -3,23 +3,22 @@
 Enumerates every (secret, kernel-coefficient) pair exactly (no sampling, no
 PRNG), tabulates exact joint counts of (S, Z_W), and computes conditional
 entropies in base-q logarithms.  For linear schemes the results are integers;
-a 1e-9 snap is asserted.  A numpy counting path accelerates prime fields and
-characteristic-2 fields; the exactness is unchanged since only integer counts
-are involved.
+a value more than 1e-9 from an integer raises InvariantViolated.  This is the
+only brute-force path, and it shares no code with the rank formula.  A numpy
+counting path accelerates prime fields and characteristic-2 fields; the
+exactness is unchanged since only integer counts are involved.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from .coset import CosetCode
-from .exceptions import EnumerationTooLarge
+from .exceptions import EnumerationTooLarge, InvariantViolated
 from .fmatrix import FMatrix
 from .netgraph import NetworkCode
 from .securecode import wiretappable_edges
@@ -30,19 +29,6 @@ SNAP_TOL = 1e-9
 
 def enumeration_cap() -> int:
     return int(os.environ.get("WIRETAP_NC_ENUM_CAP", DEFAULT_ENUM_CAP))
-
-
-@dataclass
-class JointDistribution:
-    """Exact joint law of (S, Z_W) with rational probabilities."""
-
-    support: dict  # (s_tuple, z_tuple) -> Fraction
-    q: int
-    k: int
-    obs_len: int
-
-    def total(self):
-        return sum(self.support.values())
 
 
 def _mixed_radix(count, q, length):
@@ -70,21 +56,6 @@ def _coset_table(H: FMatrix):
     return table
 
 
-def enumerate_joint(H: FMatrix, code: NetworkCode, W) -> JointDistribution:
-    """Exact joint distribution of the secret and the observation Z_W = C_W Y."""
-    W = tuple(W)
-    f = H.field
-    C = code.coding_matrix(W) if W else None
-    table = _coset_table(H)
-    counts = {}
-    for s, y in table:
-        z = tuple(C.mul_vec(y)) if W else ()
-        counts[(s, z)] = counts.get((s, z), 0) + 1
-    total = len(table)
-    support = {key: Fraction(c, total) for key, c in counts.items()}
-    return JointDistribution(support, f.order, H.rows, len(W))
-
-
 def _entropy_q(counts, total, q):
     """H of a count table in base-q symbols: log_q total - sum c log_q c / total."""
     logq = math.log(q)
@@ -97,27 +68,11 @@ def _entropy_q(counts, total, q):
 
 def snap_integer(value: float) -> int:
     nearest = round(value)
-    assert abs(value - nearest) < SNAP_TOL, (
-        f"entropy {value} is not integral for a linear scheme"
-    )
+    if abs(value - nearest) >= SNAP_TOL:
+        raise InvariantViolated(
+            f"entropy {value} is not integral for a linear scheme", witness=value
+        )
     return int(nearest)
-
-
-def conditional_entropy_q(dist: JointDistribution) -> float:
-    """H(S | Z) in base-q units from the exact rational joint law."""
-    denom = 1
-    for p in dist.support.values():
-        denom = max(denom, p.denominator)
-    counts = {key: int(p * denom) for key, p in dist.support.items()}
-    total = sum(counts.values())
-    z_counts = {}
-    for (s, z), c in counts.items():
-        z_counts[z] = z_counts.get(z, 0) + c
-    h_sz = _entropy_q(counts.values(), total, dist.q)
-    h_z = _entropy_q(z_counts.values(), total, dist.q)
-    value = h_sz - h_z
-    snap_integer(value)  # linear schemes must give integral equivocation
-    return value
 
 
 class CosetChannelOracle:

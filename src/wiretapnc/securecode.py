@@ -2,9 +2,11 @@
 
 The central condition: a coset code with parity check H (k x n, k = n - mu)
 stays perfectly secret on a network iff rank [H; C_W] = k + |W| for every
-full-rank observation C_W of at most mu edges.  `verify_secrecy_condition`
-checks this exhaustively; `secure_lif` constructs codes satisfying it by
-extending the Linear Information Flow greedy algorithm with security
+full-rank observation C_W of at most mu edges.  `observation_equivocation`
+is the one place that computes rank [H; C_W] - rank C_W, and every check
+here and in `equivocation` goes through it.  `verify_secrecy_condition`
+checks the condition exhaustively; `secure_lif` constructs codes satisfying
+it by extending the Linear Information Flow greedy algorithm with security
 invariants; the remaining functions cover alphabet bounds, the combination
 network direct construction, the Cai-Yeung equivalence, and the Byzantine
 cascade condition.
@@ -23,6 +25,7 @@ from .exceptions import (
     DimensionMismatch,
     FieldTooSmall,
     InsufficientCut,
+    InvariantViolated,
     SingularMatrix,
 )
 from .fmatrix import FMatrix
@@ -64,6 +67,28 @@ def wiretappable_edges(code: NetworkCode, restricted=None):
     return [eid for eid in ids if eid in restricted]
 
 
+def observation_equivocation(H: FMatrix, C: FMatrix, r: int | None = None) -> int:
+    """Exact H(S | Z_W) in q-ary symbols: rank [H; C] - rank C.
+
+    Y is uniform on F_q^n, so (S, Z_W) = [H; C] Y and Z_W = C Y are uniform
+    on the images of [H; C] and C, and H(S | Z_W) = H(S, Z_W) - H(Z_W) is
+    the rank difference.  For full-rank C_W the secrecy condition
+    rank [H; C_W] = k + |W| says exactly that this equals k.  `r` is the
+    rank to subtract: C.rank() unless the caller already knows it.
+    """
+    return H.stack(C).rank() - (C.rank() if r is None else r)
+
+
+def full_rank_observations(code: NetworkCode, edges, sizes):
+    """Yield (W, C_W) for each W of the given sizes, in lexicographic order
+    within each size, whose coding matrix C_W has full rank |W|."""
+    for size in sizes:
+        for W in combinations(edges, size):
+            C = code.coding_matrix(W)
+            if C.rank() == size:
+                yield W, C
+
+
 def verify_secrecy_condition(H: FMatrix, code: NetworkCode, mu: int, restricted=None):
     """Exhaustive check of the secrecy rank condition.
 
@@ -72,18 +97,12 @@ def verify_secrecy_condition(H: FMatrix, code: NetworkCode, mu: int, restricted=
     rank [H; C_W] = k + |W|.  Returns (ok, witness) with witness the first
     violating subset in lexicographic order.
     """
-    n = code.n
-    k = H.rows
-    if mu > n:
-        raise BudgetExceedsCut(f"mu={mu} exceeds multicast dimension n={n}")
+    if mu > code.n:
+        raise BudgetExceedsCut(f"mu={mu} exceeds multicast dimension n={code.n}")
     edges = wiretappable_edges(code, restricted)
-    for size in range(1, mu + 1):
-        for W in combinations(edges, size):
-            C = code.coding_matrix(W)
-            if C.rank() != size:
-                continue
-            if H.stack(C).rank() != k + size:
-                return False, W
+    for W, C in full_rank_observations(code, edges, range(1, mu + 1)):
+        if observation_equivocation(H, C, len(W)) != H.rows:
+            return False, W
     return True, None
 
 
@@ -132,12 +151,7 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix, f: FieldSpec | None = 
             in_globals = [list(code.global_vectors[ie.id]) for ie in in_edges]
 
         # full-rank processed subsets of size <= mu-1, computed once per edge
-        security_sets = []
-        for size in range(0, mu):
-            for W in combinations(processed, size):
-                C = code.coding_matrix(W)
-                if C.rank() == size:
-                    security_sets.append((W, C))
+        security_sets = list(full_rank_observations(code, processed, range(mu)))
         accepted = None
         for cand in product(range(q), repeat=degree):
             vec = [0] * n
@@ -164,7 +178,7 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix, f: FieldSpec | None = 
                     r_cw = CW.rank()
                     if r_cw != C.rows + 1:
                         continue  # rank-deficient observation, dominated
-                    if H.stack(CW).rank() != k + r_cw:
+                    if observation_equivocation(H, CW, r_cw) != k:
                         ok = False
                         break
             if ok:
@@ -188,7 +202,10 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix, f: FieldSpec | None = 
 
     code.propagate()
     ok, witness = verify_secrecy_condition(H, code, mu)
-    assert ok, f"secure_lif output failed verification, witness {witness}"
+    if not ok:
+        raise InvariantViolated(
+            f"secure_lif output failed verification, witness {witness}", witness=witness
+        )
     certificate = {
         "checks": checks,
         "locals": chosen,
@@ -272,8 +289,12 @@ def combination_secure_design(n: int, M: int, f: FieldSpec, k: int) -> SecureDes
 
     certificate = {"rs_parity_check": [list(r) for r in Hfull.data]}
     if mu >= 0:
-        ok, witness = verify_secrecy_condition(H, code, mu) if mu > 0 else (True, None)
-        assert ok, f"combination design failed verification, witness {witness}"
+        ok, witness = verify_secrecy_condition(H, code, mu)
+        if not ok:
+            raise InvariantViolated(
+                f"combination design failed verification, witness {witness}",
+                witness=witness,
+            )
         certificate["verified"] = True
     return SecureDesign(
         CosetCode(H), code, SecurityParams(mu=mu, k=k, n=n), certificate
@@ -305,12 +326,8 @@ def byzantine_secrecy_check(H: FMatrix, G_gen: FMatrix, code: NetworkCode,
         raise DimensionMismatch(
             f"H has {H.cols} columns but the generator has {G_gen.cols}"
         )
-    k = H.rows
     edges = wiretappable_edges(code, restricted)
-    for W in combinations(edges, mu):
-        C = code.coding_matrix(W)
-        if C.rank() != mu:
-            continue
-        if H.stack(C.mul_mat(G_gen)).rank() != k + mu:
+    for W, C in full_rank_observations(code, edges, (mu,)):
+        if observation_equivocation(H, C.mul_mat(G_gen), mu) != H.rows:
             return False, W
     return True, None

@@ -62,6 +62,40 @@ def random_full_rank_matrix(rng, field, rows, cols):
             return M
 
 
+def complete_to_invertible(C):
+    """Rows extending C's rows to a basis of the full space.
+
+    The kernel basis is preferred (the textbook completion), but over a finite
+    field a code can intersect its own dual, making [C; kernel] singular; in
+    that case unit vectors are added greedily instead.  The equivocation
+    formula is completion-independent, so either choice is valid.
+    """
+    n = C.cols
+    kernel = C.null_space_basis()
+    if C.stack(kernel).rank() == n:
+        return kernel
+    rows = [list(r) for r in C.data]
+    added = []
+    rank = C.rows
+    for i in range(n):
+        unit = [1 if j == i else 0 for j in range(n)]
+        cand = FMatrix(C.field, rows + added + [unit], n)
+        if cand.rank() > rank:
+            added.append(unit)
+            rank += 1
+            if rank == n:
+                break
+    return FMatrix(C.field, added, n)
+
+
+def inverse_and_select_equivocation(H, C):
+    """The paper's form of H(S | Z_W) for a full-rank C (r x n): the rank of
+    H [C; completion]^-1 restricted to its last n - r columns."""
+    n, r = C.cols, C.rows
+    HA = H.mul_mat(C.stack(complete_to_invertible(C)).invert())
+    return HA.submatrix_columns(range(r, n)).rank()
+
+
 def random_coded_instance(rng, q=None, n=None, k=None, max_edges=10):
     """A random acyclic network with a random (not necessarily feasible)
     linear code and a random full-rank k x n coset matrix H.

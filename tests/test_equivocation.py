@@ -1,8 +1,14 @@
+import random
+
 import pytest
 
+from conftest import (
+    complete_to_invertible,
+    inverse_and_select_equivocation,
+    random_full_rank_matrix,
+)
 from wiretapnc.coset import rs_parity_check
 from wiretapnc.equivocation import (
-    complete_to_invertible,
     equivocation_rank,
     equivocation_restricted_cut,
     equivocation_sweep,
@@ -22,6 +28,7 @@ from wiretapnc.exceptions import (
 from wiretapnc.fmatrix import FMatrix
 from wiretapnc.gf import field_new
 from wiretapnc.netgraph import NetworkCode, butterfly_code, parallel_network
+from wiretapnc.securecode import observation_equivocation
 
 
 def test_butterfly_single_edge_leak(gf3):
@@ -140,3 +147,23 @@ def test_completion_used_by_rank_formula(gf7):
     assert C.stack(C.null_space_basis()).rank() < 3
     A = C.stack(complete_to_invertible(C))
     assert A.rank() == 3
+    assert observation_equivocation(H, C) == inverse_and_select_equivocation(H, C) == 2
+
+
+def test_kernel_equals_inverse_and_select_form():
+    # rank [H; C] - rank C against the paper's inverse-and-select form, on
+    # full-rank and rank-deficient observations (row-reduced for the form)
+    rng = random.Random(9)
+    seen = {"full": 0, "deficient": 0}
+    for p, m in ((2, 1), (3, 1), (2, 2), (7, 1), (3, 2)):
+        f = field_new(p, m)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            H = random_full_rank_matrix(rng, f, rng.randint(1, n), n)
+            rows = rng.randint(0, n + 1)
+            C = FMatrix(f, [[rng.randrange(f.order) for _ in range(n)]
+                            for _ in range(rows)], n)
+            seen["full" if C.rank() == rows else "deficient"] += 1
+            assert observation_equivocation(H, C) == \
+                inverse_and_select_equivocation(H, C.row_basis())
+    assert min(seen.values()) > 0

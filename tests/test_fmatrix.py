@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_full_rank_matrix
-from wiretapnc.equivocation import complete_to_invertible
+from conftest import complete_to_invertible, random_full_rank_matrix
 from wiretapnc.exceptions import (
     DimensionMismatch,
     FieldMismatch,

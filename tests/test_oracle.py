@@ -1,16 +1,12 @@
-from fractions import Fraction
-
 import pytest
 
 from wiretapnc.equivocation import equivocation_rank
-from wiretapnc.exceptions import EnumerationTooLarge
+from wiretapnc.exceptions import EnumerationTooLarge, InvariantViolated
 from wiretapnc.fmatrix import FMatrix
 from wiretapnc.gf import field_new
 from wiretapnc.netgraph import butterfly_code, parallel_code
 from wiretapnc.oracle import (
     CosetChannelOracle,
-    conditional_entropy_q,
-    enumerate_joint,
     min_equivocation_bruteforce,
     snap_integer,
 )
@@ -19,30 +15,35 @@ from wiretapnc.oracle import (
 def test_joint_distribution_is_normalized(gf3):
     code = butterfly_code(gf3, (1, 2))
     H = FMatrix(gf3, [[1, 1]])
-    dist = enumerate_joint(H, code, ("BE",))
-    assert dist.total() == Fraction(1)
-    assert dist.q == 3 and dist.k == 1 and dist.obs_len == 1
+    oracle = CosetChannelOracle(H, code)
+    # every (secret, randomness) pair is one equally likely outcome
+    assert oracle.total == oracle.q ** oracle.n == 3 ** 2
+    assert oracle.q == 3 and oracle.k == 1
+    # a single-edge observation is one q-ary symbol
+    assert oracle.entropy_terms(("BE",))["H(Z)"] == pytest.approx(1)
 
 
 def test_leaky_edge_has_zero_equivocation(gf3):
     H = FMatrix(gf3, [[1, 1]])
-    dist = enumerate_joint(H, butterfly_code(gf3, (1, 1)), ("BE",))
-    assert conditional_entropy_q(dist) == 0.0
+    oracle = CosetChannelOracle(H, butterfly_code(gf3, (1, 1)))
+    assert oracle.secret_equivocation(("BE",)) == 0
 
 
 def test_secure_edge_leaves_secret_independent(gf3):
     H = FMatrix(gf3, [[1, 1]])
-    dist = enumerate_joint(H, butterfly_code(gf3, (1, 2)), ("BE",))
-    assert conditional_entropy_q(dist) == 1.0
-    # full independence: every (s, z) cell has probability 1/9
-    assert len(dist.support) == 9
-    assert all(p == Fraction(1, 9) for p in dist.support.values())
+    oracle = CosetChannelOracle(H, butterfly_code(gf3, (1, 2)))
+    assert oracle.secret_equivocation(("BE",)) == 1
+    # full independence: H(S, Z) = H(Z) + H(S|Z) = 2 = log_3 9, so the joint
+    # law is uniform on all 9 (s, z) cells
+    terms = oracle.entropy_terms(("BE",))
+    assert terms["H(Z)"] == pytest.approx(1)
+    assert terms["H(S|Z)"] == pytest.approx(1)
 
 
 def test_empty_observation(gf3):
     H = FMatrix(gf3, [[1, 1]])
-    dist = enumerate_joint(H, butterfly_code(gf3), ())
-    assert conditional_entropy_q(dist) == 1.0  # prior uncertainty k = 1
+    oracle = CosetChannelOracle(H, butterfly_code(gf3))
+    assert oracle.secret_equivocation(()) == 1  # prior uncertainty k = 1
 
 
 def test_entropy_term_identities(gf3):
@@ -97,5 +98,5 @@ def test_enumeration_cap(gf3, monkeypatch):
 
 def test_snap_integer():
     assert snap_integer(2.0000000000003) == 2
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantViolated):
         snap_integer(1.5)

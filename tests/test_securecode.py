@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import wiretapnc
 from wiretapnc.coset import CosetCode
 from wiretapnc.exceptions import (
     BudgetExceedsCut,
@@ -160,3 +166,37 @@ def test_byzantine_dimension_guards(gf3):
     with pytest.raises(DimensionMismatch):
         byzantine_secrecy_check(FMatrix(gf3, [[1, 1]]),
                                 FMatrix.identity(gf3, 3), code, 1)
+
+
+def test_final_checks_survive_optimized_mode(tmp_path):
+    # verification must not be an assert: run the checks under python -O
+    script = tmp_path / "check.py"
+    script.write_text(textwrap.dedent("""
+        import wiretapnc.securecode as sc
+        from wiretapnc.exceptions import InvariantViolated
+        from wiretapnc.gf import field_new
+        from wiretapnc.oracle import snap_integer
+
+        assert False, "asserts must be stripped under -O"
+        try:
+            snap_integer(0.5)
+        except InvariantViolated:
+            pass
+        else:
+            raise SystemExit("snap_integer(0.5) returned")
+        sc.verify_secrecy_condition = lambda *args, **kwargs: (False, ("Sm0",))
+        try:
+            sc.combination_secure_design(3, 4, field_new(7), 2)
+        except InvariantViolated as exc:
+            if exc.witness != ("Sm0",):
+                raise SystemExit(f"wrong witness {exc.witness}")
+        else:
+            raise SystemExit("failed verification returned a design")
+        print("ok")
+    """))
+    src = Path(wiretapnc.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "ok"), proc.stderr
