@@ -17,7 +17,7 @@ import time
 from . import __version__
 from .coset import CosetCode
 from .equivocation import equivocation_rank, equivocation_sweep
-from .exceptions import WiretapNCError
+from .exceptions import MalformedInput, WiretapNCError
 from .gf import field_new
 from .netgraph import butterfly_code
 from .oracle import min_equivocation_bruteforce
@@ -32,10 +32,10 @@ from .serialize import (
     code_to_json,
     design_from_json,
     design_to_json,
+    load_json,
     matrix_from_json,
     matrix_to_json,
     network_from_json,
-    read_json,
     sha256_file,
     write_json,
 )
@@ -156,8 +156,8 @@ def cmd_paper_figures(args):
 
 def cmd_build(args):
     t0 = time.monotonic()
-    net = network_from_json(read_json(args.network))
-    H = matrix_from_json(read_json(args.H))
+    net = load_json(args.network, network_from_json, "network")
+    H = load_json(args.H, matrix_from_json, "matrix")
     design = secure_lif(net, net.n, args.mu, H, net.field)
     write_json(args.out, design_to_json(design))
     inputs = {"network": args.network, "H": args.H}
@@ -168,7 +168,7 @@ def cmd_build(args):
 
 def cmd_verify(args):
     t0 = time.monotonic()
-    design = design_from_json(read_json(args.design))
+    design = load_json(args.design, design_from_json, "design")
     restricted = args.restricted.split(",") if args.restricted else (
         design.params.restricted_edges
     )
@@ -186,7 +186,7 @@ def cmd_verify(args):
 
 def cmd_sweep(args):
     t0 = time.monotonic()
-    design = design_from_json(read_json(args.design))
+    design = load_json(args.design, design_from_json, "design")
     restricted = args.restricted.split(",") if args.restricted else None
     report = equivocation_sweep(
         design.coset.parity_check, design.netcode, args.mu_max, restricted
@@ -213,7 +213,7 @@ def cmd_sweep(args):
 
 def cmd_oracle(args):
     t0 = time.monotonic()
-    design = design_from_json(read_json(args.design))
+    design = load_json(args.design, design_from_json, "design")
     H = design.coset.parity_check
     restricted = args.restricted.split(",") if args.restricted else None
     rank_delta, rank_witness, _ = equivocation_rank(
@@ -243,7 +243,7 @@ def cmd_oracle(args):
 
 def cmd_bounds(args):
     t0 = time.monotonic()
-    net = network_from_json(read_json(args.network))
+    net = load_json(args.network, network_from_json, "network")
     bound = alphabet_bound_general(len(net.edges), args.mu, len(net.receivers))
     print(bound)
     _print_manifest(
@@ -253,17 +253,30 @@ def cmd_bounds(args):
     return 0
 
 
+def _vector_argument(field, text, flag, action):
+    """The field elements of a JSON array given on the command line."""
+    if text is None:
+        raise MalformedInput(f"coset {action} needs {flag}")
+    try:
+        vector = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"{flag} is not JSON: {exc}") from exc
+    if not isinstance(vector, list) or not all(isinstance(x, int) for x in vector):
+        raise MalformedInput(f"{flag} must be a JSON array of integers, got {text}")
+    return [int(field.element(x)) for x in vector]
+
+
 def cmd_coset(args):
     t0 = time.monotonic()
-    H = matrix_from_json(read_json(args.H))
+    H = load_json(args.H, matrix_from_json, "matrix")
     code = CosetCode(H)
     if args.coset_action == "encode":
-        secret = json.loads(args.secret)
+        secret = _vector_argument(H.field, args.secret, "--secret", "encode")
         word = code.encode(secret, seed=args.seed)
         print(json.dumps(word))
         summary = {"action": "encode"}
     else:
-        word = json.loads(args.word)
+        word = _vector_argument(H.field, args.word, "--word", "decode")
         secret = code.decode(word)
         print(json.dumps(secret))
         summary = {"action": "decode"}

@@ -5,6 +5,18 @@ class WiretapNCError(Exception):
     """Base class for all library errors."""
 
 
+class EntryOutOfRange(WiretapNCError, ValueError):
+    """A field element or matrix entry outside [0, q)."""
+
+
+class MalformedInput(WiretapNCError):
+    """An input file or argument that is not the JSON the command expects."""
+
+
+class BadEnvironment(WiretapNCError):
+    """An environment variable with a value the library cannot use."""
+
+
 class NonPrimeCharacteristic(WiretapNCError):
     pass
 

@@ -8,7 +8,13 @@ values (needed for empty wiretap observations and full-column-rank kernels).
 
 from __future__ import annotations
 
-from .exceptions import DimensionMismatch, FieldMismatch, NoSolution, SingularMatrix
+from .exceptions import (
+    DimensionMismatch,
+    EntryOutOfRange,
+    FieldMismatch,
+    NoSolution,
+    SingularMatrix,
+)
 from .gf import Element, FieldSpec
 
 
@@ -19,7 +25,7 @@ def _as_int(field, x):
         return x.value
     x = int(x)
     if not 0 <= x < field.order:
-        raise ValueError(f"entry {x} out of range for {field}")
+        raise EntryOutOfRange(f"entry {x} out of range for {field}")
     return x
 
 

@@ -11,6 +11,7 @@ from functools import lru_cache
 
 from .exceptions import (
     DivisionByZero,
+    EntryOutOfRange,
     FieldMismatch,
     FieldTooLarge,
     NonPrimeCharacteristic,
@@ -198,7 +199,7 @@ class FieldSpec:
             return value
         value = int(value)
         if not 0 <= value < self.order:
-            raise ValueError(f"encoding {value} out of range [0, {self.order})")
+            raise EntryOutOfRange(f"encoding {value} out of range [0, {self.order})")
         return Element(self, value)
 
     @property

@@ -22,6 +22,7 @@ from .exceptions import (
     DimensionMismatch,
     InsufficientCut,
     SingularDecodingMatrix,
+    SingularMatrix,
     UnknownNode,
 )
 from .fmatrix import FMatrix, dot
@@ -241,7 +242,7 @@ class NetworkCode:
         B = self.coding_matrix(last_edges)
         try:
             Binv = B.invert()
-        except Exception as exc:
+        except SingularMatrix as exc:
             raise SingularDecodingMatrix(
                 f"decoding matrix for {flow.receiver} is singular"
             ) from exc

@@ -1,12 +1,20 @@
 """Brute-force entropy ground truth for every security and equivocation claim.
 
-Enumerates every (secret, kernel-coefficient) pair exactly (no sampling, no
-PRNG), tabulates exact joint counts of (S, Z_W), and computes conditional
-entropies in base-q logarithms.  For linear schemes the results are integers;
-a value more than 1e-9 from an integer raises InvariantViolated.  This is the
-only brute-force path, and it shares no code with the rank formula.  A numpy
-counting path accelerates prime fields and characteristic-2 fields; the
-exactness is unchanged since only integer counts are involved.
+Enumerates every (secret, randomness) outcome exactly (no sampling, no PRNG),
+counts the joint values of (S, Z_W), and computes conditional entropies in
+base-q logarithms.  For linear schemes the results are integers; a value more
+than 1e-9 from an integer raises InvariantViolated.  This is the only
+brute-force path, and it shares no code with the rank formula.
+
+One path serves every field GF(p^m).  Multiplying by a fixed element is a
+GF(p)-linear map on the m base-p digits of an element's encoding, so the
+channel -- outcome u = [s r] to word y = u [P; N] (P the particular solutions
+of the unit secrets, N the kernel basis) to the symbol y . g_e of each edge --
+is one integer matrix mod p.  The base-p digits of the outcome index t are the
+digits of u, s first, so the table of edge symbols for t = 0..q^n - 1 is that
+matrix applied to t's digits, evaluated in blocks of BLOCK_ROWS outcomes.  The
+same product gives every outcome's syndrome H y, which must equal its secret:
+the oracle checks its reconstruction of the encoder instead of trusting it.
 """
 
 from __future__ import annotations
@@ -18,52 +26,56 @@ from itertools import combinations
 import numpy as np
 
 from .coset import CosetCode
-from .exceptions import EnumerationTooLarge, InvariantViolated
+from .exceptions import BadEnvironment, EnumerationTooLarge, InvariantViolated
 from .fmatrix import FMatrix
 from .netgraph import NetworkCode
 from .securecode import wiretappable_edges
 
 DEFAULT_ENUM_CAP = 10 ** 7
 SNAP_TOL = 1e-9
+BLOCK_ROWS = 1 << 13
+CODE_LIMIT = 1 << 62  # packed codes stay below this, so int64 never wraps
 
 
 def enumeration_cap() -> int:
-    return int(os.environ.get("WIRETAP_NC_ENUM_CAP", DEFAULT_ENUM_CAP))
+    raw = os.environ.get("WIRETAP_NC_ENUM_CAP", str(DEFAULT_ENUM_CAP))
+    if not raw.isdecimal() or int(raw) < 1:
+        raise BadEnvironment(
+            f"WIRETAP_NC_ENUM_CAP must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
-def _mixed_radix(count, q, length):
-    """All tuples over range(q) of the given length, least significant first."""
-    for code in range(count):
-        t = []
-        v = code
-        for _ in range(length):
-            t.append(v % q)
-            v //= q
-        yield tuple(t)
-
-
-def _coset_table(H: FMatrix):
-    """List of (s_tuple, y_tuple) over all (secret, randomness) pairs."""
-    code = CosetCode(H)
-    q = H.field.order
-    k, n = code.k, code.n
-    if q ** n > enumeration_cap():
-        raise EnumerationTooLarge(f"q^n = {q ** n} exceeds enumeration cap")
-    table = []
-    for s in _mixed_radix(q ** k, q, k):
-        for r in _mixed_radix(q ** (n - k), q, n - k):
-            table.append((s, tuple(code.encode_with_randomness(list(s), list(r)))))
-    return table
+def _digit_matrix(field, rows, cols):
+    """GF(p) matrix of u -> u A for the GF(p^m) matrix A with these rows:
+    row i m + l holds the base-p digits of x^l A[i][j] for every column j."""
+    p, m = field.p, field.m
+    place = [p ** d for d in range(m)]
+    return np.array(
+        [[field.mul(a, unit) // w % p for a in row for w in place]
+         for row in rows for unit in place],
+        dtype=np.int64,
+    ).reshape(len(rows) * m, cols * m)
 
 
 def _entropy_q(counts, total, q):
     """H of a count table in base-q symbols: log_q total - sum c log_q c / total."""
-    logq = math.log(q)
-    acc = 0.0
-    for c in counts:
-        if c > 1:
-            acc += c * math.log(c)
-    return (math.log(total) - acc / total) / logq if total > 1 else 0.0
+    if total <= 1:
+        return 0.0
+    counts = counts[counts > 1]
+    acc = float(np.dot(counts, np.log(counts)))
+    return (math.log(total) - acc / total) / math.log(q)
+
+
+def _pack(code, bound, digits):
+    """Append (values, radix) digits to a mixed-radix code below `bound`,
+    re-indexing the code densely first whenever a digit could overflow."""
+    for values, radix in digits:
+        if bound * radix > CODE_LIMIT:
+            _, code = np.unique(code, return_inverse=True)
+            bound = code.size
+        code = code * radix + values
+        bound *= radix
+    return code, bound
 
 
 def snap_integer(value: float) -> int:
@@ -78,8 +90,8 @@ def snap_integer(value: float) -> int:
 class CosetChannelOracle:
     """Shared enumeration state for one (H, network code) pair.
 
-    Precomputes the full channel-word table once; per-observation entropies
-    are then exact count aggregations.
+    Tabulates the symbol of every edge for every outcome once; per-observation
+    entropies are then exact count aggregations over that table.
     """
 
     def __init__(self, H: FMatrix, code: NetworkCode):
@@ -89,65 +101,49 @@ class CosetChannelOracle:
         self.q = self.field.order
         self.k = H.rows
         self.n = H.cols
-        table = _coset_table(H)
-        self.total = len(table)
-        self._np = self._try_numpy(table)
-        if self._np is None:
-            self._s_codes = [self._tuple_code(s) for s, _ in table]
-            self._words = [y for _, y in table]
+        coset = CosetCode(H)
+        self.total = self.q ** self.n
+        cap = enumeration_cap()
+        if self.total > cap:
+            raise EnumerationTooLarge(
+                f"q^n = {self.total} outcomes exceed the enumeration cap {cap} "
+                "(WIRETAP_NC_ENUM_CAP)")
+        # one row per edge, so an observation reads contiguous rows
+        self._column = {eid: j for j, eid in enumerate(code.global_vectors)}
+        self._symbols = np.empty((len(self._column), self.total),
+                                 dtype=np.min_scalar_type(self.q - 1))
+        units = [[int(i == j) for j in range(self.k)] for i in range(self.k)]
+        generator = [coset.particular_solution(s) for s in units] + list(coset.kernel.data)
+        self._tabulate(generator, list(code.global_vectors.values()) + list(H.data))
+        self._secret = np.arange(self.total, dtype=np.int64) % self.q ** self.k
 
-    def _tuple_code(self, t):
-        code = 0
-        for x in reversed(t):
-            code = code * self.q + x
-        return code
-
-    def _try_numpy(self, table):
-        f = self.field
-        if f.m > 1 and f.p != 2:
-            return None
-        if f.p == 2 and f.m > 1 and f.order > 512:
-            return None
-        words = np.array([y for _, y in table], dtype=np.int64)
-        s_codes = np.array([self._tuple_code(s) for s, _ in table], dtype=np.int64)
-        mul_table = None
-        if f.m > 1:  # characteristic 2: addition is XOR on encodings
-            mul_table = np.array(
-                [[f.mul(a, b) for b in range(f.order)] for a in range(f.order)],
-                dtype=np.int64,
-            )
-        return words, s_codes, mul_table
-
-    def _observe(self, C_rows):
-        """Per-outcome observation codes Z encoded as integers, plus S codes."""
-        mu = len(C_rows)
-        if mu == 0:
-            if self._np is not None:
-                return np.zeros(self.total, dtype=np.int64), self._np[1]
-            return [0] * self.total, self._s_codes
-        if self._np is not None:
-            words, s_codes, mul_table = self._np
-            f = self.field
-            if f.m == 1:
-                Z = (words @ np.array(C_rows, dtype=np.int64).T) % f.p
-            else:
-                Z = np.zeros((words.shape[0], mu), dtype=np.int64)
-                for i, row in enumerate(C_rows):
-                    acc = np.zeros(words.shape[0], dtype=np.int64)
-                    for j, c in enumerate(row):
-                        if c:
-                            acc ^= mul_table[c, words[:, j]]
-                    Z[:, i] = acc
-            radix = self.q ** np.arange(mu, dtype=np.int64)
-            return Z @ radix, s_codes
-        f = self.field
-        z_codes = []
-        for y in self._words:
-            code = 0
-            for row in reversed(C_rows):
-                code = code * self.q + _dot_int(f, row, y)
-            z_codes.append(code)
-        return z_codes, self._s_codes
+    def _tabulate(self, generator, columns):
+        """Fill the edge-symbol table with t -> digits(t) [P; N] [C | H^T] mod p,
+        C having the global vectors as columns; the last k symbols of each
+        outcome are its syndrome H y, which must equal its secret."""
+        f, n, k = self.field, self.n, self.k
+        p, m = f.p, f.m
+        transposed = [[col[i] for col in columns] for i in range(n)]
+        channel = _digit_matrix(f, generator, n) @ _digit_matrix(f, transposed, len(columns)) % p
+        place = p ** np.arange(m, dtype=np.int64)
+        edges = len(self._column)
+        for start in range(0, self.total, BLOCK_ROWS):
+            rows = min(BLOCK_ROWS, self.total - start)
+            rest = np.arange(start, start + rows, dtype=np.int64)
+            digits = np.empty((rows, n * m), dtype=np.int64)
+            for j in range(n * m):
+                rest, digits[:, j] = np.divmod(rest, p)
+            out = (digits @ channel % p).reshape(rows, len(columns), m) @ place
+            u = digits.reshape(rows, n, m) @ place
+            bad = np.flatnonzero((out[:, edges:] != u[:, :k]).any(axis=1))
+            if bad.size:
+                i = bad[0]
+                s, r = u[i, :k].tolist(), u[i, k:].tolist()
+                raise InvariantViolated(
+                    f"outcome {start + i} (s={s}, r={r}) encodes to a word of "
+                    f"syndrome {out[i, edges:].tolist()}, not its secret",
+                    witness=(s, r))
+            self._symbols[:, start:start + rows] = out[:, :edges].T
 
     def entropy_terms(self, W):
         """Exact H(S|Z_W), H(Y|Z_W), H(Y|S Z_W) and H(Z) in q-ary units.
@@ -155,25 +151,13 @@ class CosetChannelOracle:
         Every (s, randomness) outcome is equally likely and determines Y
         uniquely, so all terms reduce to H(Z) and H(S, Z).
         """
-        W = tuple(W)
-        C_rows = [self.code.global_vectors[eid] for eid in W]
-        z_codes, s_codes = self._observe(C_rows)
-        if self._np is not None:
-            _, z_counts = np.unique(z_codes, return_counts=True)
-            joint = s_codes * (self.q ** len(W)) + z_codes
-            _, sz_counts = np.unique(joint, return_counts=True)
-            z_counts = z_counts.tolist()
-            sz_counts = sz_counts.tolist()
-        else:
-            zc, szc = {}, {}
-            for s, z in zip(s_codes, z_codes):
-                zc[z] = zc.get(z, 0) + 1
-                szc[(s, z)] = szc.get((s, z), 0) + 1
-            z_counts = list(zc.values())
-            sz_counts = list(szc.values())
-        h_z = _entropy_q(z_counts, self.total, self.q)
-        h_sz = _entropy_q(sz_counts, self.total, self.q)
-        n_sym = math.log(self.total) / math.log(self.q)
+        q, total = self.q, self.total
+        z, bound = _pack(np.zeros(total, dtype=np.int64), 1,
+                         ((self._symbols[self._column[eid]], q) for eid in W))
+        sz, _ = _pack(z, bound, [(self._secret, q ** self.k)])
+        h_z = _entropy_q(np.unique(z, return_counts=True)[1], total, q)
+        h_sz = _entropy_q(np.unique(sz, return_counts=True)[1], total, q)
+        n_sym = math.log(total) / math.log(q)
         return {
             "H(S|Z)": h_sz - h_z,
             "H(Y|Z)": n_sym - h_z,
@@ -183,14 +167,6 @@ class CosetChannelOracle:
 
     def secret_equivocation(self, W) -> int:
         return snap_integer(self.entropy_terms(W)["H(S|Z)"])
-
-
-def _dot_int(f, a, b):
-    acc = 0
-    for x, y in zip(a, b):
-        if x and y:
-            acc = f.add(acc, f.mul(x, y))
-    return acc
 
 
 def min_equivocation_bruteforce(H: FMatrix, code: NetworkCode, mu: int,

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 from .coset import CosetCode
+from .exceptions import BadParameters, MalformedInput, WiretapNCError
 from .fmatrix import FMatrix
 from .gf import FieldSpec, field_new
 from .netgraph import Network, NetworkCode
@@ -22,13 +24,33 @@ def canonical_dumps(obj) -> str:
 
 
 def write_json(path, obj):
-    with open(path, "w") as fh:
-        fh.write(canonical_dumps(obj))
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(canonical_dumps(obj))
+    except OSError as exc:
+        raise BadParameters(f"cannot write {path}: {exc}") from exc
 
 
 def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise MalformedInput(f"cannot read JSON from {path}: {exc}") from exc
+
+
+def load_json(path, parse, kind):
+    """`parse(read_json(path))`, reporting a missing key or a value of the
+    wrong type as MalformedInput naming the file instead of a bare error."""
+    obj = read_json(path)
+    try:
+        return parse(obj)
+    except WiretapNCError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise MalformedInput(f"{path} is not a valid {kind}: {reason}") from exc
 
 
 def sha256_file(path) -> str:

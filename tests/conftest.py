@@ -1,9 +1,13 @@
 """Shared fixtures and random-instance generators for the test suite."""
 
+import math
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
+from wiretapnc.coset import CosetCode
 from wiretapnc.exceptions import InsufficientCut
 from wiretapnc.fmatrix import FMatrix
 from wiretapnc.gf import field_new, is_prime
@@ -94,6 +98,31 @@ def inverse_and_select_equivocation(H, C):
     n, r = C.cols, C.rows
     HA = H.mul_mat(C.stack(complete_to_invertible(C)).invert())
     return HA.submatrix_columns(range(r, n)).rank()
+
+
+def reference_entropy_terms(H, code, W):
+    """The oracle's four entropy terms by the plain per-outcome loop: encode
+    every (secret, randomness) pair with `encode_with_randomness`, send the
+    word through the network code with `payloads`, and count (S, Z_W) in
+    dicts.  Exact integer counts; only the final logarithms are floats."""
+    coset = CosetCode(H)
+    q, k, n = H.field.order, coset.k, coset.n
+    z_counts, sz_counts = Counter(), Counter()
+    for s in product(range(q), repeat=k):
+        for r in product(range(q), repeat=n - k):
+            payloads = code.payloads(coset.encode_with_randomness(list(s), list(r)))
+            z = tuple(payloads[eid] for eid in W)
+            z_counts[z] += 1
+            sz_counts[s, z] += 1
+    total = q ** n
+
+    def entropy(counts):
+        acc = sum(c * math.log(c) for c in counts.values())
+        return (math.log(total) - acc / total) / math.log(q)
+
+    h_z, h_sz = entropy(z_counts), entropy(sz_counts)
+    return {"H(S|Z)": h_sz - h_z, "H(Y|Z)": n - h_z, "H(Y|SZ)": n - h_sz,
+            "H(Z)": h_z}
 
 
 def random_coded_instance(rng, q=None, n=None, k=None, max_edges=10):

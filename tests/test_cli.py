@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wiretapnc
 from wiretapnc import cli
 from wiretapnc.coset import CosetCode
 from wiretapnc.fmatrix import FMatrix
@@ -190,3 +195,45 @@ def test_library_error_exit_code(fixtures, capsys):
     rc, _ = run(["bounds", "--network", fixtures / "net.json", "--mu", "0"],
                 capsys)
     assert rc == 1
+
+
+# argv ("{d}" is the fixtures directory), extra environment, exit code: each
+# bad input ends in exit 1 and one "error:" line; --out into a missing
+# directory creates it, --out below a regular file cannot
+BAD_INPUTS = {
+    "encode-without-secret": (["coset", "encode", "--H", "{d}/h.json"], {}, 1),
+    "decode-without-word": (["coset", "decode", "--H", "{d}/h.json"], {}, 1),
+    "secret-not-json": (["coset", "encode", "--H", "{d}/h.json", "--secret", "[1,"], {}, 1),
+    "secret-out-of-range": (["coset", "encode", "--H", "{d}/h.json", "--secret", "[3]"], {}, 1),
+    "malformed-json-file": (["bounds", "--network", "{d}/broken.json", "--mu", "1"], {}, 1),
+    "missing-file": (["bounds", "--network", "{d}/absent.json", "--mu", "1"], {}, 1),
+    "entry-out-of-range": (["coset", "encode", "--H", "{d}/h_range.json", "--secret", "[1]"],
+                           {}, 1),
+    "report-as-design": (["verify", "--design", "{d}/report.json"], {}, 1),
+    "enum-cap-not-integer": (["paper-figures"], {"WIRETAP_NC_ENUM_CAP": "lots"}, 1),
+    "out-under-a-file": (["paper-figures", "--out", "{d}/h.json/dir"], {}, 1),
+    "out-dir-missing": (["paper-figures", "--out", "{d}/new/dir"], {}, 0),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_ends_in_one_line_error(fixtures, case):
+    (fixtures / "broken.json").write_text('{"nodes": [')
+    write_json(fixtures / "h_range.json",
+               {"field": {"p": 3, "m": 1}, "rows": [[1, 5]], "cols": 2})
+    write_json(fixtures / "report.json",
+               read_json(cli._golden_dir() / "butterfly_secure.json"))
+    argv, extra_env, want = BAD_INPUTS[case]
+    src = Path(wiretapnc.__file__).resolve().parent.parent
+    env = dict(os.environ, **extra_env, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wiretapnc.cli", *(a.format(d=fixtures) for a in argv)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == want, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if want == 1:
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    else:
+        assert (fixtures / "new" / "dir" / "butterfly_secure.json").exists()

@@ -1,10 +1,19 @@
-import pytest
+import random
+from itertools import combinations
 
+import pytest
+from conftest import random_coded_instance, reference_entropy_terms
+
+from wiretapnc.coset import CosetCode
 from wiretapnc.equivocation import equivocation_rank
-from wiretapnc.exceptions import EnumerationTooLarge, InvariantViolated
+from wiretapnc.exceptions import (
+    BadEnvironment,
+    EnumerationTooLarge,
+    InvariantViolated,
+)
 from wiretapnc.fmatrix import FMatrix
 from wiretapnc.gf import field_new
-from wiretapnc.netgraph import butterfly_code, parallel_code
+from wiretapnc.netgraph import Network, NetworkCode, butterfly_code, parallel_code
 from wiretapnc.oracle import (
     CosetChannelOracle,
     min_equivocation_bruteforce,
@@ -72,8 +81,8 @@ def test_oracle_matches_rank_formula_on_butterfly(gf3):
 
 
 def test_extension_field_paths_agree():
-    # GF(4) runs the table-driven numpy path, GF(9) the pure-python one;
-    # both must agree with the rank formula
+    # one oracle path serves every field: a characteristic-2 extension and
+    # an odd one must both agree with the rank formula
     for p, m in ((2, 2), (3, 2)):
         f = field_new(p, m)
         code = parallel_code(3, f)
@@ -94,6 +103,56 @@ def test_enumeration_cap(gf3, monkeypatch):
     H = FMatrix(gf3, [[1, 1]])
     with pytest.raises(EnumerationTooLarge):
         min_equivocation_bruteforce(H, butterfly_code(gf3), 1)
+
+
+@pytest.mark.parametrize("raw", ["lots", "0", "-3", "1.5", ""])
+def test_enumeration_cap_must_be_a_positive_integer(gf3, monkeypatch, raw):
+    monkeypatch.setenv("WIRETAP_NC_ENUM_CAP", raw)
+    H = FMatrix(gf3, [[1, 1]])
+    with pytest.raises(BadEnvironment, match="WIRETAP_NC_ENUM_CAP"):
+        min_equivocation_bruteforce(H, butterfly_code(gf3), 1)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (2, 4)])
+def test_entropy_terms_equal_reference_loop(p, m):
+    rng = random.Random(9073493 + p ** m)
+    for k in (1, 2):  # k = 1 and k = n - 1 with n = 3
+        _, code, H = random_coded_instance(rng, q=p ** m, n=3, k=k, max_edges=4)
+        oracle = CosetChannelOracle(H, code)
+        for size in (0, 1, 2):
+            for W in combinations(sorted(code.global_vectors), size):
+                got = oracle.entropy_terms(W)
+                want = reference_entropy_terms(H, code, W)
+                assert got.keys() == want.keys()
+                for term, value in want.items():
+                    assert got[term] == pytest.approx(value, abs=1e-12), (W, term)
+
+
+def test_long_observation_codes_do_not_wrap():
+    # 17 GF(16) symbols need 68 bits; the first edge alone carries y_1, so
+    # a code that wraps at 64 bits would lose it and report a leak-free view
+    f = field_new(2, 4)
+    net = Network(["S", "T"], [(f"e{i:02d}", "S", "T") for i in range(17)],
+                  "S", (), 2, f)
+    code = NetworkCode(net)
+    for i, e in enumerate(net.edges):
+        code.set_local(e.id, (0, 1) if i == 0 else (1, 0))
+    code.propagate()
+    H = FMatrix(f, [[1, 1]])
+    W = tuple(e.id for e in net.edges)
+    assert reference_entropy_terms(H, code, W)["H(S|Z)"] == pytest.approx(0)
+    assert CosetChannelOracle(H, code).secret_equivocation(W) == 0
+
+
+def test_oracle_checks_every_syndrome(gf3, monkeypatch):
+    # a wrong particular solution changes the channel; the oracle must
+    # refuse it rather than measure the wrong channel
+    monkeypatch.setattr(CosetCode, "particular_solution",
+                        lambda self, secret: [0] * self.n)
+    H = FMatrix(gf3, [[1, 1]])
+    with pytest.raises(InvariantViolated, match="outcome 1 ") as info:
+        CosetChannelOracle(H, butterfly_code(gf3, (1, 2)))
+    assert info.value.witness == ([1], [0])
 
 
 def test_snap_integer():
