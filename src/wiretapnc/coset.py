@@ -20,7 +20,7 @@ from .exceptions import (
     SingularMatrix,
     TooManySubsets,
 )
-from .fmatrix import FMatrix
+from .fmatrix import FMatrix, combination
 from .gf import FieldSpec, field_new
 
 MDS_SUBSET_CAP = 10 ** 6
@@ -40,35 +40,19 @@ class CosetCode:
         self.n = H.cols
         self.field = H.field
         self.kernel = H.null_space_basis()  # (n-k) x n
-        # particular solution: invert H restricted to its pivot columns
-        _, pivots = H.rref()
-        self._pivots = pivots
-        if self.k:
-            self._pivot_inv = H.submatrix_columns(pivots).invert()
-        else:
-            self._pivot_inv = None
 
     def particular_solution(self, secret):
         """One word with syndrome `secret`: nonzero only on H's pivot columns."""
         if len(secret) != self.k:
             raise DimensionMismatch(f"secret length {len(secret)} != k={self.k}")
-        y = [0] * self.n
-        if self.k:
-            partial = self._pivot_inv.mul_vec(secret)
-            for col, val in zip(self._pivots, partial):
-                y[col] = val
-        return y
+        return self.parity_check.solve(secret)[0]
 
     def encode_with_randomness(self, secret, r):
         """Deterministic coset word for explicit kernel coefficients r."""
         if len(r) != self.n - self.k:
             raise DimensionMismatch(f"need {self.n - self.k} randomness symbols")
-        f = self.field
-        y = self.particular_solution(secret)
-        for coeff, basis_row in zip(r, self.kernel.data):
-            if coeff:
-                y = [f.add(a, f.mul(coeff, b)) for a, b in zip(y, basis_row)]
-        return y
+        return combination(self.field, [1, *r],
+                           [self.particular_solution(secret), *self.kernel.data], self.n)
 
     def encode(self, secret, seed: int = 0):
         rng = random.Random(seed)

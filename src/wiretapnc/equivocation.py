@@ -22,7 +22,7 @@ from .exceptions import (
     SingularMatrix,
     TooLargeForExhaustive,
 )
-from .fmatrix import FMatrix
+from .fmatrix import FMatrix, combination
 from .netgraph import NetworkCode
 from .securecode import observation_equivocation, wiretappable_edges
 
@@ -153,8 +153,7 @@ def generalized_hamming_weights(C_generator: FMatrix):
         for _ in range(k):
             msg.append(v % q)
             v //= q
-        word = tuple(G.transpose().mul_vec(msg))
-        codewords.append(word)
+        codewords.append(tuple(combination(f, msg, G.data, G.cols)))
     weights = []
     for r in range(1, k + 1):
         if comb(len(codewords), r) > GHW_CODEWORD_CAP:

@@ -49,20 +49,6 @@ class FMatrix:
     def identity(cls, field, n):
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, field, rows, cols):
-        return cls(field, [[0] * cols for _ in range(rows)], cols)
-
-    @classmethod
-    def row_vector(cls, field, entries):
-        return cls(field, [entries])
-
-    @classmethod
-    def from_columns(cls, field, columns, rows=None):
-        if not columns:
-            raise DimensionMismatch("need at least one column")
-        return cls(field, list(zip(*columns)))
-
     def __getitem__(self, idx):
         i, j = idx
         return self.data[i][j]
@@ -90,13 +76,14 @@ class FMatrix:
     # ---- elimination core ----
 
     def _echelon(self, augment=None):
-        """Row reduce to reduced echelon form.  Returns (rows, pivots, aug_rows).
-
-        `augment` is an optional list of rows reduced alongside (same row ops).
-        """
+        """Row reduce [M | augment] to reduced echelon form, taking pivots
+        only in M's columns.  Returns (rows, pivots); each row keeps its
+        augmented part after the first `cols` entries."""
         f = self.field
-        work = [list(r) for r in self.data]
-        aug = [list(r) for r in augment] if augment is not None else None
+        if augment is None:
+            work = [list(r) for r in self.data]
+        else:
+            work = [[*r, *a] for r, a in zip(self.data, augment)]
         pivots = []
         r = 0
         for c in range(self.cols):
@@ -108,58 +95,49 @@ class FMatrix:
             if pivot is None:
                 continue
             work[r], work[pivot] = work[pivot], work[r]
-            if aug is not None:
-                aug[r], aug[pivot] = aug[pivot], aug[r]
             inv = f.inv(work[r][c])
             if inv != 1:
                 work[r] = [f.mul(inv, x) for x in work[r]]
-                if aug is not None:
-                    aug[r] = [f.mul(inv, x) for x in aug[r]]
             for i in range(len(work)):
                 if i != r and work[i][c]:
                     factor = work[i][c]
                     work[i] = [
                         f.sub(x, f.mul(factor, y)) for x, y in zip(work[i], work[r])
                     ]
-                    if aug is not None:
-                        aug[i] = [
-                            f.sub(x, f.mul(factor, y))
-                            for x, y in zip(aug[i], aug[r])
-                        ]
             pivots.append(c)
             r += 1
             if r == len(work):
                 break
-        return work, pivots, aug
+        return work, pivots
 
     def rref(self):
-        work, pivots, _ = self._echelon()
+        work, pivots = self._echelon()
         return FMatrix(self.field, work, self.cols), tuple(pivots)
 
     def rank(self) -> int:
-        _, pivots, _ = self._echelon()
+        _, pivots = self._echelon()
         return len(pivots)
 
     def row_basis(self) -> "FMatrix":
         """Nonzero rows of the RREF: canonical basis of the row space."""
-        work, pivots, _ = self._echelon()
+        work, pivots = self._echelon()
         return FMatrix(self.field, work[: len(pivots)], self.cols)
 
     def invert(self) -> "FMatrix":
         if self.rows != self.cols:
             raise SingularMatrix(f"matrix is {self.rows}x{self.cols}, not square")
         eye = [[1 if i == j else 0 for j in range(self.rows)] for i in range(self.rows)]
-        work, pivots, aug = self._echelon(augment=eye)
+        work, pivots = self._echelon(augment=eye)
         if len(pivots) != self.cols:
             raise SingularMatrix(
                 f"singular matrix of rank {len(pivots)}", rank=len(pivots)
             )
-        return FMatrix(self.field, aug)
+        return FMatrix(self.field, [row[self.cols:] for row in work])
 
     def null_space_basis(self) -> "FMatrix":
         """Rows form the reduced-echelon canonical basis of the right kernel."""
         f = self.field
-        work, pivots, _ = self._echelon()
+        work, pivots = self._echelon()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
@@ -176,13 +154,13 @@ class FMatrix:
         b = [(_as_int(self.field, x)) for x in b]
         if len(b) != self.rows:
             raise DimensionMismatch(f"rhs length {len(b)} != {self.rows} rows")
-        work, pivots, aug = self._echelon(augment=[[x] for x in b])
+        work, pivots = self._echelon(augment=[[x] for x in b])
         for i in range(len(pivots), self.rows):
-            if aug[i][0] != 0:
+            if work[i][-1] != 0:
                 raise NoSolution("inconsistent system")
         x = [0] * self.cols
         for r, c in enumerate(pivots):
-            x[c] = aug[r][0]
+            x[c] = work[r][-1]
         return x, len(pivots) == self.cols
 
     # ---- structural operations ----
@@ -218,17 +196,10 @@ class FMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.cols} cols vs {other.rows} rows")
         f = self.field
-        out = []
-        for arow in self.data:
-            row = []
-            for j in range(other.cols):
-                acc = 0
-                for k, a in enumerate(arow):
-                    if a:
-                        acc = f.add(acc, f.mul(a, other.data[k][j]))
-                row.append(acc)
-            out.append(row)
-        return FMatrix(f, out, other.cols)
+        return FMatrix(
+            f, [combination(f, arow, other.data, other.cols) for arow in self.data],
+            other.cols,
+        )
 
     def __matmul__(self, other):
         return self.mul_mat(other)
@@ -257,3 +228,15 @@ def dot(field, a, b):
     if len(a) != len(b):
         raise DimensionMismatch("vector lengths differ")
     return _dot(field, a, b)
+
+
+def combination(field, coeffs, rows, width):
+    """Row combination sum_i coeffs[i] * rows[i] of integer-encoded rows of
+    length `width`; the zero row when every coefficient is zero."""
+    acc = [0] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, b in enumerate(row):
+                if b:
+                    acc[j] = field.add(acc[j], field.mul(c, b))
+    return acc

@@ -97,8 +97,19 @@ class FieldSpec:
         self.m = m
         self.order = p ** m
         self.modulus = self._find_modulus(p, m)
-        self._exp = None  # antilog table, built lazily
-        self._log = None
+        # exp/log tables turn extension mul and inv into lookups
+        self._exp = self._log = None
+        if m > 1 and self.order <= LOG_TABLE_CAP:
+            g = self.primitive_element().value
+            exp = [1] * (self.order - 1)
+            log = [0] * self.order
+            x = 1
+            for i in range(self.order - 1):
+                exp[i] = x
+                log[x] = i
+                x = self._mul_poly(x, g)
+            self._exp = exp
+            self._log = log
 
     @staticmethod
     def _find_modulus(p, m):
@@ -233,21 +244,6 @@ class FieldSpec:
                 return Element(self, v)
         raise AssertionError("no primitive element found")  # unreachable
 
-    def build_log_tables(self):
-        """Precompute exp/log tables; only worthwhile for extension fields."""
-        if self._exp is not None or self.m == 1 or self.order > LOG_TABLE_CAP:
-            return
-        g = self.primitive_element().value
-        exp = [1] * (self.order - 1)
-        log = [0] * self.order
-        x = 1
-        for i in range(self.order - 1):
-            exp[i] = x
-            log[x] = i
-            x = self._mul_poly(x, g)
-        self._exp = exp
-        self._log = log
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldSpec)
@@ -267,9 +263,7 @@ class FieldSpec:
 @lru_cache(maxsize=None)
 def field_new(p: int, m: int = 1) -> FieldSpec:
     """Construct (and cache) GF(p^m); deterministic across runs."""
-    f = FieldSpec(p, m)
-    f.build_log_tables()
-    return f
+    return FieldSpec(p, m)
 
 
 def _prime_factors(n):

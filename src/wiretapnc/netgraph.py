@@ -25,7 +25,7 @@ from .exceptions import (
     SingularMatrix,
     UnknownNode,
 )
-from .fmatrix import FMatrix, dot
+from .fmatrix import FMatrix, combination, dot
 from .gf import FieldSpec
 
 
@@ -183,14 +183,28 @@ class NetworkCode:
         self.n = network.n if n is None else n
         self.local = {}
         self.global_vectors = {}
+        self._units = tuple(
+            tuple(1 if i == j else 0 for j in range(self.n)) for i in range(self.n)
+        )
 
     @property
     def field(self):
         return self.network.field
 
+    def inputs(self, edge_id):
+        """The vectors an edge's local coefficients combine: the n unit
+        vectors (virtual inputs) for a source out-edge, else the global
+        vectors of its tail's in-edges, in in-edge order."""
+        net = self.network
+        e = net.edge_by_id[edge_id]
+        if e.tail == net.source:
+            return self._units
+        return [self.global_vectors[ie.id] for ie in net.in_edges(e.tail)]
+
     def set_local(self, edge_id, coeffs):
         net = self.network
         e = net.edge_by_id[edge_id]
+        # one coefficient per vector of inputs(edge_id)
         expected = self.n if e.tail == net.source else len(net.in_edges(e.tail))
         coeffs = [int(net.field.element(c)) for c in coeffs]
         if len(coeffs) != expected:
@@ -201,21 +215,12 @@ class NetworkCode:
 
     def propagate(self):
         """Recompute all global vectors in topological order (idempotent)."""
-        net = self.network
-        f = net.field
-        for e in net.topological_order:
+        for e in self.network.topological_order:
             if e.id not in self.local:
                 raise DimensionMismatch(f"edge {e.id} has no local coefficients")
-            coeffs = self.local[e.id]
-            if e.tail == net.source:
-                self.global_vectors[e.id] = tuple(coeffs)
-                continue
-            vec = [0] * self.n
-            for c, in_edge in zip(coeffs, net.in_edges(e.tail)):
-                if c:
-                    g = self.global_vectors[in_edge.id]
-                    vec = [f.add(a, f.mul(c, b)) for a, b in zip(vec, g)]
-            self.global_vectors[e.id] = tuple(vec)
+            self.global_vectors[e.id] = tuple(
+                combination(self.field, self.local[e.id], self.inputs(e.id), self.n)
+            )
         return self.global_vectors
 
     def coding_matrix(self, edge_ids) -> FMatrix:

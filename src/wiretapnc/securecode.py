@@ -28,7 +28,7 @@ from .exceptions import (
     InvariantViolated,
     SingularMatrix,
 )
-from .fmatrix import FMatrix
+from .fmatrix import FMatrix, combination
 from .gf import FieldSpec
 from .netgraph import Network, NetworkCode, combination_network
 
@@ -106,14 +106,16 @@ def verify_secrecy_condition(H: FMatrix, code: NetworkCode, mu: int, restricted=
     return True, None
 
 
-def secure_lif(net: Network, n: int, mu: int, H: FMatrix, f: FieldSpec | None = None,
-               check_cap: int = SUBSET_CHECK_CAP) -> SecureDesign:
+def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
+               f: FieldSpec | None = None) -> SecureDesign:
     """Security-constrained Linear Information Flow construction.
 
     Visits edges in topological order; at each edge picks the
     lexicographically first local coefficient vector that (a) keeps every
     receiver's flow matrix invertible and (b) keeps rank [H; C_W] = k + |W|
     for every full-rank W = {e} united with processed edges of size <= mu.
+    Raises ComplexityCapExceeded once more than SUBSET_CHECK_CAP invariant
+    checks of either kind have run.
     """
     f = net.field if f is None else f
     k = H.rows
@@ -122,6 +124,7 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix, f: FieldSpec | None = 
     if mu > n:
         raise BudgetExceedsCut(f"mu={mu} exceeds n={n}")
     flows = net.edge_disjoint_flows(n)  # raises InsufficientCut
+    cap = SUBSET_CHECK_CAP
 
     # edge id -> list of (receiver, path index) where the edge appears
     on_path = {e.id: [] for e in net.edges}
@@ -131,38 +134,28 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix, f: FieldSpec | None = 
                 on_path[eid].append((r, pi))
 
     # per-receiver frontier rows, initially the unit vectors (virtual inputs)
-    frontier = {
-        r: [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for r in net.receivers
-    }
+    eye = FMatrix.identity(f, n).data
+    frontier = {r: list(eye) for r in net.receivers}
 
     code = NetworkCode(net, n)
     q = f.order
     processed = []
     checks = 0
-    chosen = {}
 
     for e in net.topological_order:
-        in_edges = net.in_edges(e.tail)
-        degree = n if e.tail == net.source else len(in_edges)
-        if e.tail == net.source:
-            in_globals = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        else:
-            in_globals = [list(code.global_vectors[ie.id]) for ie in in_edges]
-
+        inputs = code.inputs(e.id)
         # full-rank processed subsets of size <= mu-1, computed once per edge
         security_sets = list(full_rank_observations(code, processed, range(mu)))
         accepted = None
-        for cand in product(range(q), repeat=degree):
-            vec = [0] * n
-            for c, g in zip(cand, in_globals):
-                if c:
-                    vec = [f.add(a, f.mul(c, b)) for a, b in zip(vec, g)]
+        for cand in product(range(q), repeat=len(inputs)):
+            vec = combination(f, cand, inputs, n)
             ok = True
             for r, pi in on_path[e.id]:
                 rows = [row for i, row in enumerate(frontier[r]) if i != pi]
                 rows.append(vec)
                 checks += 1
+                if checks > cap:
+                    raise _over_cap(cap, e.id)
                 if FMatrix(f, rows, n).rank() != n:
                     ok = False
                     break
@@ -170,10 +163,8 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix, f: FieldSpec | None = 
                 vrow = FMatrix(f, [vec], n)
                 for W, C in security_sets:
                     checks += 1
-                    if checks > check_cap:
-                        raise ComplexityCapExceeded(
-                            f"exceeded {check_cap} invariant checks"
-                        )
+                    if checks > cap:
+                        raise _over_cap(cap, e.id)
                     CW = C.stack(vrow)
                     r_cw = CW.rank()
                     if r_cw != C.rows + 1:
@@ -198,7 +189,6 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix, f: FieldSpec | None = 
         for r, pi in on_path[e.id]:
             frontier[r][pi] = vec
         processed.append(e.id)
-        chosen[e.id] = list(cand)
 
     code.propagate()
     ok, witness = verify_secrecy_condition(H, code, mu)
@@ -208,12 +198,18 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix, f: FieldSpec | None = 
         )
     certificate = {
         "checks": checks,
-        "locals": chosen,
+        "locals": {eid: list(c) for eid, c in code.local.items()},
         "verified": True,
         "flows": {r: [list(p) for p in fl.paths] for r, fl in flows.items()},
     }
     return SecureDesign(
         CosetCode(H), code, SecurityParams(mu=mu, k=k, n=n), certificate
+    )
+
+
+def _over_cap(cap, edge_id):
+    return ComplexityCapExceeded(
+        f"secure_lif exceeded SUBSET_CHECK_CAP = {cap} invariant checks at edge {edge_id}"
     )
 
 

@@ -111,10 +111,21 @@ def code_to_json(code: NetworkCode):
 
 
 def code_from_json(net: Network, obj) -> NetworkCode:
+    """Rebuild a code from its local coefficients.  Each stored global vector
+    must name an edge of `net` and equal the recomputed one; an empty or
+    absent "global" map is not checked."""
     code = NetworkCode(net)
     for eid, coeffs in obj["local"].items():
         code.set_local(eid, coeffs)
     code.propagate()
+    for eid, vec in (obj.get("global") or {}).items():
+        if eid not in code.global_vectors:
+            raise MalformedInput(f"stored global vector names unknown edge {eid}")
+        if list(vec) != list(code.global_vectors[eid]):
+            raise MalformedInput(
+                f"stored global vector of edge {eid} is {list(vec)}, "
+                f"but its local coefficients give {list(code.global_vectors[eid])}"
+            )
     return code
 
 

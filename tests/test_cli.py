@@ -210,6 +210,8 @@ BAD_INPUTS = {
     "entry-out-of-range": (["coset", "encode", "--H", "{d}/h_range.json", "--secret", "[1]"],
                            {}, 1),
     "report-as-design": (["verify", "--design", "{d}/report.json"], {}, 1),
+    "global-vector-edited": (["verify", "--design", "{d}/edited_global.json"], {}, 1),
+    "global-unknown-edge": (["verify", "--design", "{d}/unknown_global.json"], {}, 1),
     "enum-cap-not-integer": (["paper-figures"], {"WIRETAP_NC_ENUM_CAP": "lots"}, 1),
     "out-under-a-file": (["paper-figures", "--out", "{d}/h.json/dir"], {}, 1),
     "out-dir-missing": (["paper-figures", "--out", "{d}/new/dir"], {}, 0),
@@ -223,6 +225,14 @@ def test_bad_input_ends_in_one_line_error(fixtures, case):
                {"field": {"p": 3, "m": 1}, "rows": [[1, 5]], "cols": 2})
     write_json(fixtures / "report.json",
                read_json(cli._golden_dir() / "butterfly_secure.json"))
+    f = field_new(3)
+    design = design_to_json(SecureDesign(
+        CosetCode(FMatrix(f, [[1, 1]])), butterfly_code(f, (1, 2)),
+        SecurityParams(mu=1, k=1, n=2)))
+    design["code"]["global"]["BE"] = [0, 0]
+    write_json(fixtures / "edited_global.json", design)
+    design["code"]["global"] = {"XX": [1, 0]}
+    write_json(fixtures / "unknown_global.json", design)
     argv, extra_env, want = BAD_INPUTS[case]
     src = Path(wiretapnc.__file__).resolve().parent.parent
     env = dict(os.environ, **extra_env, PYTHONPATH=os.pathsep.join(

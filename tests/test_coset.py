@@ -64,6 +64,25 @@ def test_cosets_partition_the_space(gf3):
     assert len(seen) == 27
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (7, 1), (3, 2)])
+def test_particular_solution_has_syndrome_and_pivot_support(p, m):
+    f = field_new(p, m)
+    q = f.order
+    n = 3
+    rng = random.Random(q)
+    for k in (0, 1, n - 1):
+        while True:
+            H = FMatrix(f, [[rng.randrange(q) for _ in range(n)] for _ in range(k)], n)
+            if H.rank() == k:
+                break
+        code = CosetCode(H)
+        _, pivots = H.rref()
+        for secret in product(range(q), repeat=k):
+            y = code.particular_solution(list(secret))
+            assert code.decode(y) == list(secret)
+            assert all(not y[j] for j in range(n) if j not in pivots)
+
+
 def test_seeded_encode_is_deterministic(gf3):
     code = CosetCode(FMatrix(gf3, [[1, 1]]))
     assert code.encode([2], seed=5) == code.encode([2], seed=5)

@@ -9,7 +9,7 @@ from wiretapnc.exceptions import (
     NoSolution,
     SingularMatrix,
 )
-from wiretapnc.fmatrix import FMatrix, dot
+from wiretapnc.fmatrix import FMatrix, combination, dot
 from wiretapnc.gf import field_new
 
 
@@ -136,3 +136,22 @@ def test_complete_to_invertible_random():
             X = complete_to_invertible(C)
             assert X.rows == n - r
             assert C.stack(X).rank() == n
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (7, 1)])
+def test_combination_equals_mul_mat_rows(p, m):
+    f = field_new(p, m)
+    q = f.order
+    rng = random.Random(p * 10 + m)
+    rows = [[rng.randrange(q) for _ in range(5)] for _ in range(4)]
+    rows[2] = [0] * 5  # a zero row
+    B = FMatrix(f, rows)
+    coeff_rows = [[rng.randrange(q) for _ in range(4)] for _ in range(6)]
+    coeff_rows += [[0] * 4, [0, 0, 1, 0], [1, 0, 0, 0]]  # zero and unit coefficients
+    A = FMatrix(f, coeff_rows)
+    product_rows = A.mul_mat(B).data
+    for coeffs, want in zip(coeff_rows, product_rows):
+        got = combination(f, coeffs, B.data, B.cols)
+        assert tuple(got) == want
+        assert got == [dot(f, coeffs, B.column(j)) for j in range(B.cols)]
+    assert combination(f, [], [], 3) == [0, 0, 0]

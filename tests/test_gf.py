@@ -6,7 +6,7 @@ from wiretapnc.exceptions import (
     FieldTooLarge,
     NonPrimeCharacteristic,
 )
-from wiretapnc.gf import Element, field_new, is_prime
+from wiretapnc.gf import LOG_TABLE_CAP, Element, FieldSpec, field_new, is_prime
 
 SMALL_PRIME_POWERS = [
     (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -44,10 +44,16 @@ def test_gf7_primitive_element_and_powers():
     assert [f.pow(3, i) for i in range(6)] == [1, 3, 2, 6, 4, 5]
 
 
-@pytest.mark.parametrize("p,m", SMALL_PRIME_POWERS)
-def test_field_axioms_exhaustive(p, m):
-    f = field_new(p, m)
+# a FieldSpec made directly must take the same table path as field_new's
+@pytest.mark.parametrize("make,p,m", [
+    pytest.param(make, p, m, id=f"{prefix}{p}-{m}")
+    for make, prefix in ((field_new, ""), (FieldSpec, "direct-"))
+    for p, m in SMALL_PRIME_POWERS
+])
+def test_field_axioms_exhaustive(make, p, m):
+    f = make(p, m)
     q = f.order
+    assert (f._exp is not None) == (m > 1 and q <= LOG_TABLE_CAP)
     elems = range(q)
     for a in elems:
         assert f.add(a, 0) == a

@@ -75,6 +75,18 @@ def test_butterfly_code_global_vectors(gf3):
     assert secure.global_vectors["BE"] == (1, 2)
 
 
+def test_inputs_are_virtual_inputs_at_source_and_in_edge_vectors_elsewhere(gf3):
+    code = butterfly_code(gf3, be_local=(1, 2))
+    g = code.global_vectors
+    for eid in ("SA", "SC"):
+        assert [tuple(v) for v in code.inputs(eid)] == [(1, 0), (0, 1)]
+    assert [tuple(v) for v in code.inputs("BE")] == [g["AB"], g["CB"]]
+    assert [tuple(v) for v in code.inputs("AB")] == [g["SA"]]
+    assert [tuple(v) for v in code.inputs("ED")] == [g["BE"]]
+    for e in code.network.edges:
+        assert len(code.inputs(e.id)) == len(code.local[e.id])
+
+
 def test_propagate_is_idempotent(gf3):
     code = butterfly_code(gf3, be_local=(1, 2))
     before = dict(code.global_vectors)

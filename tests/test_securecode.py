@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import wiretapnc
+from wiretapnc import securecode
 from wiretapnc.coset import CosetCode
 from wiretapnc.exceptions import (
     BudgetExceedsCut,
+    ComplexityCapExceeded,
     DimensionMismatch,
     FieldTooSmall,
     InsufficientCut,
@@ -84,6 +86,17 @@ def test_secure_lif_field_too_small(gf2):
     with pytest.raises(FieldTooSmall) as exc:
         secure_lif(net, 2, 1, H)
     assert exc.value.bound >= 3
+
+
+@pytest.mark.parametrize("H_rows", [[], [[1, 1]]])
+def test_secure_lif_check_cap_is_read_at_call_time(gf3, monkeypatch, H_rows):
+    """The cap counts receiver checks too: with k = 0 there are no others."""
+    H = FMatrix(gf3, H_rows, 2)
+    monkeypatch.setattr(securecode, "SUBSET_CHECK_CAP", 3)
+    with pytest.raises(ComplexityCapExceeded, match="SUBSET_CHECK_CAP = 3 .* at edge "):
+        secure_lif(butterfly_network(gf3), 2, 1, H)
+    monkeypatch.undo()
+    assert secure_lif(butterfly_network(gf3), 2, 1, H).certificate["checks"] > 3
 
 
 def test_secure_lif_insufficient_cut(gf3):
