@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .gf import Element, FieldSpec, field_new
+from .gf import FieldSpec, field_new
 from .fmatrix import FMatrix
 from .coset import (
     CosetCode,

@@ -62,7 +62,7 @@ def _print_manifest(manifest):
 
 def _butterfly_report(secure: bool):
     f = field_new(3)
-    alpha = int(f.primitive_element())
+    alpha = f.primitive_element()
     code = butterfly_code(f, be_local=(1, alpha) if secure else (1, 1))
     H = matrix_from_json({"field": {"p": 3, "m": 1}, "rows": [[1, 1]]})
     ok, witness = verify_secrecy_condition(H, code, mu=1)
@@ -261,9 +261,9 @@ def _vector_argument(field, text, flag, action):
         vector = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{flag} is not JSON: {exc}") from exc
-    if not isinstance(vector, list) or not all(isinstance(x, int) for x in vector):
+    if not isinstance(vector, list):
         raise MalformedInput(f"{flag} must be a JSON array of integers, got {text}")
-    return [int(field.element(x)) for x in vector]
+    return [field.check(x) for x in vector]
 
 
 def cmd_coset(args):

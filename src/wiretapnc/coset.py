@@ -73,9 +73,7 @@ def rs_parity_check(n: int, length: int, field: FieldSpec, alpha=None) -> FMatri
         raise LengthExceedsField(
             f"length {length} exceeds q-1 = {field.order - 1}"
         )
-    if alpha is None:
-        alpha = field.primitive_element()
-    a = int(field.element(alpha))
+    a = field.primitive_element() if alpha is None else field.check(alpha)
     return FMatrix(
         field,
         [[field.pow(a, (i + 1) * j) for j in range(length)] for i in range(n)],

@@ -1,6 +1,7 @@
 """Dense exact linear algebra over a finite field.
 
-Matrices are immutable; entries are stored as integer element encodings.
+Matrices are immutable; entries are integer-encoded elements, each checked
+by `FieldSpec.check` on the way in.
 Pivoting is first-nonzero in column order, so every operation is a
 deterministic function of its inputs.  Zero-row matrices are first-class
 values (needed for empty wiretap observations and full-column-rank kernels).
@@ -10,30 +11,18 @@ from __future__ import annotations
 
 from .exceptions import (
     DimensionMismatch,
-    EntryOutOfRange,
     FieldMismatch,
     NoSolution,
     SingularMatrix,
 )
-from .gf import Element, FieldSpec
-
-
-def _as_int(field, x):
-    if isinstance(x, Element):
-        if x.field != field:
-            raise FieldMismatch("entry belongs to a different field")
-        return x.value
-    x = int(x)
-    if not 0 <= x < field.order:
-        raise EntryOutOfRange(f"entry {x} out of range for {field}")
-    return x
+from .gf import FieldSpec
 
 
 class FMatrix:
     __slots__ = ("field", "data", "rows", "cols")
 
     def __init__(self, field: FieldSpec, rows, cols: int | None = None):
-        data = tuple(tuple(_as_int(field, x) for x in row) for row in rows)
+        data = tuple(tuple(map(field.check, row)) for row in rows)
         if data:
             cols = len(data[0])
             if any(len(r) != cols for r in data):
@@ -100,9 +89,10 @@ class FMatrix:
                 work[r] = [f.mul(inv, x) for x in work[r]]
             for i in range(len(work)):
                 if i != r and work[i][c]:
-                    factor = work[i][c]
+                    # x - factor * y as x + (-factor) * y: one neg per row
+                    neg_factor = f.neg(work[i][c])
                     work[i] = [
-                        f.sub(x, f.mul(factor, y)) for x, y in zip(work[i], work[r])
+                        f.add(x, f.mul(neg_factor, y)) for x, y in zip(work[i], work[r])
                     ]
             pivots.append(c)
             r += 1
@@ -151,7 +141,7 @@ class FMatrix:
 
     def solve(self, b):
         """Solve M x = b.  Returns (x, unique); raises NoSolution if inconsistent."""
-        b = [(_as_int(self.field, x)) for x in b]
+        b = [self.field.check(x) for x in b]
         if len(b) != self.rows:
             raise DimensionMismatch(f"rhs length {len(b)} != {self.rows} rows")
         work, pivots = self._echelon(augment=[[x] for x in b])
@@ -205,7 +195,7 @@ class FMatrix:
         return self.mul_mat(other)
 
     def mul_vec(self, v):
-        v = [_as_int(self.field, x) for x in v]
+        v = [self.field.check(x) for x in v]
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector length {len(v)} != {self.cols} cols")
         f = self.field

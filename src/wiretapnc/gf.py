@@ -1,18 +1,20 @@
 """Finite fields GF(p^m): construction, element arithmetic, primitive elements.
 
-Elements are encoded as integers in [0, q): the coefficient vector of the
-polynomial representation, read little-endian in base p.  This encoding is the
-one used everywhere in the JSON interchange formats.
+Elements are integers in [0, q): the coefficient vector of the polynomial
+representation, read little-endian in base p.  This is the only element type,
+used by all arithmetic and every JSON interchange format; `FieldSpec.check` is
+the one check on an incoming element.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 
 from .exceptions import (
+    BadParameters,
     DivisionByZero,
     EntryOutOfRange,
-    FieldMismatch,
     FieldTooLarge,
     NonPrimeCharacteristic,
 )
@@ -87,10 +89,14 @@ class FieldSpec:
     modulus of degree m.  Immutable; all arithmetic is pure."""
 
     def __init__(self, p: int, m: int = 1):
+        try:
+            p, m = index(p), index(m)
+        except TypeError:
+            raise BadParameters(f"p and m must be integers, got {p!r}, {m!r}") from None
         if not is_prime(p):
             raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
         if m < 1:
-            raise ValueError(f"extension degree must be >= 1, got {m}")
+            raise BadParameters(f"extension degree must be >= 1, got {m}")
         if p ** m > ORDER_CAP:
             raise FieldTooLarge(f"order {p}^{m} exceeds cap {ORDER_CAP}")
         self.p = p
@@ -100,7 +106,7 @@ class FieldSpec:
         # exp/log tables turn extension mul and inv into lookups
         self._exp = self._log = None
         if m > 1 and self.order <= LOG_TABLE_CAP:
-            g = self.primitive_element().value
+            g = self.primitive_element()
             exp = [1] * (self.order - 1)
             log = [0] * self.order
             x = 1
@@ -123,7 +129,7 @@ class FieldSpec:
                 return tuple(poly)
         raise AssertionError("no irreducible polynomial found")  # unreachable
 
-    # ---- integer-encoded arithmetic (used by FMatrix for speed) ----
+    # ---- arithmetic on integer-encoded elements ----
 
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -201,28 +207,16 @@ class FieldSpec:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    # ---- element-level API ----
-
-    def element(self, value) -> "Element":
-        if isinstance(value, Element):
-            if value.field is not self:
-                raise FieldMismatch("element belongs to a different field")
-            return value
-        value = int(value)
+    def check(self, value) -> int:
+        """The one check on an incoming element: an integer (Python or
+        numpy) in [0, q), returned as a Python int."""
+        try:
+            value = index(value)
+        except TypeError:
+            raise EntryOutOfRange(f"entry {value!r} is not an integer") from None
         if not 0 <= value < self.order:
-            raise EntryOutOfRange(f"encoding {value} out of range [0, {self.order})")
-        return Element(self, value)
-
-    @property
-    def zero(self) -> "Element":
-        return Element(self, 0)
-
-    @property
-    def one(self) -> "Element":
-        return Element(self, 1)
-
-    def elements(self):
-        return (Element(self, v) for v in range(self.order))
+            raise EntryOutOfRange(f"entry {value} out of range for {self}")
+        return value
 
     def multiplicative_order(self, a: int) -> int:
         if a == 0:
@@ -234,14 +228,14 @@ class FieldSpec:
             order += 1
         return order
 
-    def primitive_element(self) -> "Element":
+    def primitive_element(self) -> int:
         """Smallest element (in integer-encoding order) of order q - 1."""
         if self.order == 2:
-            return self.one
+            return 1
         factors = _prime_factors(self.order - 1)
         for v in range(2, self.order):
             if all(self.pow(v, (self.order - 1) // r) != 1 for r in factors):
-                return Element(self, v)
+                return v
         raise AssertionError("no primitive element found")  # unreachable
 
     def __eq__(self, other):
@@ -260,7 +254,7 @@ class FieldSpec:
         return f"GF({self.p}^{self.m})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def field_new(p: int, m: int = 1) -> FieldSpec:
     """Construct (and cache) GF(p^m); deterministic across runs."""
     return FieldSpec(p, m)
@@ -277,66 +271,3 @@ def _prime_factors(n):
     if n > 1:
         factors.add(n)
     return factors
-
-
-class Element:
-    """A field element: a FieldSpec reference plus its integer encoding."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FieldSpec, value: int):
-        self.field = field
-        self.value = value
-
-    @property
-    def coeffs(self):
-        return _int_to_coeffs(self.value, self.field.p, self.field.m)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, Element):
-            if other.field != self.field:
-                raise FieldMismatch(
-                    f"operands from {self.field} and {other.field}"
-                )
-            return other.value
-        return self.field.element(other).value
-
-    def __add__(self, other):
-        return Element(self.field, self.field.add(self.value, self._coerce(other)))
-
-    def __sub__(self, other):
-        return Element(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __neg__(self):
-        return Element(self.field, self.field.neg(self.value))
-
-    def __mul__(self, other):
-        return Element(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    def __truediv__(self, other):
-        return Element(self.field, self.field.div(self.value, self._coerce(other)))
-
-    def __pow__(self, e: int):
-        return Element(self.field, self.field.pow(self.value, e))
-
-    def inverse(self):
-        return Element(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, Element):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.m, self.value))
-
-    def __int__(self):
-        return self.value
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value}@{self.field!r}"

@@ -203,10 +203,12 @@ class NetworkCode:
 
     def set_local(self, edge_id, coeffs):
         net = self.network
-        e = net.edge_by_id[edge_id]
+        e = net.edge_by_id.get(edge_id)
+        if e is None:
+            raise DimensionMismatch(f"local coefficients name unknown edge {edge_id}")
         # one coefficient per vector of inputs(edge_id)
         expected = self.n if e.tail == net.source else len(net.in_edges(e.tail))
-        coeffs = [int(net.field.element(c)) for c in coeffs]
+        coeffs = [net.field.check(c) for c in coeffs]
         if len(coeffs) != expected:
             raise DimensionMismatch(
                 f"edge {edge_id} needs {expected} local coefficients"
@@ -236,7 +238,7 @@ class NetworkCode:
         if len(y) != self.n:
             raise DimensionMismatch(f"channel word must have length {self.n}")
         f = self.field
-        y = [int(f.element(v)) for v in y]
+        y = [f.check(v) for v in y]
         return {
             eid: dot(f, vec, y) for eid, vec in self.global_vectors.items()
         }

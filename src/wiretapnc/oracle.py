@@ -149,14 +149,20 @@ class CosetChannelOracle:
         """Exact H(S|Z_W), H(Y|Z_W), H(Y|S Z_W) and H(Z) in q-ary units.
 
         Every (s, randomness) outcome is equally likely and determines Y
-        uniquely, so all terms reduce to H(Z) and H(S, Z).
+        uniquely, so all terms reduce to H(Z) and H(S, Z).  The secret is the
+        last digit of each (S, Z) code, so one sort counts (S, Z), and Z's
+        counts are the sums over runs of equal code // q^k.
         """
-        q, total = self.q, self.total
+        q, total, secrets = self.q, self.total, self.q ** self.k
         z, bound = _pack(np.zeros(total, dtype=np.int64), 1,
                          ((self._symbols[self._column[eid]], q) for eid in W))
-        sz, _ = _pack(z, bound, [(self._secret, q ** self.k)])
-        h_z = _entropy_q(np.unique(z, return_counts=True)[1], total, q)
-        h_sz = _entropy_q(np.unique(sz, return_counts=True)[1], total, q)
+        sz, _ = _pack(z, bound, [(self._secret, secrets)])
+        codes, sz_counts = np.unique(sz, return_counts=True)
+        z_codes = codes // secrets
+        first = np.ones(z_codes.size, dtype=bool)  # first code of each Z run
+        first[1:] = z_codes[1:] != z_codes[:-1]
+        h_z = _entropy_q(np.add.reduceat(sz_counts, np.flatnonzero(first)), total, q)
+        h_sz = _entropy_q(sz_counts, total, q)
         n_sym = math.log(total) / math.log(q)
         return {
             "H(S|Z)": h_sz - h_z,

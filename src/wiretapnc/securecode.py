@@ -248,7 +248,7 @@ def alphabet_bound_two_sources(t: int) -> int:
 
 def projective_line_colors(f: FieldSpec, exclude_all_ones: bool = False):
     """Points of the projective line: [0,1], [1,0], [1, alpha^i] for all i."""
-    alpha = int(f.primitive_element())
+    alpha = f.primitive_element()
     pts = [(0, 1), (1, 0)]
     pts += [(1, f.pow(alpha, i)) for i in range(f.order - 1)]
     if exclude_all_ones:

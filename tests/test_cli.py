@@ -209,13 +209,18 @@ BAD_INPUTS = {
     "missing-file": (["bounds", "--network", "{d}/absent.json", "--mu", "1"], {}, 1),
     "entry-out-of-range": (["coset", "encode", "--H", "{d}/h_range.json", "--secret", "[1]"],
                            {}, 1),
+    "entry-not-integer": (["coset", "encode", "--H", "{d}/h_float.json", "--secret", "[1]"],
+                          {}, 1),
     "report-as-design": (["verify", "--design", "{d}/report.json"], {}, 1),
     "global-vector-edited": (["verify", "--design", "{d}/edited_global.json"], {}, 1),
     "global-unknown-edge": (["verify", "--design", "{d}/unknown_global.json"], {}, 1),
+    "local-unknown-edge": (["verify", "--design", "{d}/unknown_local.json"], {}, 1),
     "enum-cap-not-integer": (["paper-figures"], {"WIRETAP_NC_ENUM_CAP": "lots"}, 1),
     "out-under-a-file": (["paper-figures", "--out", "{d}/h.json/dir"], {}, 1),
     "out-dir-missing": (["paper-figures", "--out", "{d}/new/dir"], {}, 0),
 }
+# text the one error line must contain, where a case has one
+BAD_INPUT_MESSAGES = {"local-unknown-edge": "unknown edge XX"}
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
@@ -223,6 +228,8 @@ def test_bad_input_ends_in_one_line_error(fixtures, case):
     (fixtures / "broken.json").write_text('{"nodes": [')
     write_json(fixtures / "h_range.json",
                {"field": {"p": 3, "m": 1}, "rows": [[1, 5]], "cols": 2})
+    write_json(fixtures / "h_float.json",
+               {"field": {"p": 3, "m": 1}, "rows": [[1.5, 1]], "cols": 2})
     write_json(fixtures / "report.json",
                read_json(cli._golden_dir() / "butterfly_secure.json"))
     f = field_new(3)
@@ -233,6 +240,9 @@ def test_bad_input_ends_in_one_line_error(fixtures, case):
     write_json(fixtures / "edited_global.json", design)
     design["code"]["global"] = {"XX": [1, 0]}
     write_json(fixtures / "unknown_global.json", design)
+    design["code"]["global"] = {}
+    design["code"]["local"]["XX"] = [1, 0]
+    write_json(fixtures / "unknown_local.json", design)
     argv, extra_env, want = BAD_INPUTS[case]
     src = Path(wiretapnc.__file__).resolve().parent.parent
     env = dict(os.environ, **extra_env, PYTHONPATH=os.pathsep.join(
@@ -245,5 +255,6 @@ def test_bad_input_ends_in_one_line_error(fixtures, case):
     if want == 1:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert BAD_INPUT_MESSAGES.get(case, "") in lines[0]
     else:
         assert (fixtures / "new" / "dir" / "butterfly_secure.json").exists()

@@ -1,12 +1,16 @@
+import numpy as np
 import pytest
 
 from wiretapnc.exceptions import (
+    BadParameters,
     DivisionByZero,
+    EntryOutOfRange,
     FieldMismatch,
     FieldTooLarge,
     NonPrimeCharacteristic,
 )
-from wiretapnc.gf import LOG_TABLE_CAP, Element, FieldSpec, field_new, is_prime
+from wiretapnc.fmatrix import FMatrix
+from wiretapnc.gf import LOG_TABLE_CAP, FieldSpec, field_new, is_prime
 
 SMALL_PRIME_POWERS = [
     (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -22,6 +26,11 @@ def test_construction_rejects_bad_parameters():
         field_new(1)
     with pytest.raises(FieldTooLarge):
         field_new(2, 21)
+    for p, m in ((3.0, 1), (3, 1.0), ("3", 1), (3, 0), (3, -1)):
+        with pytest.raises(BadParameters):
+            FieldSpec(p, m)
+    with pytest.raises(BadParameters):
+        field_new(3.0)
 
 
 def test_field_new_is_cached():
@@ -39,8 +48,7 @@ def test_modulus_is_smallest_irreducible():
 
 def test_gf7_primitive_element_and_powers():
     f = field_new(7)
-    g = f.primitive_element()
-    assert int(g) == 3
+    assert f.primitive_element() == 3
     assert [f.pow(3, i) for i in range(6)] == [1, 3, 2, 6, 4, 5]
 
 
@@ -77,7 +85,7 @@ def test_field_axioms_exhaustive(make, p, m):
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (7, 1), (2, 3), (3, 2), (5, 2)])
 def test_primitive_element_generates_units(p, m):
     f = field_new(p, m)
-    g = int(f.primitive_element())
+    g = f.primitive_element()
     seen = set()
     x = 1
     for _ in range(f.order - 1):
@@ -112,44 +120,37 @@ def test_division_by_zero():
 
 def test_element_operators():
     f = field_new(7)
-    a, b = f.element(3), f.element(5)
-    assert int(a + b) == 1
-    assert int(a * b) == 1
-    assert int(a - b) == 5
-    assert int(-a) == 4
-    assert int(a / b) == int(a * b.inverse())
-    assert int(a ** -1) == int(a.inverse())
-    assert a == 3 and a != b
-    assert bool(f.zero) is False and bool(f.one) is True
+    a, b = 3, 5
+    assert f.add(a, b) == 1
+    assert f.mul(a, b) == 1
+    assert f.sub(a, b) == 5
+    assert f.neg(a) == 4
+    assert f.div(a, b) == f.mul(a, f.inv(b))
+    assert f.pow(a, -1) == f.inv(a) == 5
 
 
 def test_element_coeffs_little_endian():
     f = field_new(2, 3)
-    # encoding 6 = 0 + 1*2 + 1*4 -> coefficients (0, 1, 1)
-    assert f.element(6).coeffs == [0, 1, 1]
-    assert f.element(1).coeffs == [1, 0, 0]
+    # x * x = x^2 is encoding 4; x^2 * x = x^3 = x + 1 is encoding 1 + 2 = 3
+    assert f.mul(2, 2) == 4
+    assert f.mul(4, 2) == 3
 
 
 def test_cross_field_operations_rejected():
-    a = field_new(3).element(1)
-    b = field_new(5).element(1)
+    gf3, gf5 = field_new(3), field_new(5)
+    # an encoding of GF(5) that is not one of GF(3)
+    with pytest.raises(EntryOutOfRange):
+        gf3.check(4)
     with pytest.raises(FieldMismatch):
-        a + b
-    with pytest.raises(FieldMismatch):
-        field_new(5).element(a)
+        FMatrix(gf3, [[1]]) @ FMatrix(gf5, [[1]])
 
 
 def test_element_range_checked():
     f = field_new(3)
-    with pytest.raises(ValueError):
-        f.element(3)
-    with pytest.raises(ValueError):
-        f.element(-1)
-
-
-def test_elements_iterator():
-    f = field_new(2, 2)
-    assert [int(e) for e in f.elements()] == [0, 1, 2, 3]
+    assert f.check(2) == 2 and type(f.check(np.int64(2))) is int
+    for bad in (3, -1, 1.5, "2"):
+        with pytest.raises(EntryOutOfRange):
+            f.check(bad)
 
 
 def test_is_prime():

@@ -6,6 +6,7 @@ from wiretapnc.exceptions import (
     AcyclicityViolated,
     BadParameters,
     DimensionMismatch,
+    EntryOutOfRange,
     InsufficientCut,
     SingularDecodingMatrix,
     UnknownNode,
@@ -163,3 +164,16 @@ def test_parallel_edges_are_supported(gf2):
     assert net.min_cut("R") == 2
     flows = net.edge_disjoint_flows()
     assert sorted(p[0] for p in flows["R"].paths) == ["a", "b"]
+
+
+def test_non_integer_entries_refused(gf3):
+    with pytest.raises(EntryOutOfRange):
+        FMatrix(gf3, [[1.5]])
+    M = FMatrix(gf3, [[1, 0], [0, 1]])
+    with pytest.raises(EntryOutOfRange):
+        M.solve([1.0, 0])
+    with pytest.raises(EntryOutOfRange):
+        M.mul_vec(["1", 0])
+    code = NetworkCode(butterfly_network(gf3))
+    with pytest.raises(EntryOutOfRange):
+        code.set_local("SA", [1.9, 0])

@@ -86,7 +86,7 @@ def test_extension_field_paths_agree():
     for p, m in ((2, 2), (3, 2)):
         f = field_new(p, m)
         code = parallel_code(3, f)
-        alpha = int(f.primitive_element())
+        alpha = f.primitive_element()
         H = FMatrix(f, [[1, 1, 1], [1, alpha, f.mul(alpha, alpha)]])
         for mu in (0, 1, 2, 3):
             brute, _ = min_equivocation_bruteforce(H, code, mu)
