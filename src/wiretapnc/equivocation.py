@@ -3,10 +3,13 @@
 Y is uniform on F_q^n, so the equivocation of an observation W is
 H(S | Z_W) = rank [H; C_W] - rank C_W (`securecode.observation_equivocation`),
 for full-rank and rank-deficient C_W alike.  Delta(mu) is its minimum over
-all W of size mu, and a subset whose C_W has the largest rank always
-attains it.  The witness is the first minimiser, in lexicographic order,
-among those largest-rank subsets; Delta(mu) is flagged when that rank is
-below mu.
+all W of size mu, attained where C_W has the largest rank, min(mu, rank C_E).
+For mu <= rank C_E it ranges over sets of mu distinct coding-vector
+directions (`securecode.full_rank_observations`); for mu > rank C_E every
+largest-rank W spans C_E, so Delta(mu) = rank [H; C_E] - rank C_E, flagged,
+with no enumeration.  The witness is the first minimiser, in lexicographic
+order, among the largest-rank edge subsets: the smallest representative
+tuple of a minimising point set, or the first mu-subset spanning C_E.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .exceptions import (
 )
 from .fmatrix import FMatrix, combination
 from .netgraph import NetworkCode
-from .securecode import observation_equivocation, wiretappable_edges
+from .securecode import (check_budget, full_rank_observations,
+                         observation_equivocation, wiretappable_edges)
 
 GHW_CODEWORD_CAP = 10 ** 6
 
@@ -42,35 +46,43 @@ class EquivocationReport:
 def equivocation_rank(H: FMatrix, code: NetworkCode, mu: int, restricted=None):
     """Delta(mu) by the rank formula: exact minimum over edge subsets.
 
-    Returns (delta, witness, flagged).  flagged means no size-mu subset
-    achieves rank mu.  One pass builds each coding matrix once; the
-    equivocation of a subset is computed only when its rank is not below
-    the largest rank seen so far.
+    Returns (delta, witness, flagged); flagged means mu > rank C_E, so no
+    size-mu subset achieves rank mu.
     """
+    check_budget(mu)
     k = H.rows
     edges = wiretappable_edges(code, restricted)
     if mu == 0:
         return k, (), False
     if mu > len(edges):
         raise DimensionMismatch(f"mu={mu} exceeds {len(edges)} wiretappable edges")
-    top = min(mu, code.n)
-    best_r, best, witness = -1, None, None
-    for W in combinations(edges, mu):
-        C = code.coding_matrix(W)
-        r = C.rank()
-        if r < best_r:
-            continue
-        d = observation_equivocation(H, C, r)
-        if r > best_r or d < best:
-            best_r, best, witness = r, d, W
-            if r == top and d == 0:
+    C_E = code.coding_matrix(edges)
+    rank_E = C_E.rank()
+    if mu > rank_E:
+        # the first mu-subset spanning C_E: take each edge in turn while the
+        # positions left can still lift the chosen ones to rank_E.  An edge
+        # skipped that way lies in the span of those chosen before it, so
+        # the chosen edges and every later edge always still span C_E.
+        chosen = []
+        for e in edges:
+            trial = chosen + [e]
+            if len(trial) <= mu and rank_E - code.coding_matrix(trial).rank() <= mu - len(trial):
+                chosen = trial
+        return observation_equivocation(H, C_E, rank_E), tuple(chosen), True
+    best, witness = None, None
+    for W, C in full_rank_observations(code, edges, (mu,)):
+        d = observation_equivocation(H, C, mu)
+        if best is None or d < best:
+            best, witness = d, W
+            if d == 0:
                 break
-    return best, witness, best_r < mu
+    return best, witness, False
 
 
 def equivocation_sweep(H: FMatrix, code: NetworkCode, mu_max: int,
                        restricted=None) -> EquivocationReport:
     """Delta(mu) for mu = 0..mu_max plus the network d_r profile."""
+    check_budget(mu_max, "mu_max")
     k = H.rows
     report = EquivocationReport(k=k)
     for mu in range(mu_max + 1):

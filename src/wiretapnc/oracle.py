@@ -29,7 +29,7 @@ from .coset import CosetCode
 from .exceptions import BadEnvironment, EnumerationTooLarge, InvariantViolated
 from .fmatrix import FMatrix
 from .netgraph import NetworkCode
-from .securecode import wiretappable_edges
+from .securecode import check_budget, wiretappable_edges
 
 DEFAULT_ENUM_CAP = 10 ** 7
 SNAP_TOL = 1e-9
@@ -181,6 +181,7 @@ def min_equivocation_bruteforce(H: FMatrix, code: NetworkCode, mu: int,
 
     The independent ground truth for the rank formula.
     """
+    check_budget(mu)
     edges = wiretappable_edges(code, restricted)
     if mu == 0:
         return H.rows, ()

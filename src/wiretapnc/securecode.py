@@ -4,7 +4,12 @@ The central condition: a coset code with parity check H (k x n, k = n - mu)
 stays perfectly secret on a network iff rank [H; C_W] = k + |W| for every
 full-rank observation C_W of at most mu edges.  `observation_equivocation`
 is the one place that computes rank [H; C_W] - rank C_W, and every check
-here and in `equivocation` goes through it.  `verify_secrecy_condition`
+here and in `equivocation` goes through it.  Both depend on C_W only
+through its row space, so the one enumeration, `full_rank_observations`,
+ranges over sets of distinct coding-vector directions (projective points),
+not edge subsets.  A point set stands for the tuple of its points' first
+edges, the smallest edge tuple of that span, so every witness is the one an
+edge-subset search in lexicographic order finds.  `verify_secrecy_condition`
 checks the condition exhaustively; `secure_lif` constructs codes satisfying
 it by extending the Linear Information Flow greedy algorithm with security
 invariants; the remaining functions cover alphabet bounds, the combination
@@ -20,6 +25,7 @@ from math import comb
 
 from .coset import CosetCode, rs_parity_check
 from .exceptions import (
+    BadBudgets,
     BudgetExceedsCut,
     ComplexityCapExceeded,
     DimensionMismatch,
@@ -79,11 +85,26 @@ def observation_equivocation(H: FMatrix, C: FMatrix, r: int | None = None) -> in
     return H.stack(C).rank() - (C.rank() if r is None else r)
 
 
+def check_budget(mu: int, name: str = "mu"):
+    """Refuse a negative wiretap budget."""
+    if mu < 0:
+        raise BadBudgets(f"{name}={mu} must be non-negative")
+
+
 def full_rank_observations(code: NetworkCode, edges, sizes):
-    """Yield (W, C_W) for each W of the given sizes, in lexicographic order
-    within each size, whose coding matrix C_W has full rank |W|."""
+    """Yield (W, C_W) for each set W of distinct coding-vector directions of
+    the given sizes whose C_W has full rank |W|, in lexicographic order
+    within each size.  A direction is a nonzero global vector scaled to a
+    leading 1, and W names the first edge of `edges` on each direction."""
+    f, first = code.field, {}
+    for eid in edges:
+        vec = code.global_vectors[eid]
+        lead = next(filter(None, vec), 0)
+        if lead:
+            inv = f.inv(lead)
+            first.setdefault(tuple([f.mul(inv, x) for x in vec]), eid)
     for size in sizes:
-        for W in combinations(edges, size):
+        for W in combinations(first.values(), size):
             C = code.coding_matrix(W)
             if C.rank() == size:
                 yield W, C
@@ -92,11 +113,12 @@ def full_rank_observations(code: NetworkCode, edges, sizes):
 def verify_secrecy_condition(H: FMatrix, code: NetworkCode, mu: int, restricted=None):
     """Exhaustive check of the secrecy rank condition.
 
-    Enumerates every edge subset W of size <= mu (within the restricted set if
-    given) whose coding matrix has full rank |W| and requires
-    rank [H; C_W] = k + |W|.  Returns (ok, witness) with witness the first
-    violating subset in lexicographic order.
+    Requires rank [H; C_W] = k + |W| for every full-rank observation of at
+    most mu edges (within the restricted set if given), once per set of
+    distinct coding-vector directions.  Returns (ok, witness) with witness
+    the first violating edge subset, smallest size first, then lexicographic.
     """
+    check_budget(mu)
     if mu > code.n:
         raise BudgetExceedsCut(f"mu={mu} exceeds multicast dimension n={code.n}")
     edges = wiretappable_edges(code, restricted)
@@ -114,9 +136,11 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     lexicographically first local coefficient vector that (a) keeps every
     receiver's flow matrix invertible and (b) keeps rank [H; C_W] = k + |W|
     for every full-rank W = {e} united with processed edges of size <= mu.
-    Raises ComplexityCapExceeded once more than SUBSET_CHECK_CAP invariant
-    checks of either kind have run.
+    The certificate's "checks" counts receiver checks and one security check
+    per set of distinct coding-vector directions, not per edge subset; more
+    than SUBSET_CHECK_CAP checks raise ComplexityCapExceeded.
     """
+    check_budget(mu)
     f = net.field if f is None else f
     k = H.rows
     if H.cols != n:
@@ -314,6 +338,7 @@ def byzantine_secrecy_check(H: FMatrix, G_gen: FMatrix, code: NetworkCode,
     With G = I_n this is exactly the plain secrecy condition at exact rank mu.
     Returns (ok, witness).
     """
+    check_budget(mu)
     if G_gen.rows != code.n:
         raise DimensionMismatch(
             f"generator has {G_gen.rows} rows, expected n={code.n}"

@@ -3,7 +3,7 @@
 import math
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -12,6 +12,7 @@ from wiretapnc.exceptions import InsufficientCut
 from wiretapnc.fmatrix import FMatrix
 from wiretapnc.gf import field_new, is_prime
 from wiretapnc.netgraph import Network, NetworkCode
+from wiretapnc.securecode import observation_equivocation, wiretappable_edges
 
 
 @pytest.fixture(scope="session")
@@ -123,6 +124,45 @@ def reference_entropy_terms(H, code, W):
     h_z, h_sz = entropy(z_counts), entropy(sz_counts)
     return {"H(S|Z)": h_sz - h_z, "H(Y|Z)": n - h_z, "H(Y|SZ)": n - h_sz,
             "H(Z)": h_z}
+
+
+def reference_equivocation_rank(H, code, mu, restricted=None):
+    """Delta(mu), witness and flag by the plain loop over every edge subset
+    of size mu: the first minimiser, in lexicographic order, among the
+    subsets whose coding matrix has the largest rank."""
+    edges = wiretappable_edges(code, restricted)
+    if mu == 0:
+        return H.rows, (), False
+    top = min(mu, code.n)
+    best_r, best, witness = -1, None, None
+    for W in combinations(edges, mu):
+        C = code.coding_matrix(W)
+        r = C.rank()
+        if r < best_r:
+            continue
+        d = observation_equivocation(H, C, r)
+        if r > best_r or d < best:
+            best_r, best, witness = r, d, W
+            if r == top and d == 0:
+                break
+    return best, witness, best_r < mu
+
+
+def reference_first_violation(H, code, sizes, restricted=None, G=None):
+    """(ok, witness) of the secrecy condition by the plain loop over every
+    edge subset: the first full-rank W, sizes in the given order and then
+    lexicographic, with rank [H; C_W G] != k + |W| (G = I when None)."""
+    edges = wiretappable_edges(code, restricted)
+    for size in sizes:
+        for W in combinations(edges, size):
+            C = code.coding_matrix(W)
+            if C.rank() != size:
+                continue
+            if G is not None:
+                C = C.mul_mat(G)
+            if observation_equivocation(H, C, size) != H.rows:
+                return False, W
+    return True, None
 
 
 def random_coded_instance(rng, q=None, n=None, k=None, max_edges=10):

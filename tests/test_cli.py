@@ -215,12 +215,24 @@ BAD_INPUTS = {
     "global-vector-edited": (["verify", "--design", "{d}/edited_global.json"], {}, 1),
     "global-unknown-edge": (["verify", "--design", "{d}/unknown_global.json"], {}, 1),
     "local-unknown-edge": (["verify", "--design", "{d}/unknown_local.json"], {}, 1),
+    "oracle-negative-mu": (["oracle", "--design", "{d}/negative_mu.json", "--mu", "-1"], {}, 1),
+    "sweep-negative-mu-max": (["sweep", "--design", "{d}/negative_mu.json", "--mu-max", "-1"],
+                              {}, 1),
+    "verify-negative-params-mu": (["verify", "--design", "{d}/negative_mu.json"], {}, 1),
+    "build-negative-mu": (["build", "--network", "{d}/net.json", "--mu", "-1", "--H",
+                           "{d}/h.json", "--out", "{d}/built.json"], {}, 1),
     "enum-cap-not-integer": (["paper-figures"], {"WIRETAP_NC_ENUM_CAP": "lots"}, 1),
     "out-under-a-file": (["paper-figures", "--out", "{d}/h.json/dir"], {}, 1),
     "out-dir-missing": (["paper-figures", "--out", "{d}/new/dir"], {}, 0),
 }
 # text the one error line must contain, where a case has one
-BAD_INPUT_MESSAGES = {"local-unknown-edge": "unknown edge XX"}
+BAD_INPUT_MESSAGES = {
+    "local-unknown-edge": "unknown edge XX",
+    "oracle-negative-mu": "mu=-1",
+    "sweep-negative-mu-max": "mu_max=-1",
+    "verify-negative-params-mu": "mu=-3",
+    "build-negative-mu": "mu=-1",
+}
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
@@ -243,6 +255,10 @@ def test_bad_input_ends_in_one_line_error(fixtures, case):
     design["code"]["global"] = {}
     design["code"]["local"]["XX"] = [1, 0]
     write_json(fixtures / "unknown_local.json", design)
+    # the insecure butterfly with a negative budget
+    write_json(fixtures / "negative_mu.json", design_to_json(SecureDesign(
+        CosetCode(FMatrix(f, [[1, 1]])), butterfly_code(f, (1, 1)),
+        SecurityParams(mu=-3, k=1, n=2))))
     argv, extra_env, want = BAD_INPUTS[case]
     src = Path(wiretapnc.__file__).resolve().parent.parent
     env = dict(os.environ, **extra_env, PYTHONPATH=os.pathsep.join(

@@ -1,11 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import (
     complete_to_invertible,
     inverse_and_select_equivocation,
+    random_coded_instance,
     random_full_rank_matrix,
+    reference_equivocation_rank,
+    reference_first_violation,
 )
 from wiretapnc.coset import rs_parity_check
 from wiretapnc.equivocation import (
@@ -28,7 +32,13 @@ from wiretapnc.exceptions import (
 from wiretapnc.fmatrix import FMatrix
 from wiretapnc.gf import field_new
 from wiretapnc.netgraph import NetworkCode, butterfly_code, parallel_network
-from wiretapnc.securecode import observation_equivocation
+from wiretapnc.securecode import (
+    byzantine_secrecy_check,
+    combination_secure_design,
+    full_rank_observations,
+    observation_equivocation,
+    verify_secrecy_condition,
+)
 
 
 def test_butterfly_single_edge_leak(gf3):
@@ -167,3 +177,52 @@ def test_kernel_equals_inverse_and_select_form():
             assert observation_equivocation(H, C) == \
                 inverse_and_select_equivocation(H, C.row_basis())
     assert min(seen.values()) > 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16])
+def test_point_enumeration_equals_edge_subset_loop(q):
+    # every mu from 0 to |E|, so mu > rank C_E (the closed form) is covered
+    rng = random.Random(600 + q)
+    seen = Counter()
+    for _ in range(12):
+        _, code, H = random_coded_instance(rng, q=q, max_edges=9)
+        f, n = H.field, code.n
+        ids = sorted(code.global_vectors)
+        # one zero global vector and one nonzero multiple of another edge's
+        zero, copy, source = rng.sample(ids, 3)
+        code.global_vectors[zero] = (0,) * n
+        code.global_vectors[copy] = tuple(
+            f.mul(rng.randrange(1, q), x) for x in code.global_vectors[source])
+        seen["parallel"] += any(code.global_vectors[source])
+        G = random_full_rank_matrix(rng, f, n, n)
+        for restricted in (None, sorted(rng.sample(ids, rng.randint(1, len(ids))))):
+            edges = ids if restricted is None else restricted
+            # each set of directions is yielded once, whichever edges carry it
+            lines = [frozenset(code.coding_matrix([e]).row_basis() for e in W)
+                     for W, _ in full_rank_observations(code, edges, range(n + 1))]
+            assert len(lines) == len(set(lines))
+            for mu in range(len(edges) + 1):
+                got = equivocation_rank(H, code, mu, restricted)
+                assert got == reference_equivocation_rank(H, code, mu, restricted), mu
+                seen["flagged" if got[2] else "full rank"] += 1
+            for mu in range(n + 1):
+                ok = verify_secrecy_condition(H, code, mu, restricted)
+                assert ok == reference_first_violation(H, code, range(1, mu + 1), restricted)
+                seen["violated"] += not ok[0]
+                assert byzantine_secrecy_check(H, G, code, mu, restricted) == \
+                    reference_first_violation(H, code, (mu,), restricted, G)
+    assert min(seen[key] for key in ("parallel", "flagged", "full rank", "violated")) > 0
+
+
+def test_dual_problem_on_large_combination_network():
+    # B(4, 10): 850 edges over 10 coding-vector directions
+    n, k = 4, 2
+    design = combination_secure_design(n, 10, field_new(17), k)
+    H, code = design.coset.parity_check, design.netcode
+    assert len(code.global_vectors) == 850
+    for mu in range(n + 1):
+        delta, witness, flagged = equivocation_rank(H, code, mu)
+        assert (delta, flagged) == (k - max(0, mu - (n - k)), False)
+        assert len(witness) == mu
+        if mu:
+            assert equivocation_rank(H, code, mu, restricted=witness)[0] == delta

@@ -10,7 +10,9 @@ import pytest
 import wiretapnc
 from wiretapnc import securecode
 from wiretapnc.coset import CosetCode
+from wiretapnc.equivocation import equivocation_rank, equivocation_sweep
 from wiretapnc.exceptions import (
+    BadBudgets,
     BudgetExceedsCut,
     ComplexityCapExceeded,
     DimensionMismatch,
@@ -20,6 +22,7 @@ from wiretapnc.exceptions import (
 from wiretapnc.fmatrix import FMatrix
 from wiretapnc.gf import field_new
 from wiretapnc.netgraph import butterfly_code, butterfly_network, parallel_network
+from wiretapnc.oracle import min_equivocation_bruteforce
 from wiretapnc.securecode import (
     alphabet_bound_general,
     alphabet_bound_minimal,
@@ -61,6 +64,22 @@ def test_verify_budget_guard(gf3):
     H = FMatrix(gf3, [[1, 1]])
     with pytest.raises(BudgetExceedsCut):
         verify_secrecy_condition(H, butterfly_code(gf3), 3)
+
+
+def test_negative_budget_refused(gf3):
+    H, G = FMatrix(gf3, [[1, 1]]), FMatrix.identity(gf3, 2)
+    code = butterfly_code(gf3, (1, 1))
+    calls = (
+        lambda: equivocation_rank(H, code, -1),
+        lambda: equivocation_sweep(H, code, -1),
+        lambda: verify_secrecy_condition(H, code, -3),
+        lambda: byzantine_secrecy_check(H, G, code, -1),
+        lambda: secure_lif(butterfly_network(gf3), 2, -1, H),
+        lambda: min_equivocation_bruteforce(H, code, -1),
+    )
+    for call in calls:
+        with pytest.raises(BadBudgets, match=r"mu(_max)?=-\d"):
+            call()
 
 
 def test_secure_lif_butterfly(gf3):
