@@ -40,7 +40,6 @@ class EquivocationReport:
     witnesses: dict = dc_field(default_factory=dict)  # mu -> minimizing W
     flagged: dict = dc_field(default_factory=dict)  # mu -> True if no full-rank W
     d_profile: dict = dc_field(default_factory=dict)  # r -> d_r
-    method: str = "rank-formula"
 
 
 def equivocation_rank(H: FMatrix, code: NetworkCode, mu: int, restricted=None):

@@ -38,10 +38,6 @@ class FMatrix:
     def identity(cls, field, n):
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.data[i][j]
-
     def row(self, i):
         return self.data[i]
 

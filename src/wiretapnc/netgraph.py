@@ -107,9 +107,6 @@ class Network:
     def in_edges(self, node):
         return tuple(self._in[node])
 
-    def out_edges(self, node):
-        return tuple(self._out[node])
-
     # ---- flows ----
 
     def _max_flow(self, receiver):

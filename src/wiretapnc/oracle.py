@@ -1,10 +1,11 @@
 """Brute-force entropy ground truth for every security and equivocation claim.
 
 Enumerates every (secret, randomness) outcome exactly (no sampling, no PRNG),
-counts the joint values of (S, Z_W), and computes conditional entropies in
-base-q logarithms.  For linear schemes the results are integers; a value more
-than 1e-9 from an integer raises InvariantViolated.  This is the only
-brute-force path, and it shares no code with the rank formula.
+counts the joint values of (S, Z_W), and reads each entropy off the counts
+exactly: Y is uniform on F_q^n and Z_W is linear in Y, so each count table
+must be uniform on q^j cells, and its entropy is then the integer j; any
+other table raises InvariantViolated.  This is the only brute-force path,
+and it shares no code with the rank formula.
 
 One path serves every field GF(p^m).  Multiplying by a fixed element is a
 GF(p)-linear map on the m base-p digits of an element's encoding, so the
@@ -19,7 +20,6 @@ the oracle checks its reconstruction of the encoder instead of trusting it.
 
 from __future__ import annotations
 
-import math
 import os
 from itertools import combinations
 
@@ -32,7 +32,6 @@ from .netgraph import NetworkCode
 from .securecode import check_budget, wiretappable_edges
 
 DEFAULT_ENUM_CAP = 10 ** 7
-SNAP_TOL = 1e-9
 BLOCK_ROWS = 1 << 13
 CODE_LIMIT = 1 << 62  # packed codes stay below this, so int64 never wraps
 
@@ -57,15 +56,6 @@ def _digit_matrix(field, rows, cols):
     ).reshape(len(rows) * m, cols * m)
 
 
-def _entropy_q(counts, total, q):
-    """H of a count table in base-q symbols: log_q total - sum c log_q c / total."""
-    if total <= 1:
-        return 0.0
-    counts = counts[counts > 1]
-    acc = float(np.dot(counts, np.log(counts)))
-    return (math.log(total) - acc / total) / math.log(q)
-
-
 def _pack(code, bound, digits):
     """Append (values, radix) digits to a mixed-radix code below `bound`,
     re-indexing the code densely first whenever a digit could overflow."""
@@ -78,13 +68,21 @@ def _pack(code, bound, digits):
     return code, bound
 
 
-def snap_integer(value: float) -> int:
-    nearest = round(value)
-    if abs(value - nearest) >= SNAP_TOL:
+def _exponent(counts, q, table, W):
+    """j for a count table uniform on q^j cells, the only tables linear views give."""
+    unequal = np.flatnonzero(counts != counts[0])
+    if unequal.size:
         raise InvariantViolated(
-            f"entropy {value} is not integral for a linear scheme", witness=value
-        )
-    return int(nearest)
+            f"{table} counts of W={W} are not uniform: {counts[0]} != "
+            f"{counts[unequal[0]]}", witness=W)
+    j = 0
+    while q ** j < counts.size:
+        j += 1
+    if q ** j != counts.size:
+        raise InvariantViolated(
+            f"{table} support of W={W} has {counts.size} cells, not a power "
+            f"of q={q}", witness=W)
+    return j
 
 
 class CosetChannelOracle:
@@ -146,12 +144,13 @@ class CosetChannelOracle:
             self._symbols[:, start:start + rows] = out[:, :edges].T
 
     def entropy_terms(self, W):
-        """Exact H(S|Z_W), H(Y|Z_W), H(Y|S Z_W) and H(Z) in q-ary units.
+        """Exact H(S|Z_W), H(Y|Z_W), H(Y|S Z_W) and H(Z) in q-ary units, as ints.
 
         Every (s, randomness) outcome is equally likely and determines Y
         uniquely, so all terms reduce to H(Z) and H(S, Z).  The secret is the
         last digit of each (S, Z) code, so one sort counts (S, Z), and Z's
-        counts are the sums over runs of equal code // q^k.
+        counts are the sums over runs of equal code // q^k.  Each table must
+        be uniform on q^j cells, and its entropy is then j.
         """
         q, total, secrets = self.q, self.total, self.q ** self.k
         z, bound = _pack(np.zeros(total, dtype=np.int64), 1,
@@ -161,18 +160,17 @@ class CosetChannelOracle:
         z_codes = codes // secrets
         first = np.ones(z_codes.size, dtype=bool)  # first code of each Z run
         first[1:] = z_codes[1:] != z_codes[:-1]
-        h_z = _entropy_q(np.add.reduceat(sz_counts, np.flatnonzero(first)), total, q)
-        h_sz = _entropy_q(sz_counts, total, q)
-        n_sym = math.log(total) / math.log(q)
+        h_sz = _exponent(sz_counts, q, "(S, Z)", W)
+        h_z = _exponent(np.add.reduceat(sz_counts, np.flatnonzero(first)), q, "Z", W)
         return {
             "H(S|Z)": h_sz - h_z,
-            "H(Y|Z)": n_sym - h_z,
-            "H(Y|SZ)": n_sym - h_sz,
+            "H(Y|Z)": self.n - h_z,
+            "H(Y|SZ)": self.n - h_sz,
             "H(Z)": h_z,
         }
 
     def secret_equivocation(self, W) -> int:
-        return snap_integer(self.entropy_terms(W)["H(S|Z)"])
+        return self.entropy_terms(W)["H(S|Z)"]
 
 
 def min_equivocation_bruteforce(H: FMatrix, code: NetworkCode, mu: int,

@@ -30,7 +30,6 @@ from .exceptions import (
     ComplexityCapExceeded,
     DimensionMismatch,
     FieldTooSmall,
-    InsufficientCut,
     InvariantViolated,
     SingularMatrix,
 )
@@ -138,15 +137,19 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     for every full-rank W = {e} united with processed edges of size <= mu.
     The certificate's "checks" counts receiver checks and one security check
     per set of distinct coding-vector directions, not per edge subset; more
-    than SUBSET_CHECK_CAP checks raise ComplexityCapExceeded.
+    than SUBSET_CHECK_CAP checks raise ComplexityCapExceeded.  A
+    rank-deficient H (SingularMatrix) and k + mu > n (BudgetExceedsCut) are
+    refused before the search.
     """
     check_budget(mu)
     f = net.field if f is None else f
     k = H.rows
     if H.cols != n:
         raise DimensionMismatch(f"H has {H.cols} columns, expected n={n}")
-    if mu > n:
-        raise BudgetExceedsCut(f"mu={mu} exceeds n={n}")
+    coset = CosetCode(H)  # raises SingularMatrix
+    if k + mu > n:
+        raise BudgetExceedsCut(f"k + mu = {k + mu} exceeds n={n}: "
+                               "no field gives rank [H; C_W] = k + |W|")
     flows = net.edge_disjoint_flows(n)  # raises InsufficientCut
     cap = SUBSET_CHECK_CAP
 
@@ -226,9 +229,7 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
         "verified": True,
         "flows": {r: [list(p) for p in fl.paths] for r, fl in flows.items()},
     }
-    return SecureDesign(
-        CosetCode(H), code, SecurityParams(mu=mu, k=k, n=n), certificate
-    )
+    return SecureDesign(coset, code, SecurityParams(mu=mu, k=k, n=n), certificate)
 
 
 def _over_cap(cap, edge_id):

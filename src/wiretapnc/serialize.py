@@ -153,6 +153,9 @@ def design_from_json(obj) -> SecureDesign:
     code = code_from_json(net, obj["code"])
     H = matrix_from_json(obj["H"])
     p = obj["params"]
+    for name, value, actual in (("k", p["k"], H.rows), ("n", p["n"], H.cols)):
+        if value != actual:
+            raise MalformedInput(f"params.{name} is {value}, but H gives {name}={actual}")
     params = SecurityParams(
         mu=p["mu"],
         k=p["k"],

@@ -221,6 +221,9 @@ BAD_INPUTS = {
     "verify-negative-params-mu": (["verify", "--design", "{d}/negative_mu.json"], {}, 1),
     "build-negative-mu": (["build", "--network", "{d}/net.json", "--mu", "-1", "--H",
                            "{d}/h.json", "--out", "{d}/built.json"], {}, 1),
+    "build-k-plus-mu-above-n": (["build", "--network", "{d}/net.json", "--mu", "2", "--H",
+                                 "{d}/h.json", "--out", "{d}/built.json"], {}, 1),
+    "verify-params-disagree-with-H": (["verify", "--design", "{d}/wrong_params.json"], {}, 1),
     "enum-cap-not-integer": (["paper-figures"], {"WIRETAP_NC_ENUM_CAP": "lots"}, 1),
     "out-under-a-file": (["paper-figures", "--out", "{d}/h.json/dir"], {}, 1),
     "out-dir-missing": (["paper-figures", "--out", "{d}/new/dir"], {}, 0),
@@ -232,6 +235,8 @@ BAD_INPUT_MESSAGES = {
     "sweep-negative-mu-max": "mu_max=-1",
     "verify-negative-params-mu": "mu=-3",
     "build-negative-mu": "mu=-1",
+    "build-k-plus-mu-above-n": "k + mu = 3 exceeds n=2",
+    "verify-params-disagree-with-H": "params.k is 7, but H gives k=1",
 }
 
 
@@ -248,6 +253,8 @@ def test_bad_input_ends_in_one_line_error(fixtures, case):
     design = design_to_json(SecureDesign(
         CosetCode(FMatrix(f, [[1, 1]])), butterfly_code(f, (1, 2)),
         SecurityParams(mu=1, k=1, n=2)))
+    write_json(fixtures / "wrong_params.json",
+               dict(design, params=dict(design["params"], k=7, n=9)))
     design["code"]["global"]["BE"] = [0, 0]
     write_json(fixtures / "edited_global.json", design)
     design["code"]["global"] = {"XX": [1, 0]}

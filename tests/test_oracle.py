@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from conftest import random_coded_instance, reference_entropy_terms
 
@@ -14,11 +15,7 @@ from wiretapnc.exceptions import (
 from wiretapnc.fmatrix import FMatrix
 from wiretapnc.gf import field_new
 from wiretapnc.netgraph import Network, NetworkCode, butterfly_code, parallel_code
-from wiretapnc.oracle import (
-    CosetChannelOracle,
-    min_equivocation_bruteforce,
-    snap_integer,
-)
+from wiretapnc.oracle import CosetChannelOracle, min_equivocation_bruteforce
 
 
 def test_joint_distribution_is_normalized(gf3):
@@ -125,6 +122,7 @@ def test_entropy_terms_equal_reference_loop(p, m):
                 want = reference_entropy_terms(H, code, W)
                 assert got.keys() == want.keys()
                 for term, value in want.items():
+                    assert type(got[term]) is int, (W, term)
                     assert got[term] == pytest.approx(value, abs=1e-12), (W, term)
 
 
@@ -155,7 +153,27 @@ def test_oracle_checks_every_syndrome(gf3, monkeypatch):
     assert info.value.witness == ([1], [0])
 
 
-def test_snap_integer():
-    assert snap_integer(2.0000000000003) == 2
-    with pytest.raises(InvariantViolated):
-        snap_integer(1.5)
+def test_non_uniform_table_is_refused(gf3):
+    # a linear view of a uniform word has a uniform count table; one wrong
+    # symbol makes the BE counts 2, 4, 3, and the oracle must say so
+    H = FMatrix(gf3, [[1, 1]])
+    oracle = CosetChannelOracle(H, butterfly_code(gf3, (1, 2)))
+    row = oracle._symbols[oracle._column["BE"]]
+    row[0] = (row[0] + 1) % 3
+    with pytest.raises(InvariantViolated, match=r"W=\('BE',\) .*not uniform") as info:
+        oracle.entropy_terms(("BE",))
+    assert info.value.witness == ("BE",)
+    assert oracle.secret_equivocation(("SA",)) == 1  # other rows are untouched
+
+
+def test_support_not_a_power_of_q_is_refused():
+    # over GF(4), a view taking two values eight times each is uniform, but
+    # on 2 cells, which no linear view of a uniform word in F_4^2 gives
+    f = field_new(2, 2)
+    code = parallel_code(2, f)
+    oracle = CosetChannelOracle(FMatrix(f, [[1, 1]]), code)
+    W = (sorted(code.global_vectors)[0],)
+    oracle._symbols[oracle._column[W[0]]] = np.arange(oracle.total) % 2
+    with pytest.raises(InvariantViolated, match=r"Z support of W=.* has 2 cells") as info:
+        oracle.entropy_terms(W)
+    assert info.value.witness == W

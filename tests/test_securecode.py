@@ -18,6 +18,7 @@ from wiretapnc.exceptions import (
     DimensionMismatch,
     FieldTooSmall,
     InsufficientCut,
+    SingularMatrix,
 )
 from wiretapnc.fmatrix import FMatrix
 from wiretapnc.gf import field_new
@@ -97,6 +98,25 @@ def test_secure_lif_butterfly(gf3):
     pay = design.netcode.payloads(y)
     for r, flow in flows.items():
         assert design.netcode.receiver_decode(flow, pay) == y
+
+
+def test_secure_lif_refuses_k_plus_mu_above_n(gf3, monkeypatch):
+    # rank [H; C_W] = k + |W| <= n fails for every field once k + mu > n;
+    # a cap of 0 checks shows the refusal comes before any candidate
+    H = FMatrix(gf3, [[1, 1]])
+    monkeypatch.setattr(securecode, "SUBSET_CHECK_CAP", 0)
+    with pytest.raises(BudgetExceedsCut, match=r"k \+ mu = 3 exceeds n=2"):
+        secure_lif(butterfly_network(gf3), 2, 2, H)
+    # analysis still accepts such a design: it is insecure, not malformed
+    code = butterfly_code(gf3, (1, 2))
+    assert verify_secrecy_condition(H, code, 2) == (False, ("AB", "BE"))
+    assert equivocation_rank(H, code, 2)[0] == min_equivocation_bruteforce(H, code, 2)[0] == 0
+
+
+def test_secure_lif_refuses_rank_deficient_parity_check(gf3, monkeypatch):
+    monkeypatch.setattr(securecode, "SUBSET_CHECK_CAP", 0)
+    with pytest.raises(SingularMatrix, match="full row rank"):
+        secure_lif(butterfly_network(gf3), 2, 1, FMatrix(gf3, [[0, 0]]))
 
 
 def test_secure_lif_field_too_small(gf2):
@@ -206,16 +226,21 @@ def test_final_checks_survive_optimized_mode(tmp_path):
     script.write_text(textwrap.dedent("""
         import wiretapnc.securecode as sc
         from wiretapnc.exceptions import InvariantViolated
+        from wiretapnc.fmatrix import FMatrix
         from wiretapnc.gf import field_new
-        from wiretapnc.oracle import snap_integer
+        from wiretapnc.netgraph import butterfly_code
+        from wiretapnc.oracle import CosetChannelOracle
 
         assert False, "asserts must be stripped under -O"
+        f = field_new(3)
+        oracle = CosetChannelOracle(FMatrix(f, [[1, 1]]), butterfly_code(f, (1, 2)))
+        oracle._symbols[oracle._column["BE"], 0] += 1  # a non-uniform Z table
         try:
-            snap_integer(0.5)
+            oracle.secret_equivocation(("BE",))
         except InvariantViolated:
             pass
         else:
-            raise SystemExit("snap_integer(0.5) returned")
+            raise SystemExit("a non-uniform count table returned an entropy")
         sc.verify_secrecy_condition = lambda *args, **kwargs: (False, ("Sm0",))
         try:
             sc.combination_secure_design(3, 4, field_new(7), 2)
