@@ -26,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .coset import CosetCode
-from .exceptions import BadEnvironment, EnumerationTooLarge, InvariantViolated
+from .exceptions import BadEnvironment, DimensionMismatch, EnumerationTooLarge, InvariantViolated
 from .fmatrix import FMatrix
 from .netgraph import NetworkCode
 from .securecode import check_budget, wiretappable_edges
@@ -183,6 +183,8 @@ def min_equivocation_bruteforce(H: FMatrix, code: NetworkCode, mu: int,
     edges = wiretappable_edges(code, restricted)
     if mu == 0:
         return H.rows, ()
+    if mu > len(edges):
+        raise DimensionMismatch(f"mu={mu} exceeds {len(edges)} wiretappable edges")
     oracle = CosetChannelOracle(H, code)
     best, witness = None, None
     for W in combinations(edges, mu):

@@ -3,18 +3,17 @@
 The central condition: a coset code with parity check H (k x n, k = n - mu)
 stays perfectly secret on a network iff rank [H; C_W] = k + |W| for every
 full-rank observation C_W of at most mu edges.  `observation_equivocation`
-is the one place that computes rank [H; C_W] - rank C_W, and every check
-here and in `equivocation` goes through it.  Both depend on C_W only
-through its row space, so the one enumeration, `full_rank_observations`,
-ranges over sets of distinct coding-vector directions (projective points),
-not edge subsets.  A point set stands for the tuple of its points' first
-edges, the smallest edge tuple of that span, so every witness is the one an
-edge-subset search in lexicographic order finds.  `verify_secrecy_condition`
-checks the condition exhaustively; `secure_lif` constructs codes satisfying
-it by extending the Linear Information Flow greedy algorithm with security
-invariants; the remaining functions cover alphabet bounds, the combination
-network direct construction, the Cai-Yeung equivalence, and the Byzantine
-cascade condition.
+is the one place that computes rank [H; C_W] - rank C_W; every verification
+(`verify_secrecy_condition` is exhaustive) and every equivocation goes
+through it, over the one enumeration, `full_rank_observations`: both depend
+on C_W only through its row space, so it ranges over sets of distinct
+coding-vector directions (projective points), each named by its points'
+first edges, so every witness is the one an edge-subset search in
+lexicographic order finds.  `secure_lif` (Linear Information Flow with
+security invariants) tests candidates by the containment form of the
+condition: a new vector must leave span [H; C_W] unless it lies in span
+C_W.  The rest covers alphabet bounds, the combination network design, the
+Cai-Yeung equivalence, and the Byzantine cascade condition.
 """
 
 from __future__ import annotations
@@ -26,14 +25,16 @@ from math import comb
 from .coset import CosetCode, rs_parity_check
 from .exceptions import (
     BadBudgets,
+    BadParameters,
     BudgetExceedsCut,
     ComplexityCapExceeded,
     DimensionMismatch,
+    FieldMismatch,
     FieldTooSmall,
     InvariantViolated,
     SingularMatrix,
 )
-from .fmatrix import FMatrix, combination
+from .fmatrix import FMatrix, combination, dot
 from .gf import FieldSpec
 from .netgraph import Network, NetworkCode, combination_network
 
@@ -132,17 +133,20 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     """Security-constrained Linear Information Flow construction.
 
     Visits edges in topological order; at each edge picks the
-    lexicographically first local coefficient vector that (a) keeps every
-    receiver's flow matrix invertible and (b) keeps rank [H; C_W] = k + |W|
-    for every full-rank W = {e} united with processed edges of size <= mu.
-    The certificate's "checks" counts receiver checks and one security check
-    per set of distinct coding-vector directions, not per edge subset; more
-    than SUBSET_CHECK_CAP checks raise ComplexityCapExceeded.  A
-    rank-deficient H (SingularMatrix) and k + mu > n (BudgetExceedsCut) are
-    refused before the search.
+    lexicographically first local coefficient vector whose global vector
+    avoids the edge's `_forbidden_subspaces`: every receiver's flow matrix
+    stays invertible and rank [H; C_W] = k + |W| holds for every full-rank
+    W = {e} united with processed edges, |W| <= mu.  The finished code is
+    verified through `observation_equivocation`.  "checks" in the
+    certificate counts forbidden-subspace tests, capped at SUBSET_CHECK_CAP
+    (ComplexityCapExceeded).  Refused before the search: a rank-deficient H
+    (SingularMatrix), k + mu > n (BudgetExceedsCut), and an n or f other
+    than the network's (DimensionMismatch, FieldMismatch).
     """
     check_budget(mu)
-    f = net.field if f is None else f
+    if f not in (None, net.field):
+        raise FieldMismatch(f"f is {f!r}, but the network is over {net.field!r}")
+    f = net.field
     k = H.rows
     if H.cols != n:
         raise DimensionMismatch(f"H has {H.cols} columns, expected n={n}")
@@ -151,6 +155,8 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
         raise BudgetExceedsCut(f"k + mu = {k + mu} exceeds n={n}: "
                                "no field gives rank [H; C_W] = k + |W|")
     flows = net.edge_disjoint_flows(n)  # raises InsufficientCut
+    if n != net.n:
+        raise DimensionMismatch(f"n={n}, but the network has n={net.n}")
     cap = SUBSET_CHECK_CAP
 
     # edge id -> list of (receiver, path index) where the edge appears
@@ -166,43 +172,24 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
 
     code = NetworkCode(net, n)
     q = f.order
-    processed = []
     checks = 0
 
     for e in net.topological_order:
         inputs = code.inputs(e.id)
-        # full-rank processed subsets of size <= mu-1, computed once per edge
-        security_sets = list(full_rank_observations(code, processed, range(mu)))
-        accepted = None
+        forbidden = _forbidden_subspaces(code, H, mu, frontier, on_path[e.id])
         for cand in product(range(q), repeat=len(inputs)):
             vec = combination(f, cand, inputs, n)
-            ok = True
-            for r, pi in on_path[e.id]:
-                rows = [row for i, row in enumerate(frontier[r]) if i != pi]
-                rows.append(vec)
+            for inside, outside in forbidden:
                 checks += 1
                 if checks > cap:
-                    raise _over_cap(cap, e.id)
-                if FMatrix(f, rows, n).rank() != n:
-                    ok = False
-                    break
-            if ok and k:
-                vrow = FMatrix(f, [vec], n)
-                for W, C in security_sets:
-                    checks += 1
-                    if checks > cap:
-                        raise _over_cap(cap, e.id)
-                    CW = C.stack(vrow)
-                    r_cw = CW.rank()
-                    if r_cw != C.rows + 1:
-                        continue  # rank-deficient observation, dominated
-                    if observation_equivocation(H, CW, r_cw) != k:
-                        ok = False
-                        break
-            if ok:
-                accepted = (cand, vec)
-                break
-        if accepted is None:
+                    raise ComplexityCapExceeded(f"secure_lif exceeded SUBSET_CHECK_CAP = "
+                                                f"{cap} invariant checks at edge {e.id}")
+                if not any(dot(f, x, vec) for x in inside) and (
+                        outside is None or any(dot(f, x, vec) for x in outside)):
+                    break  # vec lies in the forbidden span and outside its exemption
+            else:
+                break  # vec avoids every forbidden subspace
+        else:
             bound = alphabet_bound_general(len(net.edges), max(mu, 1), len(net.receivers))
             raise FieldTooSmall(
                 f"no valid coding vector for edge {e.id} over {f!r}; "
@@ -210,12 +197,10 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
                 edge=e.id,
                 bound=bound,
             )
-        cand, vec = accepted
         code.set_local(e.id, cand)
         code.global_vectors[e.id] = tuple(vec)
         for r, pi in on_path[e.id]:
             frontier[r][pi] = vec
-        processed.append(e.id)
 
     code.propagate()
     ok, witness = verify_secrecy_condition(H, code, mu)
@@ -232,10 +217,23 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     return SecureDesign(coset, code, SecurityParams(mu=mu, k=k, n=n), certificate)
 
 
-def _over_cap(cap, edge_id):
-    return ComplexityCapExceeded(
-        f"secure_lif exceeded SUBSET_CHECK_CAP = {cap} invariant checks at edge {edge_id}"
-    )
+def _forbidden_subspaces(code, H, mu, frontier, paths):
+    """The next edge's forbidden subspaces in test order, as pairs (inside,
+    outside) of annihilator rows of a span A and its exemption B: v is
+    forbidden when it is in A and, unless outside is None, not in B.  Per
+    (receiver r, path pi) in `paths`, A is r's frontier without row pi; then,
+    if k > 0, per full-rank W of processed edges (those `code` has global
+    vectors for) with |W| < mu, A = [H; C_W] and B = C_W (W already has
+    rank [H; C_W] = k + |W|)."""
+    f, n = code.field, code.n
+    forbidden = []
+    for r, pi in paths:
+        rest = FMatrix(f, [row for i, row in enumerate(frontier[r]) if i != pi], n)
+        forbidden.append((rest.null_space_basis().data, None))
+    if H.rows:
+        for _, C in full_rank_observations(code, code.global_vectors, range(mu)):
+            forbidden.append((H.stack(C).null_space_basis().data, C.null_space_basis().data))
+    return forbidden
 
 
 # ---- alphabet-size bounds ----
@@ -289,6 +287,8 @@ def combination_secure_design(n: int, M: int, f: FieldSpec, k: int) -> SecureDes
     The first k rows of H^T become the coset code; the remaining M rows
     become the source out-edge coding vectors; the middle layer forwards.
     """
+    if not 0 <= k <= n:
+        raise BadParameters(f"k={k} must lie between 0 and n={n}")
     if M + k > f.order - 1:
         raise FieldTooSmall(
             f"need M+k <= q-1, got {M + k} > {f.order - 1}", bound=M + k + 1
@@ -308,18 +308,13 @@ def combination_secure_design(n: int, M: int, f: FieldSpec, k: int) -> SecureDes
             code.set_local(e.id, (1,))
     code.propagate()
 
-    certificate = {"rs_parity_check": [list(r) for r in Hfull.data]}
-    if mu >= 0:
-        ok, witness = verify_secrecy_condition(H, code, mu)
-        if not ok:
-            raise InvariantViolated(
-                f"combination design failed verification, witness {witness}",
-                witness=witness,
-            )
-        certificate["verified"] = True
-    return SecureDesign(
-        CosetCode(H), code, SecurityParams(mu=mu, k=k, n=n), certificate
-    )
+    ok, witness = verify_secrecy_condition(H, code, mu)
+    if not ok:
+        raise InvariantViolated(
+            f"combination design failed verification, witness {witness}", witness=witness
+        )
+    certificate = {"rs_parity_check": [list(r) for r in Hfull.data], "verified": True}
+    return SecureDesign(CosetCode(H), code, SecurityParams(mu=mu, k=k, n=n), certificate)
 
 
 def cai_yeung_to_coset(T: FMatrix, k: int) -> CosetCode:

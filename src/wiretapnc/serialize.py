@@ -156,6 +156,8 @@ def design_from_json(obj) -> SecureDesign:
     for name, value, actual in (("k", p["k"], H.rows), ("n", p["n"], H.cols)):
         if value != actual:
             raise MalformedInput(f"params.{name} is {value}, but H gives {name}={actual}")
+    if H.cols != net.n:
+        raise MalformedInput(f"H has {H.cols} columns, but the network has n={net.n}")
     params = SecurityParams(
         mu=p["mu"],
         k=p["k"],

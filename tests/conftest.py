@@ -165,6 +165,30 @@ def reference_first_violation(H, code, sizes, restricted=None, G=None):
     return True, None
 
 
+def reference_candidate_verdict(H, frontier, paths, security_sets, vec):
+    """secure_lif's candidate test by ranks, as (accepted, checks run): for
+    each (receiver r, path pi) in `paths`, r's frontier with row pi replaced
+    by vec stays invertible; then, when H has rows, each (W, C_W) in
+    `security_sets` with vec outside span C_W keeps
+    rank [H; C_W; vec] - rank [C_W; vec] = k."""
+    f, n = H.field, H.cols
+    checks = 0
+    for r, pi in paths:
+        checks += 1
+        rows = [vec if i == pi else row for i, row in enumerate(frontier[r])]
+        if FMatrix(f, rows, n).rank() != n:
+            return False, checks
+    if H.rows:
+        v = FMatrix(f, [vec], n)
+        for _, C in security_sets:
+            checks += 1
+            CW = C.stack(v)
+            r = CW.rank()
+            if r == C.rows + 1 and observation_equivocation(H, CW, r) != H.rows:
+                return False, checks
+    return True, checks
+
+
 def random_coded_instance(rng, q=None, n=None, k=None, max_edges=10):
     """A random acyclic network with a random (not necessarily feasible)
     linear code and a random full-rank k x n coset matrix H.

@@ -12,7 +12,7 @@ from wiretapnc.coset import CosetCode
 from wiretapnc.fmatrix import FMatrix
 from wiretapnc.gf import field_new
 from wiretapnc.netgraph import butterfly_code, butterfly_network
-from wiretapnc.securecode import SecureDesign, SecurityParams
+from wiretapnc.securecode import SecureDesign, SecurityParams, combination_secure_design
 from wiretapnc.serialize import (
     canonical_dumps,
     code_from_json,
@@ -224,6 +224,11 @@ BAD_INPUTS = {
     "build-k-plus-mu-above-n": (["build", "--network", "{d}/net.json", "--mu", "2", "--H",
                                  "{d}/h.json", "--out", "{d}/built.json"], {}, 1),
     "verify-params-disagree-with-H": (["verify", "--design", "{d}/wrong_params.json"], {}, 1),
+    "verify-H-narrower-than-network": (["verify", "--design", "{d}/narrow_H.json"], {}, 1),
+    "sweep-H-narrower-than-network": (["sweep", "--design", "{d}/narrow_H.json",
+                                       "--mu-max", "1"], {}, 1),
+    "oracle-H-narrower-than-network": (["oracle", "--design", "{d}/narrow_H.json",
+                                        "--mu", "1"], {}, 1),
     "enum-cap-not-integer": (["paper-figures"], {"WIRETAP_NC_ENUM_CAP": "lots"}, 1),
     "out-under-a-file": (["paper-figures", "--out", "{d}/h.json/dir"], {}, 1),
     "out-dir-missing": (["paper-figures", "--out", "{d}/new/dir"], {}, 0),
@@ -237,6 +242,9 @@ BAD_INPUT_MESSAGES = {
     "build-negative-mu": "mu=-1",
     "build-k-plus-mu-above-n": "k + mu = 3 exceeds n=2",
     "verify-params-disagree-with-H": "params.k is 7, but H gives k=1",
+    "verify-H-narrower-than-network": "H has 2 columns, but the network has n=3",
+    "sweep-H-narrower-than-network": "H has 2 columns, but the network has n=3",
+    "oracle-H-narrower-than-network": "H has 2 columns, but the network has n=3",
 }
 
 
@@ -262,6 +270,10 @@ def test_bad_input_ends_in_one_line_error(fixtures, case):
     design["code"]["global"] = {}
     design["code"]["local"]["XX"] = [1, 0]
     write_json(fixtures / "unknown_local.json", design)
+    # H's 2 columns on the n = 3 network B(3,4), with params agreeing with H
+    b34 = design_to_json(combination_secure_design(3, 4, field_new(7), 1))
+    b34["H"] = matrix_to_json(FMatrix(field_new(7), [[1, 1]]))
+    write_json(fixtures / "narrow_H.json", dict(b34, params=dict(b34["params"], n=2)))
     # the insecure butterfly with a negative budget
     write_json(fixtures / "negative_mu.json", design_to_json(SecureDesign(
         CosetCode(FMatrix(f, [[1, 1]])), butterfly_code(f, (1, 1)),

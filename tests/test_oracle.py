@@ -9,6 +9,7 @@ from wiretapnc.coset import CosetCode
 from wiretapnc.equivocation import equivocation_rank
 from wiretapnc.exceptions import (
     BadEnvironment,
+    DimensionMismatch,
     EnumerationTooLarge,
     InvariantViolated,
 )
@@ -93,6 +94,17 @@ def test_extension_field_paths_agree():
 def test_mu_zero_returns_prior(gf3):
     H = FMatrix(gf3, [[1, 1]])
     assert min_equivocation_bruteforce(H, butterfly_code(gf3), 0) == (1, ())
+
+
+def test_mu_above_the_edge_count_is_refused(gf3):
+    # as in equivocation_rank: no subset of mu edges exists to minimise over
+    H, code = FMatrix(gf3, [[1, 1]]), butterfly_code(gf3, (1, 2))
+    with pytest.raises(DimensionMismatch, match="mu=10 exceeds 9 wiretappable edges"):
+        min_equivocation_bruteforce(H, code, 10)
+    with pytest.raises(DimensionMismatch, match="mu=2 exceeds 1 wiretappable edges"):
+        min_equivocation_bruteforce(H, code, 2, restricted=["AB"])
+    with pytest.raises(DimensionMismatch):
+        equivocation_rank(H, code, 2, restricted=["AB"])
 
 
 def test_enumeration_cap(gf3, monkeypatch):

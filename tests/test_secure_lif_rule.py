@@ -1,0 +1,146 @@
+"""`secure_lif`'s candidate test: a golden record of its outputs, and the
+forbidden-subspace rule checked candidate by candidate against the rank test
+it replaces (`conftest.reference_candidate_verdict`).
+
+Re-record the golden file (only when a change of outputs is intended) with
+`PYTHONPATH=src python tests/test_secure_lif_rule.py`.
+"""
+
+import json
+import random
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+from conftest import (
+    mds_parity_check,
+    prime_power_parts,
+    random_multicast_network,
+    reference_candidate_verdict,
+    smallest_prime_power_at_least,
+)
+from wiretapnc import securecode
+from wiretapnc.exceptions import FieldTooSmall
+from wiretapnc.fmatrix import FMatrix, combination, dot
+from wiretapnc.gf import field_new
+from wiretapnc.netgraph import Network, butterfly_network, combination_network
+from wiretapnc.securecode import alphabet_bound_general, secure_lif
+from wiretapnc.serialize import (
+    matrix_from_json,
+    matrix_to_json,
+    network_from_json,
+    network_to_json,
+)
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "secure_lif_golden.json"
+
+
+def _on_field(net, f):
+    return Network(net.nodes, [(e.id, e.tail, e.head) for e in net.edges],
+                   net.source, net.receivers, net.n, f)
+
+
+def golden_instances():
+    """(name, network, H, mu): the butterfly, three combination networks and
+    20 random multicast networks at the sufficient alphabet size."""
+    f3 = field_new(3)
+    yield "butterfly-mu1-GF(3)", butterfly_network(f3), FMatrix(f3, [[1, 1]]), 1
+    for n, M, mu, q in ((3, 6, 2, 25), (3, 6, 2, 32), (4, 5, 1, 16)):
+        f = field_new(*prime_power_parts(q))
+        yield (f"B({n},{M})-mu{mu}-GF({q})", combination_network(n, M, f),
+               mds_parity_check(f, n - mu, n), mu)
+    rng = random.Random(8)
+    for i in range(20):
+        n = rng.randint(2, 3)
+        mu = rng.randint(1, n - 1)
+        t = rng.randint(1, 3)
+        net = random_multicast_network(rng, n, t, field_new(2))
+        q = smallest_prime_power_at_least(alphabet_bound_general(len(net.edges), mu, t))
+        f = field_new(*prime_power_parts(q))
+        yield f"random{i}", _on_field(net, f), mds_parity_check(f, n - mu, n), mu
+
+
+def _outputs(design):
+    return {
+        "locals": {eid: list(c) for eid, c in sorted(design.netcode.local.items())},
+        "global": {eid: list(v) for eid, v in sorted(design.netcode.global_vectors.items())},
+        "checks": design.certificate["checks"],
+    }
+
+
+def record():
+    entries = []
+    for name, net, H, mu in golden_instances():
+        entry = {"name": name, "network": network_to_json(net),
+                 "H": matrix_to_json(H), "mu": mu}
+        entry.update(_outputs(secure_lif(net, net.n, mu, H)))
+        entries.append(json.dumps(entry, sort_keys=True))
+    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
+    GOLDEN_PATH.write_text('{"instances": [\n' + ",\n".join(entries) + "\n]}\n")
+
+
+if __name__ == "__main__":
+    record()
+
+GOLDEN = json.loads(GOLDEN_PATH.read_text())["instances"]
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=[e["name"] for e in GOLDEN])
+def test_secure_lif_matches_golden_record(entry):
+    net = network_from_json(entry["network"])
+    design = secure_lif(net, net.n, entry["mu"], matrix_from_json(entry["H"]))
+    want = {key: entry[key] for key in ("locals", "global", "checks")}
+    assert _outputs(design) == want
+
+
+def _verdict_instances():
+    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1)):
+        f = field_new(p, m)
+        for rows in ([[1, 1]], [], [[1, 0], [0, 1]]):
+            H = FMatrix(f, rows, 2)
+            for mu in range(3 - H.rows):
+                yield butterfly_network(f), H, mu
+    rng = random.Random(88)
+    for i in range(24):
+        f = field_new(*((3, 1), (2, 2), (5, 1))[i % 3])
+        mu = 1 + i % 2
+        net = random_multicast_network(rng, 3, rng.randint(1, 3), f)
+        yield net, mds_parity_check(f, 3 - mu, 3), mu
+
+
+def test_forbidden_subspace_verdict_matches_rank_test(monkeypatch):
+    """At every edge secure_lif reaches, every candidate gets the same
+    verdict, after the same number of checks, from the forbidden subspaces
+    as from the rank test of the frontier and of each [H; C_W; v]."""
+    forbidden_subspaces = securecode._forbidden_subspaces
+    compared = []
+
+    def compare(code, H, mu, frontier, paths):
+        forbidden = forbidden_subspaces(code, H, mu, frontier, paths)
+        f, n = code.field, code.n
+        processed = list(code.global_vectors)
+        sets = list(securecode.full_rank_observations(code, processed, range(mu)))
+        # the edge being coded: secure_lif visits edges in topological order
+        eid = next(e.id for e in code.network.topological_order
+                   if e.id not in processed)
+        inputs = code.inputs(eid)
+        for cand in product(range(f.order), repeat=len(inputs)):
+            vec = combination(f, cand, inputs, n)
+            fails = [not any(dot(f, x, vec) for x in inside) and (
+                         outside is None or any(dot(f, x, vec) for x in outside))
+                     for inside, outside in forbidden]
+            # secure_lif stops at the first forbidden subspace that holds vec
+            checks = fails.index(True) + 1 if True in fails else len(fails)
+            got = (True not in fails, checks)
+            assert got == reference_candidate_verdict(H, frontier, paths, sets, vec)
+            compared.append(got[0])
+        return forbidden
+
+    monkeypatch.setattr(securecode, "_forbidden_subspaces", compare)
+    for net, H, mu in _verdict_instances():
+        try:
+            secure_lif(net, net.n, mu, H)
+        except FieldTooSmall:
+            pass
+    assert True in compared and False in compared

@@ -13,9 +13,11 @@ from wiretapnc.coset import CosetCode
 from wiretapnc.equivocation import equivocation_rank, equivocation_sweep
 from wiretapnc.exceptions import (
     BadBudgets,
+    BadParameters,
     BudgetExceedsCut,
     ComplexityCapExceeded,
     DimensionMismatch,
+    FieldMismatch,
     FieldTooSmall,
     InsufficientCut,
     SingularMatrix,
@@ -145,6 +147,17 @@ def test_secure_lif_insufficient_cut(gf3):
         secure_lif(net, 3, 1, H)
 
 
+def test_secure_lif_refuses_n_other_than_the_networks(gf3):
+    # a code of dimension 1 on the n = 2 butterfly could not be loaded back
+    with pytest.raises(DimensionMismatch, match=r"n=1, but the network has n=2"):
+        secure_lif(butterfly_network(gf3), 1, 0, FMatrix(gf3, [[1]]))
+
+
+def test_secure_lif_refuses_a_field_other_than_the_networks(gf3):
+    with pytest.raises(FieldMismatch, match=r"f is GF\(5\), but the network is over GF\(3\)"):
+        secure_lif(butterfly_network(gf3), 2, 1, FMatrix(gf3, [[1, 1]]), field_new(5))
+
+
 def test_alphabet_bounds():
     assert alphabet_bound_general(9, 1, 2) == 3
     assert alphabet_bound_two_sources(2) == 3
@@ -182,6 +195,13 @@ def test_combination_design_exact_values(gf7):
 def test_combination_design_field_too_small(gf3):
     with pytest.raises(FieldTooSmall):
         combination_secure_design(3, 4, gf3, 2)
+
+
+def test_combination_design_refuses_k_outside_0_to_n(gf7):
+    # mu = n - k would be negative or above n, so no verification could run
+    for k in (3, -1):
+        with pytest.raises(BadParameters, match=rf"k={k} must lie between 0 and n=2"):
+            combination_secure_design(2, 3, gf7, k)
 
 
 def test_cai_yeung_equivalence_exhaustive(gf3):
