@@ -45,9 +45,14 @@ from .equivocation import (
     network_dr_profile,
     wei_consistency_check,
 )
-from .oracle import (
-    CosetChannelOracle,
-    min_equivocation_bruteforce,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):  # the oracle imports numpy, so it loads on first use
+    if name not in ("CosetChannelOracle", "min_equivocation_bruteforce"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+    return getattr(oracle, name)
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + [
+    "CosetChannelOracle", "min_equivocation_bruteforce"]

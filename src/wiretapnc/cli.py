@@ -20,7 +20,6 @@ from .equivocation import equivocation_rank, equivocation_sweep
 from .exceptions import MalformedInput, WiretapNCError
 from .gf import field_new
 from .netgraph import butterfly_code
-from .oracle import min_equivocation_bruteforce
 from .securecode import (
     alphabet_bound_general,
     combination_secure_design,
@@ -71,6 +70,7 @@ def _butterfly_report(secure: bool):
         delta, _, _ = equivocation_rank(H, code, 1, restricted=[e])
         per_edge[e] = delta
     delta, min_witness, _ = equivocation_rank(H, code, 1)
+    from .oracle import min_equivocation_bruteforce  # the oracle imports numpy: load it only here
     oracle_delta, oracle_witness = min_equivocation_bruteforce(H, code, 1)
     return {
         "name": "butterfly_secure" if secure else "butterfly_insecure",
@@ -98,6 +98,7 @@ def _combination_report():
         r: code.receiver_decode(flow, payloads) == y for r, flow in flows.items()
     }
     delta, min_witness, _ = equivocation_rank(H, code, 1)
+    from .oracle import min_equivocation_bruteforce
     oracle_delta, _ = min_equivocation_bruteforce(H, code, 1)
     return {
         "name": "combination_b34",
@@ -219,6 +220,7 @@ def cmd_oracle(args):
     rank_delta, rank_witness, _ = equivocation_rank(
         H, design.netcode, args.mu, restricted
     )
+    from .oracle import min_equivocation_bruteforce
     oracle_delta, oracle_witness = min_equivocation_bruteforce(
         H, design.netcode, args.mu, restricted
     )

@@ -19,7 +19,7 @@ Cai-Yeung equivalence, and the Byzantine cascade condition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 from .coset import CosetCode, rs_parity_check
@@ -91,11 +91,12 @@ def check_budget(mu: int, name: str = "mu"):
         raise BadBudgets(f"{name}={mu} must be non-negative")
 
 
-def full_rank_observations(code: NetworkCode, edges, sizes):
+def full_rank_observations(code: NetworkCode, edges, sizes, newest=False):
     """Yield (W, C_W) for each set W of distinct coding-vector directions of
     the given sizes whose C_W has full rank |W|, in lexicographic order
     within each size.  A direction is a nonzero global vector scaled to a
-    leading 1, and W names the first edge of `edges` on each direction."""
+    leading 1, and W names the first edge of `edges` on each direction.
+    With `newest`, only the sets holding the last edge, if its direction is new."""
     f, first = code.field, {}
     for eid in edges:
         vec = code.global_vectors[eid]
@@ -103,8 +104,12 @@ def full_rank_observations(code: NetworkCode, edges, sizes):
         if lead:
             inv = f.inv(lead)
             first.setdefault(tuple([f.mul(inv, x) for x in vec]), eid)
+    points = list(first.values())
+    if newest and points[-1:] != [eid]:
+        return
+    last = (points.pop(),) if newest else ()
     for size in sizes:
-        for W in combinations(first.values(), size):
+        for W in (c + last for c in combinations(points, size - len(last))):
             C = code.coding_matrix(W)
             if C.rank() == size:
                 yield W, C
@@ -136,16 +141,21 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     lexicographically first local coefficient vector whose global vector
     avoids the edge's `_forbidden_subspaces`: every receiver's flow matrix
     stays invertible and rank [H; C_W] = k + |W| holds for every full-rank
-    W = {e} united with processed edges, |W| <= mu.  The finished code is
-    verified through `observation_equivocation`.  "checks" in the
-    certificate counts forbidden-subspace tests, capped at SUBSET_CHECK_CAP
-    (ComplexityCapExceeded).  Refused before the search: a rank-deficient H
-    (SingularMatrix), k + mu > n (BudgetExceedsCut), and an n or f other
-    than the network's (DimensionMismatch, FieldMismatch).
+    W = {e} united with processed edges, |W| <= mu.  The search runs
+    depth-first over coefficient prefixes in product order and skips each
+    prefix whose completions all lie in one receiver's forbidden span.  The
+    finished code is verified through `observation_equivocation`.  "checks"
+    in the certificate counts forbidden-subspace tests, of prefixes and of
+    full vectors, capped at SUBSET_CHECK_CAP (ComplexityCapExceeded).
+    Refused before the search: a rank-deficient H (SingularMatrix), k + mu >
+    n (BudgetExceedsCut), an n other than the network's (DimensionMismatch),
+    and an f or H over another field (FieldMismatch).
     """
     check_budget(mu)
     if f not in (None, net.field):
         raise FieldMismatch(f"f is {f!r}, but the network is over {net.field!r}")
+    if H.field != net.field:
+        raise FieldMismatch(f"H is over {H.field!r}, but the network is over {net.field!r}")
     f = net.field
     k = H.rows
     if H.cols != n:
@@ -157,7 +167,6 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     flows = net.edge_disjoint_flows(n)  # raises InsufficientCut
     if n != net.n:
         raise DimensionMismatch(f"n={n}, but the network has n={net.n}")
-    cap = SUBSET_CHECK_CAP
 
     # edge id -> list of (receiver, path index) where the edge appears
     on_path = {e.id: [] for e in net.edges}
@@ -171,24 +180,39 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     frontier = {r: list(eye) for r in net.receivers}
 
     code = NetworkCode(net, n)
-    q = f.order
     checks = 0
+    order = {e.id: i for i, e in enumerate(net.topological_order)}
+    top = mu if k else 0  # security sets have sizes below top; with k = 0 there are none
+    security = _security_pairs(code, H, range(top))
+
+    def forbids(inside, outside, vec):
+        """One counted test of vec against a `_forbidden_subspaces` pair."""
+        nonlocal checks
+        checks += 1
+        if checks > SUBSET_CHECK_CAP:
+            raise ComplexityCapExceeded(f"secure_lif exceeded SUBSET_CHECK_CAP = "
+                                        f"{SUBSET_CHECK_CAP} invariant checks at edge {e.id}")
+        return not any(dot(f, x, vec) for x in inside) and (
+            outside is None or any(dot(f, x, vec) for x in outside))
+
+    def leaves(cand):
+        """Completions of cand with their vectors, in product order, bar doomed prefixes."""
+        vec = combination(f, cand, inputs, n)
+        if len(cand) == len(inputs):
+            yield cand, vec
+        elif not (cand and any(forbids(x, None, vec) for x in doomed[len(cand)])):
+            for c in range(f.order):
+                yield from leaves(cand + (c,))
 
     for e in net.topological_order:
         inputs = code.inputs(e.id)
-        forbidden = _forbidden_subspaces(code, H, mu, frontier, on_path[e.id])
-        for cand in product(range(q), repeat=len(inputs)):
-            vec = combination(f, cand, inputs, n)
-            for inside, outside in forbidden:
-                checks += 1
-                if checks > cap:
-                    raise ComplexityCapExceeded(f"secure_lif exceeded SUBSET_CHECK_CAP = "
-                                                f"{cap} invariant checks at edge {e.id}")
-                if not any(dot(f, x, vec) for x in inside) and (
-                        outside is None or any(dot(f, x, vec) for x in outside)):
-                    break  # vec lies in the forbidden span and outside its exemption
-            else:
-                break  # vec avoids every forbidden subspace
+        forbidden = _forbidden_subspaces(code, frontier, on_path[e.id], security)
+        # doomed[j]: the receiver spans holding every input a j-prefix leaves free
+        doomed = [[x for x, o in forbidden if o is None and not any(dot(f, row, u)
+                   for row in x for u in inputs[j:])] for j in range(len(inputs))]
+        for cand, vec in leaves(()):
+            if not any(forbids(x, o, vec) for x, o in forbidden):
+                break
         else:
             bound = alphabet_bound_general(len(net.edges), max(mu, 1), len(net.receivers))
             raise FieldTooSmall(
@@ -201,6 +225,8 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
         code.global_vectors[e.id] = tuple(vec)
         for r, pi in on_path[e.id]:
             frontier[r][pi] = vec
+        security += _security_pairs(code, H, range(1, top), newest=True)
+        security.sort(key=lambda s: (len(s[0]), [order[eid] for eid in s[0]]))
 
     code.propagate()
     ok, witness = verify_secrecy_condition(H, code, mu)
@@ -217,23 +243,25 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     return SecureDesign(coset, code, SecurityParams(mu=mu, k=k, n=n), certificate)
 
 
-def _forbidden_subspaces(code, H, mu, frontier, paths):
+def _forbidden_subspaces(code, frontier, paths, security):
     """The next edge's forbidden subspaces in test order, as pairs (inside,
     outside) of annihilator rows of a span A and its exemption B: v is
     forbidden when it is in A and, unless outside is None, not in B.  Per
-    (receiver r, path pi) in `paths`, A is r's frontier without row pi; then,
-    if k > 0, per full-rank W of processed edges (those `code` has global
-    vectors for) with |W| < mu, A = [H; C_W] and B = C_W (W already has
-    rank [H; C_W] = k + |W|)."""
+    (receiver r, path pi) in `paths`, A is r's frontier without row pi; then
+    the pairs of `security`, a list of `_security_pairs` items."""
     f, n = code.field, code.n
     forbidden = []
     for r, pi in paths:
         rest = FMatrix(f, [row for i, row in enumerate(frontier[r]) if i != pi], n)
         forbidden.append((rest.null_space_basis().data, None))
-    if H.rows:
-        for _, C in full_rank_observations(code, code.global_vectors, range(mu)):
-            forbidden.append((H.stack(C).null_space_basis().data, C.null_space_basis().data))
-    return forbidden
+    return forbidden + [pair for _, pair in security]
+
+
+def _security_pairs(code, H, sizes, newest=False):
+    """(W, (inside, outside)) per W from `full_rank_observations` over the
+    processed edges: A = [H; C_W] and B = C_W (W has rank k + |W| already)."""
+    return [(W, (H.stack(C).null_space_basis().data, C.null_space_basis().data))
+            for W, C in full_rank_observations(code, code.global_vectors, sizes, newest)]
 
 
 # ---- alphabet-size bounds ----

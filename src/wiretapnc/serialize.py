@@ -158,6 +158,8 @@ def design_from_json(obj) -> SecureDesign:
             raise MalformedInput(f"params.{name} is {value}, but H gives {name}={actual}")
     if H.cols != net.n:
         raise MalformedInput(f"H has {H.cols} columns, but the network has n={net.n}")
+    if H.field != net.field:
+        raise MalformedInput(f"H is over {H.field!r}, but the network is over {net.field!r}")
     params = SecurityParams(
         mu=p["mu"],
         k=p["k"],

@@ -9,7 +9,7 @@ import pytest
 
 from wiretapnc.coset import CosetCode
 from wiretapnc.exceptions import InsufficientCut
-from wiretapnc.fmatrix import FMatrix
+from wiretapnc.fmatrix import FMatrix, combination, dot
 from wiretapnc.gf import field_new, is_prime
 from wiretapnc.netgraph import Network, NetworkCode
 from wiretapnc.securecode import observation_equivocation, wiretappable_edges
@@ -187,6 +187,20 @@ def reference_candidate_verdict(H, frontier, paths, security_sets, vec):
             if r == C.rows + 1 and observation_equivocation(H, CW, r) != H.rows:
                 return False, checks
     return True, checks
+
+
+def reference_first_candidate(field, inputs, n, forbidden):
+    """The exhaustive form of secure_lif's search: the first coefficient
+    vector in product order whose combination of `inputs` lies in no
+    forbidden subspace (pairs (inside, outside) of annihilator rows, as
+    `securecode._forbidden_subspaces` gives them), or None if none does."""
+    for cand in product(range(field.order), repeat=len(inputs)):
+        vec = combination(field, cand, inputs, n)
+        if not any(not any(dot(field, x, vec) for x in inside) and (
+                       outside is None or any(dot(field, x, vec) for x in outside))
+                   for inside, outside in forbidden):
+            return cand
+    return None
 
 
 def random_coded_instance(rng, q=None, n=None, k=None, max_edges=10):

@@ -191,6 +191,27 @@ def test_manifest_goes_to_stdout_not_files(fixtures, capsys):
     assert manifest["version"]
 
 
+def test_commands_without_the_oracle_leave_numpy_unloaded(fixtures):
+    """Only the oracle needs numpy, so `bounds` and `coset decode` never
+    import it, while the package still exports the oracle's names."""
+    script = f"""
+import sys
+import wiretapnc, wiretapnc.cli
+wiretapnc.cli.main(["bounds", "--network", {str(fixtures / "net.json")!r}, "--mu", "1"])
+wiretapnc.cli.main(["coset", "decode", "--H", {str(fixtures / "h.json")!r}, "--word", "[1, 0]"])
+print("numpy" in sys.modules)
+from wiretapnc import CosetChannelOracle, min_equivocation_bruteforce
+print("numpy" in sys.modules, CosetChannelOracle.__module__)
+"""
+    src = Path(wiretapnc.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["False", "True wiretapnc.oracle"]
+
+
 def test_library_error_exit_code(fixtures, capsys):
     rc, _ = run(["bounds", "--network", fixtures / "net.json", "--mu", "0"],
                 capsys)
@@ -229,6 +250,9 @@ BAD_INPUTS = {
                                        "--mu-max", "1"], {}, 1),
     "oracle-H-narrower-than-network": (["oracle", "--design", "{d}/narrow_H.json",
                                         "--mu", "1"], {}, 1),
+    "build-H-over-another-field": (["build", "--network", "{d}/net.json", "--mu", "1", "--H",
+                                    "{d}/h_gf5.json", "--out", "{d}/built.json"], {}, 1),
+    "verify-H-over-another-field": (["verify", "--design", "{d}/gf5_H.json"], {}, 1),
     "enum-cap-not-integer": (["paper-figures"], {"WIRETAP_NC_ENUM_CAP": "lots"}, 1),
     "out-under-a-file": (["paper-figures", "--out", "{d}/h.json/dir"], {}, 1),
     "out-dir-missing": (["paper-figures", "--out", "{d}/new/dir"], {}, 0),
@@ -245,6 +269,8 @@ BAD_INPUT_MESSAGES = {
     "verify-H-narrower-than-network": "H has 2 columns, but the network has n=3",
     "sweep-H-narrower-than-network": "H has 2 columns, but the network has n=3",
     "oracle-H-narrower-than-network": "H has 2 columns, but the network has n=3",
+    "build-H-over-another-field": "H is over GF(5), but the network is over GF(3)",
+    "verify-H-over-another-field": "H is over GF(5), but the network is over GF(3)",
 }
 
 
@@ -263,6 +289,9 @@ def test_bad_input_ends_in_one_line_error(fixtures, case):
         SecurityParams(mu=1, k=1, n=2)))
     write_json(fixtures / "wrong_params.json",
                dict(design, params=dict(design["params"], k=7, n=9)))
+    h_gf5 = matrix_to_json(FMatrix(field_new(5), [[1, 1]]))
+    write_json(fixtures / "h_gf5.json", h_gf5)
+    write_json(fixtures / "gf5_H.json", dict(design, H=h_gf5))
     design["code"]["global"]["BE"] = [0, 0]
     write_json(fixtures / "edited_global.json", design)
     design["code"]["global"] = {"XX": [1, 0]}

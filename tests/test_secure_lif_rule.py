@@ -1,6 +1,9 @@
-"""`secure_lif`'s candidate test: a golden record of its outputs, and the
+"""`secure_lif`'s candidate search: a golden record of its outputs; the
 forbidden-subspace rule checked candidate by candidate against the rank test
-it replaces (`conftest.reference_candidate_verdict`).
+it replaces (`conftest.reference_candidate_verdict`); the pruned prefix
+search checked edge by edge against exhaustive search
+(`conftest.reference_first_candidate`); and the security pairs it builds
+incrementally checked against a fresh enumeration.
 
 Re-record the golden file (only when a change of outputs is intended) with
 `PYTHONPATH=src python tests/test_secure_lif_rule.py`.
@@ -18,6 +21,7 @@ from conftest import (
     prime_power_parts,
     random_multicast_network,
     reference_candidate_verdict,
+    reference_first_candidate,
     smallest_prime_power_at_least,
 )
 from wiretapnc import securecode
@@ -42,11 +46,11 @@ def _on_field(net, f):
 
 
 def golden_instances():
-    """(name, network, H, mu): the butterfly, three combination networks and
+    """(name, network, H, mu): the butterfly, four combination networks and
     20 random multicast networks at the sufficient alphabet size."""
     f3 = field_new(3)
     yield "butterfly-mu1-GF(3)", butterfly_network(f3), FMatrix(f3, [[1, 1]]), 1
-    for n, M, mu, q in ((3, 6, 2, 25), (3, 6, 2, 32), (4, 5, 1, 16)):
+    for n, M, mu, q in ((3, 6, 2, 25), (3, 6, 2, 32), (4, 5, 1, 16), (4, 6, 2, 81)):
         f = field_new(*prime_power_parts(q))
         yield (f"B({n},{M})-mu{mu}-GF({q})", combination_network(n, M, f),
                mds_parity_check(f, n - mu, n), mu)
@@ -115,9 +119,11 @@ def test_forbidden_subspace_verdict_matches_rank_test(monkeypatch):
     as from the rank test of the frontier and of each [H; C_W; v]."""
     forbidden_subspaces = securecode._forbidden_subspaces
     compared = []
+    instance = {}
 
-    def compare(code, H, mu, frontier, paths):
-        forbidden = forbidden_subspaces(code, H, mu, frontier, paths)
+    def compare(code, frontier, paths, security):
+        forbidden = forbidden_subspaces(code, frontier, paths, security)
+        H, mu = instance["H"], instance["mu"]
         f, n = code.field, code.n
         processed = list(code.global_vectors)
         sets = list(securecode.full_rank_observations(code, processed, range(mu)))
@@ -139,8 +145,76 @@ def test_forbidden_subspace_verdict_matches_rank_test(monkeypatch):
 
     monkeypatch.setattr(securecode, "_forbidden_subspaces", compare)
     for net, H, mu in _verdict_instances():
+        instance.update(H=H, mu=mu)
         try:
             secure_lif(net, net.n, mu, H)
         except FieldTooSmall:
             pass
     assert True in compared and False in compared
+
+
+def _search_instances():
+    """`_verdict_instances`, then random multicast networks with n = 2..4 and
+    a random mu < n over GF(2), GF(3), GF(4), GF(5), GF(7), GF(8) and GF(9)."""
+    yield from _verdict_instances()
+    rng = random.Random(9)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        f = field_new(*prime_power_parts(q))
+        for i in range(6):
+            n = 2 + i % 3
+            mu = rng.randrange(n)
+            # the generator retries until it has at most 12 edges, which
+            # n = 4 reaches with two receivers but never with three
+            net = random_multicast_network(rng, n, rng.randint(1, 2), f)
+            yield net, mds_parity_check(f, n - mu, n), mu
+
+
+def _reached_edges(monkeypatch, net, H, mu):
+    """Run secure_lif (FieldTooSmall allowed) and return, for every edge it
+    reached: (code, edge id, the security pairs it passed, a fresh
+    enumeration of them, the edge's forbidden pairs)."""
+    forbidden_subspaces = securecode._forbidden_subspaces
+    reached = []
+
+    def spy(code, frontier, paths, security):
+        processed = list(code.global_vectors)
+        fresh = [(W, (H.stack(C).null_space_basis().data, C.null_space_basis().data))
+                 for W, C in securecode.full_rank_observations(
+                     code, processed, range(mu if H.rows else 0))]
+        forbidden = forbidden_subspaces(code, frontier, paths, security)
+        eid = next(e.id for e in code.network.topological_order
+                   if e.id not in processed)
+        reached.append((code, eid, list(security), fresh, forbidden))
+        return forbidden
+
+    with monkeypatch.context() as patch:
+        patch.setattr(securecode, "_forbidden_subspaces", spy)
+        try:
+            secure_lif(net, net.n, mu, H)
+        except FieldTooSmall:
+            pass
+    return reached
+
+
+def test_pruned_search_picks_the_exhaustive_first_candidate(monkeypatch):
+    """At every edge secure_lif reaches, the prefix search picks the first
+    candidate in product order that passes the full-vector test, and finds
+    none exactly when exhaustive search finds none."""
+    found = []
+    for net, H, mu in _search_instances():
+        for code, eid, _, _, forbidden in _reached_edges(monkeypatch, net, H, mu):
+            want = reference_first_candidate(code.field, code.inputs(eid), code.n, forbidden)
+            assert code.local.get(eid) == want, eid
+            found.append(want is not None)
+    assert True in found and False in found
+
+
+def test_cached_security_pairs_equal_a_fresh_enumeration(monkeypatch):
+    """The security pairs secure_lif extends edge by edge are, at every edge,
+    those a fresh `full_rank_observations` pass gives, in the same order."""
+    sizes = set()
+    for net, H, mu in _search_instances():
+        for _, _, security, fresh, _ in _reached_edges(monkeypatch, net, H, mu):
+            assert security == fresh
+            sizes.update(len(W) for W, _ in security)
+    assert sizes == {0, 1, 2}

@@ -158,6 +158,14 @@ def test_secure_lif_refuses_a_field_other_than_the_networks(gf3):
         secure_lif(butterfly_network(gf3), 2, 1, FMatrix(gf3, [[1, 1]]), field_new(5))
 
 
+def test_secure_lif_refuses_an_H_over_another_field(gf3, monkeypatch):
+    # with mu = 0 no security test reads H, so the search would return a
+    # design; a cap of 0 checks shows the refusal comes before any candidate
+    monkeypatch.setattr(securecode, "SUBSET_CHECK_CAP", 0)
+    with pytest.raises(FieldMismatch, match=r"H is over GF\(5\), but the network is over GF\(3\)"):
+        secure_lif(butterfly_network(gf3), 2, 0, FMatrix(field_new(5), [[1, 1]]))
+
+
 def test_alphabet_bounds():
     assert alphabet_bound_general(9, 1, 2) == 3
     assert alphabet_bound_two_sources(2) == 3
