@@ -4,28 +4,19 @@ Exit codes: 0 success, 2 verification failure (witness on stdout), 1 usage
 error.  Every command is a pure function of its inputs and the seed; a run
 manifest (command, input hashes, seed, version, timings) goes to stdout,
 never into result files, so result files are byte-identical across runs.
+Each command imports the modules it calls when it runs, so a process compiles
+only those, and numpy (for the oracle) only where the oracle runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.resources
 import json
 import sys
 import time
 
 from . import __version__
-from .coset import CosetCode
-from .equivocation import equivocation_rank, equivocation_sweep
 from .exceptions import MalformedInput, WiretapNCError
-from .gf import field_new
-from .netgraph import butterfly_code
-from .securecode import (
-    alphabet_bound_general,
-    combination_secure_design,
-    secure_lif,
-    verify_secrecy_condition,
-)
 from .serialize import (
     canonical_dumps,
     code_to_json,
@@ -42,24 +33,25 @@ from .serialize import (
 GOLDEN_NAMES = ("butterfly_insecure", "butterfly_secure", "combination_b34")
 
 
-def _manifest(command, inputs, seed, t0, summary):
-    return {
+def _print_manifest(command, inputs, seed, t0, summary):
+    print(json.dumps({
         "command": command,
         "inputs": {name: sha256_file(path) for name, path in inputs.items()},
         "seed": seed,
         "version": __version__,
         "elapsed_s": round(time.monotonic() - t0, 6),
         "summary": summary,
-    }
-
-
-def _print_manifest(manifest):
-    print(json.dumps(manifest, sort_keys=True))
+    }, sort_keys=True))
 
 
 # ---- built-in reference reports ----
 
 def _butterfly_report(secure: bool):
+    from .equivocation import equivocation_rank
+    from .gf import field_new
+    from .netgraph import butterfly_code
+    from .oracle import min_equivocation_bruteforce
+    from .securecode import verify_secrecy_condition
     f = field_new(3)
     alpha = f.primitive_element()
     code = butterfly_code(f, be_local=(1, alpha) if secure else (1, 1))
@@ -70,7 +62,6 @@ def _butterfly_report(secure: bool):
         delta, _, _ = equivocation_rank(H, code, 1, restricted=[e])
         per_edge[e] = delta
     delta, min_witness, _ = equivocation_rank(H, code, 1)
-    from .oracle import min_equivocation_bruteforce  # the oracle imports numpy: load it only here
     oracle_delta, oracle_witness = min_equivocation_bruteforce(H, code, 1)
     return {
         "name": "butterfly_secure" if secure else "butterfly_insecure",
@@ -86,6 +77,10 @@ def _butterfly_report(secure: bool):
 
 
 def _combination_report():
+    from .equivocation import equivocation_rank
+    from .gf import field_new
+    from .oracle import min_equivocation_bruteforce
+    from .securecode import combination_secure_design, verify_secrecy_condition
     f = field_new(7)
     design = combination_secure_design(3, 4, f, 2)
     H = design.coset.parity_check
@@ -98,7 +93,6 @@ def _combination_report():
         r: code.receiver_decode(flow, payloads) == y for r, flow in flows.items()
     }
     delta, min_witness, _ = equivocation_rank(H, code, 1)
-    from .oracle import min_equivocation_bruteforce
     oracle_delta, _ = min_equivocation_bruteforce(H, code, 1)
     return {
         "name": "combination_b34",
@@ -124,6 +118,7 @@ def generate_reference_reports():
 
 
 def _golden_dir():
+    import importlib.resources
     return importlib.resources.files("wiretapnc") / "data" / "golden"
 
 
@@ -148,7 +143,7 @@ def cmd_paper_figures(args):
         "golden_ok": not mismatches,
         "mismatches": mismatches,
     }
-    _print_manifest(_manifest("paper-figures", {}, args.seed, t0, summary))
+    _print_manifest("paper-figures", {}, args.seed, t0, summary)
     if mismatches:
         print(f"golden mismatch: {', '.join(mismatches)}")
         return 2
@@ -156,6 +151,7 @@ def cmd_paper_figures(args):
 
 
 def cmd_build(args):
+    from .securecode import secure_lif
     t0 = time.monotonic()
     net = load_json(args.network, network_from_json, "network")
     H = load_json(args.H, matrix_from_json, "matrix")
@@ -163,11 +159,12 @@ def cmd_build(args):
     write_json(args.out, design_to_json(design))
     inputs = {"network": args.network, "H": args.H}
     summary = {"out": args.out, "checks": design.certificate["checks"]}
-    _print_manifest(_manifest("build", inputs, args.seed, t0, summary))
+    _print_manifest("build", inputs, args.seed, t0, summary)
     return 0
 
 
 def cmd_verify(args):
+    from .securecode import verify_secrecy_condition
     t0 = time.monotonic()
     design = load_json(args.design, design_from_json, "design")
     restricted = args.restricted.split(",") if args.restricted else (
@@ -177,7 +174,7 @@ def cmd_verify(args):
         design.coset.parity_check, design.netcode, design.params.mu, restricted
     )
     summary = {"ok": ok, "witness": list(witness) if witness else None}
-    _print_manifest(_manifest("verify", {"design": args.design}, args.seed, t0, summary))
+    _print_manifest("verify", {"design": args.design}, args.seed, t0, summary)
     if not ok:
         print(f"secrecy violation witness: {','.join(witness)}")
         return 2
@@ -186,6 +183,7 @@ def cmd_verify(args):
 
 
 def cmd_sweep(args):
+    from .equivocation import equivocation_sweep
     t0 = time.monotonic()
     design = load_json(args.design, design_from_json, "design")
     restricted = args.restricted.split(",") if args.restricted else None
@@ -205,14 +203,13 @@ def cmd_sweep(args):
         write_json(args.out, obj)
     else:
         sys.stdout.write(canonical_dumps(obj))
-    _print_manifest(
-        _manifest("sweep", {"design": args.design}, args.seed, t0,
-                  {"mu_max": args.mu_max})
-    )
+    _print_manifest("sweep", {"design": args.design}, args.seed, t0, {"mu_max": args.mu_max})
     return 0
 
 
 def cmd_oracle(args):
+    from .equivocation import equivocation_rank
+    from .oracle import min_equivocation_bruteforce
     t0 = time.monotonic()
     design = load_json(args.design, design_from_json, "design")
     H = design.coset.parity_check
@@ -220,7 +217,6 @@ def cmd_oracle(args):
     rank_delta, rank_witness, _ = equivocation_rank(
         H, design.netcode, args.mu, restricted
     )
-    from .oracle import min_equivocation_bruteforce
     oracle_delta, oracle_witness = min_equivocation_bruteforce(
         H, design.netcode, args.mu, restricted
     )
@@ -231,7 +227,7 @@ def cmd_oracle(args):
         "oracle_delta": oracle_delta,
         "agree": agree,
     }
-    _print_manifest(_manifest("oracle", {"design": args.design}, args.seed, t0, summary))
+    _print_manifest("oracle", {"design": args.design}, args.seed, t0, summary)
     if not agree:
         print(
             f"DISAGREEMENT at mu={args.mu}: rank formula {rank_delta} "
@@ -244,14 +240,12 @@ def cmd_oracle(args):
 
 
 def cmd_bounds(args):
+    from .securecode import alphabet_bound_general
     t0 = time.monotonic()
     net = load_json(args.network, network_from_json, "network")
     bound = alphabet_bound_general(len(net.edges), args.mu, len(net.receivers))
     print(bound)
-    _print_manifest(
-        _manifest("bounds", {"network": args.network}, args.seed, t0,
-                  {"bound": bound})
-    )
+    _print_manifest("bounds", {"network": args.network}, args.seed, t0, {"bound": bound})
     return 0
 
 
@@ -269,6 +263,7 @@ def _vector_argument(field, text, flag, action):
 
 
 def cmd_coset(args):
+    from .coset import CosetCode
     t0 = time.monotonic()
     H = load_json(args.H, matrix_from_json, "matrix")
     code = CosetCode(H)
@@ -282,7 +277,7 @@ def cmd_coset(args):
         secret = code.decode(word)
         print(json.dumps(secret))
         summary = {"action": "decode"}
-    _print_manifest(_manifest("coset", {"H": args.H}, args.seed, t0, summary))
+    _print_manifest("coset", {"H": args.H}, args.seed, t0, summary)
     return 0
 
 

@@ -14,7 +14,6 @@ tuple of a minimising point set, or the first mu-subset spanning C_E.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from math import comb
 
@@ -33,13 +32,16 @@ from .securecode import (check_budget, full_rank_observations,
 GHW_CODEWORD_CAP = 10 ** 6
 
 
-@dataclass
 class EquivocationReport:
-    k: int
-    delta: dict = dc_field(default_factory=dict)  # mu -> Delta(mu)
-    witnesses: dict = dc_field(default_factory=dict)  # mu -> minimizing W
-    flagged: dict = dc_field(default_factory=dict)  # mu -> True if no full-rank W
-    d_profile: dict = dc_field(default_factory=dict)  # r -> d_r
+    __slots__ = ("k", "delta", "witnesses", "flagged", "d_profile")
+
+    def __init__(self, k: int, delta: dict | None = None, witnesses: dict | None = None,
+                 flagged: dict | None = None, d_profile: dict | None = None):
+        self.k = k
+        self.delta = {} if delta is None else delta  # mu -> Delta(mu)
+        self.witnesses = {} if witnesses is None else witnesses  # mu -> minimizing W
+        self.flagged = {} if flagged is None else flagged  # mu -> True if no full-rank W
+        self.d_profile = {} if d_profile is None else d_profile  # r -> d_r
 
 
 def equivocation_rank(H: FMatrix, code: NetworkCode, mu: int, restricted=None):

@@ -13,7 +13,6 @@ edge id) by every algorithm, so all outputs are deterministic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 
 from .exceptions import (
@@ -21,6 +20,7 @@ from .exceptions import (
     BadParameters,
     DimensionMismatch,
     InsufficientCut,
+    MalformedInput,
     SingularDecodingMatrix,
     SingularMatrix,
     UnknownNode,
@@ -29,19 +29,20 @@ from .fmatrix import FMatrix, combination, dot
 from .gf import FieldSpec
 
 
-@dataclass(frozen=True)
 class Edge:
-    id: str
-    tail: str
-    head: str
+    __slots__ = ("id", "tail", "head")
+
+    def __init__(self, id: str, tail: str, head: str):
+        self.id, self.tail, self.head = id, tail, head
 
 
-@dataclass(frozen=True)
 class Flow:
     """n edge-disjoint source-to-receiver paths, as edge-id lists."""
 
-    receiver: str
-    paths: tuple
+    __slots__ = ("receiver", "paths")
+
+    def __init__(self, receiver: str, paths: tuple):
+        self.receiver, self.paths = receiver, paths
 
 
 class Network:
@@ -54,6 +55,9 @@ class Network:
         self.field = field
 
         node_set = set(self.nodes)
+        if len(node_set) != len(self.nodes):
+            repeats = [v for i, v in enumerate(self.nodes) if v in self.nodes[:i]]
+            raise MalformedInput(f"duplicate node names {repeats}")
         for e in self.edges:
             if e.tail not in node_set or e.head not in node_set:
                 raise UnknownNode(f"edge {e.id} references unknown node")
@@ -117,6 +121,8 @@ class Network:
         """
         if receiver not in self._in:
             raise UnknownNode(f"unknown node {receiver}")
+        if receiver == self.source:  # the source reaches itself, so no search would end
+            raise MalformedInput(f"receiver {receiver} is the source")
         flow = {e.id: 0 for e in self.edges}
         value = 0
         while True:

@@ -18,7 +18,6 @@ Cai-Yeung equivalence, and the Byzantine cascade condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from math import comb
 
@@ -41,20 +40,20 @@ from .netgraph import Network, NetworkCode, combination_network
 SUBSET_CHECK_CAP = 10 ** 7
 
 
-@dataclass(frozen=True)
 class SecurityParams:
-    mu: int
-    k: int
-    n: int
-    restricted_edges: tuple | None = None
+    __slots__ = ("mu", "k", "n", "restricted_edges")
+
+    def __init__(self, mu: int, k: int, n: int, restricted_edges: tuple | None = None):
+        self.mu, self.k, self.n, self.restricted_edges = mu, k, n, restricted_edges
 
 
-@dataclass
 class SecureDesign:
-    coset: CosetCode
-    netcode: NetworkCode
-    params: SecurityParams
-    certificate: dict = dc_field(default_factory=dict)
+    __slots__ = ("coset", "netcode", "params", "certificate")
+
+    def __init__(self, coset: CosetCode, netcode: NetworkCode, params: SecurityParams,
+                 certificate: dict | None = None):
+        self.coset, self.netcode, self.params = coset, netcode, params
+        self.certificate = {} if certificate is None else certificate
 
     @property
     def network(self):

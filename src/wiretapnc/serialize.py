@@ -2,7 +2,8 @@
 
 Field elements serialize as their integer encodings.  All writers use
 canonical form (sorted keys, two-space indent, trailing newline) so result
-files are byte-stable and diffable.
+files are byte-stable and diffable.  The parsers that build networks, codes
+and designs import their modules when called, so reading a matrix loads none.
 """
 
 from __future__ import annotations
@@ -11,12 +12,9 @@ import hashlib
 import json
 from pathlib import Path
 
-from .coset import CosetCode
 from .exceptions import BadParameters, MalformedInput, WiretapNCError
 from .fmatrix import FMatrix
 from .gf import FieldSpec, field_new
-from .netgraph import Network, NetworkCode
-from .securecode import SecureDesign, SecurityParams
 
 
 def canonical_dumps(obj) -> str:
@@ -92,13 +90,21 @@ def network_to_json(net: Network):
     }
 
 
+def _integer(value, name):
+    """`value`, if it is a JSON integer (not a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedInput(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def network_from_json(obj) -> Network:
+    from .netgraph import Network
     return Network(
         nodes=obj["nodes"],
         edges=[(e["id"], e["tail"], e["head"]) for e in obj["edges"]],
         source=obj["source"],
         receivers=obj["receivers"],
-        n=obj["n"],
+        n=_integer(obj["n"], "network n"),
         field=field_from_json(obj["field"]),
     )
 
@@ -114,6 +120,7 @@ def code_from_json(net: Network, obj) -> NetworkCode:
     """Rebuild a code from its local coefficients.  Each stored global vector
     must name an edge of `net` and equal the recomputed one; an empty or
     absent "global" map is not checked."""
+    from .netgraph import NetworkCode
     code = NetworkCode(net)
     for eid, coeffs in obj["local"].items():
         code.set_local(eid, coeffs)
@@ -149,21 +156,24 @@ def design_to_json(design: SecureDesign):
 
 
 def design_from_json(obj) -> SecureDesign:
+    from .coset import CosetCode
+    from .securecode import SecureDesign, SecurityParams
     net = network_from_json(obj["network"])
     code = code_from_json(net, obj["code"])
     H = matrix_from_json(obj["H"])
     p = obj["params"]
-    for name, value, actual in (("k", p["k"], H.rows), ("n", p["n"], H.cols)):
+    mu, k, n = (_integer(p[name], f"params.{name}") for name in ("mu", "k", "n"))
+    for name, value, actual in (("k", k, H.rows), ("n", n, H.cols)):
         if value != actual:
             raise MalformedInput(f"params.{name} is {value}, but H gives {name}={actual}")
     if H.cols != net.n:
         raise MalformedInput(f"H has {H.cols} columns, but the network has n={net.n}")
     if H.field != net.field:
         raise MalformedInput(f"H is over {H.field!r}, but the network is over {net.field!r}")
-    params = SecurityParams(
-        mu=p["mu"],
-        k=p["k"],
-        n=p["n"],
-        restricted_edges=tuple(p["restricted"]) if p.get("restricted") else None,
-    )
+    restricted = p.get("restricted")
+    if restricted is not None and not (
+            isinstance(restricted, list) and all(isinstance(e, str) for e in restricted)):
+        raise MalformedInput(
+            f"params.restricted must be a list of edge ids, got {restricted!r}")
+    params = SecurityParams(mu, k, n, tuple(restricted) if restricted else None)
     return SecureDesign(CosetCode(H), code, params, obj.get("certificate", {}))

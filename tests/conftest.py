@@ -254,7 +254,13 @@ def random_multicast_network(rng, n, t, field, max_edges=12):
 
     Each receiver gets n in-edges with pairwise distinct tails, and each
     intermediate node gets its own source edge, which guarantees the cut.
+    A draw has at most 3 intermediate nodes and at least (n - 1) + t * n
+    edges; parameters that no draw can meet raise ValueError before any draw.
     """
+    fewest = max(n - 1, 0) + t * n
+    if n - 1 > 3 or fewest > max_edges:
+        raise ValueError(f"no draw fits n={n}, t={t}: it needs {max(n - 1, 0)} of at most 3 "
+                         f"intermediate nodes and {fewest} edges, max_edges={max_edges}")
     while True:
         num_mid = rng.randint(0, 3)
         mids = [f"m{i}" for i in range(num_mid)]

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from wiretapnc import cli
 from wiretapnc.coset import CosetCode
 from wiretapnc.fmatrix import FMatrix
 from wiretapnc.gf import field_new
-from wiretapnc.netgraph import butterfly_code, butterfly_network
+from wiretapnc.netgraph import butterfly_code, butterfly_network, parallel_network
 from wiretapnc.securecode import SecureDesign, SecurityParams, combination_secure_design
 from wiretapnc.serialize import (
     canonical_dumps,
@@ -191,25 +192,61 @@ def test_manifest_goes_to_stdout_not_files(fixtures, capsys):
     assert manifest["version"]
 
 
+# command (None: `import wiretapnc` alone) -> the package modules it must
+# leave unloaded; only `oracle` and `paper-figures` may load numpy, and no
+# command loads dataclasses
+IMPORT_GRAPH = (
+    (None, {p.stem for p in Path(wiretapnc.__file__).parent.glob("*.py")} - {"__init__"}),
+    (["coset", "encode", "--H", "{d}/h.json", "--secret", "[1]"],
+     {"netgraph", "securecode", "equivocation", "oracle"}),
+    (["coset", "decode", "--H", "{d}/h.json", "--word", "[1, 0]"],
+     {"netgraph", "securecode", "equivocation", "oracle"}),
+    (["bounds", "--network", "{d}/net.json", "--mu", "1"], {"equivocation", "oracle"}),
+    (["build", "--network", "{d}/net.json", "--mu", "1", "--H", "{d}/h.json",
+      "--out", "{d}/design.json"], {"equivocation", "oracle"}),
+    (["verify", "--design", "{d}/design.json"], {"equivocation", "oracle"}),
+    (["sweep", "--design", "{d}/design.json", "--mu-max", "1"], {"oracle"}),
+    (["oracle", "--design", "{d}/design.json", "--mu", "1"], set()),
+    (["paper-figures"], set()),
+)
+
+
 def test_commands_without_the_oracle_leave_numpy_unloaded(fixtures):
-    """Only the oracle needs numpy, so `bounds` and `coset decode` never
-    import it, while the package still exports the oracle's names."""
-    script = f"""
-import sys
-import wiretapnc, wiretapnc.cli
-wiretapnc.cli.main(["bounds", "--network", {str(fixtures / "net.json")!r}, "--mu", "1"])
-wiretapnc.cli.main(["coset", "decode", "--H", {str(fixtures / "h.json")!r}, "--word", "[1, 0]"])
-print("numpy" in sys.modules)
-from wiretapnc import CosetChannelOracle, min_equivocation_bruteforce
-print("numpy" in sys.modules, CosetChannelOracle.__module__)
+    """Each command, in a fresh process, imports only the modules it runs:
+    numpy only for the oracle, and never dataclasses."""
+    script = """
+import json, sys
+import wiretapnc
+argv = json.loads(sys.argv[1])
+if argv is not None:
+    import wiretapnc.cli
+    wiretapnc.cli.main(argv)
+print(json.dumps(sorted(sys.modules)))
 """
     src = Path(wiretapnc.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["False", "True wiretapnc.oracle"]
+    for argv, unloaded in IMPORT_GRAPH:
+        if argv is not None:
+            argv = [a.format(d=fixtures) for a in argv]
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        assert not {f"wiretapnc.{m}" for m in unloaded} & loaded, argv
+        wants_numpy = argv is not None and argv[0] in ("oracle", "paper-figures")
+        assert ("numpy" in loaded) == wants_numpy, argv
+        assert "dataclasses" not in loaded, argv
+
+
+def test_every_public_name_resolves_and_stays_cached():
+    for name in wiretapnc.__all__:
+        value = getattr(wiretapnc, name)
+        home = value.__name__ if inspect.ismodule(value) else value.__module__
+        assert home.startswith("wiretapnc."), name
+        assert vars(wiretapnc)[name] is value
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wiretapnc.no_such_name
 
 
 def test_library_error_exit_code(fixtures, capsys):
@@ -253,6 +290,19 @@ BAD_INPUTS = {
     "build-H-over-another-field": (["build", "--network", "{d}/net.json", "--mu", "1", "--H",
                                     "{d}/h_gf5.json", "--out", "{d}/built.json"], {}, 1),
     "verify-H-over-another-field": (["verify", "--design", "{d}/gf5_H.json"], {}, 1),
+    "bounds-receiver-is-source": (["bounds", "--network", "{d}/receiver_source.json",
+                                   "--mu", "1"], {}, 1),
+    "build-receiver-is-source": (["build", "--network", "{d}/receiver_source.json", "--mu",
+                                  "0", "--H", "{d}/h1.json", "--out", "{d}/built.json"], {}, 1),
+    "verify-params-mu-string": (["verify", "--design", "{d}/mu_string.json"], {}, 1),
+    "verify-params-mu-float": (["verify", "--design", "{d}/mu_float.json"], {}, 1),
+    "verify-params-mu-null": (["verify", "--design", "{d}/mu_null.json"], {}, 1),
+    "verify-params-mu-bool": (["verify", "--design", "{d}/mu_bool.json"], {}, 1),
+    "verify-restricted-not-edge-ids": (["verify", "--design", "{d}/restricted_nested.json"],
+                                       {}, 1),
+    "bounds-network-n-float": (["bounds", "--network", "{d}/n_float.json", "--mu", "1"], {}, 1),
+    "bounds-duplicate-node": (["bounds", "--network", "{d}/duplicate_node.json", "--mu", "1"],
+                              {}, 1),
     "enum-cap-not-integer": (["paper-figures"], {"WIRETAP_NC_ENUM_CAP": "lots"}, 1),
     "out-under-a-file": (["paper-figures", "--out", "{d}/h.json/dir"], {}, 1),
     "out-dir-missing": (["paper-figures", "--out", "{d}/new/dir"], {}, 0),
@@ -271,6 +321,15 @@ BAD_INPUT_MESSAGES = {
     "oracle-H-narrower-than-network": "H has 2 columns, but the network has n=3",
     "build-H-over-another-field": "H is over GF(5), but the network is over GF(3)",
     "verify-H-over-another-field": "H is over GF(5), but the network is over GF(3)",
+    "bounds-receiver-is-source": "receiver S is the source",
+    "build-receiver-is-source": "receiver S is the source",
+    "verify-params-mu-string": "params.mu must be an integer, got '1'",
+    "verify-params-mu-float": "params.mu must be an integer, got 1.5",
+    "verify-params-mu-null": "params.mu must be an integer, got None",
+    "verify-params-mu-bool": "params.mu must be an integer, got True",
+    "verify-restricted-not-edge-ids": "params.restricted must be a list of edge ids",
+    "bounds-network-n-float": "network n must be an integer, got 2.0",
+    "bounds-duplicate-node": "duplicate node names ['A']",
 }
 
 
@@ -292,6 +351,17 @@ def test_bad_input_ends_in_one_line_error(fixtures, case):
     h_gf5 = matrix_to_json(FMatrix(field_new(5), [[1, 1]]))
     write_json(fixtures / "h_gf5.json", h_gf5)
     write_json(fixtures / "gf5_H.json", dict(design, H=h_gf5))
+    for name, mu in (("string", "1"), ("float", 1.5), ("null", None), ("bool", True)):
+        write_json(fixtures / f"mu_{name}.json",
+                   dict(design, params=dict(design["params"], mu=mu)))
+    write_json(fixtures / "restricted_nested.json",
+               dict(design, params=dict(design["params"], restricted=[["SA"]])))
+    net = network_to_json(butterfly_network(f))
+    write_json(fixtures / "n_float.json", dict(net, n=2.0))
+    write_json(fixtures / "duplicate_node.json", dict(net, nodes=net["nodes"] + ["A"]))
+    write_json(fixtures / "receiver_source.json",
+               dict(network_to_json(parallel_network(1, f)), receivers=["S"]))
+    write_json(fixtures / "h1.json", matrix_to_json(FMatrix(f, [[1]])))
     design["code"]["global"]["BE"] = [0, 0]
     write_json(fixtures / "edited_global.json", design)
     design["code"]["global"] = {"XX": [1, 0]}

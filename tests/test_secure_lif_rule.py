@@ -163,8 +163,7 @@ def _search_instances():
         for i in range(6):
             n = 2 + i % 3
             mu = rng.randrange(n)
-            # the generator retries until it has at most 12 edges, which
-            # n = 4 reaches with two receivers but never with three
+            # at most 12 edges: n = 4 fits two receivers, but three need 15
             net = random_multicast_network(rng, n, rng.randint(1, 2), f)
             yield net, mds_parity_check(f, n - mu, n), mu
 
@@ -218,3 +217,12 @@ def test_cached_security_pairs_equal_a_fresh_enumeration(monkeypatch):
             assert security == fresh
             sizes.update(len(W) for W, _ in security)
     assert sizes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("n, t", [(4, 3), (5, 1)])
+def test_random_multicast_network_refuses_parameters_no_draw_fits(n, t):
+    """n = 4 with three receivers needs at least 15 edges, over max_edges =
+    12, and n = 5 needs 4 intermediate nodes of at most 3; both raise before
+    the first draw (the rng is None) instead of retrying forever."""
+    with pytest.raises(ValueError, match="no draw fits"):
+        random_multicast_network(None, n, t, field_new(2))
