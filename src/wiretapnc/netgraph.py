@@ -7,7 +7,9 @@ in-edges (the n virtual inputs for source out-edges) and a derived global
 coding vector of length n.
 
 Edges are visited in a fixed topological order (Kahn on nodes, ties broken by
-edge id) by every algorithm, so all outputs are deterministic.
+edge id) by every algorithm, so all outputs are deterministic.  Each
+receiver's max flow is found once, when the Network is built; its min cut and
+edge-disjoint paths are read from that flow.
 """
 
 from __future__ import annotations
@@ -54,10 +56,11 @@ class Network:
         self.n = n
         self.field = field
 
+        for what, names in (("node names", self.nodes), ("receivers", self.receivers)):
+            if len(set(names)) != len(names):
+                repeats = [v for i, v in enumerate(names) if v in names[:i]]
+                raise MalformedInput(f"duplicate {what} {repeats}")
         node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
-            repeats = [v for i, v in enumerate(self.nodes) if v in self.nodes[:i]]
-            raise MalformedInput(f"duplicate node names {repeats}")
         for e in self.edges:
             if e.tail not in node_set or e.head not in node_set:
                 raise UnknownNode(f"edge {e.id} references unknown node")
@@ -66,6 +69,8 @@ class Network:
         for r in self.receivers:
             if r not in node_set:
                 raise UnknownNode(f"unknown receiver {r}")
+            if r == source:  # the source reaches itself, so no search would end
+                raise MalformedInput(f"receiver {r} is the source")
         ids = [e.id for e in self.edges]
         if len(set(ids)) != len(ids):
             raise BadParameters("duplicate edge ids")
@@ -83,8 +88,8 @@ class Network:
         self.topological_order = tuple(
             sorted(self.edges, key=lambda e: (self._node_rank[e.tail], e.id))
         )
-        for r in self.receivers:
-            cut = self.min_cut(r)
+        self._flows = {r: self._max_flow(r) for r in self.receivers}
+        for r, (cut, _) in self._flows.items():
             if cut < n:
                 raise InsufficientCut(
                     f"min-cut to {r} is {cut} < n={n}", receiver=r
@@ -114,16 +119,12 @@ class Network:
     # ---- flows ----
 
     def _max_flow(self, receiver):
-        """BFS augmenting paths on the unit-capacity edge graph.
+        """BFS augmenting paths on the unit-capacity edge graph, run once per
+        receiver when the Network is built.
 
-        Returns (value, used) where used is the set of edge ids carrying flow
-        oriented forward.
+        Returns (value, used) where used is the set of edge ids carrying flow.
         """
-        if receiver not in self._in:
-            raise UnknownNode(f"unknown node {receiver}")
-        if receiver == self.source:  # the source reaches itself, so no search would end
-            raise MalformedInput(f"receiver {receiver} is the source")
-        flow = {e.id: 0 for e in self.edges}
+        used = set()
         value = 0
         while True:
             prev = {self.source: None}
@@ -131,39 +132,36 @@ class Network:
             while queue and receiver not in prev:
                 v = queue.popleft()
                 for e in self._out[v]:
-                    if flow[e.id] == 0 and e.head not in prev:
-                        prev[e.head] = (e, +1)
+                    if e.id not in used and e.head not in prev:
+                        prev[e.head] = (e, v)
                         queue.append(e.head)
                 for e in self._in[v]:
-                    if flow[e.id] == 1 and e.tail not in prev:
-                        prev[e.tail] = (e, -1)
+                    if e.id in used and e.tail not in prev:
+                        prev[e.tail] = (e, v)
                         queue.append(e.tail)
             if receiver not in prev:
                 break
             v = receiver
             while v != self.source:
-                e, direction = prev[v]
-                flow[e.id] += direction
-                v = e.head if direction < 0 else e.tail
+                e, v = prev[v]
+                used ^= {e.id}  # a forward step fills e, a backward step empties it
             value += 1
-        used = {eid for eid, fl in flow.items() if fl == 1}
         return value, used
 
     def min_cut(self, receiver) -> int:
-        value, _ = self._max_flow(receiver)
-        return value
+        """The max-flow value to a receiver, found when the Network was built."""
+        if receiver not in self._flows:
+            raise UnknownNode(f"unknown receiver {receiver}")
+        return self._flows[receiver][0]
 
-    def edge_disjoint_flows(self, n: int | None = None):
-        """One Flow of n disjoint paths per receiver; raises InsufficientCut."""
-        n = self.n if n is None else n
+    def edge_disjoint_flows(self):
+        """One Flow of n disjoint paths per receiver, decomposed from the max
+        flow found when the Network was built."""
         flows = {}
-        for r in self.receivers:
-            value, used = self._max_flow(r)
-            if value < n:
-                raise InsufficientCut(f"min-cut to {r} is {value} < n={n}", receiver=r)
+        for r, (_, used) in self._flows.items():
             used = set(used)
             paths = []
-            for _ in range(n):
+            for _ in range(self.n):
                 path = []
                 v = self.source
                 while v != r:
@@ -181,9 +179,9 @@ class Network:
 class NetworkCode:
     """Local coefficients plus propagated global coding vectors per edge."""
 
-    def __init__(self, network: Network, n: int | None = None):
+    def __init__(self, network: Network):
         self.network = network
-        self.n = network.n if n is None else n
+        self.n = network.n
         self.local = {}
         self.global_vectors = {}
         self._units = tuple(

@@ -163,9 +163,9 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     if k + mu > n:
         raise BudgetExceedsCut(f"k + mu = {k + mu} exceeds n={n}: "
                                "no field gives rank [H; C_W] = k + |W|")
-    flows = net.edge_disjoint_flows(n)  # raises InsufficientCut
     if n != net.n:
         raise DimensionMismatch(f"n={n}, but the network has n={net.n}")
+    flows = net.edge_disjoint_flows()
 
     # edge id -> list of (receiver, path index) where the edge appears
     on_path = {e.id: [] for e in net.edges}
@@ -178,7 +178,7 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     eye = FMatrix.identity(f, n).data
     frontier = {r: list(eye) for r in net.receivers}
 
-    code = NetworkCode(net, n)
+    code = NetworkCode(net)
     checks = 0
     order = {e.id: i for i, e in enumerate(net.topological_order)}
     top = mu if k else 0  # security sets have sizes below top; with k = 0 there are none
@@ -327,7 +327,7 @@ def combination_secure_design(n: int, M: int, f: FieldSpec, k: int) -> SecureDes
     edge_vectors = [Ht.row(k + i) for i in range(M)]
 
     net = combination_network(n, M, f)
-    code = NetworkCode(net, n)
+    code = NetworkCode(net)
     for i in range(M):
         code.set_local(f"Sm{i}", edge_vectors[i])
     for e in net.edges:

@@ -97,13 +97,28 @@ def _integer(value, name):
     return value
 
 
+def _string(value, name):
+    """`value`, if it is a JSON string."""
+    if not isinstance(value, str):
+        raise MalformedInput(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _strings(value, name):
+    """`value`, if it is a JSON list of strings."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise MalformedInput(f"{name} must be a list of strings, got {value!r}")
+    return value
+
+
 def network_from_json(obj) -> Network:
     from .netgraph import Network
     return Network(
-        nodes=obj["nodes"],
-        edges=[(e["id"], e["tail"], e["head"]) for e in obj["edges"]],
-        source=obj["source"],
-        receivers=obj["receivers"],
+        nodes=_strings(obj["nodes"], "network nodes"),
+        edges=[(_string(e["id"], "network edge id"), _string(e["tail"], "network edge tail"),
+                _string(e["head"], "network edge head")) for e in obj["edges"]],
+        source=_string(obj["source"], "network source"),
+        receivers=_strings(obj["receivers"], "network receivers"),
         n=_integer(obj["n"], "network n"),
         field=field_from_json(obj["field"]),
     )

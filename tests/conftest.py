@@ -2,7 +2,7 @@
 
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations, product
 
 import pytest
@@ -240,7 +240,7 @@ def random_coded_instance(rng, q=None, n=None, k=None, max_edges=10):
             head = rng.choice(later + ["T"])
         edges.append((f"e{i:02d}", tail, head))
     net = Network(nodes, edges, "S", (), n, field)
-    code = NetworkCode(net, n)
+    code = NetworkCode(net)
     for e in net.topological_order:
         deg = n if e.tail == "S" else len(net.in_edges(e.tail))
         code.set_local(e.id, [rng.randrange(q) for _ in range(deg)])
@@ -284,6 +284,55 @@ def random_multicast_network(rng, n, t, field, max_edges=12):
             return Network(nodes, edges, "S", receivers, n, field)
         except InsufficientCut:
             continue
+
+
+def reference_flows(net):
+    """{receiver: (max-flow value, n edge-disjoint paths)}, found without the
+    flows `net` stored: augmenting paths by BFS with the flow kept as a 0/1
+    map over every edge, then paths walked out of the source along the first
+    unused flow edge.  `Network` must find the same flows and paths."""
+    out = {v: [] for v in net.nodes}
+    into = {v: [] for v in net.nodes}
+    for e in net.edges:
+        out[e.tail].append(e)
+        into[e.head].append(e)
+    result = {}
+    for r in net.receivers:
+        flow = {e.id: 0 for e in net.edges}
+        value = 0
+        while True:
+            prev = {net.source: None}
+            queue = deque([net.source])
+            while queue and r not in prev:
+                v = queue.popleft()
+                for e in out[v]:
+                    if flow[e.id] == 0 and e.head not in prev:
+                        prev[e.head] = (e, +1)
+                        queue.append(e.head)
+                for e in into[v]:
+                    if flow[e.id] == 1 and e.tail not in prev:
+                        prev[e.tail] = (e, -1)
+                        queue.append(e.tail)
+            if r not in prev:
+                break
+            v = r
+            while v != net.source:
+                e, direction = prev[v]
+                flow[e.id] += direction
+                v = e.head if direction < 0 else e.tail
+            value += 1
+        used = {eid for eid, fl in flow.items() if fl == 1}
+        paths = []
+        for _ in range(net.n):
+            path, v = [], net.source
+            while v != r:
+                step = next(e for e in out[v] if e.id in used)
+                used.discard(step.id)
+                path.append(step.id)
+                v = step.head
+            paths.append(tuple(path))
+        result[r] = (value, tuple(paths))
+    return result
 
 
 def mds_parity_check(field, k, n):

@@ -10,6 +10,7 @@ import pytest
 import wiretapnc
 from wiretapnc import cli
 from wiretapnc.coset import CosetCode
+from wiretapnc.exceptions import MalformedInput
 from wiretapnc.fmatrix import FMatrix
 from wiretapnc.gf import field_new
 from wiretapnc.netgraph import butterfly_code, butterfly_network, parallel_network
@@ -61,6 +62,22 @@ def test_network_and_code_roundtrip(gf3):
     code = butterfly_code(gf3, (1, 2))
     code2 = code_from_json(net2, code_to_json(code))
     assert code2.global_vectors == code.global_vectors
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("network nodes", lambda net: dict(net, nodes="SABCDEF")),
+    ("network nodes", lambda net: dict(net, nodes=net["nodes"][:-1] + [7])),
+    ("network receivers", lambda net: dict(net, receivers="DF")),
+    ("network source", lambda net: dict(net, source=["S"])),
+    ("network edge id", lambda net: dict(net, edges=[dict(e, id=i)
+                                                     for i, e in enumerate(net["edges"])])),
+    ("network edge tail", lambda net: dict(net, edges=[dict(net["edges"][0], tail=None)])),
+    ("network edge head", lambda net: dict(net, edges=[dict(net["edges"][0], head=1)])),
+], ids=["nodes-a-string", "node-an-integer", "receivers-a-string", "source-a-list",
+        "edge-ids-integers", "edge-tail-null", "edge-head-an-integer"])
+def test_network_names_must_be_strings(gf3, field, edit):
+    with pytest.raises(MalformedInput, match=f"^{field} must be "):
+        network_from_json(edit(network_to_json(butterfly_network(gf3))))
 
 
 def test_design_roundtrip(gf3):
@@ -303,6 +320,14 @@ BAD_INPUTS = {
     "bounds-network-n-float": (["bounds", "--network", "{d}/n_float.json", "--mu", "1"], {}, 1),
     "bounds-duplicate-node": (["bounds", "--network", "{d}/duplicate_node.json", "--mu", "1"],
                               {}, 1),
+    "bounds-duplicate-receiver": (["bounds", "--network", "{d}/duplicate_receiver.json",
+                                   "--mu", "2"], {}, 1),
+    "build-edge-ids-integers": (["build", "--network", "{d}/integer_edges.json", "--mu", "1",
+                                 "--H", "{d}/h.json", "--out", "{d}/built.json"], {}, 1),
+    "bounds-nodes-a-string": (["bounds", "--network", "{d}/nodes_string.json", "--mu", "1"],
+                              {}, 1),
+    "bounds-receivers-a-string": (["bounds", "--network", "{d}/receivers_string.json",
+                                   "--mu", "1"], {}, 1),
     "enum-cap-not-integer": (["paper-figures"], {"WIRETAP_NC_ENUM_CAP": "lots"}, 1),
     "out-under-a-file": (["paper-figures", "--out", "{d}/h.json/dir"], {}, 1),
     "out-dir-missing": (["paper-figures", "--out", "{d}/new/dir"], {}, 0),
@@ -330,6 +355,10 @@ BAD_INPUT_MESSAGES = {
     "verify-restricted-not-edge-ids": "params.restricted must be a list of edge ids",
     "bounds-network-n-float": "network n must be an integer, got 2.0",
     "bounds-duplicate-node": "duplicate node names ['A']",
+    "bounds-duplicate-receiver": "duplicate receivers ['D']",
+    "build-edge-ids-integers": "network edge id must be a string, got 0",
+    "bounds-nodes-a-string": "network nodes must be a list of strings, got 'SABCDEF'",
+    "bounds-receivers-a-string": "network receivers must be a list of strings, got 'DF'",
 }
 
 
@@ -359,6 +388,11 @@ def test_bad_input_ends_in_one_line_error(fixtures, case):
     net = network_to_json(butterfly_network(f))
     write_json(fixtures / "n_float.json", dict(net, n=2.0))
     write_json(fixtures / "duplicate_node.json", dict(net, nodes=net["nodes"] + ["A"]))
+    write_json(fixtures / "duplicate_receiver.json", dict(net, receivers=["D", "D", "F"]))
+    write_json(fixtures / "integer_edges.json",
+               dict(net, edges=[dict(e, id=i) for i, e in enumerate(net["edges"])]))
+    write_json(fixtures / "nodes_string.json", dict(net, nodes="".join(net["nodes"])))
+    write_json(fixtures / "receivers_string.json", dict(net, receivers="DF"))
     write_json(fixtures / "receiver_source.json",
                dict(network_to_json(parallel_network(1, f)), receivers=["S"]))
     write_json(fixtures / "h1.json", matrix_to_json(FMatrix(f, [[1]])))

@@ -1,6 +1,8 @@
+import random
 from math import comb
 
 import pytest
+from conftest import random_multicast_network, reference_flows
 
 from wiretapnc.exceptions import (
     AcyclicityViolated,
@@ -8,6 +10,7 @@ from wiretapnc.exceptions import (
     DimensionMismatch,
     EntryOutOfRange,
     InsufficientCut,
+    MalformedInput,
     SingularDecodingMatrix,
     UnknownNode,
 )
@@ -22,6 +25,7 @@ from wiretapnc.netgraph import (
     parallel_code,
     parallel_network,
 )
+from wiretapnc.securecode import secure_lif
 
 
 def test_butterfly_shape(gf3):
@@ -47,6 +51,9 @@ def test_construction_guards(gf2):
     with pytest.raises(InsufficientCut) as exc:
         Network(("S", "R"), [("e", "S", "R")], "S", ("R",), 2, gf2)
     assert exc.value.receiver == "R"
+    # flows are kept per receiver, so a repeated receiver would be dropped
+    with pytest.raises(MalformedInput, match=r"duplicate receivers \['R'\]"):
+        Network(("S", "R"), [("e", "S", "R")], "S", ("R", "R"), 1, gf2)
 
 
 def test_edge_disjoint_flows_are_valid(gf3):
@@ -64,6 +71,80 @@ def test_edge_disjoint_flows_are_valid(gf3):
             assert v == r
             used.extend(path)
         assert len(used) == len(set(used))  # edge-disjoint
+
+
+def random_dag_network(rng, field):
+    """A random acyclic network, parallel edges allowed, with n the least
+    min cut to its receivers: its augmenting paths can run edges backwards."""
+    nodes = ["S"] + [f"v{i}" for i in range(rng.randint(2, 7))]
+    edges = []
+    for j in range(rng.randint(len(nodes), 3 * len(nodes))):
+        a = rng.randrange(len(nodes) - 1)
+        edges.append((f"e{j}", nodes[a], nodes[rng.randint(a + 1, len(nodes) - 1)]))
+    receivers = rng.sample(nodes[1:], rng.randint(1, len(nodes) - 1))
+    probe = Network(nodes, edges, "S", receivers, 0, field)
+    n = min(value for value, _ in reference_flows(probe).values())
+    return Network(nodes, edges, "S", receivers, n, field)
+
+
+def backward_step_network(field):
+    """The shortest first path S-a-x-T blocks b, so the second augmenting
+    path S-b-x runs a-x backwards and leaves by a-y-T."""
+    edges = [("Sa", "S", "a"), ("Sb", "S", "b"), ("ax", "a", "x"), ("bx", "b", "x"),
+             ("xT", "x", "T"), ("ay", "a", "y"), ("yT", "y", "T")]
+    return Network(("S", "a", "b", "x", "y", "T"), edges, "S", ("T",), 2, field)
+
+
+def test_max_flow_reroutes_over_a_backward_edge(gf2):
+    net = backward_step_network(gf2)
+    assert net.min_cut("T") == 2
+    assert net.edge_disjoint_flows()["T"].paths == (("Sa", "ay", "yT"), ("Sb", "bx", "xT"))
+
+
+def flow_corpus():
+    """The butterfly, the backward-step network, B(2,3) to B(5,9), 500
+    random multicast networks and 200 random acyclic networks, all seeded."""
+    rng = random.Random(20261018)
+    f = field_new(2)
+    nets = [butterfly_network(f), backward_step_network(f)]
+    nets += [combination_network(n, M, f) for n in range(2, 6) for M in range(n + 1, 10)]
+    for _ in range(500):
+        n, t = rng.randint(1, 4), rng.randint(1, 4)
+        nets.append(random_multicast_network(rng, n, t, f, n - 1 + t * n + rng.randint(0, 3)))
+    nets += [random_dag_network(rng, f) for _ in range(200)]
+    return nets
+
+
+def test_stored_flows_equal_a_fresh_max_flow():
+    nets = flow_corpus()
+    assert len(nets) == 724
+    for net in nets:
+        flows = net.edge_disjoint_flows()
+        assert list(flows) == list(net.receivers)
+        for r, (value, paths) in reference_flows(net).items():
+            assert net.min_cut(r) == value
+            assert flows[r].paths == paths
+
+
+def test_max_flow_runs_once_per_receiver_when_the_network_is_built(monkeypatch):
+    calls = []
+    max_flow = Network._max_flow
+    monkeypatch.setattr(Network, "_max_flow",
+                        lambda net, r: calls.append(r) or max_flow(net, r))
+    for build, q, H_row in ((butterfly_network, 3, [1, 1]),
+                            (lambda f: combination_network(4, 10, f), 23, [1, 1, 1, 1])):
+        f = field_new(q)
+        net = build(f)
+        assert calls == list(net.receivers)
+        calls.clear()
+        net.edge_disjoint_flows()
+        secure_lif(net, net.n, 1, FMatrix(f, [H_row]))
+        assert calls == []
+
+
+def test_min_cut_is_kept_for_receivers_only(gf3):
+    with pytest.raises(UnknownNode, match="unknown receiver A"):
+        butterfly_network(gf3).min_cut("A")
 
 
 def test_butterfly_code_global_vectors(gf3):

@@ -19,7 +19,6 @@ from wiretapnc.exceptions import (
     DimensionMismatch,
     FieldMismatch,
     FieldTooSmall,
-    InsufficientCut,
     SingularMatrix,
 )
 from wiretapnc.fmatrix import FMatrix
@@ -141,9 +140,10 @@ def test_secure_lif_check_cap_is_read_at_call_time(gf3, monkeypatch, H_rows):
 
 
 def test_secure_lif_insufficient_cut(gf3):
+    # an n above the network's min cut is refused as an n other than the network's
     net = parallel_network(2, gf3)
     H = FMatrix(gf3, [[1, 1, 1]])
-    with pytest.raises(InsufficientCut):
+    with pytest.raises(DimensionMismatch, match=r"n=3, but the network has n=2"):
         secure_lif(net, 3, 1, H)
 
 
