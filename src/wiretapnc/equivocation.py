@@ -1,15 +1,16 @@
 """Exact wiretapper-equivocation analysis via the rank formula.
 
 Y is uniform on F_q^n, so the equivocation of an observation W is
-H(S | Z_W) = rank [H; C_W] - rank C_W (`securecode.observation_equivocation`),
-for full-rank and rank-deficient C_W alike.  Delta(mu) is its minimum over
-all W of size mu, attained where C_W has the largest rank, min(mu, rank C_E).
-For mu <= rank C_E it ranges over sets of mu distinct coding-vector
-directions (`securecode.full_rank_observations`); for mu > rank C_E every
-largest-rank W spans C_E, so Delta(mu) = rank [H; C_E] - rank C_E, flagged,
-with no enumeration.  The witness is the first minimiser, in lexicographic
-order, among the largest-rank edge subsets: the smallest representative
-tuple of a minimising point set, or the first mu-subset spanning C_E.
+H(S | Z_W) = rank [H; C_W] - rank C_W, for full-rank and rank-deficient C_W
+alike.  Delta(mu) is its minimum over all W of size mu, attained where C_W
+has the largest rank, min(mu, rank C_E).  For mu <= rank C_E it is a
+branch-and-bound over the walk of sets of mu distinct coding-vector
+directions (`securecode.full_rank_observations`), which stops at the floor
+max(rank H - mu, rank [H; C_E] - rank C_E); for mu > rank C_E every
+largest-rank W spans C_E, so Delta(mu) = rank [H; C_E] - rank C_E, flagged.
+The witness is the first minimiser, in lexicographic order, among the
+largest-rank edge subsets: the smallest representative tuple of a
+minimising point set, or the first mu-subset spanning C_E.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from .exceptions import (
     SingularMatrix,
     TooLargeForExhaustive,
 )
-from .fmatrix import FMatrix, combination
+from .fmatrix import FMatrix, combination, echelon, reduce_row
 from .netgraph import NetworkCode
-from .securecode import (check_budget, full_rank_observations,
-                         observation_equivocation, wiretappable_edges)
+from .securecode import check_budget, full_rank_observations, wiretappable_edges
 
 GHW_CODEWORD_CAP = 10 ** 6
 
@@ -51,33 +51,34 @@ def equivocation_rank(H: FMatrix, code: NetworkCode, mu: int, restricted=None):
     size-mu subset achieves rank mu.
     """
     check_budget(mu)
-    k = H.rows
     edges = wiretappable_edges(code, restricted)
     if mu == 0:
-        return k, (), False
+        return H.rows, (), False
     if mu > len(edges):
         raise DimensionMismatch(f"mu={mu} exceeds {len(edges)} wiretappable edges")
-    C_E = code.coding_matrix(edges)
-    rank_E = C_E.rank()
+    f = code.field
+    rows = [code.global_vectors[e] for e in edges]
+    rank_E = len(echelon(f, rows))
+    # no observation leaves less than Z_E does: H(S | Z_W) >= H(S | Z_E)
+    floor = len(echelon(f, [*H.data, *rows])) - rank_E
     if mu > rank_E:
         # the first mu-subset spanning C_E: take each edge in turn while the
         # positions left can still lift the chosen ones to rank_E.  An edge
         # skipped that way lies in the span of those chosen before it, so
         # the chosen edges and every later edge always still span C_E.
-        chosen = []
-        for e in edges:
-            trial = chosen + [e]
-            if len(trial) <= mu and rank_E - code.coding_matrix(trial).rank() <= mu - len(trial):
-                chosen = trial
-        return observation_equivocation(H, C_E, rank_E), tuple(chosen), True
-    best, witness = None, None
-    for W, C in full_rank_observations(code, edges, (mu,)):
-        d = observation_equivocation(H, C, mu)
-        if best is None or d < best:
-            best, witness = d, W
-            if d == 0:
-                break
-    return best, witness, False
+        chosen, basis = [], []
+        for e, v in zip(edges, rows):
+            step = reduce_row(f, basis, v)
+            if len(chosen) < mu and rank_E - len(basis) - bool(step) < mu - len(chosen):
+                chosen.append(e)
+                basis += [step] if step else []
+        return floor, tuple(chosen), True
+    # nor less than rank [H; C_W] - |W| >= rank H - mu
+    floor = max(floor, len(echelon(f, H.data)) - mu)
+    for W, d, _, _ in full_rank_observations(code, edges, (mu,), H, least=True):
+        if d <= floor:
+            break
+    return d, W, False
 
 
 def equivocation_sweep(H: FMatrix, code: NetworkCode, mu_max: int,
@@ -173,7 +174,7 @@ def generalized_hamming_weights(C_generator: FMatrix):
             raise TooLargeForExhaustive(f"choose({len(codewords)}, {r}) exceeds cap")
         best = None
         for subset in combinations(codewords, r):
-            if FMatrix(f, subset, G.cols).rank() != r:
+            if len(echelon(f, subset)) != r:
                 continue
             support = set()
             for word in subset:

@@ -1,7 +1,9 @@
 """Dense exact linear algebra over a finite field.
 
 Matrices are immutable; entries are integer-encoded elements, each checked
-by `FieldSpec.check` on the way in.
+by `FieldSpec.check` on the way in.  Every elimination is one step,
+`reduce_row`, which inserts a row into an echelon basis; the matrix methods
+and the point-set walk of `securecode` share it.
 Pivoting is first-nonzero in column order, so every operation is a
 deterministic function of its inputs.  Zero-row matrices are first-class
 values (needed for empty wiretap observations and full-column-rank kernels).
@@ -61,92 +63,49 @@ class FMatrix:
     # ---- elimination core ----
 
     def _echelon(self, augment=None):
-        """Row reduce [M | augment] to reduced echelon form, taking pivots
-        only in M's columns.  Returns (rows, pivots); each row keeps its
-        augmented part after the first `cols` entries."""
-        f = self.field
-        if augment is None:
-            work = [list(r) for r in self.data]
-        else:
-            work = [[*r, *a] for r, a in zip(self.data, augment)]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot = None
-            for i in range(r, len(work)):
-                if work[i][c]:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            inv = f.inv(work[r][c])
-            if inv != 1:
-                work[r] = [f.mul(inv, x) for x in work[r]]
-            for i in range(len(work)):
-                if i != r and work[i][c]:
-                    # x - factor * y as x + (-factor) * y: one neg per row
-                    neg_factor = f.neg(work[i][c])
-                    work[i] = [
-                        f.add(x, f.mul(neg_factor, y)) for x, y in zip(work[i], work[r])
-                    ]
-            pivots.append(c)
-            r += 1
-            if r == len(work):
-                break
-        return work, pivots
+        """Reduced echelon form of [M | augment]: (rows, pivots), the nonzero
+        rows in pivot order.  A pivot at or past `cols` lies in the augment."""
+        data = self.data if augment is None else [(*r, *a) for r, a in zip(self.data, augment)]
+        return back_substitute(self.field, echelon(self.field, data))
 
     def rref(self):
-        work, pivots = self._echelon()
-        return FMatrix(self.field, work, self.cols), tuple(pivots)
+        rows, pivots = self._echelon()
+        zero = [0] * self.cols
+        return FMatrix(self.field, rows + [zero] * (self.rows - len(rows)), self.cols), pivots
 
     def rank(self) -> int:
-        _, pivots = self._echelon()
-        return len(pivots)
+        return len(echelon(self.field, self.data))
 
     def row_basis(self) -> "FMatrix":
         """Nonzero rows of the RREF: canonical basis of the row space."""
-        work, pivots = self._echelon()
-        return FMatrix(self.field, work[: len(pivots)], self.cols)
+        return FMatrix(self.field, self._echelon()[0], self.cols)
 
     def invert(self) -> "FMatrix":
         if self.rows != self.cols:
             raise SingularMatrix(f"matrix is {self.rows}x{self.cols}, not square")
         eye = [[1 if i == j else 0 for j in range(self.rows)] for i in range(self.rows)]
-        work, pivots = self._echelon(augment=eye)
-        if len(pivots) != self.cols:
-            raise SingularMatrix(
-                f"singular matrix of rank {len(pivots)}", rank=len(pivots)
-            )
-        return FMatrix(self.field, [row[self.cols:] for row in work])
+        rows, pivots = self._echelon(augment=eye)
+        rank = sum(c < self.cols for c in pivots)
+        if rank != self.cols:
+            raise SingularMatrix(f"singular matrix of rank {rank}", rank=rank)
+        return FMatrix(self.field, [row[self.cols:] for row in rows])
 
     def null_space_basis(self) -> "FMatrix":
         """Rows form the reduced-echelon canonical basis of the right kernel."""
-        f = self.field
-        work, pivots = self._echelon()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            vec = [0] * self.cols
-            vec[fc] = 1
-            for r, pc in enumerate(pivots):
-                vec[pc] = f.neg(work[r][fc])
-            basis.append(vec)
-        return FMatrix(f, basis, self.cols)
+        return FMatrix(self.field, null_space(self.field, echelon(self.field, self.data),
+                                              self.cols), self.cols)
 
     def solve(self, b):
         """Solve M x = b.  Returns (x, unique); raises NoSolution if inconsistent."""
         b = [self.field.check(x) for x in b]
         if len(b) != self.rows:
             raise DimensionMismatch(f"rhs length {len(b)} != {self.rows} rows")
-        work, pivots = self._echelon(augment=[[x] for x in b])
-        for i in range(len(pivots), self.rows):
-            if work[i][-1] != 0:
-                raise NoSolution("inconsistent system")
+        rows, pivots = self._echelon(augment=[[x] for x in b])
+        if pivots and pivots[-1] == self.cols:
+            raise NoSolution("inconsistent system")
         x = [0] * self.cols
-        for r, c in enumerate(pivots):
-            x[c] = work[r][-1]
+        for row, c in zip(rows, pivots):
+            x[c] = row[-1]
         return x, len(pivots) == self.cols
 
     # ---- structural operations ----
@@ -187,9 +146,6 @@ class FMatrix:
             other.cols,
         )
 
-    def __matmul__(self, other):
-        return self.mul_mat(other)
-
     def mul_vec(self, v):
         v = [self.field.check(x) for x in v]
         if len(v) != self.cols:
@@ -226,3 +182,56 @@ def combination(field, coeffs, rows, width):
                 if b:
                     acc[j] = field.add(acc[j], field.mul(c, b))
     return acc
+
+
+# ---- the one elimination step ----
+
+def reduce_row(field, basis, v):
+    """Reduce v by an echelon basis: a list of (pivot, row) pairs, each row 1
+    at its pivot, 0 before it and 0 at the pivots of the pairs before it.
+    Returns v's remainder as (pivot, row), scaled to 1 at its first nonzero
+    entry, or None when v lies in the span of the basis."""
+    for p, row in basis:
+        if v[p]:
+            neg = field.neg(v[p])
+            v = [x if not y else field.add(x, field.mul(neg, y)) for x, y in zip(v, row)]
+    for p, c in enumerate(v):
+        if c:
+            inv = field.inv(c)
+            return p, v if c == 1 else [field.mul(inv, x) for x in v]
+    return None
+
+
+def echelon(field, rows):
+    """An echelon basis of the span of the rows, inserted in order."""
+    basis = []
+    for v in rows:
+        step = reduce_row(field, basis, v)
+        if step:
+            basis.append(step)
+            if len(basis) == len(v):
+                break
+    return basis
+
+
+def back_substitute(field, basis):
+    """(rows, pivots) of the reduced echelon form of an echelon basis' span:
+    each row, last pivot first, reduced by the rows already done."""
+    done = []
+    for _, row in sorted(basis, reverse=True):
+        done.insert(0, reduce_row(field, done, row))
+    return [row for _, row in done], tuple(p for p, _ in done)
+
+
+def null_space(field, basis, width):
+    """The reduced-echelon canonical basis, as row tuples, of the vectors of
+    length `width` that annihilate the span of an echelon basis."""
+    rows, pivots = back_substitute(field, basis)
+    kernel = []
+    for fc in sorted(set(range(width)) - set(pivots)):
+        vec = [0] * width
+        vec[fc] = 1
+        for row, pc in zip(rows, pivots):
+            vec[pc] = field.neg(row[fc])
+        kernel.append(tuple(vec))
+    return tuple(kernel)

@@ -2,24 +2,23 @@
 
 The central condition: a coset code with parity check H (k x n, k = n - mu)
 stays perfectly secret on a network iff rank [H; C_W] = k + |W| for every
-full-rank observation C_W of at most mu edges.  `observation_equivocation`
-is the one place that computes rank [H; C_W] - rank C_W; every verification
-(`verify_secrecy_condition` is exhaustive) and every equivocation goes
-through it, over the one enumeration, `full_rank_observations`: both depend
-on C_W only through its row space, so it ranges over sets of distinct
-coding-vector directions (projective points), each named by its points'
-first edges, so every witness is the one an edge-subset search in
-lexicographic order finds.  `secure_lif` (Linear Information Flow with
-security invariants) tests candidates by the containment form of the
-condition: a new vector must leave span [H; C_W] unless it lies in span
-C_W.  The rest covers alphabet bounds, the combination network design, the
-Cai-Yeung equivalence, and the Byzantine cascade condition.
+full-rank observation C_W of at most mu edges.  Both sides depend on C_W
+only through its row space, so every verification and every equivocation
+runs over one walk, `full_rank_observations`, over sets of distinct
+coding-vector directions, each named by its points' first edges (the
+witness an edge-subset search in lexicographic order finds).  The walk
+carries echelon bases of C_W and [H; C_W] down a prefix tree, one row
+reduction per step, and yields rank [H; C_W] - |W|.  `secure_lif` (Linear
+Information Flow with security invariants) tests candidates by the
+containment form of the condition: a new vector must leave span [H; C_W]
+unless it lies in span C_W.  The rest covers alphabet bounds, the
+combination network design, the Cai-Yeung equivalence, and the Byzantine
+cascade condition.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import comb
+from math import comb, inf
 
 from .coset import CosetCode, rs_parity_check
 from .exceptions import (
@@ -33,7 +32,7 @@ from .exceptions import (
     InvariantViolated,
     SingularMatrix,
 )
-from .fmatrix import FMatrix, combination, dot
+from .fmatrix import FMatrix, combination, dot, echelon, null_space, reduce_row
 from .gf import FieldSpec
 from .netgraph import Network, NetworkCode, combination_network
 
@@ -72,46 +71,65 @@ def wiretappable_edges(code: NetworkCode, restricted=None):
     return [eid for eid in ids if eid in restricted]
 
 
-def observation_equivocation(H: FMatrix, C: FMatrix, r: int | None = None) -> int:
-    """Exact H(S | Z_W) in q-ary symbols: rank [H; C] - rank C.
-
-    Y is uniform on F_q^n, so (S, Z_W) = [H; C] Y and Z_W = C Y are uniform
-    on the images of [H; C] and C, and H(S | Z_W) = H(S, Z_W) - H(Z_W) is
-    the rank difference.  For full-rank C_W the secrecy condition
-    rank [H; C_W] = k + |W| says exactly that this equals k.  `r` is the
-    rank to subtract: C.rank() unless the caller already knows it.
-    """
-    return H.stack(C).rank() - (C.rank() if r is None else r)
-
-
 def check_budget(mu: int, name: str = "mu"):
     """Refuse a negative wiretap budget."""
     if mu < 0:
         raise BadBudgets(f"{name}={mu} must be non-negative")
 
 
-def full_rank_observations(code: NetworkCode, edges, sizes, newest=False):
-    """Yield (W, C_W) for each set W of distinct coding-vector directions of
-    the given sizes whose C_W has full rank |W|, in lexicographic order
-    within each size.  A direction is a nonzero global vector scaled to a
-    leading 1, and W names the first edge of `edges` on each direction.
-    With `newest`, only the sets holding the last edge, if its direction is new."""
+def full_rank_observations(code: NetworkCode, edges, sizes, H: FMatrix, G: FMatrix | None = None,
+                           newest=False, least=False):
+    """Yield (W, d, C, HC) per set W of distinct coding-vector directions of
+    the given sizes whose C_W has full rank |W|, in lexicographic order per
+    size.  A direction is a nonzero global vector scaled to a leading 1; W
+    names the first edge of `edges` on each.  d = rank [H; C_W G] - |W| (G = I
+    if None); C and HC are echelon bases (`fmatrix.reduce_row`) of C_W and
+    [H; C_W G].  The walk goes depth first, one row reduction per step, and a
+    dependent prefix ends its subtree.  `newest`: only the sets holding the
+    last edge, if its direction is new, which starts the walk.  `least`: only
+    the sets whose d is below every d yielded before; a j-prefix of a size-s
+    set is cut when its d - (s - j) is not, as a point lowers d by at most 1."""
     f, first = code.field, {}
+    if H.field != f:
+        raise FieldMismatch(f"H is over {H.field!r}, but the code is over {f!r}")
+    width = code.n if G is None else G.cols
+    if H.cols != width:
+        raise DimensionMismatch(f"H has {H.cols} columns, expected {width}")
     for eid in edges:
         vec = code.global_vectors[eid]
         lead = next(filter(None, vec), 0)
         if lead:
             inv = f.inv(lead)
             first.setdefault(tuple([f.mul(inv, x) for x in vec]), eid)
-    points = list(first.values())
-    if newest and points[-1:] != [eid]:
-        return
-    last = (points.pop(),) if newest else ()
+    points = [(eid, v, v if G is None else combination(f, v, G.data, G.cols))
+              for v, eid in first.items()]
+    last, rows, hrows, best = (), [], H.data, inf
+    if newest:
+        if not points or points[-1][0] != edges[-1]:
+            return
+        eid, row, hrow = points.pop()
+        last, rows, hrows = (eid,), [row], [*hrows, hrow]
+
+    def grow(W, start, C, HC, left):
+        nonlocal best
+        if not left:
+            if least:
+                best = len(HC) - len(C)
+            yield W + last, len(HC) - len(C), C, HC
+            return
+        for j in range(start, len(points) - left + 1):
+            eid, row, hrow = points[j]
+            step = reduce_row(f, C, row)
+            if step:
+                hstep = reduce_row(f, HC, hrow)
+                grown = HC + [hstep] if hstep else HC
+                # d with this point, less the left - 1 points to come, must beat best
+                if len(grown) - len(C) - left < best:
+                    yield from grow(W + (eid,), j + 1, C + [step], grown, left - 1)
+
     for size in sizes:
-        for W in (c + last for c in combinations(points, size - len(last))):
-            C = code.coding_matrix(W)
-            if C.rank() == size:
-                yield W, C
+        if size >= len(last):
+            yield from grow((), 0, echelon(f, rows), echelon(f, hrows), size - len(last))
 
 
 def verify_secrecy_condition(H: FMatrix, code: NetworkCode, mu: int, restricted=None):
@@ -126,8 +144,8 @@ def verify_secrecy_condition(H: FMatrix, code: NetworkCode, mu: int, restricted=
     if mu > code.n:
         raise BudgetExceedsCut(f"mu={mu} exceeds multicast dimension n={code.n}")
     edges = wiretappable_edges(code, restricted)
-    for W, C in full_rank_observations(code, edges, range(1, mu + 1)):
-        if observation_equivocation(H, C, len(W)) != H.rows:
+    for W, d, _, _ in full_rank_observations(code, edges, range(1, mu + 1), H):
+        if d != H.rows:
             return False, W
     return True, None
 
@@ -143,7 +161,7 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     W = {e} united with processed edges, |W| <= mu.  The search runs
     depth-first over coefficient prefixes in product order and skips each
     prefix whose completions all lie in one receiver's forbidden span.  The
-    finished code is verified through `observation_equivocation`.  "checks"
+    finished code is verified by `verify_secrecy_condition`.  "checks"
     in the certificate counts forbidden-subspace tests, of prefixes and of
     full vectors, capped at SUBSET_CHECK_CAP (ComplexityCapExceeded).
     Refused before the search: a rank-deficient H (SingularMatrix), k + mu >
@@ -180,9 +198,10 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
 
     code = NetworkCode(net)
     checks = 0
-    order = {e.id: i for i, e in enumerate(net.topological_order)}
     top = mu if k else 0  # security sets have sizes below top; with k = 0 there are none
-    security = _security_pairs(code, H, range(top))
+    # the security pairs as a prefix tree: kids[W] holds the pairs of the sets
+    # W + (x,) in the order x was coded, so the tree's levels list them in order
+    roots, kids = _security_pairs(code, H, range(top)), {}
 
     def forbids(inside, outside, vec):
         """One counted test of vec against a `_forbidden_subspaces` pair."""
@@ -205,6 +224,10 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
 
     for e in net.topological_order:
         inputs = code.inputs(e.id)
+        security, level = [], roots
+        while level:
+            security += level
+            level = [pair for W, _ in level for pair in kids.get(W, ())]
         forbidden = _forbidden_subspaces(code, frontier, on_path[e.id], security)
         # doomed[j]: the receiver spans holding every input a j-prefix leaves free
         doomed = [[x for x, o in forbidden if o is None and not any(dot(f, row, u)
@@ -224,8 +247,8 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
         code.global_vectors[e.id] = tuple(vec)
         for r, pi in on_path[e.id]:
             frontier[r][pi] = vec
-        security += _security_pairs(code, H, range(1, top), newest=True)
-        security.sort(key=lambda s: (len(s[0]), [order[eid] for eid in s[0]]))
+        for W, pair in _security_pairs(code, H, range(1, top), newest=True):
+            kids.setdefault(W[:-1], []).append((W, pair))
 
     code.propagate()
     ok, witness = verify_secrecy_condition(H, code, mu)
@@ -249,18 +272,16 @@ def _forbidden_subspaces(code, frontier, paths, security):
     (receiver r, path pi) in `paths`, A is r's frontier without row pi; then
     the pairs of `security`, a list of `_security_pairs` items."""
     f, n = code.field, code.n
-    forbidden = []
-    for r, pi in paths:
-        rest = FMatrix(f, [row for i, row in enumerate(frontier[r]) if i != pi], n)
-        forbidden.append((rest.null_space_basis().data, None))
-    return forbidden + [pair for _, pair in security]
+    return [(null_space(f, echelon(f, frontier[r][:pi] + frontier[r][pi + 1:]), n), None)
+            for r, pi in paths] + [pair for _, pair in security]
 
 
 def _security_pairs(code, H, sizes, newest=False):
     """(W, (inside, outside)) per W from `full_rank_observations` over the
     processed edges: A = [H; C_W] and B = C_W (W has rank k + |W| already)."""
-    return [(W, (H.stack(C).null_space_basis().data, C.null_space_basis().data))
-            for W, C in full_rank_observations(code, code.global_vectors, sizes, newest)]
+    f, n = code.field, code.n
+    return [(W, (null_space(f, HC, n), null_space(f, C, n))) for W, _, C, HC
+            in full_rank_observations(code, list(code.global_vectors), sizes, H, newest=newest)]
 
 
 # ---- alphabet-size bounds ----
@@ -366,12 +387,8 @@ def byzantine_secrecy_check(H: FMatrix, G_gen: FMatrix, code: NetworkCode,
         raise DimensionMismatch(
             f"generator has {G_gen.rows} rows, expected n={code.n}"
         )
-    if H.cols != G_gen.cols:
-        raise DimensionMismatch(
-            f"H has {H.cols} columns but the generator has {G_gen.cols}"
-        )
     edges = wiretappable_edges(code, restricted)
-    for W, C in full_rank_observations(code, edges, (mu,)):
-        if observation_equivocation(H, C.mul_mat(G_gen), mu) != H.rows:
+    for W, d, _, _ in full_rank_observations(code, edges, (mu,), H, G_gen):
+        if d != H.rows:
             return False, W
     return True, None

@@ -12,7 +12,7 @@ from wiretapnc.exceptions import InsufficientCut
 from wiretapnc.fmatrix import FMatrix, combination, dot
 from wiretapnc.gf import field_new, is_prime
 from wiretapnc.netgraph import Network, NetworkCode
-from wiretapnc.securecode import observation_equivocation, wiretappable_edges
+from wiretapnc.securecode import wiretappable_edges
 
 
 @pytest.fixture(scope="session")
@@ -124,6 +124,15 @@ def reference_entropy_terms(H, code, W):
     h_z, h_sz = entropy(z_counts), entropy(sz_counts)
     return {"H(S|Z)": h_sz - h_z, "H(Y|Z)": n - h_z, "H(Y|SZ)": n - h_sz,
             "H(Z)": h_z}
+
+
+def observation_equivocation(H, C, r=None):
+    """Exact H(S | Z_W) in q-ary symbols from built matrices: rank [H; C] -
+    rank C, with `r` the rank of C when the caller knows it.  Y is uniform
+    on F_q^n, so (S, Z_W) = [H; C] Y and Z_W = C Y are uniform on the images
+    of [H; C] and C, and H(S | Z_W) = H(S, Z_W) - H(Z_W) is the rank
+    difference: the formula the package's point-set walk computes."""
+    return H.stack(C).rank() - (C.rank() if r is None else r)
 
 
 def reference_equivocation_rank(H, code, mu, restricted=None):
@@ -247,6 +256,21 @@ def random_coded_instance(rng, q=None, n=None, k=None, max_edges=10):
     code.propagate()
     H = random_full_rank_matrix(rng, field, k, n)
     return net, code, H
+
+
+def fan_instance(rng, field, M, n, k):
+    """The fan code S -> v_i -> R, i < M: branch i carries one random source
+    vector on both of its edges, Sv<i> and v<i>R (so zero and parallel
+    vectors occur), with a random full-rank k x n coset matrix H."""
+    nodes = ["S", "R"] + [f"v{i}" for i in range(M)]
+    edges = [(f"Sv{i}", "S", f"v{i}") for i in range(M)]
+    edges += [(f"v{i}R", f"v{i}", "R") for i in range(M)]
+    code = NetworkCode(Network(nodes, edges, "S", (), n, field))
+    for i in range(M):
+        code.set_local(f"Sv{i}", [rng.randrange(field.order) for _ in range(n)])
+        code.set_local(f"v{i}R", [1])
+    code.propagate()
+    return code, random_full_rank_matrix(rng, field, k, n)
 
 
 def random_multicast_network(rng, n, t, field, max_edges=12):

@@ -149,6 +149,22 @@ def test_verify_failure_exit_code(fixtures, capsys, gf3):
     assert "witness: BE" in out
 
 
+@pytest.mark.parametrize("be_local, mu, rc, achieved", [
+    ((1, 1), 0, 0, 0), ((1, 1), 1, 2, 0), ((1, 2), 1, 0, 1)],
+    ids=["insecure-mu-edited-to-0", "insecure", "secure"])
+def test_verify_reports_achieved_mu(fixtures, capsys, gf3, be_local, mu, rc, achieved):
+    """The exit code follows the claimed params.mu; `achieved_mu` is the
+    largest mu <= n - k at which the condition holds, whatever the claim."""
+    design = SecureDesign(CosetCode(FMatrix(gf3, [[1, 1]])), butterfly_code(gf3, be_local),
+                          SecurityParams(mu=mu, k=1, n=2), {})
+    path = fixtures / "design.json"
+    write_json(path, design_to_json(design))
+    got, out = run(["verify", "--design", path], capsys)
+    summary = json.loads(out.splitlines()[0])["summary"]
+    assert (got, summary["ok"], summary["achieved_mu"]) == (rc, rc == 0, achieved)
+    assert summary["witness"] == (["BE"] if rc else None)
+
+
 def test_coset_encode_decode(fixtures, capsys):
     rc, out = run(["coset", "encode", "--H", fixtures / "h.json",
                    "--secret", "[1]", "--seed", "3"], capsys)

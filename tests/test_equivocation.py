@@ -5,12 +5,16 @@ import pytest
 
 from conftest import (
     complete_to_invertible,
+    fan_instance,
     inverse_and_select_equivocation,
+    observation_equivocation,
+    prime_power_parts,
     random_coded_instance,
     random_full_rank_matrix,
     reference_equivocation_rank,
     reference_first_violation,
 )
+from wiretapnc import equivocation, securecode
 from wiretapnc.coset import rs_parity_check
 from wiretapnc.equivocation import (
     equivocation_rank,
@@ -26,17 +30,17 @@ from wiretapnc.exceptions import (
     BadBudgets,
     CutNotInvertible,
     DimensionMismatch,
+    FieldMismatch,
     SingularMatrix,
     TooLargeForExhaustive,
 )
-from wiretapnc.fmatrix import FMatrix
+from wiretapnc.fmatrix import FMatrix, reduce_row
 from wiretapnc.gf import field_new
 from wiretapnc.netgraph import NetworkCode, butterfly_code, parallel_network
 from wiretapnc.securecode import (
     byzantine_secrecy_check,
     combination_secure_design,
     full_rank_observations,
-    observation_equivocation,
     verify_secrecy_condition,
 )
 
@@ -63,6 +67,13 @@ def test_mu_zero_and_guards(gf3):
     assert equivocation_rank(H, code, 0) == (1, (), False)
     with pytest.raises(DimensionMismatch):
         equivocation_rank(H, code, 10)
+    # an H that does not fit the code is refused, not truncated to fit
+    for other, error in ((FMatrix(field_new(5), [[1, 1]]), FieldMismatch),
+                         (FMatrix(gf3, [[1, 1, 1]]), DimensionMismatch)):
+        with pytest.raises(error):
+            equivocation_rank(other, code, 1)
+        with pytest.raises(error):
+            verify_secrecy_condition(other, code, 1)
 
 
 def test_sweep_and_dr_profile(gf3):
@@ -199,7 +210,7 @@ def test_point_enumeration_equals_edge_subset_loop(q):
             edges = ids if restricted is None else restricted
             # each set of directions is yielded once, whichever edges carry it
             lines = [frozenset(code.coding_matrix([e]).row_basis() for e in W)
-                     for W, _ in full_rank_observations(code, edges, range(n + 1))]
+                     for W, *_ in full_rank_observations(code, edges, range(n + 1), H)]
             assert len(lines) == len(set(lines))
             for mu in range(len(edges) + 1):
                 got = equivocation_rank(H, code, mu, restricted)
@@ -226,3 +237,66 @@ def test_dual_problem_on_large_combination_network():
         assert len(witness) == mu
         if mu:
             assert equivocation_rank(H, code, mu, restricted=witness)[0] == delta
+
+
+def test_fan_corpus_equals_edge_subset_loops(monkeypatch):
+    """On seeded fan codes over GF(2)-GF(7), n <= 5, M <= 8 and every mu <=
+    rank C_E, Delta(mu), witness and flag, and the secrecy and cascade
+    verdicts, equal the plain edge-subset loops; and Delta's search both
+    stops early (its walk is left unfinished) and prunes by the bound (a
+    finished walk still reduces fewer rows than the unpruned walk)."""
+    walk, steps, finished, seen = securecode.full_rank_observations, [0], [], Counter()
+
+    def counted(*args):
+        steps[0] += 1
+        return reduce_row(*args)
+
+    def watched(*args, **kwargs):
+        yield from walk(*args, **kwargs)
+        finished.append(True)
+
+    monkeypatch.setattr(securecode, "reduce_row", counted)
+    monkeypatch.setattr(equivocation, "full_rank_observations", watched)
+    rng = random.Random(12)
+    for q in (2, 3, 4, 5, 7) * 5:
+        f = field_new(*prime_power_parts(q))
+        n = rng.randint(2, 5)
+        code, H = fan_instance(rng, f, rng.randint(2, 8), n, rng.randint(1, n))
+        G = random_full_rank_matrix(rng, f, n, n)
+        edges = sorted(code.global_vectors)
+        for mu in range(1, code.coding_matrix(edges).rank() + 1):
+            steps[0], finished[:] = 0, []
+            got = equivocation_rank(H, code, mu)
+            searched = steps[0]
+            assert got == reference_equivocation_rank(H, code, mu), (q, mu)
+            steps[0] = 0
+            list(walk(code, edges, (mu,), H))
+            if not finished:
+                seen["stopped"] += 1
+            elif searched < steps[0]:
+                seen["pruned"] += 1
+            assert verify_secrecy_condition(H, code, mu) == \
+                reference_first_violation(H, code, range(1, mu + 1))
+            assert byzantine_secrecy_check(H, G, code, mu) == \
+                reference_first_violation(H, code, (mu,), None, G)
+    assert seen["stopped"] and seen["pruned"], seen
+
+
+def test_point_set_walk_builds_no_matrix_per_set(monkeypatch):
+    """verify_secrecy_condition and equivocation_rank at mu = 2 build and
+    eliminate as many FMatrix objects on B(4, 8) as on B(4, 6): the count
+    does not grow with the number of point sets (36 against 21)."""
+    designs = [combination_secure_design(4, M, field_new(11), 2) for M in (6, 8)]
+    counts = []
+    for design in designs:
+        H, code, calls = design.coset.parity_check, design.netcode, Counter()
+        for name in ("__init__", "_echelon"):
+            def spy(*args, _name=name, _method=getattr(FMatrix, name), **kwargs):
+                calls[_name] += 1
+                return _method(*args, **kwargs)
+            monkeypatch.setattr(FMatrix, name, spy)
+        assert verify_secrecy_condition(H, code, 2) == (True, None)
+        assert equivocation_rank(H, code, 2) == (2, ("Sm0", "Sm1"), False)
+        monkeypatch.undo()
+        counts.append(calls)
+    assert counts[0] == counts[1]

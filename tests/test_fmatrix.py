@@ -83,7 +83,7 @@ def test_structural_operations(gf3):
     assert M.submatrix_rows([1]).data == ((0, 1, 1),)
     assert M.column(1) == (2, 1)
     assert M.stack(M).rows == 4
-    assert (M @ M.transpose()).data == ((2, 2), (2, 2))
+    assert M.mul_mat(M.transpose()).data == ((2, 2), (2, 2))
     assert M.mul_vec([1, 1, 1]) == [0, 2]
     assert dot(gf3, [1, 2], [2, 2]) == 0
 
@@ -109,8 +109,8 @@ def test_random_algebraic_identities():
         A = random_full_rank_matrix(rng, f, 3, 3)
         B = FMatrix(f, [[rng.randrange(5) for _ in range(3)] for _ in range(3)])
         C = FMatrix(f, [[rng.randrange(5) for _ in range(3)] for _ in range(3)])
-        assert (A @ B) @ C == A @ (B @ C)
-        assert A @ A.invert() == FMatrix.identity(f, 3)
+        assert A.mul_mat(B).mul_mat(C) == A.mul_mat(B.mul_mat(C))
+        assert A.mul_mat(A.invert()) == FMatrix.identity(f, 3)
         assert A.invert().invert() == A
 
 

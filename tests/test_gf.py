@@ -142,7 +142,7 @@ def test_cross_field_operations_rejected():
     with pytest.raises(EntryOutOfRange):
         gf3.check(4)
     with pytest.raises(FieldMismatch):
-        FMatrix(gf3, [[1]]) @ FMatrix(gf5, [[1]])
+        FMatrix(gf3, [[1]]).mul_mat(FMatrix(gf5, [[1]]))
 
 
 def test_element_range_checked():

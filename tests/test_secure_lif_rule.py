@@ -126,7 +126,8 @@ def test_forbidden_subspace_verdict_matches_rank_test(monkeypatch):
         H, mu = instance["H"], instance["mu"]
         f, n = code.field, code.n
         processed = list(code.global_vectors)
-        sets = list(securecode.full_rank_observations(code, processed, range(mu)))
+        sets = [(W, code.coding_matrix(W)) for W, *_ in
+                securecode.full_rank_observations(code, processed, range(mu), H)]
         # the edge being coded: secure_lif visits edges in topological order
         eid = next(e.id for e in code.network.topological_order
                    if e.id not in processed)
@@ -177,9 +178,11 @@ def _reached_edges(monkeypatch, net, H, mu):
 
     def spy(code, frontier, paths, security):
         processed = list(code.global_vectors)
-        fresh = [(W, (H.stack(C).null_space_basis().data, C.null_space_basis().data))
-                 for W, C in securecode.full_rank_observations(
-                     code, processed, range(mu if H.rows else 0))]
+        fresh = []
+        for W, *_ in securecode.full_rank_observations(
+                code, processed, range(mu if H.rows else 0), H):
+            C = code.coding_matrix(W)
+            fresh.append((W, (H.stack(C).null_space_basis().data, C.null_space_basis().data)))
         forbidden = forbidden_subspaces(code, frontier, paths, security)
         eid = next(e.id for e in code.network.topological_order
                    if e.id not in processed)

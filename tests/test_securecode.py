@@ -246,6 +246,10 @@ def test_byzantine_dimension_guards(gf3):
     with pytest.raises(DimensionMismatch):
         byzantine_secrecy_check(FMatrix(gf3, [[1, 1]]),
                                 FMatrix.identity(gf3, 3), code, 1)
+    # an n x 3 generator takes a 3-column H
+    with pytest.raises(DimensionMismatch, match="H has 2 columns, expected 3"):
+        byzantine_secrecy_check(FMatrix(gf3, [[1, 1]]),
+                                FMatrix(gf3, [[1, 0, 0], [0, 1, 0]]), code, 1)
 
 
 def test_final_checks_survive_optimized_mode(tmp_path):
