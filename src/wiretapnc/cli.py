@@ -155,7 +155,7 @@ def cmd_build(args):
     t0 = time.monotonic()
     net = load_json(args.network, network_from_json, "network")
     H = load_json(args.H, matrix_from_json, "matrix")
-    design = secure_lif(net, net.n, args.mu, H, net.field)
+    design = secure_lif(net, net.n, args.mu, H)
     write_json(args.out, design_to_json(design))
     inputs = {"network": args.network, "H": args.H}
     summary = {"out": args.out, "checks": design.certificate["checks"]}
@@ -167,9 +167,7 @@ def cmd_verify(args):
     from .securecode import check_budget, verify_secrecy_condition
     t0 = time.monotonic()
     design = load_json(args.design, design_from_json, "design")
-    restricted = args.restricted.split(",") if args.restricted else (
-        design.params.restricted_edges
-    )
+    restricted = args.restricted or design.params.restricted_edges
     # one walk up to n - k gives the verdict at the claimed mu and the design's
     # achieved level: the condition holds below the first violation's size
     H, mu = design.coset.parity_check, design.params.mu
@@ -192,9 +190,8 @@ def cmd_sweep(args):
     from .equivocation import equivocation_sweep
     t0 = time.monotonic()
     design = load_json(args.design, design_from_json, "design")
-    restricted = args.restricted.split(",") if args.restricted else None
     report = equivocation_sweep(
-        design.coset.parity_check, design.netcode, args.mu_max, restricted
+        design.coset.parity_check, design.netcode, args.mu_max, args.restricted
     )
     obj = {
         "delta": {str(mu): d for mu, d in report.delta.items()},
@@ -219,12 +216,9 @@ def cmd_oracle(args):
     t0 = time.monotonic()
     design = load_json(args.design, design_from_json, "design")
     H = design.coset.parity_check
-    restricted = args.restricted.split(",") if args.restricted else None
-    rank_delta, rank_witness, _ = equivocation_rank(
-        H, design.netcode, args.mu, restricted
-    )
+    rank_delta, rank_witness, _ = equivocation_rank(H, design.netcode, args.mu, args.restricted)
     oracle_delta, oracle_witness = min_equivocation_bruteforce(
-        H, design.netcode, args.mu, restricted
+        H, design.netcode, args.mu, args.restricted
     )
     agree = rank_delta == oracle_delta
     summary = {
@@ -287,6 +281,11 @@ def cmd_coset(args):
     return 0
 
 
+def _edge_ids(text):
+    """The edge ids of a comma-separated --restricted list; None if empty."""
+    return text.split(",") if text else None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="wiretapnc",
@@ -313,20 +312,20 @@ def build_parser():
 
     p = add_parser("verify", help="check the secrecy rank condition")
     p.add_argument("--design", required=True)
-    p.add_argument("--restricted", help="comma-separated edge ids")
+    p.add_argument("--restricted", type=_edge_ids, help="comma-separated edge ids")
     p.set_defaults(func=cmd_verify)
 
     p = add_parser("sweep", help="equivocation sweep over mu")
     p.add_argument("--design", required=True)
     p.add_argument("--mu-max", type=int, required=True)
-    p.add_argument("--restricted", help="comma-separated edge ids")
+    p.add_argument("--restricted", type=_edge_ids, help="comma-separated edge ids")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
     p = add_parser("oracle", help="cross-check rank formula vs brute force")
     p.add_argument("--design", required=True)
     p.add_argument("--mu", type=int, required=True)
-    p.add_argument("--restricted", help="comma-separated edge ids")
+    p.add_argument("--restricted", type=_edge_ids, help="comma-separated edge ids")
     p.set_defaults(func=cmd_oracle)
 
     p = add_parser("bounds", help="sufficient alphabet size for a network")

@@ -75,7 +75,7 @@ def equivocation_rank(H: FMatrix, code: NetworkCode, mu: int, restricted=None):
         return floor, tuple(chosen), True
     # nor less than rank [H; C_W] - |W| >= rank H - mu
     floor = max(floor, len(echelon(f, H.data)) - mu)
-    for W, d, _, _ in full_rank_observations(code, edges, (mu,), H, least=True):
+    for W, d in full_rank_observations(code, edges, (mu,), H, least=True):
         if d <= floor:
             break
     return d, W, False

@@ -25,12 +25,13 @@ class FMatrix:
 
     def __init__(self, field: FieldSpec, rows, cols: int | None = None):
         data = tuple(tuple(map(field.check, row)) for row in rows)
-        if data:
-            cols = len(data[0])
-            if any(len(r) != cols for r in data):
-                raise DimensionMismatch("ragged rows")
-        elif cols is None:
+        if cols is None and not data:
             raise DimensionMismatch("zero-row matrix needs an explicit column count")
+        cols = len(data[0]) if cols is None else cols
+        if type(cols) is not int or cols < 0:
+            raise DimensionMismatch(f"column count {cols!r} is not a non-negative integer")
+        if any(len(r) != cols for r in data):
+            raise DimensionMismatch(f"row lengths {sorted({*map(len, data)})} but {cols} columns")
         self.field = field
         self.data = data
         self.rows = len(data)
@@ -150,26 +151,18 @@ class FMatrix:
         v = [self.field.check(x) for x in v]
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector length {len(v)} != {self.cols} cols")
-        f = self.field
-        return [
-            _dot(f, row, v)
-            for row in self.data
-        ]
-
-
-def _dot(field, a, b):
-    acc = 0
-    for x, y in zip(a, b):
-        if x and y:
-            acc = field.add(acc, field.mul(x, y))
-    return acc
+        return [dot(self.field, row, v) for row in self.data]
 
 
 def dot(field, a, b):
     """Inner product of two integer-encoded vectors."""
     if len(a) != len(b):
         raise DimensionMismatch("vector lengths differ")
-    return _dot(field, a, b)
+    acc = 0
+    for x, y in zip(a, b):
+        if x and y:
+            acc = field.add(acc, field.mul(x, y))
+    return acc
 
 
 def combination(field, coeffs, rows, width):

@@ -90,6 +90,8 @@ class FieldSpec:
 
     def __init__(self, p: int, m: int = 1):
         try:
+            if isinstance(p, bool) or isinstance(m, bool):
+                raise TypeError
             p, m = index(p), index(m)
         except TypeError:
             raise BadParameters(f"p and m must be integers, got {p!r}, {m!r}") from None
@@ -209,8 +211,10 @@ class FieldSpec:
 
     def check(self, value) -> int:
         """The one check on an incoming element: an integer (Python or
-        numpy) in [0, q), returned as a Python int."""
+        numpy, not a boolean) in [0, q), returned as a Python int."""
         try:
+            if isinstance(value, bool):
+                raise TypeError
             value = index(value)
         except TypeError:
             raise EntryOutOfRange(f"entry {value!r} is not an integer") from None

@@ -11,8 +11,9 @@ carries echelon bases of C_W and [H; C_W] down a prefix tree, one row
 reduction per step, and yields rank [H; C_W] - |W|.  `secure_lif` (Linear
 Information Flow with security invariants) tests candidates by the
 containment form of the condition: a new vector must leave span [H; C_W]
-unless it lies in span C_W.  The rest covers alphabet bounds, the
-combination network design, the Cai-Yeung equivalence, and the Byzantine
+unless it lies in span C_W; it grows those sets from the bases it holds and
+walks point sets only to verify its output.  The rest covers alphabet bounds,
+the combination network design, the Cai-Yeung equivalence, and the Byzantine
 cascade condition.
 """
 
@@ -78,17 +79,16 @@ def check_budget(mu: int, name: str = "mu"):
 
 
 def full_rank_observations(code: NetworkCode, edges, sizes, H: FMatrix, G: FMatrix | None = None,
-                           newest=False, least=False):
-    """Yield (W, d, C, HC) per set W of distinct coding-vector directions of
-    the given sizes whose C_W has full rank |W|, in lexicographic order per
-    size.  A direction is a nonzero global vector scaled to a leading 1; W
-    names the first edge of `edges` on each.  d = rank [H; C_W G] - |W| (G = I
-    if None); C and HC are echelon bases (`fmatrix.reduce_row`) of C_W and
-    [H; C_W G].  The walk goes depth first, one row reduction per step, and a
-    dependent prefix ends its subtree.  `newest`: only the sets holding the
-    last edge, if its direction is new, which starts the walk.  `least`: only
-    the sets whose d is below every d yielded before; a j-prefix of a size-s
-    set is cut when its d - (s - j) is not, as a point lowers d by at most 1."""
+                           least=False):
+    """Yield (W, d) per set W of distinct coding-vector directions of the
+    given sizes whose C_W has full rank |W|, in lexicographic order per size.
+    A direction is a nonzero global vector scaled to a leading 1; W names the
+    first edge of `edges` on each.  d = rank [H; C_W G] - |W| (G = I if None).
+    The walk goes depth first and carries echelon bases (`fmatrix.reduce_row`)
+    of C_W and [H; C_W G], one row reduction per step; a dependent prefix ends
+    its subtree.  `least`: only the sets whose d is below every d yielded
+    before; a j-prefix of a size-s set is cut when its d - (s - j) is not, as
+    a point lowers d by at most 1."""
     f, first = code.field, {}
     if H.field != f:
         raise FieldMismatch(f"H is over {H.field!r}, but the code is over {f!r}")
@@ -103,19 +103,14 @@ def full_rank_observations(code: NetworkCode, edges, sizes, H: FMatrix, G: FMatr
             first.setdefault(tuple([f.mul(inv, x) for x in vec]), eid)
     points = [(eid, v, v if G is None else combination(f, v, G.data, G.cols))
               for v, eid in first.items()]
-    last, rows, hrows, best = (), [], H.data, inf
-    if newest:
-        if not points or points[-1][0] != edges[-1]:
-            return
-        eid, row, hrow = points.pop()
-        last, rows, hrows = (eid,), [row], [*hrows, hrow]
+    best = inf
 
     def grow(W, start, C, HC, left):
         nonlocal best
         if not left:
             if least:
                 best = len(HC) - len(C)
-            yield W + last, len(HC) - len(C), C, HC
+            yield W, len(HC) - len(C)
             return
         for j in range(start, len(points) - left + 1):
             eid, row, hrow = points[j]
@@ -128,8 +123,7 @@ def full_rank_observations(code: NetworkCode, edges, sizes, H: FMatrix, G: FMatr
                     yield from grow(W + (eid,), j + 1, C + [step], grown, left - 1)
 
     for size in sizes:
-        if size >= len(last):
-            yield from grow((), 0, echelon(f, rows), echelon(f, hrows), size - len(last))
+        yield from grow((), 0, [], echelon(f, H.data), size)
 
 
 def verify_secrecy_condition(H: FMatrix, code: NetworkCode, mu: int, restricted=None):
@@ -144,7 +138,7 @@ def verify_secrecy_condition(H: FMatrix, code: NetworkCode, mu: int, restricted=
     if mu > code.n:
         raise BudgetExceedsCut(f"mu={mu} exceeds multicast dimension n={code.n}")
     edges = wiretappable_edges(code, restricted)
-    for W, d, _, _ in full_rank_observations(code, edges, range(1, mu + 1), H):
+    for W, d in full_rank_observations(code, edges, range(1, mu + 1), H):
         if d != H.rows:
             return False, W
     return True, None
@@ -199,9 +193,16 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     code = NetworkCode(net)
     checks = 0
     top = mu if k else 0  # security sets have sizes below top; with k = 0 there are none
-    # the security pairs as a prefix tree: kids[W] holds the pairs of the sets
-    # W + (x,) in the order x was coded, so the tree's levels list them in order
-    roots, kids = _security_pairs(code, H, range(top)), {}
+    # the security sets as a prefix tree whose levels list them in order: kids[W] holds
+    # the sets W + (x,) in the order x was coded, bases[W] the echelon bases of C_W and
+    # [H; C_W], and seen the directions coded so far
+    bases, kids, seen = {}, {}, set()
+
+    def node(W, C, HC):  # W's `_forbidden_subspaces` item: A = [H; C_W], B = C_W
+        bases[W] = C, HC
+        return W, (null_space(f, HC, n), null_space(f, C, n))
+
+    roots = [node((), [], echelon(f, H.data))] if top else []
 
     def forbids(inside, outside, vec):
         """One counted test of vec against a `_forbidden_subspaces` pair."""
@@ -247,8 +248,17 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
         code.global_vectors[e.id] = tuple(vec)
         for r, pi in on_path[e.id]:
             frontier[r][pi] = vec
-        for W, pair in _security_pairs(code, H, range(1, top), newest=True):
-            kids.setdefault(W[:-1], []).append((W, pair))
+        # a new direction joins each smaller set W it is independent of; having
+        # passed W's pair, vec then also leaves span [H; C_W]
+        point = reduce_row(f, [], vec)  # (lead index, vec scaled to 1 there), or None
+        if point and tuple(point[1]) not in seen:
+            seen.add(tuple(point[1]))
+            for W, _ in security:
+                C, HC = bases[W]
+                step = len(W) < top - 1 and reduce_row(f, C, vec)
+                if step:
+                    kids.setdefault(W, []).append(
+                        node(W + (e.id,), C + [step], HC + [reduce_row(f, HC, vec)]))
 
     code.propagate()
     ok, witness = verify_secrecy_condition(H, code, mu)
@@ -270,18 +280,10 @@ def _forbidden_subspaces(code, frontier, paths, security):
     outside) of annihilator rows of a span A and its exemption B: v is
     forbidden when it is in A and, unless outside is None, not in B.  Per
     (receiver r, path pi) in `paths`, A is r's frontier without row pi; then
-    the pairs of `security`, a list of `_security_pairs` items."""
+    the pairs of `security`, a list of (W, pair) items."""
     f, n = code.field, code.n
     return [(null_space(f, echelon(f, frontier[r][:pi] + frontier[r][pi + 1:]), n), None)
             for r, pi in paths] + [pair for _, pair in security]
-
-
-def _security_pairs(code, H, sizes, newest=False):
-    """(W, (inside, outside)) per W from `full_rank_observations` over the
-    processed edges: A = [H; C_W] and B = C_W (W has rank k + |W| already)."""
-    f, n = code.field, code.n
-    return [(W, (null_space(f, HC, n), null_space(f, C, n))) for W, _, C, HC
-            in full_rank_observations(code, list(code.global_vectors), sizes, H, newest=newest)]
 
 
 # ---- alphabet-size bounds ----
@@ -388,7 +390,7 @@ def byzantine_secrecy_check(H: FMatrix, G_gen: FMatrix, code: NetworkCode,
             f"generator has {G_gen.rows} rows, expected n={code.n}"
         )
     edges = wiretappable_edges(code, restricted)
-    for W, d, _, _ in full_rank_observations(code, edges, (mu,), H, G_gen):
+    for W, d in full_rank_observations(code, edges, (mu,), H, G_gen):
         if d != H.rows:
             return False, W
     return True, None

@@ -143,7 +143,7 @@ def code_from_json(net: Network, obj) -> NetworkCode:
     for eid, vec in (obj.get("global") or {}).items():
         if eid not in code.global_vectors:
             raise MalformedInput(f"stored global vector names unknown edge {eid}")
-        if list(vec) != list(code.global_vectors[eid]):
+        if [net.field.check(x) for x in vec] != list(code.global_vectors[eid]):
             raise MalformedInput(
                 f"stored global vector of edge {eid} is {list(vec)}, "
                 f"but its local coefficients give {list(code.global_vectors[eid])}"

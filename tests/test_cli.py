@@ -165,6 +165,25 @@ def test_verify_reports_achieved_mu(fixtures, capsys, gf3, be_local, mu, rc, ach
     assert summary["witness"] == (["BE"] if rc else None)
 
 
+@pytest.mark.parametrize("restricted, rc, delta", [
+    ("SA,SC", 0, 1), ("SA,BE", 2, 0), ("", 2, 0)], ids=["safe", "leaky", "empty"])
+def test_restricted_flag_limits_verify_sweep_and_oracle(fixtures, capsys, gf3,
+                                                        restricted, rc, delta):
+    """--restricted names the wiretappable edges of the insecure butterfly,
+    which leaks only on BE's direction; an empty list leaves every edge open."""
+    design = SecureDesign(CosetCode(FMatrix(gf3, [[1, 1]])), butterfly_code(gf3, (1, 1)),
+                          SecurityParams(mu=1, k=1, n=2), {})
+    path = fixtures / "design.json"
+    write_json(path, design_to_json(design))
+    flag = ["--design", path, "--restricted", restricted]
+    assert run(["verify", *flag], capsys)[0] == rc
+    _, out = run(["sweep", *flag, "--mu-max", "1"], capsys)
+    assert json.loads("".join(out.splitlines(True)[:-1]))["delta"]["1"] == delta
+    _, out = run(["oracle", *flag, "--mu", "1"], capsys)
+    summary = json.loads(out.splitlines()[0])["summary"]
+    assert (summary["rank_delta"], summary["agree"]) == (delta, True)
+
+
 def test_coset_encode_decode(fixtures, capsys):
     rc, out = run(["coset", "encode", "--H", fixtures / "h.json",
                    "--secret", "[1]", "--seed", "3"], capsys)
@@ -302,9 +321,20 @@ BAD_INPUTS = {
                            {}, 1),
     "entry-not-integer": (["coset", "encode", "--H", "{d}/h_float.json", "--secret", "[1]"],
                           {}, 1),
+    "entry-a-boolean": (["coset", "encode", "--H", "{d}/h_bool.json", "--secret", "[1]"],
+                        {}, 1),
+    "word-entry-a-boolean": (["coset", "decode", "--H", "{d}/h.json", "--word", "[true, 2]"],
+                             {}, 1),
+    "field-degree-a-boolean": (["coset", "encode", "--H", "{d}/h_m_bool.json",
+                                "--secret", "[1]"], {}, 1),
+    "cols-disagree-with-rows": (["coset", "encode", "--H", "{d}/h_cols3.json",
+                                 "--secret", "[1]"], {}, 1),
+    "cols-negative": (["coset", "encode", "--H", "{d}/h_cols_negative.json",
+                       "--secret", "[]"], {}, 1),
     "report-as-design": (["verify", "--design", "{d}/report.json"], {}, 1),
     "global-vector-edited": (["verify", "--design", "{d}/edited_global.json"], {}, 1),
     "global-unknown-edge": (["verify", "--design", "{d}/unknown_global.json"], {}, 1),
+    "global-entry-a-boolean": (["verify", "--design", "{d}/bool_global.json"], {}, 1),
     "local-unknown-edge": (["verify", "--design", "{d}/unknown_local.json"], {}, 1),
     "oracle-negative-mu": (["oracle", "--design", "{d}/negative_mu.json", "--mu", "-1"], {}, 1),
     "sweep-negative-mu-max": (["sweep", "--design", "{d}/negative_mu.json", "--mu-max", "-1"],
@@ -351,6 +381,12 @@ BAD_INPUTS = {
 # text the one error line must contain, where a case has one
 BAD_INPUT_MESSAGES = {
     "local-unknown-edge": "unknown edge XX",
+    "entry-a-boolean": "entry True is not an integer",
+    "word-entry-a-boolean": "entry True is not an integer",
+    "global-entry-a-boolean": "entry True is not an integer",
+    "field-degree-a-boolean": "p and m must be integers, got 3, True",
+    "cols-disagree-with-rows": "row lengths [2] but 3 columns",
+    "cols-negative": "column count -1 is not a non-negative integer",
     "oracle-negative-mu": "mu=-1",
     "sweep-negative-mu-max": "mu_max=-1",
     "verify-negative-params-mu": "mu=-3",
@@ -385,6 +421,13 @@ def test_bad_input_ends_in_one_line_error(fixtures, case):
                {"field": {"p": 3, "m": 1}, "rows": [[1, 5]], "cols": 2})
     write_json(fixtures / "h_float.json",
                {"field": {"p": 3, "m": 1}, "rows": [[1.5, 1]], "cols": 2})
+    write_json(fixtures / "h_bool.json",
+               {"field": {"p": 3, "m": 1}, "rows": [[True, 1]], "cols": 2})
+    write_json(fixtures / "h_m_bool.json",
+               {"field": {"p": 3, "m": True}, "rows": [[1, 1]], "cols": 2})
+    write_json(fixtures / "h_cols3.json", {"field": {"p": 3, "m": 1}, "rows": [[1, 1]], "cols": 3})
+    write_json(fixtures / "h_cols_negative.json",
+               {"field": {"p": 3, "m": 1}, "rows": [], "cols": -1})
     write_json(fixtures / "report.json",
                read_json(cli._golden_dir() / "butterfly_secure.json"))
     f = field_new(3)
@@ -412,6 +455,9 @@ def test_bad_input_ends_in_one_line_error(fixtures, case):
     write_json(fixtures / "receiver_source.json",
                dict(network_to_json(parallel_network(1, f)), receivers=["S"]))
     write_json(fixtures / "h1.json", matrix_to_json(FMatrix(f, [[1]])))
+    design["code"]["global"]["SA"] = [True, 0]
+    write_json(fixtures / "bool_global.json", design)
+    design["code"]["global"]["SA"] = [1, 0]
     design["code"]["global"]["BE"] = [0, 0]
     write_json(fixtures / "edited_global.json", design)
     design["code"]["global"] = {"XX": [1, 0]}

@@ -222,6 +222,27 @@ def test_cached_security_pairs_equal_a_fresh_enumeration(monkeypatch):
     assert sizes == {0, 1, 2}
 
 
+def test_secure_lif_walks_point_sets_once(monkeypatch):
+    """secure_lif grows its security sets from the bases it holds: the only
+    point-set walk of a run is the final verification, on the butterfly and
+    on B(4,10) with mu = 2 over GF(23) (850 edges, 24,448 checks)."""
+    walk, calls = securecode.full_rank_observations, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(securecode, "full_rank_observations", counted)
+    f3, f23 = field_new(3), field_new(23)
+    for net, H, mu, checks in (
+            (butterfly_network(f3), FMatrix(f3, [[1, 1]]), 1, None),
+            (combination_network(4, 10, f23), mds_parity_check(f23, 2, 4), 2, 24448)):
+        calls.clear()
+        design = secure_lif(net, net.n, mu, H)
+        assert calls == [range(1, mu + 1)]
+        assert checks in (None, design.certificate["checks"])
+
+
 @pytest.mark.parametrize("n, t", [(4, 3), (5, 1)])
 def test_random_multicast_network_refuses_parameters_no_draw_fits(n, t):
     """n = 4 with three receivers needs at least 15 edges, over max_edges =
