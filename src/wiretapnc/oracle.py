@@ -7,32 +7,50 @@ must be uniform on q^j cells, and its entropy is then the integer j; any
 other table raises InvariantViolated.  This is the only brute-force path,
 and it shares no code with the rank formula.
 
-One path serves every field GF(p^m).  Multiplying by a fixed element is a
-GF(p)-linear map on the m base-p digits of an element's encoding, so the
-channel -- outcome u = [s r] to word y = u [P; N] (P the particular solutions
-of the unit secrets, N the kernel basis) to the symbol y . g_e of each edge --
-is one integer matrix mod p.  The base-p digits of the outcome index t are the
-digits of u, s first, so the table of edge symbols for t = 0..q^n - 1 is that
-matrix applied to t's digits, evaluated in blocks of BLOCK_ROWS outcomes.  The
-same product gives every outcome's syndrome H y, which must equal its secret:
-the oracle checks its reconstruction of the encoder instead of trusting it.
+Tabulation.  Outcome t = 0..q^n - 1 is u = [s r] whose elements' base-p
+digits are the base-p digits of t, s first.  Its word is y = u [P; N] (P the
+particular solutions of the unit secrets, N the kernel basis), and edge e
+carries y . g_e = sum_i u_i c_i with c_i = [P; N]_i . g_e in GF(q).  One field
+path serves every GF(p^m): each symbol is held as its m base-p digits, so
+adding a field element is adding digits mod p, and the table grows one
+base-p digit d of t at a time, table[v p^d + t] = table[t] + v x^l c_i for
+d = i m + l, in the smallest unsigned dtype that holds 2p.  Multiplying by a
+fixed element is GF(p)-linear on digits, so the digits of every x^l c_i are
+one small integer matrix mod p, made once.  The same recursion gives every
+outcome's syndrome H y, which must equal its secret: the oracle checks its
+reconstruction of the encoder instead of trusting it.
+
+Counting.  Observations of one size are counted a chunk at a time, in
+`combinations` order, and the Delta(mu) search stops after the chunk that
+holds the first zero.  Each row of a chunk packs its edges' symbols, then the
+secret, into one int64 code, offset by the row.  One `bincount` counts every
+(S, Z) cell of the chunk when a row's codes have at most q cells per outcome
+and at most CELL_BUDGET cells; one sort counts them when they have more.
+Z's counts are the sums over the secret digit, and a row's counts sum to
+q^n, so they are equal iff max(count) * cells = q^n.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from .coset import CosetCode
-from .exceptions import BadEnvironment, DimensionMismatch, EnumerationTooLarge, InvariantViolated
+from .exceptions import (
+    BadEnvironment,
+    DimensionMismatch,
+    EnumerationTooLarge,
+    FieldMismatch,
+    InvariantViolated,
+)
 from .fmatrix import FMatrix
 from .netgraph import NetworkCode
 from .securecode import check_budget, wiretappable_edges
 
 DEFAULT_ENUM_CAP = 10 ** 7
-BLOCK_ROWS = 1 << 13
+CELL_BUDGET = 1 << 16  # codes or count cells in one chunk, whatever |W|
 CODE_LIMIT = 1 << 62  # packed codes stay below this, so int64 never wraps
 
 
@@ -56,35 +74,6 @@ def _digit_matrix(field, rows, cols):
     ).reshape(len(rows) * m, cols * m)
 
 
-def _pack(code, bound, digits):
-    """Append (values, radix) digits to a mixed-radix code below `bound`,
-    re-indexing the code densely first whenever a digit could overflow."""
-    for values, radix in digits:
-        if bound * radix > CODE_LIMIT:
-            _, code = np.unique(code, return_inverse=True)
-            bound = code.size
-        code = code * radix + values
-        bound *= radix
-    return code, bound
-
-
-def _exponent(counts, q, table, W):
-    """j for a count table uniform on q^j cells, the only tables linear views give."""
-    unequal = np.flatnonzero(counts != counts[0])
-    if unequal.size:
-        raise InvariantViolated(
-            f"{table} counts of W={W} are not uniform: {counts[0]} != "
-            f"{counts[unequal[0]]}", witness=W)
-    j = 0
-    while q ** j < counts.size:
-        j += 1
-    if q ** j != counts.size:
-        raise InvariantViolated(
-            f"{table} support of W={W} has {counts.size} cells, not a power "
-            f"of q={q}", witness=W)
-    return j
-
-
 class CosetChannelOracle:
     """Shared enumeration state for one (H, network code) pair.
 
@@ -93,6 +82,10 @@ class CosetChannelOracle:
     """
 
     def __init__(self, H: FMatrix, code: NetworkCode):
+        if H.field != code.field:
+            raise FieldMismatch(f"H is over {H.field!r}, but the code is over {code.field!r}")
+        if H.cols != code.n:
+            raise DimensionMismatch(f"H has {H.cols} columns, expected {code.n}")
         self.H = H
         self.code = code
         self.field = H.field
@@ -108,60 +101,123 @@ class CosetChannelOracle:
                 "(WIRETAP_NC_ENUM_CAP)")
         # one row per edge, so an observation reads contiguous rows
         self._column = {eid: j for j, eid in enumerate(code.global_vectors)}
-        self._symbols = np.empty((len(self._column), self.total),
-                                 dtype=np.min_scalar_type(self.q - 1))
         units = [[int(i == j) for j in range(self.k)] for i in range(self.k)]
         generator = [coset.particular_solution(s) for s in units] + list(coset.kernel.data)
-        self._tabulate(generator, list(code.global_vectors.values()) + list(H.data))
         self._secret = np.arange(self.total, dtype=np.int64) % self.q ** self.k
+        self._powers = self.q ** np.arange(self.n + 1, dtype=np.int64)
+        self._symbols = self._tabulate(generator, list(code.global_vectors.values()) + list(H.data))
 
     def _tabulate(self, generator, columns):
-        """Fill the edge-symbol table with t -> digits(t) [P; N] [C | H^T] mod p,
-        C having the global vectors as columns; the last k symbols of each
-        outcome are its syndrome H y, which must equal its secret."""
-        f, n, k = self.field, self.n, self.k
+        """The symbol of every outcome on each column: the global vectors,
+        then H's rows, whose k symbols are the outcome's syndrome H y and must
+        equal its secret.  Returns the global vectors' rows."""
+        f, n, total = self.field, self.n, self.total
         p, m = f.p, f.m
+        width = len(columns) * m  # m base-p digit rows per column
         transposed = [[col[i] for col in columns] for i in range(n)]
+        # row d = i m + l: the base-p digits of x^l c_i, which digit d of t adds
         channel = _digit_matrix(f, generator, n) @ _digit_matrix(f, transposed, len(columns)) % p
-        place = p ** np.arange(m, dtype=np.int64)
+        digit = np.min_scalar_type(2 * p - 2)  # unsigned, holds a sum of two digits
+        multiples = channel[:, :, None] * np.arange(1, p) % p
+        multiples = multiples.astype(digit)[..., None]  # d -> (width, p - 1, 1)
+        table = np.zeros((width, total), dtype=digit)
+        size, wrap = 1, digit.type(p)
+        for step in multiples:
+            grown = table[:, size:p * size].reshape(width, p - 1, size)
+            np.add(table[:, None, :size], step, out=grown)
+            np.minimum(grown, grown - wrap, out=grown)  # x - p wraps above x when x < p
+            size *= p
+        symbols = table[::m].astype(np.min_scalar_type(self.q - 1))
+        for j in range(1, m):
+            symbols += table[j::m] * symbols.dtype.type(p ** j)
         edges = len(self._column)
-        for start in range(0, self.total, BLOCK_ROWS):
-            rows = min(BLOCK_ROWS, self.total - start)
-            rest = np.arange(start, start + rows, dtype=np.int64)
-            digits = np.empty((rows, n * m), dtype=np.int64)
-            for j in range(n * m):
-                rest, digits[:, j] = np.divmod(rest, p)
-            out = (digits @ channel % p).reshape(rows, len(columns), m) @ place
-            u = digits.reshape(rows, n, m) @ place
-            bad = np.flatnonzero((out[:, edges:] != u[:, :k]).any(axis=1))
-            if bad.size:
-                i = bad[0]
-                s, r = u[i, :k].tolist(), u[i, k:].tolist()
-                raise InvariantViolated(
-                    f"outcome {start + i} (s={s}, r={r}) encodes to a word of "
-                    f"syndrome {out[i, edges:].tolist()}, not its secret",
-                    witness=(s, r))
-            self._symbols[:, start:start + rows] = out[:, :edges].T
+        syndrome = np.zeros(total, dtype=np.int64)
+        for j in range(self.k):
+            syndrome += symbols[edges + j].astype(np.int64) * self.q ** j
+        bad = np.flatnonzero(syndrome != self._secret)
+        if bad.size:
+            t = int(bad[0])
+            u = [t // self.q ** i % self.q for i in range(n)]
+            raise InvariantViolated(
+                f"outcome {t} (s={u[:self.k]}, r={u[self.k:]}) encodes to a word "
+                f"of syndrome {symbols[edges:, t].tolist()}, not its secret",
+                witness=(u[:self.k], u[self.k:]))
+        return symbols[:edges]
+
+    def _dense(self, size):
+        """Whether observations of this size are counted by one bincount over
+        their (S, Z) cells, at most q per outcome, rather than by one sort."""
+        return self.q ** (size + self.k) <= min(CELL_BUDGET, self.q * self.total)
+
+    def _chunk_rows(self, size):
+        """How many observations of this size one chunk counts: CELL_BUDGET
+        codes, or count cells when there are more of those."""
+        cells = self.q ** (size + self.k) if self._dense(size) else 0
+        return max(1, CELL_BUDGET // max(self.total, cells))
+
+    def _exponents(self, observations):
+        """j(S, Z) and j(Z) for each observation of one size, as int arrays:
+        H(S, Z_W) and H(Z_W) in q-ary units.  Every (s, randomness) outcome is
+        equally likely and determines Y uniquely, so these give every term.
+        The first observation whose tables are not uniform on q^j cells
+        raises InvariantViolated."""
+        q, total, secrets = self.q, self.total, self.q ** self.k
+        rows = len(observations)
+        try:
+            index = np.array([[self._column[e] for e in W] for W in observations], dtype=np.intp)
+        except KeyError as unknown:
+            raise DimensionMismatch(f"unknown edge {unknown.args[0]!r}") from None
+        symbols = self._symbols[index]
+        size = index.shape[1]
+        code, bound = np.zeros((rows, total), dtype=np.int64), 1
+        for j in range(size):
+            if rows * bound * q * secrets > CODE_LIMIT:  # re-index densely
+                code = np.unique(code, return_inverse=True)[1].reshape(rows, total)
+                bound = int(code.max()) + 1
+            code *= q
+            code += symbols[:, j]
+            bound *= q
+        code += np.arange(0, rows * bound, bound)[:, None]
+        code *= secrets
+        code += self._secret  # (row, Z, S) in mixed radix
+        if self._dense(size):
+            counts = np.bincount(code.ravel(), minlength=rows * bound * secrets)
+            counts = counts.reshape(rows, bound, secrets)
+            tables = (counts.reshape(rows, -1), counts.sum(axis=2))
+            stats = [(t.max(axis=1), np.count_nonzero(t, axis=1)) for t in tables]
+        else:
+            code, counts = np.unique(code, return_counts=True)
+            z = code // secrets  # row * bound + Z, ascending
+            first = np.empty(z.size, dtype=bool)
+            first[0] = True
+            np.not_equal(z[1:], z[:-1], out=first[1:])
+            zfirst = np.flatnonzero(first)
+            stats = []
+            for c, keys in ((counts, z), (np.add.reduceat(counts, zfirst), z[zfirst])):
+                starts = np.searchsorted(keys, np.arange(0, rows * bound, bound))
+                stats.append((np.maximum.reduceat(c, starts), np.diff(starts, append=c.size)))
+        exponents, bad = [], np.zeros(rows, dtype=bool)
+        for top, cells in stats:
+            j = np.searchsorted(self._powers, cells)
+            bad |= (top * cells != total) | (self._powers[j] != cells)
+            exponents.append(j)
+        if bad.any():
+            i = int(bad.argmax())
+            W = observations[i]
+            for name, (top, cells), j in zip(("(S, Z)", "Z"), stats, exponents):
+                if top[i] * cells[i] != total:
+                    raise InvariantViolated(
+                        f"{name} counts of W={W} are not uniform: {cells[i]} cells "
+                        f"hold {total} outcomes, up to {top[i]} each", witness=W)
+                if self._powers[j[i]] != cells[i]:
+                    raise InvariantViolated(
+                        f"{name} support of W={W} has {cells[i]} cells, not a "
+                        f"power of q={q}", witness=W)
+        return exponents
 
     def entropy_terms(self, W):
-        """Exact H(S|Z_W), H(Y|Z_W), H(Y|S Z_W) and H(Z) in q-ary units, as ints.
-
-        Every (s, randomness) outcome is equally likely and determines Y
-        uniquely, so all terms reduce to H(Z) and H(S, Z).  The secret is the
-        last digit of each (S, Z) code, so one sort counts (S, Z), and Z's
-        counts are the sums over runs of equal code // q^k.  Each table must
-        be uniform on q^j cells, and its entropy is then j.
-        """
-        q, total, secrets = self.q, self.total, self.q ** self.k
-        z, bound = _pack(np.zeros(total, dtype=np.int64), 1,
-                         ((self._symbols[self._column[eid]], q) for eid in W))
-        sz, _ = _pack(z, bound, [(self._secret, secrets)])
-        codes, sz_counts = np.unique(sz, return_counts=True)
-        z_codes = codes // secrets
-        first = np.ones(z_codes.size, dtype=bool)  # first code of each Z run
-        first[1:] = z_codes[1:] != z_codes[:-1]
-        h_sz = _exponent(sz_counts, q, "(S, Z)", W)
-        h_z = _exponent(np.add.reduceat(sz_counts, np.flatnonzero(first)), q, "Z", W)
+        """Exact H(S|Z_W), H(Y|Z_W), H(Y|S Z_W) and H(Z_W) in q-ary units, as ints."""
+        h_sz, h_z = (int(j[0]) for j in self._exponents([tuple(W)]))
         return {
             "H(S|Z)": h_sz - h_z,
             "H(Y|Z)": self.n - h_z,
@@ -175,7 +231,8 @@ class CosetChannelOracle:
 
 def min_equivocation_bruteforce(H: FMatrix, code: NetworkCode, mu: int,
                                 restricted=None):
-    """Exact Delta(mu) = min over |W| = mu of H(S|Z_W), with witness.
+    """Exact Delta(mu) = min over |W| = mu of H(S|Z_W), with witness: the
+    first minimiser in `combinations` order.
 
     The independent ground truth for the rank formula.
     """
@@ -186,11 +243,12 @@ def min_equivocation_bruteforce(H: FMatrix, code: NetworkCode, mu: int,
     if mu > len(edges):
         raise DimensionMismatch(f"mu={mu} exceeds {len(edges)} wiretappable edges")
     oracle = CosetChannelOracle(H, code)
+    observations, rows = combinations(edges, mu), oracle._chunk_rows(mu)
     best, witness = None, None
-    for W in combinations(edges, mu):
-        value = oracle.secret_equivocation(W)
-        if best is None or value < best:
-            best, witness = value, W
-            if best == 0:
-                break
+    while best != 0 and (chunk := list(islice(observations, rows))):
+        h_sz, h_z = oracle._exponents(chunk)
+        values = h_sz - h_z
+        i = int(values.argmin())
+        if best is None or values[i] < best:
+            best, witness = int(values[i]), chunk[i]
     return best, witness

@@ -101,20 +101,26 @@ def inverse_and_select_equivocation(H, C):
     return HA.submatrix_columns(range(r, n)).rank()
 
 
-def reference_entropy_terms(H, code, W):
-    """The oracle's four entropy terms by the plain per-outcome loop: encode
-    every (secret, randomness) pair with `encode_with_randomness`, send the
-    word through the network code with `payloads`, and count (S, Z_W) in
-    dicts.  Exact integer counts; only the final logarithms are floats."""
+def reference_outcomes(H, code):
+    """(secret, payloads) of every (secret, randomness) pair, by the plain
+    encoder: `encode_with_randomness`, then the network code's `payloads`."""
     coset = CosetCode(H)
     q, k, n = H.field.order, coset.k, coset.n
+    return [(s, code.payloads(coset.encode_with_randomness(list(s), list(r))))
+            for s in product(range(q), repeat=k) for r in product(range(q), repeat=n - k)]
+
+
+def reference_entropy_terms(H, code, W, outcomes=None):
+    """The oracle's four entropy terms by the plain per-outcome loop: encode
+    every (secret, randomness) pair (`reference_outcomes`, or `outcomes` when
+    given) and count (S, Z_W) in dicts.  Exact integer counts; only the
+    final logarithms are floats."""
+    q, n = H.field.order, H.cols
     z_counts, sz_counts = Counter(), Counter()
-    for s in product(range(q), repeat=k):
-        for r in product(range(q), repeat=n - k):
-            payloads = code.payloads(coset.encode_with_randomness(list(s), list(r)))
-            z = tuple(payloads[eid] for eid in W)
-            z_counts[z] += 1
-            sz_counts[s, z] += 1
+    for s, payloads in reference_outcomes(H, code) if outcomes is None else outcomes:
+        z = tuple(payloads[eid] for eid in W)
+        z_counts[z] += 1
+        sz_counts[s, z] += 1
     total = q ** n
 
     def entropy(counts):
@@ -124,6 +130,26 @@ def reference_entropy_terms(H, code, W):
     h_z, h_sz = entropy(z_counts), entropy(sz_counts)
     return {"H(S|Z)": h_sz - h_z, "H(Y|Z)": n - h_z, "H(Y|SZ)": n - h_sz,
             "H(Z)": h_z}
+
+
+def reference_min_equivocation_bruteforce(H, code, mu, restricted=None):
+    """Delta(mu) and witness by the per-observation loop: H(S | Z_W) of
+    each W of size mu in `combinations` order by `reference_entropy_terms`,
+    keeping the first minimiser and stopping at the first zero."""
+    edges = wiretappable_edges(code, restricted)
+    if mu == 0:
+        return H.rows, ()
+    outcomes = reference_outcomes(H, code)
+    best, witness = None, None
+    for W in combinations(edges, mu):
+        value = reference_entropy_terms(H, code, W, outcomes)["H(S|Z)"]
+        if abs(value - round(value)) > 1e-9:
+            raise AssertionError(f"H(S|Z) of W={W} is {value}, not an integer")
+        if best is None or round(value) < best:
+            best, witness = round(value), W
+            if best == 0:
+                break
+    return best, witness
 
 
 def observation_equivocation(H, C, r=None):

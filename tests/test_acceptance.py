@@ -2,8 +2,8 @@
 
 Each test covers one acceptance criterion and prints a single pass/fail line
 to the terminal (bypassing capture), with its runtime.  All equivocation
-values are exact integers in q-ary symbols; comparisons use zero tolerance
-after the oracle's 1e-9 integer snap.
+values are exact integers in q-ary symbols, from the rank formula and from
+the oracle's uniform count tables alike, so comparisons use zero tolerance.
 """
 
 import random

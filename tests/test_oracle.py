@@ -1,9 +1,14 @@
 import random
+import re
 from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import random_coded_instance, reference_entropy_terms
+from conftest import (
+    random_coded_instance,
+    reference_entropy_terms,
+    reference_min_equivocation_bruteforce,
+)
 
 from wiretapnc.coset import CosetCode
 from wiretapnc.equivocation import equivocation_rank
@@ -11,11 +16,13 @@ from wiretapnc.exceptions import (
     BadEnvironment,
     DimensionMismatch,
     EnumerationTooLarge,
+    FieldMismatch,
     InvariantViolated,
 )
 from wiretapnc.fmatrix import FMatrix
 from wiretapnc.gf import field_new
 from wiretapnc.netgraph import Network, NetworkCode, butterfly_code, parallel_code
+from wiretapnc import oracle as oracle_module
 from wiretapnc.oracle import CosetChannelOracle, min_equivocation_bruteforce
 
 
@@ -187,5 +194,134 @@ def test_support_not_a_power_of_q_is_refused():
     W = (sorted(code.global_vectors)[0],)
     oracle._symbols[oracle._column[W[0]]] = np.arange(oracle.total) % 2
     with pytest.raises(InvariantViolated, match=r"Z support of W=.* has 2 cells") as info:
+        oracle.entropy_terms(W)
+    assert info.value.witness == W
+
+
+@pytest.mark.parametrize("H_field,H_rows,error,message", [
+    ((5, 1), [[1, 1]], FieldMismatch, "H is over GF(5), but the code is over GF(3)"),
+    ((3, 1), [[1]], DimensionMismatch, "H has 1 columns, expected 2"),
+    ((3, 1), [[1, 1, 1]], DimensionMismatch, "H has 3 columns, expected 2"),
+])
+def test_oracle_refuses_the_H_the_rank_formula_refuses(gf3, H_field, H_rows, error, message):
+    code = butterfly_code(gf3, (1, 2))
+    H = FMatrix(field_new(*H_field), H_rows)
+    for check in (lambda: equivocation_rank(H, code, 1),
+                  lambda: min_equivocation_bruteforce(H, code, 1),
+                  lambda: CosetChannelOracle(H, code)):
+        with pytest.raises(error) as info:
+            check()
+        assert str(info.value) == message
+
+
+def test_unknown_edge_is_refused(gf3):
+    oracle = CosetChannelOracle(FMatrix(gf3, [[1, 1]]), butterfly_code(gf3, (1, 2)))
+    with pytest.raises(DimensionMismatch, match=re.escape("unknown edge 'nope'")):
+        oracle.entropy_terms(("nope",))
+    with pytest.raises(DimensionMismatch, match="unknown edge"):
+        oracle.secret_equivocation(("BE", "nope"))
+
+
+# (q, n, k, instances): every field kind, prime, characteristic 2 and odd
+# extensions; with mu up to the edge count, q^(mu + k) reaches far beyond
+# q^n, where the codes are counted by sorting instead of by bincount
+BATCHED_CLASSES = ((2, 4, 2, 3), (3, 3, 1, 3), (4, 3, 2, 2), (7, 2, 1, 3),
+                   (8, 2, 1, 2), (9, 2, 1, 3))
+
+
+@pytest.mark.parametrize("budget", [oracle_module.CELL_BUDGET, 40])
+def test_batched_oracle_equals_the_per_observation_loop(monkeypatch, budget):
+    # a small budget splits every search into many chunks, so early stops
+    # and first minimisers land inside and at the ends of chunks
+    monkeypatch.setattr(oracle_module, "CELL_BUDGET", budget)
+    rng = random.Random(20140)
+    seen = {"dense": 0, "sorted": 0, "stopped early": 0, "restricted": 0}
+    for q, n, k, instances in BATCHED_CLASSES:
+        for _ in range(instances):
+            _, code, H = random_coded_instance(rng, q=q, n=n, k=k, max_edges=7)
+            oracle = CosetChannelOracle(H, code)
+            edges = sorted(code.global_vectors)
+            for restricted in (None, rng.sample(edges, rng.randint(1, len(edges)))):
+                for mu in range(1, len(restricted or edges) + 1):
+                    want = reference_min_equivocation_bruteforce(H, code, mu, restricted)
+                    assert min_equivocation_bruteforce(H, code, mu, restricted) == want, (
+                        q, n, k, mu, restricted)
+                    seen["dense" if oracle._dense(mu) else "sorted"] += 1
+                    last = list(combinations(sorted(restricted or edges), mu))[-1]
+                    seen["stopped early"] += want[0] == 0 and want[1] != last
+                    seen["restricted"] += restricted is not None
+    assert min(seen.values()) > 10, seen
+
+
+def test_large_codes_are_counted_by_sorting():
+    # GF(7), n = 2, mu = 6: the codes have 7^7 cells for 49 outcomes
+    rng = random.Random(71)
+    while True:
+        _, code, H = random_coded_instance(rng, q=7, n=2, k=1, max_edges=8)
+        if len(code.global_vectors) >= 7:
+            break
+    oracle = CosetChannelOracle(H, code)
+    assert not oracle._dense(6) and oracle._dense(1)
+    for mu in range(1, len(code.global_vectors) + 1):
+        assert min_equivocation_bruteforce(H, code, mu) == \
+            reference_min_equivocation_bruteforce(H, code, mu)
+        for W in combinations(sorted(code.global_vectors), mu):
+            want = reference_entropy_terms(H, code, W)
+            got = oracle.entropy_terms(W)
+            assert all(got[t] == pytest.approx(v, abs=1e-9) for t, v in want.items()), W
+
+
+def first_refused(oracle, observations):
+    """The first observation whose entropy_terms raises InvariantViolated."""
+    for W in observations:
+        try:
+            oracle.entropy_terms(W)
+        except InvariantViolated:
+            return W
+    return None
+
+
+@pytest.mark.parametrize("budget", [oracle_module.CELL_BUDGET, 20])
+def test_non_uniform_table_reports_the_first_bad_observation(gf3, monkeypatch, budget):
+    monkeypatch.setattr(oracle_module, "CELL_BUDGET", budget)
+    H, code = FMatrix(gf3, [[1, 1]]), butterfly_code(gf3, (1, 2))
+    edges = sorted(code.global_vectors)
+    bad_edge = edges[4]
+
+    tabulate = CosetChannelOracle._tabulate
+
+    def corrupted(self, generator, columns):
+        symbols = tabulate(self, generator, columns)
+        row = symbols[self._column[bad_edge]]
+        row[0] = (row[0] + 1) % 3
+        return symbols
+
+    monkeypatch.setattr(CosetChannelOracle, "_tabulate", corrupted)
+    oracle = CosetChannelOracle(H, code)
+    for mu in (1, 2):
+        observations = list(combinations(edges, mu))
+        first = first_refused(oracle, observations)
+        assert first is not None and bad_edge in first
+        with pytest.raises(InvariantViolated) as info:
+            oracle._exponents(observations)
+        assert info.value.witness == first
+    # every single edge leaves the secret hidden, so no zero stops the
+    # search before it reaches the corrupted edge
+    with pytest.raises(InvariantViolated, match="not uniform") as info:
+        min_equivocation_bruteforce(H, code, 1)
+    assert info.value.witness == (bad_edge,)
+
+
+def test_unequal_counts_on_a_power_of_q_cells_are_refused():
+    # over GF(2) with n = 3, a view that is 1 on outcomes 0 and 1 only has
+    # Z counts 6, 2 and (S, Z) counts 3, 3, 1, 1: both tables sit on a power
+    # of q cells, and only the counts' inequality shows that no linear view
+    # of a uniform word gives them
+    f = field_new(2)
+    code = parallel_code(3, f)
+    oracle = CosetChannelOracle(FMatrix(f, [[1, 1, 1]]), code)
+    W = (sorted(code.global_vectors)[0],)
+    oracle._symbols[oracle._column[W[0]]] = np.arange(oracle.total) < 2
+    with pytest.raises(InvariantViolated, match=r"\(S, Z\) counts of W=.* not uniform") as info:
         oracle.entropy_terms(W)
     assert info.value.witness == W
