@@ -125,10 +125,6 @@ def _golden_dir():
 def cmd_paper_figures(args):
     t0 = time.monotonic()
     reports = generate_reference_reports()
-    if args.update_golden:
-        for name, report in reports.items():
-            path = _golden_dir() / f"{name}.json"
-            path.write_text(canonical_dumps(report))
     if args.out:
         for name, report in reports.items():
             write_json(f"{args.out}/{name}.json", report)
@@ -167,7 +163,7 @@ def cmd_verify(args):
     from .securecode import check_budget, verify_secrecy_condition
     t0 = time.monotonic()
     design = load_json(args.design, design_from_json, "design")
-    restricted = args.restricted or design.params.restricted_edges
+    restricted = _restricted(args, design)
     # one walk up to n - k gives the verdict at the claimed mu and the design's
     # achieved level: the condition holds below the first violation's size
     H, mu = design.coset.parity_check, design.params.mu
@@ -191,7 +187,7 @@ def cmd_sweep(args):
     t0 = time.monotonic()
     design = load_json(args.design, design_from_json, "design")
     report = equivocation_sweep(
-        design.coset.parity_check, design.netcode, args.mu_max, args.restricted
+        design.coset.parity_check, design.netcode, args.mu_max, _restricted(args, design)
     )
     obj = {
         "delta": {str(mu): d for mu, d in report.delta.items()},
@@ -215,10 +211,10 @@ def cmd_oracle(args):
     from .oracle import min_equivocation_bruteforce
     t0 = time.monotonic()
     design = load_json(args.design, design_from_json, "design")
-    H = design.coset.parity_check
-    rank_delta, rank_witness, _ = equivocation_rank(H, design.netcode, args.mu, args.restricted)
+    H, restricted = design.coset.parity_check, _restricted(args, design)
+    rank_delta, rank_witness, _ = equivocation_rank(H, design.netcode, args.mu, restricted)
     oracle_delta, oracle_witness = min_equivocation_bruteforce(
-        H, design.netcode, args.mu, args.restricted
+        H, design.netcode, args.mu, restricted
     )
     agree = rank_delta == oracle_delta
     summary = {
@@ -281,9 +277,10 @@ def cmd_coset(args):
     return 0
 
 
-def _edge_ids(text):
-    """The edge ids of a comma-separated --restricted list; None if empty."""
-    return text.split(",") if text else None
+def _restricted(args, design):
+    """The wiretappable edge ids: the comma-separated --restricted list, else
+    the design's params.restricted (None: every edge)."""
+    return args.restricted.split(",") if args.restricted else design.params.restricted_edges
 
 
 def build_parser():
@@ -293,14 +290,17 @@ def build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
+    analysis = argparse.ArgumentParser(add_help=False)
+    analysis.add_argument("--design", required=True)
+    analysis.add_argument("--restricted",
+                          help="comma-separated edge ids (default: params.restricted)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, *parents, **kwargs):
+        return sub.add_parser(name, parents=[common, *parents], **kwargs)
 
     p = add_parser("paper-figures", help="regenerate the built-in reference example reports")
     p.add_argument("--out", help="directory for generated report copies")
-    p.add_argument("--update-golden", action="store_true")
     p.set_defaults(func=cmd_paper_figures)
 
     p = add_parser("build", help="security-constrained LIF construction")
@@ -310,22 +310,16 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
 
-    p = add_parser("verify", help="check the secrecy rank condition")
-    p.add_argument("--design", required=True)
-    p.add_argument("--restricted", type=_edge_ids, help="comma-separated edge ids")
+    p = add_parser("verify", analysis, help="check the secrecy rank condition")
     p.set_defaults(func=cmd_verify)
 
-    p = add_parser("sweep", help="equivocation sweep over mu")
-    p.add_argument("--design", required=True)
+    p = add_parser("sweep", analysis, help="equivocation sweep over mu")
     p.add_argument("--mu-max", type=int, required=True)
-    p.add_argument("--restricted", type=_edge_ids, help="comma-separated edge ids")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
-    p = add_parser("oracle", help="cross-check rank formula vs brute force")
-    p.add_argument("--design", required=True)
+    p = add_parser("oracle", analysis, help="cross-check rank formula vs brute force")
     p.add_argument("--mu", type=int, required=True)
-    p.add_argument("--restricted", type=_edge_ids, help="comma-separated edge ids")
     p.set_defaults(func=cmd_oracle)
 
     p = add_parser("bounds", help="sufficient alphabet size for a network")

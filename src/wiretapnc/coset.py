@@ -90,7 +90,7 @@ def is_mds_parity_check(Hfull: FMatrix):
     n = Hfull.rows
     if comb(Hfull.cols, n) > MDS_SUBSET_CAP:
         raise TooManySubsets(
-            f"choose({Hfull.cols}, {n}) exceeds cap {MDS_SUBSET_CAP}"
+            f"choose({Hfull.cols}, {n}) exceeds {MDS_SUBSET_CAP = }"
         )
     for subset in combinations(range(Hfull.cols), n):
         if Hfull.submatrix_columns(subset).rank() != n:

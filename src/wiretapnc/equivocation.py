@@ -27,7 +27,7 @@ from .exceptions import (
 )
 from .fmatrix import FMatrix, combination, echelon, reduce_row
 from .netgraph import NetworkCode
-from .securecode import check_budget, full_rank_observations, wiretappable_edges
+from .securecode import admit_wiretap, full_rank_observations, wiretappable_edges
 
 GHW_CODEWORD_CAP = 10 ** 6
 
@@ -50,8 +50,7 @@ def equivocation_rank(H: FMatrix, code: NetworkCode, mu: int, restricted=None):
     Returns (delta, witness, flagged); flagged means mu > rank C_E, so no
     size-mu subset achieves rank mu.
     """
-    check_budget(mu)
-    edges = wiretappable_edges(code, restricted)
+    edges = admit_wiretap(H, code, mu, restricted)
     if mu == 0:
         return H.rows, (), False
     if mu > len(edges):
@@ -84,7 +83,7 @@ def equivocation_rank(H: FMatrix, code: NetworkCode, mu: int, restricted=None):
 def equivocation_sweep(H: FMatrix, code: NetworkCode, mu_max: int,
                        restricted=None) -> EquivocationReport:
     """Delta(mu) for mu = 0..mu_max plus the network d_r profile."""
-    check_budget(mu_max, "mu_max")
+    admit_wiretap(H, code, mu_max, restricted, name="mu_max")
     k = H.rows
     report = EquivocationReport(k=k)
     for mu in range(mu_max + 1):
@@ -159,7 +158,7 @@ def generalized_hamming_weights(C_generator: FMatrix):
     f = G.field
     q = f.order
     if q ** k > GHW_CODEWORD_CAP:
-        raise TooLargeForExhaustive(f"q^k = {q ** k} exceeds cap")
+        raise TooLargeForExhaustive(f"q^k = {q ** k} exceeds {GHW_CODEWORD_CAP = }")
     codewords = []
     for msg_code in range(1, q ** k):
         msg = []
@@ -171,7 +170,8 @@ def generalized_hamming_weights(C_generator: FMatrix):
     weights = []
     for r in range(1, k + 1):
         if comb(len(codewords), r) > GHW_CODEWORD_CAP:
-            raise TooLargeForExhaustive(f"choose({len(codewords)}, {r}) exceeds cap")
+            raise TooLargeForExhaustive(
+                f"choose({len(codewords)}, {r}) exceeds {GHW_CODEWORD_CAP = }")
         best = None
         for subset in combinations(codewords, r):
             if len(echelon(f, subset)) != r:

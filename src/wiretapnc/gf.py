@@ -100,7 +100,7 @@ class FieldSpec:
         if m < 1:
             raise BadParameters(f"extension degree must be >= 1, got {m}")
         if p ** m > ORDER_CAP:
-            raise FieldTooLarge(f"order {p}^{m} exceeds cap {ORDER_CAP}")
+            raise FieldTooLarge(f"order {p}^{m} exceeds {ORDER_CAP = }")
         self.p = p
         self.m = m
         self.order = p ** m

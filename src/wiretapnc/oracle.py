@@ -42,12 +42,11 @@ from .exceptions import (
     BadEnvironment,
     DimensionMismatch,
     EnumerationTooLarge,
-    FieldMismatch,
     InvariantViolated,
 )
 from .fmatrix import FMatrix
 from .netgraph import NetworkCode
-from .securecode import check_budget, wiretappable_edges
+from .securecode import admit_wiretap
 
 DEFAULT_ENUM_CAP = 10 ** 7
 CELL_BUDGET = 1 << 16  # codes or count cells in one chunk, whatever |W|
@@ -82,10 +81,7 @@ class CosetChannelOracle:
     """
 
     def __init__(self, H: FMatrix, code: NetworkCode):
-        if H.field != code.field:
-            raise FieldMismatch(f"H is over {H.field!r}, but the code is over {code.field!r}")
-        if H.cols != code.n:
-            raise DimensionMismatch(f"H has {H.cols} columns, expected {code.n}")
+        admit_wiretap(H, code, 0)  # the H and code the rank formula admits
         self.H = H
         self.code = code
         self.field = H.field
@@ -236,8 +232,7 @@ def min_equivocation_bruteforce(H: FMatrix, code: NetworkCode, mu: int,
 
     The independent ground truth for the rank formula.
     """
-    check_budget(mu)
-    edges = wiretappable_edges(code, restricted)
+    edges = admit_wiretap(H, code, mu, restricted)
     if mu == 0:
         return H.rows, ()
     if mu > len(edges):

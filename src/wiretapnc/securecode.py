@@ -78,6 +78,25 @@ def check_budget(mu: int, name: str = "mu"):
         raise BadBudgets(f"{name}={mu} must be non-negative")
 
 
+def admit_wiretap(H: FMatrix, code: NetworkCode, mu: int, restricted=None,
+                  G: FMatrix | None = None, name: str = "mu"):
+    """Admit a wiretap search on (H, code, mu, restricted), with G in the
+    cascade check: every analysis calls this first, before any shortcut.
+    Refuses mu < 0 (BadBudgets), an H over another field (FieldMismatch), a
+    G without n rows or an H whose width is not n, or G's width when given
+    (DimensionMismatch), and unknown restricted edges.  Returns the
+    wiretappable edge ids, sorted."""
+    check_budget(mu, name)
+    if H.field != code.field:
+        raise FieldMismatch(f"H is over {H.field!r}, but the code is over {code.field!r}")
+    if G is not None and G.rows != code.n:
+        raise DimensionMismatch(f"generator has {G.rows} rows, expected n={code.n}")
+    width = code.n if G is None else G.cols
+    if H.cols != width:
+        raise DimensionMismatch(f"H has {H.cols} columns, expected {width}")
+    return wiretappable_edges(code, restricted)
+
+
 def full_rank_observations(code: NetworkCode, edges, sizes, H: FMatrix, G: FMatrix | None = None,
                            least=False):
     """Yield (W, d) per set W of distinct coding-vector directions of the
@@ -88,19 +107,14 @@ def full_rank_observations(code: NetworkCode, edges, sizes, H: FMatrix, G: FMatr
     of C_W and [H; C_W G], one row reduction per step; a dependent prefix ends
     its subtree.  `least`: only the sets whose d is below every d yielded
     before; a j-prefix of a size-s set is cut when its d - (s - j) is not, as
-    a point lowers d by at most 1."""
-    f, first = code.field, {}
-    if H.field != f:
-        raise FieldMismatch(f"H is over {H.field!r}, but the code is over {f!r}")
-    width = code.n if G is None else G.cols
-    if H.cols != width:
-        raise DimensionMismatch(f"H has {H.cols} columns, expected {width}")
-    for eid in edges:
-        vec = code.global_vectors[eid]
-        lead = next(filter(None, vec), 0)
-        if lead:
-            inv = f.inv(lead)
-            first.setdefault(tuple([f.mul(inv, x) for x in vec]), eid)
+    a point lowers d by at most 1.  The caller admits H and G (`admit_wiretap`)."""
+    f, vectors, first = code.field, {}, {}
+    for eid in edges:  # forwarding edges repeat their input's vector
+        vectors.setdefault(code.global_vectors[eid], eid)
+    for vec, eid in vectors.items():
+        point = reduce_row(f, [], vec)
+        if point:
+            first.setdefault(tuple(point[1]), eid)
     points = [(eid, v, v if G is None else combination(f, v, G.data, G.cols))
               for v, eid in first.items()]
     best = inf
@@ -134,11 +148,16 @@ def verify_secrecy_condition(H: FMatrix, code: NetworkCode, mu: int, restricted=
     distinct coding-vector directions.  Returns (ok, witness) with witness
     the first violating edge subset, smallest size first, then lexicographic.
     """
-    check_budget(mu)
+    return _first_violation(H, code, mu, restricted, range(1, mu + 1))
+
+
+def _first_violation(H, code, mu, restricted, sizes, G=None):
+    """Admit the search, refuse mu > n, and return (ok, witness) of rank
+    [H; C_W G] = k + |W| over the full-rank observations of the given sizes."""
+    edges = admit_wiretap(H, code, mu, restricted, G)
     if mu > code.n:
         raise BudgetExceedsCut(f"mu={mu} exceeds multicast dimension n={code.n}")
-    edges = wiretappable_edges(code, restricted)
-    for W, d in full_rank_observations(code, edges, range(1, mu + 1), H):
+    for W, d in full_rank_observations(code, edges, sizes, H, G):
         if d != H.rows:
             return False, W
     return True, None
@@ -382,15 +401,6 @@ def byzantine_secrecy_check(H: FMatrix, G_gen: FMatrix, code: NetworkCode,
     rank [H; C_W G] = k + mu for every W with rank(C_W) = mu.
 
     With G = I_n this is exactly the plain secrecy condition at exact rank mu.
-    Returns (ok, witness).
+    Returns (ok, witness); mu > n is refused, as in `verify_secrecy_condition`.
     """
-    check_budget(mu)
-    if G_gen.rows != code.n:
-        raise DimensionMismatch(
-            f"generator has {G_gen.rows} rows, expected n={code.n}"
-        )
-    edges = wiretappable_edges(code, restricted)
-    for W, d in full_rank_observations(code, edges, (mu,), H, G_gen):
-        if d != H.rows:
-            return False, W
-    return True, None
+    return _first_violation(H, code, mu, restricted, (mu,), G_gen)

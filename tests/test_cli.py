@@ -184,6 +184,22 @@ def test_restricted_flag_limits_verify_sweep_and_oracle(fixtures, capsys, gf3,
     assert (summary["rank_delta"], summary["agree"]) == (delta, True)
 
 
+def test_design_restricted_set_serves_verify_sweep_and_oracle(fixtures, capsys, gf3):
+    """Without --restricted, every command takes the design's params.restricted:
+    the insecure butterfly leaks nothing on SA and SC."""
+    design = SecureDesign(CosetCode(FMatrix(gf3, [[1, 1]])), butterfly_code(gf3, (1, 1)),
+                          SecurityParams(mu=1, k=1, n=2, restricted_edges=("SA", "SC")), {})
+    path = fixtures / "design.json"
+    write_json(path, design_to_json(design))
+    assert run(["verify", "--design", path], capsys)[0] == 0
+    rc, out = run(["sweep", "--design", path, "--mu-max", "1"], capsys)
+    sweep = json.loads("".join(out.splitlines(True)[:-1]))
+    assert (rc, sweep["delta"]["1"], sweep["witness"]["1"]) == (0, 1, ["SA"])
+    rc, out = run(["oracle", "--design", path, "--mu", "1"], capsys)
+    summary = json.loads(out.splitlines()[0])["summary"]
+    assert (rc, summary["rank_delta"], summary["oracle_delta"]) == (0, 1, 1)
+
+
 def test_coset_encode_decode(fixtures, capsys):
     rc, out = run(["coset", "encode", "--H", fixtures / "h.json",
                    "--secret", "[1]", "--seed", "3"], capsys)

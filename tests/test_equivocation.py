@@ -142,7 +142,8 @@ def test_generalized_hamming_weights(gf2, gf7):
     assert generalized_hamming_weights(G) == [3, 4]
     with pytest.raises(SingularMatrix):
         generalized_hamming_weights(FMatrix(gf2, [[1, 1], [1, 1]]))
-    with pytest.raises(TooLargeForExhaustive):
+    with pytest.raises(TooLargeForExhaustive,
+                       match=r"^q\^k = 9765625 exceeds GHW_CODEWORD_CAP = 1000000$"):
         generalized_hamming_weights(FMatrix.identity(field_new(5), 10))
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wiretapnc import gf
 from wiretapnc.exceptions import (
     BadParameters,
     DivisionByZero,
@@ -24,7 +25,7 @@ def test_construction_rejects_bad_parameters():
         field_new(6)
     with pytest.raises(NonPrimeCharacteristic):
         field_new(1)
-    with pytest.raises(FieldTooLarge):
+    with pytest.raises(FieldTooLarge, match=r"^order 2\^21 exceeds ORDER_CAP = 1048576$"):
         field_new(2, 21)
     for p, m in ((3.0, 1), (3, 1.0), ("3", 1), (3, 0), (3, -1)):
         with pytest.raises(BadParameters):
@@ -52,16 +53,21 @@ def test_gf7_primitive_element_and_powers():
     assert [f.pow(3, i) for i in range(6)] == [1, 3, 2, 6, 4, 5]
 
 
-# a FieldSpec made directly must take the same table path as field_new's
-@pytest.mark.parametrize("make,p,m", [
-    pytest.param(make, p, m, id=f"{prefix}{p}-{m}")
+# a FieldSpec made directly must take the same table path as field_new's;
+# with no log tables (cap 0) extensions multiply polynomials and invert by pow
+@pytest.mark.parametrize("make,p,m,cap", [
+    pytest.param(make, p, m, LOG_TABLE_CAP, id=f"{prefix}{p}-{m}")
     for make, prefix in ((field_new, ""), (FieldSpec, "direct-"))
     for p, m in SMALL_PRIME_POWERS
-])
-def test_field_axioms_exhaustive(make, p, m):
+] + [pytest.param(FieldSpec, p, m, 0, id=f"untabled-{p}-{m}")
+     for p, m in ((2, 4), (3, 2), (5, 2))])
+def test_field_axioms_exhaustive(monkeypatch, make, p, m, cap):
+    tabled = FieldSpec(p, m)
+    monkeypatch.setattr(gf, "LOG_TABLE_CAP", cap)
     f = make(p, m)
     q = f.order
-    assert (f._exp is not None) == (m > 1 and q <= LOG_TABLE_CAP)
+    assert (f._exp is not None) == (m > 1 and q <= cap)
+    assert all(f.mul(a, b) == tabled.mul(a, b) for a in range(q) for b in range(q))
     elems = range(q)
     for a in elems:
         assert f.add(a, 0) == a

@@ -1,5 +1,6 @@
 import random
 import re
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -11,7 +12,7 @@ from conftest import (
 )
 
 from wiretapnc.coset import CosetCode
-from wiretapnc.equivocation import equivocation_rank
+from wiretapnc.equivocation import equivocation_rank, equivocation_sweep
 from wiretapnc.exceptions import (
     BadEnvironment,
     DimensionMismatch,
@@ -24,6 +25,7 @@ from wiretapnc.gf import field_new
 from wiretapnc.netgraph import Network, NetworkCode, butterfly_code, parallel_code
 from wiretapnc import oracle as oracle_module
 from wiretapnc.oracle import CosetChannelOracle, min_equivocation_bruteforce
+from wiretapnc.securecode import byzantine_secrecy_check, verify_secrecy_condition
 
 
 def test_joint_distribution_is_normalized(gf3):
@@ -204,11 +206,18 @@ def test_support_not_a_power_of_q_is_refused():
     ((3, 1), [[1, 1, 1]], DimensionMismatch, "H has 3 columns, expected 2"),
 ])
 def test_oracle_refuses_the_H_the_rank_formula_refuses(gf3, H_field, H_rows, error, message):
+    """Every wiretap search admits (H, code, mu) in one place, before its
+    mu = 0 shortcut: the same H is refused with the same message."""
     code = butterfly_code(gf3, (1, 2))
     H = FMatrix(field_new(*H_field), H_rows)
-    for check in (lambda: equivocation_rank(H, code, 1),
-                  lambda: min_equivocation_bruteforce(H, code, 1),
-                  lambda: CosetChannelOracle(H, code)):
+    G = FMatrix.identity(gf3, 2)
+    checks = [partial(CosetChannelOracle, H, code), partial(equivocation_sweep, H, code, 0)]
+    for mu in (0, 1):
+        checks += [partial(equivocation_rank, H, code, mu),
+                   partial(min_equivocation_bruteforce, H, code, mu),
+                   partial(verify_secrecy_condition, H, code, mu),
+                   partial(byzantine_secrecy_check, H, G, code, mu)]
+    for check in checks:
         with pytest.raises(error) as info:
             check()
         assert str(info.value) == message

@@ -63,9 +63,13 @@ def test_verify_respects_restricted_set(gf3):
 
 
 def test_verify_budget_guard(gf3):
-    H = FMatrix(gf3, [[1, 1]])
-    with pytest.raises(BudgetExceedsCut):
-        verify_secrecy_condition(H, butterfly_code(gf3), 3)
+    # both secrecy checks refuse mu > n, with one message
+    H, G = FMatrix(gf3, [[1, 1]]), FMatrix.identity(gf3, 2)
+    code = butterfly_code(gf3)
+    for call in (lambda: verify_secrecy_condition(H, code, 3),
+                 lambda: byzantine_secrecy_check(H, G, code, 3)):
+        with pytest.raises(BudgetExceedsCut, match="^mu=3 exceeds multicast dimension n=2$"):
+            call()
 
 
 def test_negative_budget_refused(gf3):
@@ -289,3 +293,14 @@ def test_final_checks_survive_optimized_mode(tmp_path):
     proc = subprocess.run([sys.executable, "-O", str(script)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout.strip()) == (0, "ok"), proc.stderr
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    scope = {}
+    exec(example.split("```", 1)[0], scope)
+    # python -O strips the example's own asserts, so its results are checked here
+    delta, design, H = scope["delta"], scope["design"], scope["H"]
+    assert delta == 1 and design.certificate["verified"]
+    assert min_equivocation_bruteforce(H, design.netcode, 1)[0] == delta
