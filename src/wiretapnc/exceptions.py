@@ -13,10 +13,6 @@ class MalformedInput(WiretapNCError):
     """An input file or argument that is not the JSON the command expects."""
 
 
-class BadEnvironment(WiretapNCError):
-    """An environment variable with a value the library cannot use."""
-
-
 class NonPrimeCharacteristic(WiretapNCError):
     pass
 

@@ -95,11 +95,12 @@ class FieldSpec:
             p, m = index(p), index(m)
         except TypeError:
             raise BadParameters(f"p and m must be integers, got {p!r}, {m!r}") from None
-        if not is_prime(p):
+        if p <= ORDER_CAP and not is_prime(p):  # a larger p is refused below, unfactored
             raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
         if m < 1:
             raise BadParameters(f"extension degree must be >= 1, got {m}")
-        if p ** m > ORDER_CAP:
+        # p^m > ORDER_CAP for every p >= 2 once m reaches its bit length: p^m is formed for small m
+        if m >= ORDER_CAP.bit_length() or p ** m > ORDER_CAP:
             raise FieldTooLarge(f"order {p}^{m} exceeds {ORDER_CAP = }")
         self.p = p
         self.m = m

@@ -32,33 +32,19 @@ q^n, so they are equal iff max(count) * cells = q^n.
 
 from __future__ import annotations
 
-import os
 from itertools import combinations, islice
 
 import numpy as np
 
 from .coset import CosetCode
-from .exceptions import (
-    BadEnvironment,
-    DimensionMismatch,
-    EnumerationTooLarge,
-    InvariantViolated,
-)
+from .exceptions import DimensionMismatch, EnumerationTooLarge, InvariantViolated
 from .fmatrix import FMatrix
 from .netgraph import NetworkCode
 from .securecode import admit_wiretap
 
-DEFAULT_ENUM_CAP = 10 ** 7
+ENUM_CAP = 10 ** 7  # q^n outcomes one oracle may enumerate
 CELL_BUDGET = 1 << 16  # codes or count cells in one chunk, whatever |W|
 CODE_LIMIT = 1 << 62  # packed codes stay below this, so int64 never wraps
-
-
-def enumeration_cap() -> int:
-    raw = os.environ.get("WIRETAP_NC_ENUM_CAP", str(DEFAULT_ENUM_CAP))
-    if not raw.isdecimal() or int(raw) < 1:
-        raise BadEnvironment(
-            f"WIRETAP_NC_ENUM_CAP must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 def _digit_matrix(field, rows, cols):
@@ -90,11 +76,8 @@ class CosetChannelOracle:
         self.n = H.cols
         coset = CosetCode(H)
         self.total = self.q ** self.n
-        cap = enumeration_cap()
-        if self.total > cap:
-            raise EnumerationTooLarge(
-                f"q^n = {self.total} outcomes exceed the enumeration cap {cap} "
-                "(WIRETAP_NC_ENUM_CAP)")
+        if self.total > ENUM_CAP:
+            raise EnumerationTooLarge(f"q^n = {self.total} outcomes exceed {ENUM_CAP = }")
         # one row per edge, so an observation reads contiguous rows
         self._column = {eid: j for j, eid in enumerate(code.global_vectors)}
         units = [[int(i == j) for j in range(self.k)] for i in range(self.k)]

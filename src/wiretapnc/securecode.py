@@ -41,10 +41,11 @@ SUBSET_CHECK_CAP = 10 ** 7
 
 
 class SecurityParams:
-    __slots__ = ("mu", "k", "n", "restricted_edges")
+    """The design's claimed budget and wiretappable edges; k and n are H's shape."""
+    __slots__ = ("mu", "restricted_edges")
 
-    def __init__(self, mu: int, k: int, n: int, restricted_edges: tuple | None = None):
-        self.mu, self.k, self.n, self.restricted_edges = mu, k, n, restricted_edges
+    def __init__(self, mu: int, restricted_edges: tuple | None = None):
+        self.mu, self.restricted_edges = mu, restricted_edges
 
 
 class SecureDesign:
@@ -81,14 +82,17 @@ def check_budget(mu: int, name: str = "mu"):
 def admit_wiretap(H: FMatrix, code: NetworkCode, mu: int, restricted=None,
                   G: FMatrix | None = None, name: str = "mu"):
     """Admit a wiretap search on (H, code, mu, restricted), with G in the
-    cascade check: every analysis calls this first, before any shortcut.
-    Refuses mu < 0 (BadBudgets), an H over another field (FieldMismatch), a
-    G without n rows or an H whose width is not n, or G's width when given
+    cascade check: the one check of H and G against the network, made by
+    every analysis before any shortcut, by `secure_lif` and by a design load.
+    Refuses mu < 0 (BadBudgets), an H or G over another field (FieldMismatch),
+    a G without n rows or an H whose width is not n, or G's width when given
     (DimensionMismatch), and unknown restricted edges.  Returns the
     wiretappable edge ids, sorted."""
     check_budget(mu, name)
-    if H.field != code.field:
-        raise FieldMismatch(f"H is over {H.field!r}, but the code is over {code.field!r}")
+    for label, M in (("H", H), ("G", G)):
+        if M is not None and M.field != code.field:
+            raise FieldMismatch(f"{label} is over {M.field!r}, "
+                                f"but the network is over {code.field!r}")
     if G is not None and G.rows != code.n:
         raise DimensionMismatch(f"generator has {G.rows} rows, expected n={code.n}")
     width = code.n if G is None else G.cols
@@ -177,25 +181,22 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     finished code is verified by `verify_secrecy_condition`.  "checks"
     in the certificate counts forbidden-subspace tests, of prefixes and of
     full vectors, capped at SUBSET_CHECK_CAP (ComplexityCapExceeded).
-    Refused before the search: a rank-deficient H (SingularMatrix), k + mu >
-    n (BudgetExceedsCut), an n other than the network's (DimensionMismatch),
-    and an f or H over another field (FieldMismatch).
+    Refused before the search: an n (DimensionMismatch) or f (FieldMismatch)
+    other than the network's, what `admit_wiretap` refuses, a rank-deficient
+    H (SingularMatrix) and k + mu > n (BudgetExceedsCut).
     """
-    check_budget(mu)
+    if n != net.n:
+        raise DimensionMismatch(f"n={n}, but the network has n={net.n}")
     if f not in (None, net.field):
         raise FieldMismatch(f"f is {f!r}, but the network is over {net.field!r}")
-    if H.field != net.field:
-        raise FieldMismatch(f"H is over {H.field!r}, but the network is over {net.field!r}")
     f = net.field
     k = H.rows
-    if H.cols != n:
-        raise DimensionMismatch(f"H has {H.cols} columns, expected n={n}")
+    code = NetworkCode(net)
+    admit_wiretap(H, code, mu)
     coset = CosetCode(H)  # raises SingularMatrix
     if k + mu > n:
         raise BudgetExceedsCut(f"k + mu = {k + mu} exceeds n={n}: "
                                "no field gives rank [H; C_W] = k + |W|")
-    if n != net.n:
-        raise DimensionMismatch(f"n={n}, but the network has n={net.n}")
     flows = net.edge_disjoint_flows()
 
     # edge id -> list of (receiver, path index) where the edge appears
@@ -209,7 +210,6 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     eye = FMatrix.identity(f, n).data
     frontier = {r: list(eye) for r in net.receivers}
 
-    code = NetworkCode(net)
     checks = 0
     top = mu if k else 0  # security sets have sizes below top; with k = 0 there are none
     # the security sets as a prefix tree whose levels list them in order: kids[W] holds
@@ -288,10 +288,8 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     certificate = {
         "checks": checks,
         "locals": {eid: list(c) for eid, c in code.local.items()},
-        "verified": True,
-        "flows": {r: [list(p) for p in fl.paths] for r, fl in flows.items()},
     }
-    return SecureDesign(coset, code, SecurityParams(mu=mu, k=k, n=n), certificate)
+    return SecureDesign(coset, code, SecurityParams(mu), certificate)
 
 
 def _forbidden_subspaces(code, frontier, paths, security):
@@ -382,8 +380,8 @@ def combination_secure_design(n: int, M: int, f: FieldSpec, k: int) -> SecureDes
         raise InvariantViolated(
             f"combination design failed verification, witness {witness}", witness=witness
         )
-    certificate = {"rs_parity_check": [list(r) for r in Hfull.data], "verified": True}
-    return SecureDesign(CosetCode(H), code, SecurityParams(mu=mu, k=k, n=n), certificate)
+    certificate = {"rs_parity_check": [list(r) for r in Hfull.data]}
+    return SecureDesign(CosetCode(H), code, SecurityParams(mu), certificate)
 
 
 def cai_yeung_to_coset(T: FMatrix, k: int) -> CosetCode:

@@ -158,8 +158,8 @@ def design_to_json(design: SecureDesign):
         "H": matrix_to_json(design.coset.parity_check),
         "params": {
             "mu": design.params.mu,
-            "k": design.params.k,
-            "n": design.params.n,
+            "k": design.coset.k,
+            "n": design.coset.n,
             "restricted": (
                 list(design.params.restricted_edges)
                 if design.params.restricted_edges
@@ -171,8 +171,10 @@ def design_to_json(design: SecureDesign):
 
 
 def design_from_json(obj) -> SecureDesign:
+    """The design in obj.  Refuses a params.k or params.n other than H's
+    shape, and what `securecode.admit_wiretap` refuses of H at mu = 0."""
     from .coset import CosetCode
-    from .securecode import SecureDesign, SecurityParams
+    from .securecode import SecureDesign, SecurityParams, admit_wiretap
     net = network_from_json(obj["network"])
     code = code_from_json(net, obj["code"])
     H = matrix_from_json(obj["H"])
@@ -181,14 +183,11 @@ def design_from_json(obj) -> SecureDesign:
     for name, value, actual in (("k", k, H.rows), ("n", n, H.cols)):
         if value != actual:
             raise MalformedInput(f"params.{name} is {value}, but H gives {name}={actual}")
-    if H.cols != net.n:
-        raise MalformedInput(f"H has {H.cols} columns, but the network has n={net.n}")
-    if H.field != net.field:
-        raise MalformedInput(f"H is over {H.field!r}, but the network is over {net.field!r}")
+    admit_wiretap(H, code, 0)
     restricted = p.get("restricted")
     if restricted is not None and not (
             isinstance(restricted, list) and all(isinstance(e, str) for e in restricted)):
         raise MalformedInput(
             f"params.restricted must be a list of edge ids, got {restricted!r}")
-    params = SecurityParams(mu, k, n, tuple(restricted) if restricted else None)
+    params = SecurityParams(mu, tuple(restricted) if restricted else None)
     return SecureDesign(CosetCode(H), code, params, obj.get("certificate", {}))

@@ -84,7 +84,7 @@ def test_design_roundtrip(gf3):
     code = butterfly_code(gf3, (1, 2))
     design = SecureDesign(
         CosetCode(FMatrix(gf3, [[1, 1]])), code,
-        SecurityParams(mu=1, k=1, n=2), {"verified": True},
+        SecurityParams(mu=1), {"verified": True},
     )
     obj = design_to_json(design)
     design2 = design_from_json(obj)
@@ -140,7 +140,7 @@ def test_verify_failure_exit_code(fixtures, capsys, gf3):
     code = butterfly_code(gf3, (1, 1))
     design = SecureDesign(
         CosetCode(FMatrix(gf3, [[1, 1]])), code,
-        SecurityParams(mu=1, k=1, n=2), {},
+        SecurityParams(mu=1), {},
     )
     path = fixtures / "bad.json"
     write_json(path, design_to_json(design))
@@ -156,7 +156,7 @@ def test_verify_reports_achieved_mu(fixtures, capsys, gf3, be_local, mu, rc, ach
     """The exit code follows the claimed params.mu; `achieved_mu` is the
     largest mu <= n - k at which the condition holds, whatever the claim."""
     design = SecureDesign(CosetCode(FMatrix(gf3, [[1, 1]])), butterfly_code(gf3, be_local),
-                          SecurityParams(mu=mu, k=1, n=2), {})
+                          SecurityParams(mu=mu), {})
     path = fixtures / "design.json"
     write_json(path, design_to_json(design))
     got, out = run(["verify", "--design", path], capsys)
@@ -172,7 +172,7 @@ def test_restricted_flag_limits_verify_sweep_and_oracle(fixtures, capsys, gf3,
     """--restricted names the wiretappable edges of the insecure butterfly,
     which leaks only on BE's direction; an empty list leaves every edge open."""
     design = SecureDesign(CosetCode(FMatrix(gf3, [[1, 1]])), butterfly_code(gf3, (1, 1)),
-                          SecurityParams(mu=1, k=1, n=2), {})
+                          SecurityParams(mu=1), {})
     path = fixtures / "design.json"
     write_json(path, design_to_json(design))
     flag = ["--design", path, "--restricted", restricted]
@@ -188,7 +188,7 @@ def test_design_restricted_set_serves_verify_sweep_and_oracle(fixtures, capsys, 
     """Without --restricted, every command takes the design's params.restricted:
     the insecure butterfly leaks nothing on SA and SC."""
     design = SecureDesign(CosetCode(FMatrix(gf3, [[1, 1]])), butterfly_code(gf3, (1, 1)),
-                          SecurityParams(mu=1, k=1, n=2, restricted_edges=("SA", "SC")), {})
+                          SecurityParams(mu=1, restricted_edges=("SA", "SC")), {})
     path = fixtures / "design.json"
     write_json(path, design_to_json(design))
     assert run(["verify", "--design", path], capsys)[0] == 0
@@ -390,7 +390,8 @@ BAD_INPUTS = {
                               {}, 1),
     "bounds-receivers-a-string": (["bounds", "--network", "{d}/receivers_string.json",
                                    "--mu", "1"], {}, 1),
-    "enum-cap-not-integer": (["paper-figures"], {"WIRETAP_NC_ENUM_CAP": "lots"}, 1),
+    "decode-H-field-degree-huge": (["coset", "decode", "--H", "{d}/h_m_huge.json",
+                                    "--word", "[1, 1]"], {}, 1),
     "out-under-a-file": (["paper-figures", "--out", "{d}/h.json/dir"], {}, 1),
     "out-dir-missing": (["paper-figures", "--out", "{d}/new/dir"], {}, 0),
 }
@@ -409,11 +410,12 @@ BAD_INPUT_MESSAGES = {
     "build-negative-mu": "mu=-1",
     "build-k-plus-mu-above-n": "k + mu = 3 exceeds n=2",
     "verify-params-disagree-with-H": "params.k is 7, but H gives k=1",
-    "verify-H-narrower-than-network": "H has 2 columns, but the network has n=3",
-    "sweep-H-narrower-than-network": "H has 2 columns, but the network has n=3",
-    "oracle-H-narrower-than-network": "H has 2 columns, but the network has n=3",
+    "verify-H-narrower-than-network": "H has 2 columns, expected 3",
+    "sweep-H-narrower-than-network": "H has 2 columns, expected 3",
+    "oracle-H-narrower-than-network": "H has 2 columns, expected 3",
     "build-H-over-another-field": "H is over GF(5), but the network is over GF(3)",
     "verify-H-over-another-field": "H is over GF(5), but the network is over GF(3)",
+    "decode-H-field-degree-huge": "order 3^100000000000 exceeds ORDER_CAP = 1048576",
     "bounds-receiver-is-source": "receiver S is the source",
     "build-receiver-is-source": "receiver S is the source",
     "verify-params-mu-string": "params.mu must be an integer, got '1'",
@@ -441,6 +443,8 @@ def test_bad_input_ends_in_one_line_error(fixtures, case):
                {"field": {"p": 3, "m": 1}, "rows": [[True, 1]], "cols": 2})
     write_json(fixtures / "h_m_bool.json",
                {"field": {"p": 3, "m": True}, "rows": [[1, 1]], "cols": 2})
+    write_json(fixtures / "h_m_huge.json",
+               {"field": {"p": 3, "m": 10 ** 11}, "rows": [[1, 1]], "cols": 2})
     write_json(fixtures / "h_cols3.json", {"field": {"p": 3, "m": 1}, "rows": [[1, 1]], "cols": 3})
     write_json(fixtures / "h_cols_negative.json",
                {"field": {"p": 3, "m": 1}, "rows": [], "cols": -1})
@@ -449,7 +453,7 @@ def test_bad_input_ends_in_one_line_error(fixtures, case):
     f = field_new(3)
     design = design_to_json(SecureDesign(
         CosetCode(FMatrix(f, [[1, 1]])), butterfly_code(f, (1, 2)),
-        SecurityParams(mu=1, k=1, n=2)))
+        SecurityParams(mu=1)))
     write_json(fixtures / "wrong_params.json",
                dict(design, params=dict(design["params"], k=7, n=9)))
     h_gf5 = matrix_to_json(FMatrix(field_new(5), [[1, 1]]))
@@ -488,7 +492,7 @@ def test_bad_input_ends_in_one_line_error(fixtures, case):
     # the insecure butterfly with a negative budget
     write_json(fixtures / "negative_mu.json", design_to_json(SecureDesign(
         CosetCode(FMatrix(f, [[1, 1]])), butterfly_code(f, (1, 1)),
-        SecurityParams(mu=-3, k=1, n=2))))
+        SecurityParams(mu=-3))))
     argv, extra_env, want = BAD_INPUTS[case]
     src = Path(wiretapnc.__file__).resolve().parent.parent
     env = dict(os.environ, **extra_env, PYTHONPATH=os.pathsep.join(

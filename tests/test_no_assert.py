@@ -3,7 +3,10 @@
 Verification in the package never uses `assert`: `python -O` strips
 assert statements, so a check written that way would stop checking.  And
 no module imports a name it never uses: a dead import is code that nothing
-calls, left behind when its last caller went.
+calls, left behind when its last caller went.  No module reads the
+environment: every cap is a module constant, so a result depends only on
+the inputs and the seed.  And every library error is raised somewhere: an
+exception class nothing raises is a refusal that no longer exists.
 """
 
 import ast
@@ -43,3 +46,30 @@ def test_package_modules_use_every_name_they_import():
         found += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used]
     assert not found, f"imported names never used: {found}"
+
+
+def test_package_modules_read_no_environment_variables():
+    found = []
+    for path, tree in package_trees():
+        for node in ast.walk(tree):
+            reads = (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id == "os" and node.attr in ("environ", "getenv"))
+            imports = (isinstance(node, ast.ImportFrom) and node.module == "os"
+                       and {a.name for a in node.names} & {"environ", "getenv"})
+            if reads or imports:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"environment reads in the package: {found}"
+
+
+def test_every_library_error_is_raised_somewhere():
+    raised, classes = set(), set()
+    for path, tree in package_trees():
+        if path.name == "exceptions.py":
+            classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    unraised = sorted(classes - raised - {"WiretapNCError"})
+    assert not unraised, f"exception classes nothing raises: {unraised}"

@@ -92,7 +92,7 @@ def test_secure_lif_butterfly(gf3):
     net = butterfly_network(gf3)
     H = FMatrix(gf3, [[1, 1]])
     design = secure_lif(net, 2, 1, H)
-    assert design.certificate["verified"]
+    assert sorted(design.certificate) == ["checks", "locals"]
     ok, _ = verify_secrecy_condition(H, design.netcode, 1)
     assert ok
     # the greedy choice at node B must avoid the x1 + x2 direction
@@ -245,6 +245,15 @@ def test_byzantine_identity_matches_plain_condition(gf3):
         assert witness == plain_witness
 
 
+def test_byzantine_refuses_a_G_over_another_field(gf3):
+    # GF(5) entries multiplied in GF(3) arithmetic would give a verdict
+    G = FMatrix(field_new(5), [[4, 3], [0, 4]])
+    code = butterfly_code(gf3, (1, 2))
+    with pytest.raises(FieldMismatch) as info:
+        byzantine_secrecy_check(FMatrix(gf3, [[1, 1]]), G, code, 1)
+    assert str(info.value) == "G is over GF(5), but the network is over GF(3)"
+
+
 def test_byzantine_dimension_guards(gf3):
     code = butterfly_code(gf3)
     with pytest.raises(DimensionMismatch):
@@ -302,5 +311,5 @@ def test_readme_library_example_runs():
     exec(example.split("```", 1)[0], scope)
     # python -O strips the example's own asserts, so its results are checked here
     delta, design, H = scope["delta"], scope["design"], scope["H"]
-    assert delta == 1 and design.certificate["verified"]
+    assert delta == 1 and sorted(design.certificate) == ["checks", "locals"]
     assert min_equivocation_bruteforce(H, design.netcode, 1)[0] == delta
