@@ -20,7 +20,7 @@ from .exceptions import (
     SingularMatrix,
     TooManySubsets,
 )
-from .fmatrix import FMatrix, combination
+from .fmatrix import FMatrix, combination, null_space
 from .gf import FieldSpec, field_new
 
 MDS_SUBSET_CAP = 10 ** 6
@@ -30,22 +30,28 @@ class CosetCode:
     """Coset code defined by a full-row-rank k x n parity check matrix H."""
 
     def __init__(self, parity_check: FMatrix):
-        H = parity_check
-        if H.rank() != H.rows:
-            raise SingularMatrix(
-                f"parity check must have full row rank {H.rows}", rank=H.rank()
-            )
-        self.parity_check = H
-        self.k = H.rows
-        self.n = H.cols
-        self.field = H.field
-        self.kernel = H.null_space_basis()  # (n-k) x n
+        H = self.parity_check = parity_check
+        self.k, self.n, self.field = H.rows, H.cols, H.field
+        # one elimination of [H | I_k]: [R | E] with R the RREF of H, whose pivot
+        # columns P make E = H_P^-1
+        eye = [[int(i == j) for j in range(self.k)] for i in range(self.k)]
+        rows, self._pivots = H._echelon(augment=eye)
+        rank = sum(c < self.n for c in self._pivots)
+        if rank != self.k:
+            raise SingularMatrix(f"parity check must have full row rank {self.k}", rank=rank)
+        self._inverse = [row[self.n:] for row in rows]
+        self.kernel = FMatrix(self.field, null_space(self.field, rows, self._pivots, self.n),
+                              self.n)  # (n-k) x n
 
     def particular_solution(self, secret):
         """One word with syndrome `secret`: nonzero only on H's pivot columns."""
         if len(secret) != self.k:
             raise DimensionMismatch(f"secret length {len(secret)} != k={self.k}")
-        return self.parity_check.solve(secret)[0]
+        secret = [self.field.check(s) for s in secret]
+        word = [0] * self.n
+        for c, row in zip(self._pivots, self._inverse):
+            word[c] = self.field.dot(row, secret)
+        return word
 
     def encode_with_randomness(self, secret, r):
         """Deterministic coset word for explicit kernel coefficients r."""

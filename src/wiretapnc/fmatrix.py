@@ -93,8 +93,7 @@ class FMatrix:
 
     def null_space_basis(self) -> "FMatrix":
         """Rows form the reduced-echelon canonical basis of the right kernel."""
-        return FMatrix(self.field, null_space(self.field, echelon(self.field, self.data),
-                                              self.cols), self.cols)
+        return FMatrix(self.field, null_space(self.field, *self._echelon(), self.cols), self.cols)
 
     def solve(self, b):
         """Solve M x = b.  Returns (x, unique); raises NoSolution if inconsistent."""
@@ -158,22 +157,16 @@ def dot(field, a, b):
     """Inner product of two integer-encoded vectors."""
     if len(a) != len(b):
         raise DimensionMismatch("vector lengths differ")
-    acc = 0
-    for x, y in zip(a, b):
-        if x and y:
-            acc = field.add(acc, field.mul(x, y))
-    return acc
+    return field.dot(a, b)
 
 
 def combination(field, coeffs, rows, width):
     """Row combination sum_i coeffs[i] * rows[i] of integer-encoded rows of
     length `width`; the zero row when every coefficient is zero."""
-    acc = [0] * width
+    acc, axpy = [0] * width, field.axpy
     for c, row in zip(coeffs, rows):
         if c:
-            for j, b in enumerate(row):
-                if b:
-                    acc[j] = field.add(acc[j], field.mul(c, b))
+            acc = axpy(c, row, acc)
     return acc
 
 
@@ -184,14 +177,13 @@ def reduce_row(field, basis, v):
     at its pivot, 0 before it and 0 at the pivots of the pairs before it.
     Returns v's remainder as (pivot, row), scaled to 1 at its first nonzero
     entry, or None when v lies in the span of the basis."""
+    axpy = field.axpy
     for p, row in basis:
         if v[p]:
-            neg = field.neg(v[p])
-            v = [x if not y else field.add(x, field.mul(neg, y)) for x, y in zip(v, row)]
+            v = axpy(field.neg(v[p]), row, v)
     for p, c in enumerate(v):
         if c:
-            inv = field.inv(c)
-            return p, v if c == 1 else [field.mul(inv, x) for x in v]
+            return p, v if c == 1 else axpy(field.inv(c), v, [0] * len(v))
     return None
 
 
@@ -216,10 +208,10 @@ def back_substitute(field, basis):
     return [row for _, row in done], tuple(p for p, _ in done)
 
 
-def null_space(field, basis, width):
+def null_space(field, rows, pivots, width):
     """The reduced-echelon canonical basis, as row tuples, of the vectors of
-    length `width` that annihilate the span of an echelon basis."""
-    rows, pivots = back_substitute(field, basis)
+    length `width` that annihilate the span of a reduced echelon form (rows,
+    pivots), as `back_substitute` gives it; columns past `width` are ignored."""
     kernel = []
     for fc in sorted(set(range(width)) - set(pivots)):
         vec = [0] * width

@@ -8,8 +8,8 @@ the one check on an incoming element.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import index
+from functools import lru_cache, reduce
+from operator import index, mul
 
 from .exceptions import (
     BadParameters,
@@ -106,19 +106,59 @@ class FieldSpec:
         self.m = m
         self.order = p ** m
         self.modulus = self._find_modulus(p, m)
-        # exp/log tables turn extension mul and inv into lookups
-        self._exp = self._log = None
+        # exp/log tables turn extension mul, inv, add and neg into lookups: exp is
+        # doubled, so a sum of two logs indexes it, then padded with the zeros
+        # that log[0] = 2 (q - 1) indexes
+        self._exp = self._log = self._zech = None
         if m > 1 and self.order <= LOG_TABLE_CAP:
             g = self.primitive_element()
-            exp = [1] * (self.order - 1)
-            log = [0] * self.order
+            q1 = self.order - 1
+            exp, log = [1] * q1, [2 * q1] * self.order
             x = 1
-            for i in range(self.order - 1):
-                exp[i] = x
-                log[x] = i
+            for i in range(q1):
+                exp[i], log[x] = x, i
                 x = self._mul_poly(x, g)
-            self._exp = exp
-            self._log = log
+            if p > 2:  # Zech logs zech[i] = log(1 + g^i), doubled; add is still the digit loop
+                self._zech = [log[self.add(1, x)] for x in exp] * 2
+            self._exp, self._log = exp + exp + [0] * (2 * q1 + 1), log
+        self.axpy, self.dot = self._kernels()
+
+    def _kernels(self):
+        """The row kernels, picked once per field kind: axpy(c, row, v) is the
+        new list v + c row, and dot(a, b) the inner product."""
+        p, exp, log, zech = self.p, self._exp, self._log, self._zech
+        if self.m == 1:
+            return (lambda c, row, v: [(x + c * y) % p for x, y in zip(v, row)],
+                    lambda a, b: sum(map(mul, a, b)) % p)
+        if exp is None:  # the digit loops
+            add, fmul = self.add, self.mul
+            return (lambda c, row, v: [add(x, fmul(c, y)) if y else x for x, y in zip(v, row)],
+                    lambda a, b: reduce(add, map(fmul, a, b), 0))
+        if p == 2:  # addition is XOR
+            def axpy(c, row, v):
+                lc = log[c]
+                return [x ^ exp[lc + log[y]] for x, y in zip(v, row)]
+
+            def dot(a, b):
+                acc = 0
+                for x, y in zip(a, b):
+                    acc ^= exp[log[x] + log[y]]
+                return acc
+            return axpy, dot
+
+        def axpy(c, row, v):  # x + y = exp[log x + zech[log y - log x]] for x, y != 0
+            lc = log[c]
+            return [(exp[log[x] + zech[lc + log[y] - log[x]]] if x else exp[lc + log[y]])
+                    if y else x for x, y in zip(v, row)] if c else list(v)
+
+        def dot(a, b):
+            acc = 0
+            for x, y in zip(a, b):
+                if x and y:
+                    t = log[x] + log[y]
+                    acc = exp[log[acc] + zech[t - log[acc]]] if acc else exp[t]
+            return acc
+        return axpy, dot
 
     @staticmethod
     def _find_modulus(p, m):
@@ -137,6 +177,11 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
+        if self._exp is not None:
+            if self.p == 2 or not (a and b):  # XOR, or one of a and b is 0
+                return a ^ b
+            log = self._log
+            return self._exp[log[a] + self._zech[log[b] - log[a]]]
         p = self.p
         res = 0
         mult = 1
@@ -150,6 +195,8 @@ class FieldSpec:
     def neg(self, a: int) -> int:
         if self.m == 1:
             return -a % self.p
+        if self._exp is not None:  # -a = a for p = 2, else -1 = g^((q - 1) / 2)
+            return a if self.p == 2 else self._exp[self._log[a] + (self.order - 1) // 2]
         p = self.p
         res = 0
         mult = 1
@@ -166,9 +213,7 @@ class FieldSpec:
         if self.m == 1:
             return a * b % self.p
         if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
+            return self._exp[self._log[a] + self._log[b]]
         return self._mul_poly(a, b)
 
     def _mul_poly(self, a, b):
@@ -204,7 +249,7 @@ class FieldSpec:
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
         if self._exp is not None:
-            return self._exp[-self._log[a] % (self.order - 1)]
+            return self._exp[self.order - 1 - self._log[a]]
         return self.pow(a, self.order - 2)
 
     def div(self, a: int, b: int) -> int:

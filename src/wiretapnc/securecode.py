@@ -33,7 +33,8 @@ from .exceptions import (
     InvariantViolated,
     SingularMatrix,
 )
-from .fmatrix import FMatrix, combination, dot, echelon, null_space, reduce_row
+from .fmatrix import (FMatrix, back_substitute, combination, echelon, null_space,
+                      reduce_row)
 from .gf import FieldSpec
 from .netgraph import Network, NetworkCode, combination_network
 
@@ -177,10 +178,11 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     stays invertible and rank [H; C_W] = k + |W| holds for every full-rank
     W = {e} united with processed edges, |W| <= mu.  The search runs
     depth-first over coefficient prefixes in product order and skips each
-    prefix whose completions all lie in one receiver's forbidden span.  The
-    finished code is verified by `verify_secrecy_condition`.  "checks"
-    in the certificate counts forbidden-subspace tests, of prefixes and of
-    full vectors, capped at SUBSET_CHECK_CAP (ComplexityCapExceeded).
+    prefix whose completions all lie in one receiver's forbidden span; a
+    direction already coded is tested against the receiver spans only.  The
+    finished code is verified by `verify_secrecy_condition`.  "checks" in the
+    certificate counts forbidden-subspace tests, of prefixes and of full
+    vectors, capped at SUBSET_CHECK_CAP (ComplexityCapExceeded).
     Refused before the search: an n (DimensionMismatch) or f (FieldMismatch)
     other than the network's, what `admit_wiretap` refuses, a rank-deficient
     H (SingularMatrix) and k + mu > n (BudgetExceedsCut).
@@ -206,9 +208,11 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
             for eid in path:
                 on_path[eid].append((r, pi))
 
-    # per-receiver frontier rows, initially the unit vectors (virtual inputs)
+    # per receiver, the dual basis of its frontier rows (initially the unit
+    # vectors, the virtual inputs): frontier[r][j] . dual[r][i] = 1 if i == j, else 0
     eye = FMatrix.identity(f, n).data
-    frontier = {r: list(eye) for r in net.receivers}
+    dual = {r: list(eye) for r in net.receivers}
+    axpy, fdot = f.axpy, f.dot
 
     checks = 0
     top = mu if k else 0  # security sets have sizes below top; with k = 0 there are none
@@ -219,7 +223,8 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
 
     def node(W, C, HC):  # W's `_forbidden_subspaces` item: A = [H; C_W], B = C_W
         bases[W] = C, HC
-        return W, (null_space(f, HC, n), null_space(f, C, n))
+        return W, (null_space(f, *back_substitute(f, HC), n),
+                   null_space(f, *back_substitute(f, C), n))
 
     roots = [node((), [], echelon(f, H.data))] if top else []
 
@@ -230,31 +235,40 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
         if checks > SUBSET_CHECK_CAP:
             raise ComplexityCapExceeded(f"secure_lif exceeded SUBSET_CHECK_CAP = "
                                         f"{SUBSET_CHECK_CAP} invariant checks at edge {e.id}")
-        return not any(dot(f, x, vec) for x in inside) and (
-            outside is None or any(dot(f, x, vec) for x in outside))
+        return not any(fdot(x, vec) for x in inside) and (
+            outside is None or any(fdot(x, vec) for x in outside))
 
-    def leaves(cand):
+    def leaves(cand, vec):
         """Completions of cand with their vectors, in product order, bar doomed prefixes."""
-        vec = combination(f, cand, inputs, n)
         if len(cand) == len(inputs):
             yield cand, vec
         elif not (cand and any(forbids(x, None, vec) for x in doomed[len(cand)])):
+            u = inputs[len(cand)]
             for c in range(f.order):
-                yield from leaves(cand + (c,))
+                yield from leaves(cand + (c,), axpy(c, u, vec))
 
     for e in net.topological_order:
-        inputs = code.inputs(e.id)
+        inputs, paths = code.inputs(e.id), on_path[e.id]
         security, level = [], roots
         while level:
             security += level
             level = [pair for W, _ in level for pair in kids.get(W, ())]
-        forbidden = _forbidden_subspaces(code, frontier, on_path[e.id], security)
-        # doomed[j]: the receiver spans holding every input a j-prefix leaves free
-        doomed = [[x for x, o in forbidden if o is None and not any(dot(f, row, u)
-                   for row in x for u in inputs[j:])] for j in range(len(inputs))]
-        for cand, vec in leaves(()):
-            if not any(forbids(x, o, vec) for x, o in forbidden):
-                break
+        forbidden = _forbidden_subspaces(code, dual, paths, security)
+        receiving, securing = forbidden[:len(paths)], forbidden[len(paths):]
+        # doomed[j]: the receiver spans holding every input a j-prefix leaves free,
+        # those whose dual row meets no input from the j-th on
+        last = [max((i for i, u in enumerate(inputs) if fdot(x[0], u)), default=-1)
+                for x, _ in receiving]
+        doomed = [[x for (x, _), i in zip(receiving, last) if i < j]
+                  for j in range(len(inputs))]
+        # a coded direction passes every security pair (the invariant), so only a
+        # new one is tested against them
+        for cand, vec in leaves((), [0] * n):
+            if not any(forbids(x, None, vec) for x, _ in receiving):
+                point = reduce_row(f, [], vec)  # (lead index, vec scaled to 1 there), or None
+                direction = point and tuple(point[1])
+                if direction in seen or not any(forbids(x, o, vec) for x, o in securing):
+                    break
         else:
             bound = alphabet_bound_general(len(net.edges), max(mu, 1), len(net.receivers))
             raise FieldTooSmall(
@@ -265,13 +279,17 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
             )
         code.set_local(e.id, cand)
         code.global_vectors[e.id] = tuple(vec)
-        for r, pi in on_path[e.id]:
-            frontier[r][pi] = vec
+        for r, pi in paths:  # frontier row pi becomes vec: update the dual basis
+            D = dual[r]
+            b = D[pi] = axpy(f.inv(fdot(vec, D[pi])), D[pi], [0] * n)
+            for j, row in enumerate(D):
+                c = j != pi and fdot(vec, row)
+                if c:
+                    D[j] = axpy(f.neg(c), b, row)
         # a new direction joins each smaller set W it is independent of; having
         # passed W's pair, vec then also leaves span [H; C_W]
-        point = reduce_row(f, [], vec)  # (lead index, vec scaled to 1 there), or None
-        if point and tuple(point[1]) not in seen:
-            seen.add(tuple(point[1]))
+        if direction and direction not in seen:
+            seen.add(direction)
             for W, _ in security:
                 C, HC = bases[W]
                 step = len(W) < top - 1 and reduce_row(f, C, vec)
@@ -279,7 +297,6 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
                     kids.setdefault(W, []).append(
                         node(W + (e.id,), C + [step], HC + [reduce_row(f, HC, vec)]))
 
-    code.propagate()
     ok, witness = verify_secrecy_condition(H, code, mu)
     if not ok:
         raise InvariantViolated(
@@ -292,15 +309,13 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     return SecureDesign(coset, code, SecurityParams(mu), certificate)
 
 
-def _forbidden_subspaces(code, frontier, paths, security):
-    """The next edge's forbidden subspaces in test order, as pairs (inside,
-    outside) of annihilator rows of a span A and its exemption B: v is
-    forbidden when it is in A and, unless outside is None, not in B.  Per
-    (receiver r, path pi) in `paths`, A is r's frontier without row pi; then
-    the pairs of `security`, a list of (W, pair) items."""
-    f, n = code.field, code.n
-    return [(null_space(f, echelon(f, frontier[r][:pi] + frontier[r][pi + 1:]), n), None)
-            for r, pi in paths] + [pair for _, pair in security]
+def _forbidden_subspaces(code, dual, paths, security):
+    """The forbidden subspaces of the next edge of `code`, in test order, as
+    pairs (inside, outside) of annihilator rows of a span A and its exemption
+    B: v is forbidden when it is in A and, unless outside is None, not in B.
+    Per (receiver r, path pi) in `paths`, A is r's frontier without row pi,
+    annihilated by the dual row dual[r][pi]; then the pairs of `security`."""
+    return [((dual[r][pi],), None) for r, pi in paths] + [pair for _, pair in security]
 
 
 # ---- alphabet-size bounds ----

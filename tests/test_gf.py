@@ -78,6 +78,9 @@ def test_field_axioms_exhaustive(monkeypatch, make, p, m, cap):
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
         assert f.add(a, f.neg(a)) == 0
+        # the row kernels of every field kind: prime, tabled and digit loops
+        assert f.axpy(a, elems, elems) == [f.add(b, f.mul(a, b)) for b in elems]
+        assert f.dot((a, 1, a), (a, a, 1)) == f.add(f.add(f.mul(a, a), a), a)
         if a:
             assert f.mul(a, f.inv(a)) == 1
     # commutativity and distributivity on the full triple product is O(q^3);
@@ -91,6 +94,33 @@ def test_field_axioms_exhaustive(monkeypatch, make, p, m, cap):
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
                 assert f.add(a, f.add(b, c)) == f.add(f.add(a, b), c)
                 assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(2, 9)
+                                 if p ** m <= 256])
+def test_table_kernels_match_digit_loops(monkeypatch, p, m):
+    """On every tabled field with q <= 256, add, neg, axpy and dot (XOR, or
+    Zech logarithms) equal the digit loops of the same field untabled, on
+    every pair of elements.  Products come from the exp table, which is
+    checked here against polynomial products of the primitive element."""
+    f = field_new(p, m)
+    monkeypatch.setattr(gf, "LOG_TABLE_CAP", 0)
+    ref = FieldSpec(p, m)
+    q, g = f.order, f.primitive_element()
+    assert f._exp is not None and ref._exp is None
+    x = 1
+    for i in range(q - 1):
+        assert f._exp[i] == x
+        x = ref.mul(x, g)
+    elems = range(q)
+    assert [f.neg(a) for a in elems] == [ref.neg(a) for a in elems]
+    for a in elems:
+        assert [f.add(a, b) for b in elems] == [ref.add(a, b) for b in elems]
+        # v[b] = a + b mod q: over all a, every (a, b) and every (v[b], b) pair is met
+        v = [(a + b) % q for b in elems]
+        assert f.axpy(a, elems, v) == [ref.add(x, f.mul(a, b)) for x, b in zip(v, elems)]
+        assert [f.dot((a, b, a), (b, 1, 1)) for b in elems] == [
+            ref.add(ref.add(f.mul(a, b), b), a) for b in elems]
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (7, 1), (2, 3), (3, 2), (5, 2)])
