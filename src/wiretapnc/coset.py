@@ -14,11 +14,11 @@ from itertools import combinations
 from math import comb
 
 from .exceptions import (
+    CapExceeded,
     DimensionMismatch,
     ExtensionTooSmall,
     LengthExceedsField,
     SingularMatrix,
-    TooManySubsets,
 )
 from .fmatrix import FMatrix, combination, null_space
 from .gf import FieldSpec, field_new
@@ -70,16 +70,17 @@ class CosetCode:
         return self.parity_check.mul_vec(word)
 
 
-def rs_parity_check(n: int, length: int, field: FieldSpec, alpha=None) -> FMatrix:
+def rs_parity_check(n: int, length: int, field: FieldSpec) -> FMatrix:
     """Vandermonde parity check of an [length, length-n] Reed-Solomon code.
 
-    Entry (i, j) = alpha^((i+1) j), rows i = 0..n-1, columns j = 0..length-1.
+    Entry (i, j) = alpha^((i+1) j), rows i = 0..n-1, columns j = 0..length-1,
+    with alpha the field's primitive element.
     """
     if length > field.order - 1:
         raise LengthExceedsField(
             f"length {length} exceeds q-1 = {field.order - 1}"
         )
-    a = field.primitive_element() if alpha is None else field.check(alpha)
+    a = field.primitive_element()
     return FMatrix(
         field,
         [[field.pow(a, (i + 1) * j) for j in range(length)] for i in range(n)],
@@ -95,7 +96,7 @@ def is_mds_parity_check(Hfull: FMatrix):
     """
     n = Hfull.rows
     if comb(Hfull.cols, n) > MDS_SUBSET_CAP:
-        raise TooManySubsets(
+        raise CapExceeded(
             f"choose({Hfull.cols}, {n}) exceeds {MDS_SUBSET_CAP = }"
         )
     for subset in combinations(range(Hfull.cols), n):

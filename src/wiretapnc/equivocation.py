@@ -20,10 +20,10 @@ from math import comb
 
 from .exceptions import (
     BadBudgets,
+    CapExceeded,
     CutNotInvertible,
     DimensionMismatch,
     SingularMatrix,
-    TooLargeForExhaustive,
 )
 from .fmatrix import FMatrix, combination, echelon, reduce_row
 from .netgraph import NetworkCode
@@ -33,15 +33,13 @@ GHW_CODEWORD_CAP = 10 ** 6
 
 
 class EquivocationReport:
-    __slots__ = ("k", "delta", "witnesses", "flagged", "d_profile")
+    __slots__ = ("delta", "witnesses", "flagged", "d_profile")
 
-    def __init__(self, k: int, delta: dict | None = None, witnesses: dict | None = None,
-                 flagged: dict | None = None, d_profile: dict | None = None):
-        self.k = k
-        self.delta = {} if delta is None else delta  # mu -> Delta(mu)
-        self.witnesses = {} if witnesses is None else witnesses  # mu -> minimizing W
-        self.flagged = {} if flagged is None else flagged  # mu -> True if no full-rank W
-        self.d_profile = {} if d_profile is None else d_profile  # r -> d_r
+    def __init__(self):
+        self.delta = {}  # mu -> Delta(mu)
+        self.witnesses = {}  # mu -> minimizing W
+        self.flagged = {}  # mu -> True if no full-rank W
+        self.d_profile = {}  # r -> d_r
 
 
 def equivocation_rank(H: FMatrix, code: NetworkCode, mu: int, restricted=None):
@@ -85,7 +83,7 @@ def equivocation_sweep(H: FMatrix, code: NetworkCode, mu_max: int,
     """Delta(mu) for mu = 0..mu_max plus the network d_r profile."""
     admit_wiretap(H, code, mu_max, restricted, name="mu_max")
     k = H.rows
-    report = EquivocationReport(k=k)
+    report = EquivocationReport()
     for mu in range(mu_max + 1):
         delta, witness, flagged = equivocation_rank(H, code, mu, restricted)
         report.delta[mu] = delta
@@ -158,7 +156,7 @@ def generalized_hamming_weights(C_generator: FMatrix):
     f = G.field
     q = f.order
     if q ** k > GHW_CODEWORD_CAP:
-        raise TooLargeForExhaustive(f"q^k = {q ** k} exceeds {GHW_CODEWORD_CAP = }")
+        raise CapExceeded(f"q^k = {q ** k} exceeds {GHW_CODEWORD_CAP = }")
     codewords = []
     for msg_code in range(1, q ** k):
         msg = []
@@ -170,7 +168,7 @@ def generalized_hamming_weights(C_generator: FMatrix):
     weights = []
     for r in range(1, k + 1):
         if comb(len(codewords), r) > GHW_CODEWORD_CAP:
-            raise TooLargeForExhaustive(
+            raise CapExceeded(
                 f"choose({len(codewords)}, {r}) exceeds {GHW_CODEWORD_CAP = }")
         best = None
         for subset in combinations(codewords, r):

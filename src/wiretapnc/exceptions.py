@@ -17,8 +17,8 @@ class NonPrimeCharacteristic(WiretapNCError):
     pass
 
 
-class FieldTooLarge(WiretapNCError):
-    pass
+class CapExceeded(WiretapNCError):
+    """An instance above a resource cap; the message names the cap's constant."""
 
 
 class FieldMismatch(WiretapNCError):
@@ -48,10 +48,6 @@ class LengthExceedsField(WiretapNCError):
 
 
 class ExtensionTooSmall(WiretapNCError):
-    pass
-
-
-class TooManySubsets(WiretapNCError):
     pass
 
 
@@ -88,23 +84,11 @@ class FieldTooSmall(WiretapNCError):
         self.bound = bound
 
 
-class ComplexityCapExceeded(WiretapNCError):
-    pass
-
-
 class BadBudgets(WiretapNCError):
     pass
 
 
 class CutNotInvertible(WiretapNCError):
-    pass
-
-
-class TooLargeForExhaustive(WiretapNCError):
-    pass
-
-
-class EnumerationTooLarge(WiretapNCError):
     pass
 
 

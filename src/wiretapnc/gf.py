@@ -13,9 +13,9 @@ from operator import index, mul
 
 from .exceptions import (
     BadParameters,
+    CapExceeded,
     DivisionByZero,
     EntryOutOfRange,
-    FieldTooLarge,
     NonPrimeCharacteristic,
 )
 
@@ -101,7 +101,7 @@ class FieldSpec:
             raise BadParameters(f"extension degree must be >= 1, got {m}")
         # p^m > ORDER_CAP for every p >= 2 once m reaches its bit length: p^m is formed for small m
         if m >= ORDER_CAP.bit_length() or p ** m > ORDER_CAP:
-            raise FieldTooLarge(f"order {p}^{m} exceeds {ORDER_CAP = }")
+            raise CapExceeded(f"order {p}^{m} exceeds {ORDER_CAP = }")
         self.p = p
         self.m = m
         self.order = p ** m

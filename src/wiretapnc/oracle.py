@@ -37,7 +37,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .coset import CosetCode
-from .exceptions import DimensionMismatch, EnumerationTooLarge, InvariantViolated
+from .exceptions import CapExceeded, DimensionMismatch, InvariantViolated
 from .fmatrix import FMatrix
 from .netgraph import NetworkCode
 from .securecode import admit_wiretap
@@ -77,7 +77,7 @@ class CosetChannelOracle:
         coset = CosetCode(H)
         self.total = self.q ** self.n
         if self.total > ENUM_CAP:
-            raise EnumerationTooLarge(f"q^n = {self.total} outcomes exceed {ENUM_CAP = }")
+            raise CapExceeded(f"q^n = {self.total} outcomes exceed {ENUM_CAP = }")
         # one row per edge, so an observation reads contiguous rows
         self._column = {eid: j for j, eid in enumerate(code.global_vectors)}
         units = [[int(i == j) for j in range(self.k)] for i in range(self.k)]
@@ -203,9 +203,6 @@ class CosetChannelOracle:
             "H(Y|SZ)": self.n - h_sz,
             "H(Z)": h_z,
         }
-
-    def secret_equivocation(self, W) -> int:
-        return self.entropy_terms(W)["H(S|Z)"]
 
 
 def min_equivocation_bruteforce(H: FMatrix, code: NetworkCode, mu: int,

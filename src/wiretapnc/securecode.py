@@ -26,7 +26,7 @@ from .exceptions import (
     BadBudgets,
     BadParameters,
     BudgetExceedsCut,
-    ComplexityCapExceeded,
+    CapExceeded,
     DimensionMismatch,
     FieldMismatch,
     FieldTooSmall,
@@ -178,11 +178,14 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     stays invertible and rank [H; C_W] = k + |W| holds for every full-rank
     W = {e} united with processed edges, |W| <= mu.  The search runs
     depth-first over coefficient prefixes in product order and skips each
-    prefix whose completions all lie in one receiver's forbidden span; a
-    direction already coded is tested against the receiver spans only.  The
-    finished code is verified by `verify_secrecy_condition`.  "checks" in the
+    prefix whose completions all lie in one receiver's forbidden span.  It
+    tries one coefficient vector per direction, the one whose first nonzero
+    coefficient is 1: every forbidden set is a span, less an exempt span, so c
+    and lambda c share a verdict, and c / lambda comes first in product order.
+    A global vector whose direction is already coded is tested against the
+    receiver spans only.  The finished code is verified by `verify_secrecy_condition`.  "checks" in the
     certificate counts forbidden-subspace tests, of prefixes and of full
-    vectors, capped at SUBSET_CHECK_CAP (ComplexityCapExceeded).
+    vectors, capped at SUBSET_CHECK_CAP (CapExceeded).
     Refused before the search: an n (DimensionMismatch) or f (FieldMismatch)
     other than the network's, what `admit_wiretap` refuses, a rank-deficient
     H (SingularMatrix) and k + mu > n (BudgetExceedsCut).
@@ -233,18 +236,19 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
         nonlocal checks
         checks += 1
         if checks > SUBSET_CHECK_CAP:
-            raise ComplexityCapExceeded(f"secure_lif exceeded SUBSET_CHECK_CAP = "
-                                        f"{SUBSET_CHECK_CAP} invariant checks at edge {e.id}")
+            raise CapExceeded(f"secure_lif exceeded SUBSET_CHECK_CAP = "
+                              f"{SUBSET_CHECK_CAP} invariant checks at edge {e.id}")
         return not any(fdot(x, vec) for x in inside) and (
             outside is None or any(fdot(x, vec) for x in outside))
 
     def leaves(cand, vec):
-        """Completions of cand with their vectors, in product order, bar doomed prefixes."""
+        """Completions of cand with their vectors, in product order, bar doomed
+        prefixes and every vector whose first nonzero coefficient is not 1."""
         if len(cand) == len(inputs):
             yield cand, vec
         elif not (cand and any(forbids(x, None, vec) for x in doomed[len(cand)])):
             u = inputs[len(cand)]
-            for c in range(f.order):
+            for c in range(f.order if any(cand) else 2):
                 yield from leaves(cand + (c,), axpy(c, u, vec))
 
     for e in net.topological_order:

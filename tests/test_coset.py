@@ -3,7 +3,6 @@ from itertools import product
 
 import pytest
 
-from wiretapnc import coset
 from wiretapnc.coset import (
     CosetCode,
     gabidulin_parity_check,
@@ -17,7 +16,6 @@ from wiretapnc.exceptions import (
     ExtensionTooSmall,
     LengthExceedsField,
     SingularMatrix,
-    TooManySubsets,
 )
 from wiretapnc.fmatrix import FMatrix
 from wiretapnc.gf import field_new
@@ -123,12 +121,6 @@ def test_rs_length_bound(gf3):
 def test_is_mds_counterexample(gf2):
     ok, witness = is_mds_parity_check(FMatrix(gf2, [[1, 0, 1]]))
     assert not ok and witness == (1,)
-
-
-def test_mds_check_refuses_above_its_subset_cap(gf7, monkeypatch):
-    monkeypatch.setattr(coset, "MDS_SUBSET_CAP", 1)
-    with pytest.raises(TooManySubsets, match=r"^choose\(3, 2\) exceeds MDS_SUBSET_CAP = 1$"):
-        is_mds_parity_check(rs_parity_check(2, 3, gf7))
 
 
 def test_gabidulin_requirements(gf2):

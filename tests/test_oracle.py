@@ -15,7 +15,6 @@ from wiretapnc.coset import CosetCode
 from wiretapnc.equivocation import equivocation_rank, equivocation_sweep
 from wiretapnc.exceptions import (
     DimensionMismatch,
-    EnumerationTooLarge,
     FieldMismatch,
     InvariantViolated,
 )
@@ -41,13 +40,13 @@ def test_joint_distribution_is_normalized(gf3):
 def test_leaky_edge_has_zero_equivocation(gf3):
     H = FMatrix(gf3, [[1, 1]])
     oracle = CosetChannelOracle(H, butterfly_code(gf3, (1, 1)))
-    assert oracle.secret_equivocation(("BE",)) == 0
+    assert oracle.entropy_terms(("BE",))["H(S|Z)"] == 0
 
 
 def test_secure_edge_leaves_secret_independent(gf3):
     H = FMatrix(gf3, [[1, 1]])
     oracle = CosetChannelOracle(H, butterfly_code(gf3, (1, 2)))
-    assert oracle.secret_equivocation(("BE",)) == 1
+    assert oracle.entropy_terms(("BE",))["H(S|Z)"] == 1
     # full independence: H(S, Z) = H(Z) + H(S|Z) = 2 = log_3 9, so the joint
     # law is uniform on all 9 (s, z) cells
     terms = oracle.entropy_terms(("BE",))
@@ -58,7 +57,7 @@ def test_secure_edge_leaves_secret_independent(gf3):
 def test_empty_observation(gf3):
     H = FMatrix(gf3, [[1, 1]])
     oracle = CosetChannelOracle(H, butterfly_code(gf3))
-    assert oracle.secret_equivocation(()) == 1  # prior uncertainty k = 1
+    assert oracle.entropy_terms(())["H(S|Z)"] == 1  # prior uncertainty k = 1
 
 
 def test_entropy_term_identities(gf3):
@@ -115,13 +114,6 @@ def test_mu_above_the_edge_count_is_refused(gf3):
         equivocation_rank(H, code, 2, restricted=["AB"])
 
 
-def test_enumeration_cap(gf3, monkeypatch):
-    monkeypatch.setattr(oracle_module, "ENUM_CAP", 5)
-    H = FMatrix(gf3, [[1, 1]])
-    with pytest.raises(EnumerationTooLarge, match=r"^q\^n = 9 outcomes exceed ENUM_CAP = 5$"):
-        min_equivocation_bruteforce(H, butterfly_code(gf3), 1)
-
-
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (2, 4)])
 def test_entropy_terms_equal_reference_loop(p, m):
     rng = random.Random(9073493 + p ** m)
@@ -151,7 +143,7 @@ def test_long_observation_codes_do_not_wrap():
     H = FMatrix(f, [[1, 1]])
     W = tuple(e.id for e in net.edges)
     assert reference_entropy_terms(H, code, W)["H(S|Z)"] == pytest.approx(0)
-    assert CosetChannelOracle(H, code).secret_equivocation(W) == 0
+    assert CosetChannelOracle(H, code).entropy_terms(W)["H(S|Z)"] == 0
 
 
 def test_oracle_checks_every_syndrome(gf3, monkeypatch):
@@ -175,7 +167,7 @@ def test_non_uniform_table_is_refused(gf3):
     with pytest.raises(InvariantViolated, match=r"W=\('BE',\) .*not uniform") as info:
         oracle.entropy_terms(("BE",))
     assert info.value.witness == ("BE",)
-    assert oracle.secret_equivocation(("SA",)) == 1  # other rows are untouched
+    assert oracle.entropy_terms(("SA",))["H(S|Z)"] == 1  # other rows are untouched
 
 
 def test_support_not_a_power_of_q_is_refused():
@@ -219,7 +211,7 @@ def test_unknown_edge_is_refused(gf3):
     with pytest.raises(DimensionMismatch, match=re.escape("unknown edge 'nope'")):
         oracle.entropy_terms(("nope",))
     with pytest.raises(DimensionMismatch, match="unknown edge"):
-        oracle.secret_equivocation(("BE", "nope"))
+        oracle.entropy_terms(("BE", "nope"))
 
 
 # (q, n, k, instances): every field kind, prime, characteristic 2 and odd

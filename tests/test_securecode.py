@@ -15,7 +15,6 @@ from wiretapnc.exceptions import (
     BadBudgets,
     BadParameters,
     BudgetExceedsCut,
-    ComplexityCapExceeded,
     DimensionMismatch,
     FieldMismatch,
     FieldTooSmall,
@@ -23,7 +22,12 @@ from wiretapnc.exceptions import (
 )
 from wiretapnc.fmatrix import FMatrix
 from wiretapnc.gf import field_new
-from wiretapnc.netgraph import butterfly_code, butterfly_network, parallel_network
+from wiretapnc.netgraph import (
+    butterfly_code,
+    butterfly_network,
+    combination_network,
+    parallel_network,
+)
 from wiretapnc.oracle import min_equivocation_bruteforce
 from wiretapnc.securecode import (
     alphabet_bound_general,
@@ -132,15 +136,13 @@ def test_secure_lif_field_too_small(gf2):
     assert exc.value.bound >= 3
 
 
-@pytest.mark.parametrize("H_rows", [[], [[1, 1]]])
-def test_secure_lif_check_cap_is_read_at_call_time(gf3, monkeypatch, H_rows):
-    """The cap counts receiver checks too: with k = 0 there are no others."""
-    H = FMatrix(gf3, H_rows, 2)
-    monkeypatch.setattr(securecode, "SUBSET_CHECK_CAP", 3)
-    with pytest.raises(ComplexityCapExceeded, match="SUBSET_CHECK_CAP = 3 .* at edge "):
-        secure_lif(butterfly_network(gf3), 2, 1, H)
-    monkeypatch.undo()
-    assert secure_lif(butterfly_network(gf3), 2, 1, H).certificate["checks"] > 3
+def test_secure_lif_tries_one_coefficient_vector_per_direction(monkeypatch):
+    """B(4,8) with mu = 3 over GF(32) needs 36,486 checks when every scalar
+    multiple of a coefficient vector is tried; one per direction fits 10,000."""
+    f = field_new(2, 5)
+    monkeypatch.setattr(securecode, "SUBSET_CHECK_CAP", 10_000)
+    design = secure_lif(combination_network(4, 8, f), 4, 3, FMatrix(f, [[1] * 4]))
+    assert design.certificate["checks"] <= 10_000
 
 
 def test_secure_lif_insufficient_cut(gf3):
@@ -281,7 +283,7 @@ def test_final_checks_survive_optimized_mode(tmp_path):
         oracle = CosetChannelOracle(FMatrix(f, [[1, 1]]), butterfly_code(f, (1, 2)))
         oracle._symbols[oracle._column["BE"], 0] += 1  # a non-uniform Z table
         try:
-            oracle.secret_equivocation(("BE",))
+            oracle.entropy_terms(("BE",))
         except InvariantViolated:
             pass
         else:
