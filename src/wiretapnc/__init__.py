@@ -16,7 +16,7 @@ _EXPORTS = {
               "rs_parity_check", "universal_secrecy_check"),
     "netgraph": ("netgraph", "Flow", "Network", "NetworkCode", "butterfly_code",
                  "butterfly_network", "combination_network", "parallel_code", "parallel_network"),
-    "securecode": ("securecode", "SecureDesign", "SecurityParams", "alphabet_bound_general",
+    "securecode": ("securecode", "SecureDesign", "alphabet_bound_general",
                    "alphabet_bound_minimal", "alphabet_bound_two_sources",
                    "byzantine_secrecy_check", "cai_yeung_to_coset", "combination_secure_design",
                    "projective_line_colors", "secure_lif", "verify_secrecy_condition"),

@@ -1,9 +1,11 @@
 """Command-line front end: JSON-in/JSON-out workflows over the library.
 
 Exit codes: 0 success, 2 verification failure (witness on stdout), 1 usage
-error.  Every command is a pure function of its inputs and the seed; a run
-manifest (command, input hashes, seed, version, timings) goes to stdout,
-never into result files, so result files are byte-identical across runs.
+error.  Every command is a pure function of its inputs and the seed, which
+only `coset` takes (`--seed`, the randomness of `coset encode`).  A run
+manifest (command, input hashes, version, elapsed_s, and a summary, which
+for `coset encode` records the seed) goes to stdout, never into result
+files, so result files are byte-identical across runs.
 Each command imports the modules it calls when it runs, so a process compiles
 only those, and numpy (for the oracle) only where the oracle runs.
 """
@@ -33,11 +35,10 @@ from .serialize import (
 GOLDEN_NAMES = ("butterfly_insecure", "butterfly_secure", "combination_b34")
 
 
-def _print_manifest(command, inputs, seed, t0, summary):
+def _print_manifest(command, inputs, t0, summary):
     print(json.dumps({
         "command": command,
         "inputs": {name: sha256_file(path) for name, path in inputs.items()},
-        "seed": seed,
         "version": __version__,
         "elapsed_s": round(time.monotonic() - t0, 6),
         "summary": summary,
@@ -139,7 +140,7 @@ def cmd_paper_figures(args):
         "golden_ok": not mismatches,
         "mismatches": mismatches,
     }
-    _print_manifest("paper-figures", {}, args.seed, t0, summary)
+    _print_manifest("paper-figures", {}, t0, summary)
     if mismatches:
         print(f"golden mismatch: {', '.join(mismatches)}")
         return 2
@@ -155,7 +156,7 @@ def cmd_build(args):
     write_json(args.out, design_to_json(design))
     inputs = {"network": args.network, "H": args.H}
     summary = {"out": args.out, "checks": design.certificate["checks"]}
-    _print_manifest("build", inputs, args.seed, t0, summary)
+    _print_manifest("build", inputs, t0, summary)
     return 0
 
 
@@ -166,7 +167,7 @@ def cmd_verify(args):
     restricted = _restricted(args, design)
     # one walk up to n - k gives the verdict at the claimed mu and the design's
     # achieved level: the condition holds below the first violation's size
-    H, mu = design.coset.parity_check, design.params.mu
+    H, mu = design.coset.parity_check, design.mu
     check_budget(mu)
     top = H.cols - H.rows
     ok, witness = verify_secrecy_condition(H, design.netcode, max(mu, top), restricted)
@@ -174,7 +175,7 @@ def cmd_verify(args):
     if not ok and len(witness) > mu:
         ok, witness = True, None
     summary = {"ok": ok, "witness": list(witness) if witness else None, "achieved_mu": achieved}
-    _print_manifest("verify", {"design": args.design}, args.seed, t0, summary)
+    _print_manifest("verify", {"design": args.design}, t0, summary)
     if not ok:
         print(f"secrecy violation witness: {','.join(witness)}")
         return 2
@@ -202,7 +203,7 @@ def cmd_sweep(args):
         write_json(args.out, obj)
     else:
         sys.stdout.write(canonical_dumps(obj))
-    _print_manifest("sweep", {"design": args.design}, args.seed, t0, {"mu_max": args.mu_max})
+    _print_manifest("sweep", {"design": args.design}, t0, {"mu_max": args.mu_max})
     return 0
 
 
@@ -223,7 +224,7 @@ def cmd_oracle(args):
         "oracle_delta": oracle_delta,
         "agree": agree,
     }
-    _print_manifest("oracle", {"design": args.design}, args.seed, t0, summary)
+    _print_manifest("oracle", {"design": args.design}, t0, summary)
     if not agree:
         print(
             f"DISAGREEMENT at mu={args.mu}: rank formula {rank_delta} "
@@ -241,7 +242,7 @@ def cmd_bounds(args):
     net = load_json(args.network, network_from_json, "network")
     bound = alphabet_bound_general(len(net.edges), args.mu, len(net.receivers))
     print(bound)
-    _print_manifest("bounds", {"network": args.network}, args.seed, t0, {"bound": bound})
+    _print_manifest("bounds", {"network": args.network}, t0, {"bound": bound})
     return 0
 
 
@@ -267,20 +268,20 @@ def cmd_coset(args):
         secret = _vector_argument(H.field, args.secret, "--secret", "encode")
         word = code.encode(secret, seed=args.seed)
         print(json.dumps(word))
-        summary = {"action": "encode"}
+        summary = {"action": "encode", "seed": args.seed}
     else:
         word = _vector_argument(H.field, args.word, "--word", "decode")
         secret = code.decode(word)
         print(json.dumps(secret))
         summary = {"action": "decode"}
-    _print_manifest("coset", {"H": args.H}, args.seed, t0, summary)
+    _print_manifest("coset", {"H": args.H}, t0, summary)
     return 0
 
 
 def _restricted(args, design):
     """The wiretappable edge ids: the comma-separated --restricted list, else
-    the design's params.restricted (None: every edge)."""
-    return args.restricted.split(",") if args.restricted else design.params.restricted_edges
+    the design's restricted edges (None: every edge)."""
+    return args.restricted.split(",") if args.restricted else design.restricted_edges
 
 
 def build_parser():
@@ -288,50 +289,46 @@ def build_parser():
         prog="wiretapnc",
         description="Secure network codes for multicast wiretap networks of type II",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     analysis = argparse.ArgumentParser(add_help=False)
     analysis.add_argument("--design", required=True)
     analysis.add_argument("--restricted",
                           help="comma-separated edge ids (default: params.restricted)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, *parents, **kwargs):
-        return sub.add_parser(name, parents=[common, *parents], **kwargs)
-
-    p = add_parser("paper-figures", help="regenerate the built-in reference example reports")
+    p = sub.add_parser("paper-figures", help="regenerate the built-in reference example reports")
     p.add_argument("--out", help="directory for generated report copies")
     p.set_defaults(func=cmd_paper_figures)
 
-    p = add_parser("build", help="security-constrained LIF construction")
+    p = sub.add_parser("build", help="security-constrained LIF construction")
     p.add_argument("--network", required=True)
     p.add_argument("--mu", type=int, required=True)
     p.add_argument("--H", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
 
-    p = add_parser("verify", analysis, help="check the secrecy rank condition")
+    p = sub.add_parser("verify", parents=[analysis], help="check the secrecy rank condition")
     p.set_defaults(func=cmd_verify)
 
-    p = add_parser("sweep", analysis, help="equivocation sweep over mu")
+    p = sub.add_parser("sweep", parents=[analysis], help="equivocation sweep over mu")
     p.add_argument("--mu-max", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
-    p = add_parser("oracle", analysis, help="cross-check rank formula vs brute force")
+    p = sub.add_parser("oracle", parents=[analysis], help="cross-check rank formula vs brute force")
     p.add_argument("--mu", type=int, required=True)
     p.set_defaults(func=cmd_oracle)
 
-    p = add_parser("bounds", help="sufficient alphabet size for a network")
+    p = sub.add_parser("bounds", help="sufficient alphabet size for a network")
     p.add_argument("--network", required=True)
     p.add_argument("--mu", type=int, required=True)
     p.set_defaults(func=cmd_bounds)
 
-    p = add_parser("coset", help="coset encode/decode")
+    p = sub.add_parser("coset", help="coset encode/decode")
     p.add_argument("coset_action", choices=("encode", "decode"))
     p.add_argument("--H", required=True)
     p.add_argument("--secret", help="JSON array of secret symbols")
     p.add_argument("--word", help="JSON array of channel symbols")
+    p.add_argument("--seed", type=int, default=0, help="seed of the encoder's randomness")
     p.set_defaults(func=cmd_coset)
     return parser
 

@@ -1,10 +1,14 @@
 """Ozarow-Wyner coset coding and MDS/MRD parity-check constructions.
 
-The encoder maps a k-symbol secret to the syndrome of an [n, n-k] code and
-transmits a word drawn uniformly from the matching coset:
-Y = Y0(S) + r N, with N the canonical kernel basis of H and r the injected
-randomness.  Randomness enters only through an explicit seed (or an explicit
-kernel-coefficient vector), so every security experiment is reproducible.
+The encoder maps a k-symbol secret S to the syndrome of an [n, n-k] code and
+transmits a word drawn uniformly from the matching coset: Y = [S R] G, with R
+the n-k injected randomness symbols.  The generator G is one invertible n x n
+matrix [P; N]: row i of P is the word of syndrome e_i, nonzero only on H's
+pivot columns, and N is H's canonical kernel basis.  So H G^T = [I_k 0], and
+G^T is the matrix T of the equivalent Cai-Yeung multiply-by-T scheme
+(`securecode.cai_yeung_to_coset`).  Randomness enters only through an
+explicit seed (or an explicit kernel-coefficient vector), so every security
+experiment is reproducible.
 """
 
 from __future__ import annotations
@@ -33,32 +37,31 @@ class CosetCode:
         H = self.parity_check = parity_check
         self.k, self.n, self.field = H.rows, H.cols, H.field
         # one elimination of [H | I_k]: [R | E] with R the RREF of H, whose pivot
-        # columns P make E = H_P^-1
+        # columns P make E = H_P^-1; column i of E, placed on P, has syndrome e_i
         eye = [[int(i == j) for j in range(self.k)] for i in range(self.k)]
-        rows, self._pivots = H._echelon(augment=eye)
-        rank = sum(c < self.n for c in self._pivots)
+        rows, pivots = H._echelon(augment=eye)
+        rank = sum(c < self.n for c in pivots)
         if rank != self.k:
             raise SingularMatrix(f"parity check must have full row rank {self.k}", rank=rank)
-        self._inverse = [row[self.n:] for row in rows]
-        self.kernel = FMatrix(self.field, null_space(self.field, rows, self._pivots, self.n),
-                              self.n)  # (n-k) x n
+        words = [[0] * self.n for _ in range(self.k)]
+        for c, row in zip(pivots, rows):
+            for word, x in zip(words, row[self.n:]):
+                word[c] = x
+        # the encoder matrix G = [P; N], as n row tuples
+        self.generator = (*map(tuple, words), *null_space(self.field, rows, pivots, self.n))
 
     def particular_solution(self, secret):
-        """One word with syndrome `secret`: nonzero only on H's pivot columns."""
-        if len(secret) != self.k:
-            raise DimensionMismatch(f"secret length {len(secret)} != k={self.k}")
-        secret = [self.field.check(s) for s in secret]
-        word = [0] * self.n
-        for c, row in zip(self._pivots, self._inverse):
-            word[c] = self.field.dot(row, secret)
-        return word
+        """The word [secret 0] G of syndrome `secret`: nonzero only on H's pivot columns."""
+        return self.encode_with_randomness(secret, [0] * (self.n - self.k))
 
     def encode_with_randomness(self, secret, r):
-        """Deterministic coset word for explicit kernel coefficients r."""
+        """Deterministic coset word [secret r] G for explicit kernel coefficients r."""
         if len(r) != self.n - self.k:
             raise DimensionMismatch(f"need {self.n - self.k} randomness symbols")
-        return combination(self.field, [1, *r],
-                           [self.particular_solution(secret), *self.kernel.data], self.n)
+        if len(secret) != self.k:
+            raise DimensionMismatch(f"secret length {len(secret)} != k={self.k}")
+        return combination(self.field, [*map(self.field.check, secret), *r],
+                           self.generator, self.n)
 
     def encode(self, secret, seed: int = 0):
         rng = random.Random(seed)

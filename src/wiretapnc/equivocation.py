@@ -128,18 +128,13 @@ def equivocation_underestimated(k: int, lam: int, mu: int) -> int:
     return max(k - (mu - lam), 0)
 
 
-def equivocation_restricted_cut(H: FMatrix, mu: int, code: NetworkCode = None,
-                                cut_edges=None) -> int:
-    """Wiretapper restricted to a decodable cut of n edges: the coset code
-    behaves exactly as on the wiretap channel of type II.
-
-    When the cut is supplied, its coding matrix must be invertible."""
-    if code is not None and cut_edges is not None:
-        C = code.coding_matrix(cut_edges)
-        if C.rows != C.cols or C.rank() != C.rows:
-            raise CutNotInvertible(
-                f"cut {tuple(cut_edges)} has singular coding matrix"
-            )
+def equivocation_restricted_cut(H: FMatrix, mu: int, code: NetworkCode, cut_edges) -> int:
+    """Wiretapper restricted to a decodable cut of n edges, whose coding
+    matrix must be invertible: the coset code behaves exactly as on the
+    wiretap channel of type II."""
+    C = code.coding_matrix(cut_edges)
+    if C.rows != C.cols or C.rank() != C.rows:
+        raise CutNotInvertible(f"cut {tuple(cut_edges)} has singular coding matrix")
     return equivocation_wtc2(H, mu)
 
 

@@ -150,14 +150,7 @@ class FMatrix:
         v = [self.field.check(x) for x in v]
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector length {len(v)} != {self.cols} cols")
-        return [dot(self.field, row, v) for row in self.data]
-
-
-def dot(field, a, b):
-    """Inner product of two integer-encoded vectors."""
-    if len(a) != len(b):
-        raise DimensionMismatch("vector lengths differ")
-    return field.dot(a, b)
+        return [self.field.dot(row, v) for row in self.data]
 
 
 def combination(field, coeffs, rows, width):

@@ -27,7 +27,7 @@ from .exceptions import (
     SingularMatrix,
     UnknownNode,
 )
-from .fmatrix import FMatrix, combination, dot
+from .fmatrix import FMatrix, combination
 from .gf import FieldSpec
 
 
@@ -50,7 +50,7 @@ class Flow:
 class Network:
     def __init__(self, nodes, edges, source, receivers, n: int, field: FieldSpec):
         self.nodes = tuple(nodes)
-        self.edges = tuple(Edge(*e) if not isinstance(e, Edge) else e for e in edges)
+        self.edges = tuple(Edge(*e) for e in edges)
         self.source = source
         self.receivers = tuple(receivers)
         self.n = n
@@ -241,7 +241,7 @@ class NetworkCode:
         f = self.field
         y = [f.check(v) for v in y]
         return {
-            eid: dot(f, vec, y) for eid, vec in self.global_vectors.items()
+            eid: f.dot(vec, y) for eid, vec in self.global_vectors.items()
         }
 
     def receiver_decode(self, flow: Flow, payloads):

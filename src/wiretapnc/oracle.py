@@ -8,17 +8,17 @@ other table raises InvariantViolated.  This is the only brute-force path,
 and it shares no code with the rank formula.
 
 Tabulation.  Outcome t = 0..q^n - 1 is u = [s r] whose elements' base-p
-digits are the base-p digits of t, s first.  Its word is y = u [P; N] (P the
-particular solutions of the unit secrets, N the kernel basis), and edge e
-carries y . g_e = sum_i u_i c_i with c_i = [P; N]_i . g_e in GF(q).  One field
-path serves every GF(p^m): each symbol is held as its m base-p digits, so
-adding a field element is adding digits mod p, and the table grows one
-base-p digit d of t at a time, table[v p^d + t] = table[t] + v x^l c_i for
-d = i m + l, in the smallest unsigned dtype that holds 2p.  Multiplying by a
-fixed element is GF(p)-linear on digits, so the digits of every x^l c_i are
-one small integer matrix mod p, made once.  The same recursion gives every
-outcome's syndrome H y, which must equal its secret: the oracle checks its
-reconstruction of the encoder instead of trusting it.
+digits are the base-p digits of t, s first.  Its word is y = u G, with G the
+coset code's generator (`CosetCode.generator`), and edge e carries
+y . g_e = sum_i u_i c_i with c_i = G_i . g_e in GF(q).  One field path
+serves every GF(p^m): each symbol is held as its m base-p digits, so adding
+a field element is adding digits mod p, and the table grows one base-p digit
+d of t at a time, table[v p^d + t] = table[t] + v x^l c_i for d = i m + l,
+in the smallest unsigned dtype that holds 2p.  Multiplying by a fixed element
+is GF(p)-linear on digits, so the digits of every x^l c_i are one small
+integer matrix mod p, made once.  The same recursion gives every outcome's
+syndrome H y, which must equal its secret: the oracle checks the encoder
+instead of trusting it.
 
 Counting.  Observations of one size are counted a chunk at a time, in
 `combinations` order, and the Delta(mu) search stops after the chunk that
@@ -68,20 +68,16 @@ class CosetChannelOracle:
 
     def __init__(self, H: FMatrix, code: NetworkCode):
         admit_wiretap(H, code, 0)  # the H and code the rank formula admits
-        self.H = H
-        self.code = code
         self.field = H.field
         self.q = self.field.order
         self.k = H.rows
         self.n = H.cols
-        coset = CosetCode(H)
+        generator = CosetCode(H).generator
         self.total = self.q ** self.n
         if self.total > ENUM_CAP:
             raise CapExceeded(f"q^n = {self.total} outcomes exceed {ENUM_CAP = }")
         # one row per edge, so an observation reads contiguous rows
         self._column = {eid: j for j, eid in enumerate(code.global_vectors)}
-        units = [[int(i == j) for j in range(self.k)] for i in range(self.k)]
-        generator = [coset.particular_solution(s) for s in units] + list(coset.kernel.data)
         self._secret = np.arange(self.total, dtype=np.int64) % self.q ** self.k
         self._powers = self.q ** np.arange(self.n + 1, dtype=np.int64)
         self._symbols = self._tabulate(generator, list(code.global_vectors.values()) + list(H.data))

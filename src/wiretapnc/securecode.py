@@ -41,31 +41,23 @@ from .netgraph import Network, NetworkCode, combination_network
 SUBSET_CHECK_CAP = 10 ** 7
 
 
-class SecurityParams:
-    """The design's claimed budget and wiretappable edges; k and n are H's shape."""
-    __slots__ = ("mu", "restricted_edges")
-
-    def __init__(self, mu: int, restricted_edges: tuple | None = None):
-        self.mu, self.restricted_edges = mu, restricted_edges
-
-
 class SecureDesign:
-    __slots__ = ("coset", "netcode", "params", "certificate")
+    """A coset code on a network code, with the claimed budget mu and the
+    wiretappable edges (None: every edge); k and n are the coset code's."""
+    __slots__ = ("coset", "netcode", "mu", "restricted_edges", "certificate")
 
-    def __init__(self, coset: CosetCode, netcode: NetworkCode, params: SecurityParams,
-                 certificate: dict | None = None):
-        self.coset, self.netcode, self.params = coset, netcode, params
+    def __init__(self, coset: CosetCode, netcode: NetworkCode, mu: int,
+                 restricted_edges: tuple | None = None, certificate: dict | None = None):
+        self.coset, self.netcode, self.mu = coset, netcode, mu
+        self.restricted_edges = restricted_edges
         self.certificate = {} if certificate is None else certificate
-
-    @property
-    def network(self):
-        return self.netcode.network
 
 
 def wiretappable_edges(code: NetworkCode, restricted=None):
-    """Edge ids open to the wiretapper, in sorted (enumeration) order."""
+    """Edge ids open to the wiretapper, in sorted (enumeration) order: those
+    in `restricted`, or every edge when it is None or empty."""
     ids = sorted(e.id for e in code.network.edges)
-    if restricted is None:
+    if not restricted:
         return ids
     restricted = set(restricted)
     unknown = restricted - set(ids)
@@ -310,7 +302,7 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
         "checks": checks,
         "locals": {eid: list(c) for eid, c in code.local.items()},
     }
-    return SecureDesign(coset, code, SecurityParams(mu), certificate)
+    return SecureDesign(coset, code, mu, certificate=certificate)
 
 
 def _forbidden_subspaces(code, dual, paths, security):
@@ -400,7 +392,7 @@ def combination_secure_design(n: int, M: int, f: FieldSpec, k: int) -> SecureDes
             f"combination design failed verification, witness {witness}", witness=witness
         )
     certificate = {"rs_parity_check": [list(r) for r in Hfull.data]}
-    return SecureDesign(CosetCode(H), code, SecurityParams(mu), certificate)
+    return SecureDesign(CosetCode(H), code, mu, certificate=certificate)
 
 
 def cai_yeung_to_coset(T: FMatrix, k: int) -> CosetCode:

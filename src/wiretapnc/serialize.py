@@ -153,18 +153,14 @@ def code_from_json(net: Network, obj) -> NetworkCode:
 
 def design_to_json(design: SecureDesign):
     return {
-        "network": network_to_json(design.network),
+        "network": network_to_json(design.netcode.network),
         "code": code_to_json(design.netcode),
         "H": matrix_to_json(design.coset.parity_check),
         "params": {
-            "mu": design.params.mu,
+            "mu": design.mu,
             "k": design.coset.k,
             "n": design.coset.n,
-            "restricted": (
-                list(design.params.restricted_edges)
-                if design.params.restricted_edges
-                else None
-            ),
+            "restricted": list(design.restricted_edges) if design.restricted_edges else None,
         },
         "certificate": design.certificate,
     }
@@ -174,7 +170,7 @@ def design_from_json(obj) -> SecureDesign:
     """The design in obj.  Refuses a params.k or params.n other than H's
     shape, and what `securecode.admit_wiretap` refuses of H at mu = 0."""
     from .coset import CosetCode
-    from .securecode import SecureDesign, SecurityParams, admit_wiretap
+    from .securecode import SecureDesign, admit_wiretap
     net = network_from_json(obj["network"])
     code = code_from_json(net, obj["code"])
     H = matrix_from_json(obj["H"])
@@ -189,5 +185,5 @@ def design_from_json(obj) -> SecureDesign:
             isinstance(restricted, list) and all(isinstance(e, str) for e in restricted)):
         raise MalformedInput(
             f"params.restricted must be a list of edge ids, got {restricted!r}")
-    params = SecurityParams(mu, tuple(restricted) if restricted else None)
-    return SecureDesign(CosetCode(H), code, params, obj.get("certificate", {}))
+    return SecureDesign(CosetCode(H), code, mu, tuple(restricted) if restricted else None,
+                        obj.get("certificate", {}))

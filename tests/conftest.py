@@ -9,7 +9,7 @@ import pytest
 
 from wiretapnc.coset import CosetCode
 from wiretapnc.exceptions import InsufficientCut
-from wiretapnc.fmatrix import FMatrix, combination, dot
+from wiretapnc.fmatrix import FMatrix, combination
 from wiretapnc.gf import field_new, is_prime
 from wiretapnc.netgraph import Network, NetworkCode
 from wiretapnc.securecode import wiretappable_edges
@@ -231,8 +231,8 @@ def reference_first_candidate(field, inputs, n, forbidden):
     `securecode._forbidden_subspaces` gives them), or None if none does."""
     for cand in product(range(field.order), repeat=len(inputs)):
         vec = combination(field, cand, inputs, n)
-        if not any(not any(dot(field, x, vec) for x in inside) and (
-                       outside is None or any(dot(field, x, vec) for x in outside))
+        if not any(not any(field.dot(x, vec) for x in inside) and (
+                       outside is None or any(field.dot(x, vec) for x in outside))
                    for inside, outside in forbidden):
             return cand
     return None

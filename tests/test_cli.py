@@ -14,7 +14,7 @@ from wiretapnc.exceptions import MalformedInput
 from wiretapnc.fmatrix import FMatrix
 from wiretapnc.gf import field_new
 from wiretapnc.netgraph import butterfly_code, butterfly_network, parallel_network
-from wiretapnc.securecode import SecureDesign, SecurityParams, combination_secure_design
+from wiretapnc.securecode import SecureDesign, combination_secure_design
 from wiretapnc.serialize import (
     canonical_dumps,
     code_from_json,
@@ -82,10 +82,8 @@ def test_network_names_must_be_strings(gf3, field, edit):
 
 def test_design_roundtrip(gf3):
     code = butterfly_code(gf3, (1, 2))
-    design = SecureDesign(
-        CosetCode(FMatrix(gf3, [[1, 1]])), code,
-        SecurityParams(mu=1), {"verified": True},
-    )
+    design = SecureDesign(CosetCode(FMatrix(gf3, [[1, 1]])), code, 1,
+                          certificate={"verified": True})
     obj = design_to_json(design)
     design2 = design_from_json(obj)
     assert design_to_json(design2) == obj
@@ -138,10 +136,7 @@ def test_build_is_deterministic(fixtures, capsys):
 
 def test_verify_failure_exit_code(fixtures, capsys, gf3):
     code = butterfly_code(gf3, (1, 1))
-    design = SecureDesign(
-        CosetCode(FMatrix(gf3, [[1, 1]])), code,
-        SecurityParams(mu=1), {},
-    )
+    design = SecureDesign(CosetCode(FMatrix(gf3, [[1, 1]])), code, 1)
     path = fixtures / "bad.json"
     write_json(path, design_to_json(design))
     rc, out = run(["verify", "--design", path], capsys)
@@ -156,7 +151,7 @@ def test_verify_reports_achieved_mu(fixtures, capsys, gf3, be_local, mu, rc, ach
     """The exit code follows the claimed params.mu; `achieved_mu` is the
     largest mu <= n - k at which the condition holds, whatever the claim."""
     design = SecureDesign(CosetCode(FMatrix(gf3, [[1, 1]])), butterfly_code(gf3, be_local),
-                          SecurityParams(mu=mu), {})
+                          mu)
     path = fixtures / "design.json"
     write_json(path, design_to_json(design))
     got, out = run(["verify", "--design", path], capsys)
@@ -172,7 +167,7 @@ def test_restricted_flag_limits_verify_sweep_and_oracle(fixtures, capsys, gf3,
     """--restricted names the wiretappable edges of the insecure butterfly,
     which leaks only on BE's direction; an empty list leaves every edge open."""
     design = SecureDesign(CosetCode(FMatrix(gf3, [[1, 1]])), butterfly_code(gf3, (1, 1)),
-                          SecurityParams(mu=1), {})
+                          1)
     path = fixtures / "design.json"
     write_json(path, design_to_json(design))
     flag = ["--design", path, "--restricted", restricted]
@@ -188,7 +183,7 @@ def test_design_restricted_set_serves_verify_sweep_and_oracle(fixtures, capsys, 
     """Without --restricted, every command takes the design's params.restricted:
     the insecure butterfly leaks nothing on SA and SC."""
     design = SecureDesign(CosetCode(FMatrix(gf3, [[1, 1]])), butterfly_code(gf3, (1, 1)),
-                          SecurityParams(mu=1, restricted_edges=("SA", "SC")), {})
+                          1, ("SA", "SC"))
     path = fixtures / "design.json"
     write_json(path, design_to_json(design))
     assert run(["verify", "--design", path], capsys)[0] == 0
@@ -205,6 +200,7 @@ def test_coset_encode_decode(fixtures, capsys):
                    "--secret", "[1]", "--seed", "3"], capsys)
     assert rc == 0
     word = json.loads(out.splitlines()[0])
+    assert json.loads(out.splitlines()[-1])["summary"] == {"action": "encode", "seed": 3}
     rc, out = run(["coset", "decode", "--H", fixtures / "h.json",
                    "--word", json.dumps(word)], capsys)
     assert rc == 0
@@ -219,6 +215,24 @@ def test_seed_changes_coset_word(fixtures, capsys):
         assert rc == 0
         words.append(out.splitlines()[0])
     assert words[0] != words[1]
+
+
+@pytest.mark.parametrize("command", ["paper-figures", "build", "verify", "sweep", "oracle",
+                                     "bounds"])
+def test_only_coset_takes_a_seed(fixtures, capsys, gf3, command):
+    """--seed is an option of `coset` alone: every other command, which runs
+    with these arguments, refuses it."""
+    design = fixtures / "design.json"
+    write_json(design, design_to_json(SecureDesign(
+        CosetCode(FMatrix(gf3, [[1, 1]])), butterfly_code(gf3, (1, 2)), 1)))
+    network = ["--network", fixtures / "net.json", "--mu", "1"]
+    argv = {"paper-figures": [],
+            "build": [*network, "--H", fixtures / "h.json", "--out", fixtures / "out.json"],
+            "verify": ["--design", design], "sweep": ["--design", design, "--mu-max", "1"],
+            "oracle": ["--design", design, "--mu", "1"], "bounds": network}[command]
+    assert run([command, *argv], capsys)[0] == 0
+    assert cli.main([command, *map(str, argv), "--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_paper_figures_golden(capsys, tmp_path):
@@ -452,8 +466,7 @@ def test_bad_input_ends_in_one_line_error(fixtures, case):
                read_json(cli._golden_dir() / "butterfly_secure.json"))
     f = field_new(3)
     design = design_to_json(SecureDesign(
-        CosetCode(FMatrix(f, [[1, 1]])), butterfly_code(f, (1, 2)),
-        SecurityParams(mu=1)))
+        CosetCode(FMatrix(f, [[1, 1]])), butterfly_code(f, (1, 2)), 1))
     write_json(fixtures / "wrong_params.json",
                dict(design, params=dict(design["params"], k=7, n=9)))
     h_gf5 = matrix_to_json(FMatrix(field_new(5), [[1, 1]]))
@@ -491,8 +504,7 @@ def test_bad_input_ends_in_one_line_error(fixtures, case):
     write_json(fixtures / "narrow_H.json", dict(b34, params=dict(b34["params"], n=2)))
     # the insecure butterfly with a negative budget
     write_json(fixtures / "negative_mu.json", design_to_json(SecureDesign(
-        CosetCode(FMatrix(f, [[1, 1]])), butterfly_code(f, (1, 1)),
-        SecurityParams(mu=-3))))
+        CosetCode(FMatrix(f, [[1, 1]])), butterfly_code(f, (1, 1)), -3)))
     argv, extra_env, want = BAD_INPUTS[case]
     src = Path(wiretapnc.__file__).resolve().parent.parent
     env = dict(os.environ, **extra_env, PYTHONPATH=os.pathsep.join(

@@ -9,7 +9,7 @@ from wiretapnc.exceptions import (
     NoSolution,
     SingularMatrix,
 )
-from wiretapnc.fmatrix import FMatrix, combination, dot
+from wiretapnc.fmatrix import FMatrix, combination
 from wiretapnc.gf import field_new
 
 
@@ -85,7 +85,7 @@ def test_structural_operations(gf3):
     assert M.stack(M).rows == 4
     assert M.mul_mat(M.transpose()).data == ((2, 2), (2, 2))
     assert M.mul_vec([1, 1, 1]) == [0, 2]
-    assert dot(gf3, [1, 2], [2, 2]) == 0
+    assert gf3.dot([1, 2], [2, 2]) == 0
 
 
 def test_dimension_and_field_guards(gf3, gf7):
@@ -153,5 +153,5 @@ def test_combination_equals_mul_mat_rows(p, m):
     for coeffs, want in zip(coeff_rows, product_rows):
         got = combination(f, coeffs, B.data, B.cols)
         assert tuple(got) == want
-        assert got == [dot(f, coeffs, B.column(j)) for j in range(B.cols)]
+        assert got == [f.dot(coeffs, B.column(j)) for j in range(B.cols)]
     assert combination(f, [], [], 3) == [0, 0, 0]

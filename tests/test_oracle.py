@@ -147,10 +147,15 @@ def test_long_observation_codes_do_not_wrap():
 
 
 def test_oracle_checks_every_syndrome(gf3, monkeypatch):
-    # a wrong particular solution changes the channel; the oracle must
-    # refuse it rather than measure the wrong channel
-    monkeypatch.setattr(CosetCode, "particular_solution",
-                        lambda self, secret: [0] * self.n)
+    # a wrong encoder row changes the channel; the oracle must refuse it
+    # rather than measure the wrong channel
+    init = CosetCode.__init__
+
+    def zero_first_row(self, H):
+        init(self, H)
+        self.generator = ((0,) * self.n, *self.generator[1:])
+
+    monkeypatch.setattr(CosetCode, "__init__", zero_first_row)
     H = FMatrix(gf3, [[1, 1]])
     with pytest.raises(InvariantViolated, match="outcome 1 ") as info:
         CosetChannelOracle(H, butterfly_code(gf3, (1, 2)))

@@ -26,7 +26,7 @@ from conftest import (
 )
 from wiretapnc import securecode
 from wiretapnc.exceptions import FieldTooSmall
-from wiretapnc.fmatrix import FMatrix, combination, dot
+from wiretapnc.fmatrix import FMatrix, combination
 from wiretapnc.gf import field_new
 from wiretapnc.netgraph import Network, butterfly_network, combination_network
 from wiretapnc.securecode import alphabet_bound_general, secure_lif
@@ -124,7 +124,7 @@ def _frontier(code, dual):
                           if eid in code.global_vectors), unit)
                     for path, unit in zip(flow.paths, units)]
                 for r, flow in code.network.edge_disjoint_flows().items()}
-    assert {r: [tuple(dot(f, row, b) for b in dual[r]) for row in rows]
+    assert {r: [tuple(f.dot(row, b) for b in dual[r]) for row in rows]
             for r, rows in frontier.items()} == {r: list(units) for r in frontier}
     return frontier
 
@@ -151,8 +151,8 @@ def test_forbidden_subspace_verdict_matches_rank_test(monkeypatch):
         inputs = code.inputs(eid)
         for cand in product(range(f.order), repeat=len(inputs)):
             vec = combination(f, cand, inputs, n)
-            fails = [not any(dot(f, x, vec) for x in inside) and (
-                         outside is None or any(dot(f, x, vec) for x in outside))
+            fails = [not any(f.dot(x, vec) for x in inside) and (
+                         outside is None or any(f.dot(x, vec) for x in outside))
                      for inside, outside in forbidden]
             # secure_lif stops at the first forbidden subspace that holds vec
             checks = fails.index(True) + 1 if True in fails else len(fails)

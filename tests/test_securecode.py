@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -6,6 +7,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from conftest import random_full_rank_matrix
 
 import wiretapnc
 from wiretapnc import securecode
@@ -30,6 +32,7 @@ from wiretapnc.netgraph import (
 )
 from wiretapnc.oracle import min_equivocation_bruteforce
 from wiretapnc.securecode import (
+    SecureDesign,
     alphabet_bound_general,
     alphabet_bound_minimal,
     alphabet_bound_two_sources,
@@ -41,6 +44,7 @@ from wiretapnc.securecode import (
     verify_secrecy_condition,
     wiretappable_edges,
 )
+from wiretapnc.serialize import design_from_json, design_to_json
 
 
 def test_wiretappable_edges(gf3):
@@ -64,6 +68,20 @@ def test_verify_respects_restricted_set(gf3):
     code = butterfly_code(gf3, (1, 1))  # leaks only on the BE/ED/EF line
     ok, _ = verify_secrecy_condition(H, code, 1, restricted=["SA", "SC"])
     assert ok
+
+
+def test_empty_restricted_set_is_every_edge(gf3):
+    """An empty restricted set leaves every edge open, in the library as in a
+    design file and `--restricted ""`: the insecure butterfly leaks on BE.
+    A design's mu and restricted edges survive a save and a load."""
+    H, code = FMatrix(gf3, [[1, 1]]), butterfly_code(gf3, (1, 1))
+    for analysis in (verify_secrecy_condition, equivocation_rank, min_equivocation_bruteforce):
+        assert analysis(H, code, 1, []) == analysis(H, code, 1, None), analysis
+    assert verify_secrecy_condition(H, code, 1, []) == (False, ("BE",))
+    for mu, restricted in ((1, None), (0, ()), (2, ("SA", "SC"))):
+        design = SecureDesign(CosetCode(H), code, mu, restricted)
+        loaded = design_from_json(design_to_json(design))
+        assert (loaded.mu, loaded.restricted_edges) == (mu, restricted or None)
 
 
 def test_verify_budget_guard(gf3):
@@ -234,6 +252,19 @@ def test_cai_yeung_equivalence_exhaustive(gf3):
                 assert coset.decode(word) == [s]
         checked += 1
     assert checked == 48  # |GL(2, 3)|
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2)])
+def test_coset_generator_is_a_cai_yeung_matrix(p, m):
+    """The coset code's encoder matrix G, transposed, is a Cai-Yeung T whose
+    equivalent coset code has the same H: the paper's equivalence both ways."""
+    f = field_new(p, m)
+    rng = random.Random(p ** m)
+    for n in range(1, 6):
+        for k in range(n + 1):
+            H = random_full_rank_matrix(rng, f, k, n)
+            T = FMatrix(f, CosetCode(H).generator).transpose()
+            assert cai_yeung_to_coset(T, k).parity_check == H
 
 
 def test_byzantine_identity_matches_plain_condition(gf3):
