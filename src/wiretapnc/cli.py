@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 verification failure (witness on stdout), 1 usage
 error.  Every command is a pure function of its inputs and the seed, which
-only `coset` takes (`--seed`, the randomness of `coset encode`).  A run
+only `coset encode` takes (`--seed`, the randomness of its word).  A run
 manifest (command, input hashes, version, elapsed_s, and a summary, which
 for `coset encode` records the seed) goes to stdout, never into result
 files, so result files are byte-identical across runs.
@@ -324,12 +324,13 @@ def build_parser():
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("coset", help="coset encode/decode")
-    p.add_argument("coset_action", choices=("encode", "decode"))
-    p.add_argument("--H", required=True)
-    p.add_argument("--secret", help="JSON array of secret symbols")
-    p.add_argument("--word", help="JSON array of channel symbols")
-    p.add_argument("--seed", type=int, default=0, help="seed of the encoder's randomness")
     p.set_defaults(func=cmd_coset)
+    actions = p.add_subparsers(dest="coset_action", required=True)
+    encode, decode = actions.add_parser("encode"), actions.add_parser("decode")
+    for a, flag, what in ((encode, "--secret", "secret"), (decode, "--word", "channel")):
+        a.add_argument("--H", required=True)
+        a.add_argument(flag, help=f"JSON array of {what} symbols")
+    encode.add_argument("--seed", type=int, default=0, help="seed of the encoder's randomness")
     return parser
 
 

@@ -8,8 +8,9 @@ coding vector of length n.
 
 Edges are visited in a fixed topological order (Kahn on nodes, ties broken by
 edge id) by every algorithm, so all outputs are deterministic.  Each
-receiver's max flow is found once, when the Network is built; its min cut and
-edge-disjoint paths are read from that flow.
+receiver's max flow is found once, when the Network is built, searched over
+the receiver's ancestors only; its min cut and edge-disjoint paths are read
+from that flow.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from .gf import FieldSpec
 
 
 class Edge:
-    __slots__ = ("id", "tail", "head")
+    __slots__ = ("id", "tail", "head", "index")  # index: position in the edge list
 
-    def __init__(self, id: str, tail: str, head: str):
-        self.id, self.tail, self.head = id, tail, head
+    def __init__(self, id: str, tail: str, head: str, index: int):
+        self.id, self.tail, self.head, self.index = id, tail, head, index
 
 
 class Flow:
@@ -50,7 +51,7 @@ class Flow:
 class Network:
     def __init__(self, nodes, edges, source, receivers, n: int, field: FieldSpec):
         self.nodes = tuple(nodes)
-        self.edges = tuple(Edge(*e) for e in edges)
+        self.edges = tuple(Edge(*e, i) for i, e in enumerate(edges))
         self.source = source
         self.receivers = tuple(receivers)
         self.n = n
@@ -118,20 +119,34 @@ class Network:
 
     # ---- flows ----
 
+    def _by_tail(self, edges):
+        """{tail: its edges among `edges`, in edge-list order}."""
+        out = {}
+        for e in sorted(edges, key=lambda e: e.index):
+            out.setdefault(e.tail, []).append(e)
+        return out
+
     def _max_flow(self, receiver):
         """BFS augmenting paths on the unit-capacity edge graph, run once per
-        receiver when the Network is built.
+        receiver when the Network is built, over its ancestors' in-edges only:
+        flow lies only on source-to-receiver paths, and a non-ancestor leads
+        only to non-ancestors, so a search of every edge finds the same flow.
 
         Returns (value, used) where used is the set of edge ids carrying flow.
         """
-        used = set()
-        value = 0
+        stack, seen = [receiver], {receiver}  # a reverse walk finds the ancestors
+        while stack:
+            for e in self._in[stack.pop()]:
+                if e.tail not in seen:
+                    seen.add(e.tail)
+                    stack.append(e.tail)
+        out, used, value = self._by_tail(e for v in seen for e in self._in[v]), set(), 0
         while True:
             prev = {self.source: None}
             queue = deque([self.source])
             while queue and receiver not in prev:
                 v = queue.popleft()
-                for e in self._out[v]:
+                for e in out.get(v, ()):
                     if e.id not in used and e.head not in prev:
                         prev[e.head] = (e, v)
                         queue.append(e.head)
@@ -156,19 +171,16 @@ class Network:
 
     def edge_disjoint_flows(self):
         """One Flow of n disjoint paths per receiver, decomposed from the max
-        flow found when the Network was built."""
+        flow found when the Network was built: each path leaves every node by
+        its first unused flow edge in edge-list order."""
         flows = {}
         for r, (_, used) in self._flows.items():
-            used = set(used)
+            out = self._by_tail(self.edge_by_id[eid] for eid in used)
             paths = []
             for _ in range(self.n):
-                path = []
-                v = self.source
+                path, v = [], self.source
                 while v != r:
-                    step = next(
-                        e for e in self._out[v] if e.id in used
-                    )
-                    used.discard(step.id)
+                    step = out[v].pop(0)
                     path.append(step.id)
                     v = step.head
                 paths.append(tuple(path))
@@ -217,13 +229,14 @@ class NetworkCode:
         self.local[edge_id] = tuple(coeffs)
 
     def propagate(self):
-        """Recompute all global vectors in topological order (idempotent)."""
+        """Recompute all global vectors in topological order (idempotent).
+        A source out-edge's global vector is its local vector: sum c_i e_i = c."""
         for e in self.network.topological_order:
             if e.id not in self.local:
                 raise DimensionMismatch(f"edge {e.id} has no local coefficients")
-            self.global_vectors[e.id] = tuple(
-                combination(self.field, self.local[e.id], self.inputs(e.id), self.n)
-            )
+            c = self.local[e.id]
+            self.global_vectors[e.id] = c if e.tail == self.network.source else tuple(
+                combination(self.field, c, self.inputs(e.id), self.n))
         return self.global_vectors
 
     def coding_matrix(self, edge_ids) -> FMatrix:

@@ -220,8 +220,8 @@ def test_seed_changes_coset_word(fixtures, capsys):
 @pytest.mark.parametrize("command", ["paper-figures", "build", "verify", "sweep", "oracle",
                                      "bounds"])
 def test_only_coset_takes_a_seed(fixtures, capsys, gf3, command):
-    """--seed is an option of `coset` alone: every other command, which runs
-    with these arguments, refuses it."""
+    """--seed is an option of `coset encode` alone: every other command,
+    which runs with these arguments, refuses it."""
     design = fixtures / "design.json"
     write_json(design, design_to_json(SecureDesign(
         CosetCode(FMatrix(gf3, [[1, 1]])), butterfly_code(gf3, (1, 2)), 1)))
@@ -233,6 +233,20 @@ def test_only_coset_takes_a_seed(fixtures, capsys, gf3, command):
     assert run([command, *argv], capsys)[0] == 0
     assert cli.main([command, *map(str, argv), "--seed", "1"]) == 1
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action, option", [("decode", ["--seed", "1"]),
+                                            ("decode", ["--secret", "[1]"]),
+                                            ("encode", ["--word", "[1, 0]"])])
+def test_coset_actions_refuse_the_other_actions_options(fixtures, capsys, action, option):
+    """`coset decode` reads no seed and no secret, and `coset encode` no
+    word, so each refuses them in one error line."""
+    argv = ["coset", action, "--H", str(fixtures / "h.json"),
+            *({"decode": ["--word", "[1, 0]"], "encode": ["--secret", "[1]"]}[action])]
+    assert run(argv, capsys)[0] == 0
+    assert cli.main([*argv, *option]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"wiretapnc: error: unrecognized arguments: {' '.join(option)}"]
 
 
 def test_paper_figures_golden(capsys, tmp_path):

@@ -1,9 +1,11 @@
 import random
+from collections import deque
 from math import comb
 
 import pytest
 from conftest import random_multicast_network, reference_flows
 
+from wiretapnc import netgraph
 from wiretapnc.exceptions import (
     AcyclicityViolated,
     BadParameters,
@@ -14,7 +16,7 @@ from wiretapnc.exceptions import (
     SingularDecodingMatrix,
     UnknownNode,
 )
-from wiretapnc.fmatrix import FMatrix
+from wiretapnc.fmatrix import FMatrix, combination
 from wiretapnc.gf import field_new
 from wiretapnc.netgraph import (
     Network,
@@ -126,6 +128,88 @@ def test_stored_flows_equal_a_fresh_max_flow():
             assert flows[r].paths == paths
 
 
+def dead_end_fan_network(field):
+    """500 source edges into dead ends, and one from each relay, all listed
+    before the edges that reach the receivers."""
+    fan = [(f"f{i}", "S", f"d{i}") for i in range(500)]
+    edges = fan + [("ax", "a", "x"), ("bx", "b", "x"), ("Sa", "S", "a"), ("Sb", "S", "b"),
+                   ("aR", "a", "R"), ("bR", "b", "R"), ("aQ", "a", "Q"), ("bQ", "b", "Q")]
+    nodes = ["S", "a", "b", "x", "R", "Q"] + [f"d{i}" for i in range(500)]
+    return Network(nodes, edges, "S", ("R", "Q"), 2, field)
+
+
+def receiver_feeding_receiver_network(field):
+    """R's out-edges lead to T, so T's flow runs through R, and R's search
+    must not follow them."""
+    edges = [("Sa", "S", "a"), ("Sb", "S", "b"), ("aR", "a", "R"), ("bR", "b", "R"),
+             ("RT", "R", "T"), ("RU", "R", "U"), ("bT", "b", "T"), ("UT", "U", "T")]
+    return Network(("S", "a", "b", "R", "U", "T"), edges, "S", ("T", "R"), 2, field)
+
+
+def unreachable_receiver_network(field, n):
+    """U feeds R but nothing reaches U, so U's min cut is 0."""
+    edges = [("SA", "S", "A"), ("AR", "A", "R"), ("UR", "U", "R")]
+    return Network(("S", "A", "U", "R"), edges, "S", ("R", "U"), n, field)
+
+
+def ancestors(net, r):
+    found, stack = {r}, [r]
+    while stack:
+        v = stack.pop()
+        for e in net.in_edges(v):
+            if e.tail not in found:
+                found.add(e.tail)
+                stack.append(e.tail)
+    return found
+
+
+SEARCH_NETWORKS = {
+    "B(5,10)": lambda f: combination_network(5, 10, f),
+    "dead-end-fan": dead_end_fan_network,
+    "receiver-feeds-receiver": receiver_feeding_receiver_network,
+    "unreachable-receiver": lambda f: unreachable_receiver_network(f, 0),
+}
+
+
+@pytest.mark.parametrize("build", SEARCH_NETWORKS.values(), ids=SEARCH_NETWORKS)
+def test_ancestor_searches_find_the_reference_flows(build):
+    net = build(field_new(2))
+    flows = net.edge_disjoint_flows()
+    assert list(flows) == list(net.receivers)
+    for r, (value, paths) in reference_flows(net).items():
+        assert net.min_cut(r) == value
+        assert flows[r].paths == paths
+
+
+def test_unreachable_receiver_has_cut_zero(gf2):
+    with pytest.raises(InsufficientCut, match=r"^min-cut to U is 0 < n=1$") as exc:
+        unreachable_receiver_network(gf2, 1)
+    assert exc.value.receiver == "U"
+
+
+@pytest.mark.parametrize("build", SEARCH_NETWORKS.values(), ids=SEARCH_NETWORKS)
+def test_max_flow_enqueues_only_the_receivers_ancestors(monkeypatch, build):
+    net = build(field_new(2))
+    enqueued = []
+
+    class RecordingDeque(deque):
+        def __init__(self, items=()):
+            super().__init__(items)
+            enqueued.extend(items)
+
+        def append(self, v):
+            enqueued.append(v)
+            super().append(v)
+
+    monkeypatch.setattr(netgraph, "deque", RecordingDeque)
+    for r in net.receivers:
+        enqueued.clear()
+        assert net._max_flow(r)[0] == net.min_cut(r)
+        assert enqueued[0] == net.source
+        assert set(enqueued) <= ancestors(net, r) | {net.source}
+        assert (r in enqueued) == (net.min_cut(r) > 0)
+
+
 def test_max_flow_runs_once_per_receiver_when_the_network_is_built(monkeypatch):
     calls = []
     max_flow = Network._max_flow
@@ -174,6 +258,26 @@ def test_propagate_is_idempotent(gf3):
     before = dict(code.global_vectors)
     code.propagate()
     assert code.global_vectors == before
+
+
+def test_propagate_copies_source_edge_locals(monkeypatch, gf7):
+    """A source out-edge's global vector is its local vector, the combination
+    of the unit vectors it weights; only the other edges run a combination."""
+    rng = random.Random(7)
+    net = random_multicast_network(rng, 3, 2, gf7, 14)
+    code = NetworkCode(net)
+    for e in net.edges:
+        width = 3 if e.tail == net.source else len(net.in_edges(e.tail))
+        code.set_local(e.id, [rng.randrange(7) for _ in range(width)])
+    combined = []
+    monkeypatch.setattr(netgraph, "combination",
+                        lambda *args: combined.append(args) or combination(*args))
+    code.propagate()
+    at_source = [e.id for e in net.edges if e.tail == net.source]
+    assert len(combined) == len(net.edges) - len(at_source) > 0
+    for eid in at_source:
+        assert code.global_vectors[eid] == tuple(
+            combination(gf7, code.local[eid], code.inputs(eid), 3))
 
 
 def test_set_local_validates_length(gf3):
