@@ -284,8 +284,16 @@ def _restricted(args, design):
     return args.restricted.split(",") if args.restricted else design.restricted_edges
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad argv as MalformedInput, which `main` prints as one line,
+    instead of argparse's usage block and exit 2."""
+
+    def error(self, message):
+        raise MalformedInput(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wiretapnc",
         description="Secure network codes for multicast wiretap networks of type II",
     )
@@ -335,13 +343,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return 1 if exc.code not in (0, None) else 0
     except WiretapNCError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,0 +1,179 @@
+"""The candidate search of `securecode.secure_lif`, imported on its first
+call, so that a process that only verifies or analyses designs does not
+compile it.
+
+`search` codes a network's edges in topological order.  At each edge it picks
+the first local coefficient vector in product order whose global vector lies
+in no forbidden set of the edge.  A forbidden set is a span A less an exempt
+span B, given as a pair (inside, outside) of annihilator rows of A and of B,
+outside None when nothing is exempt.  Per (receiver, path) through the edge, A
+is the receiver's frontier without the path's row, annihilated by one row of
+the frontier's dual basis.  Per security set W, a set of fewer than mu coded
+directions whose C_W has full rank, A = [H; C_W] and B = C_W.
+"""
+
+from __future__ import annotations
+
+from .exceptions import CapExceeded, FieldTooSmall
+from .fmatrix import FMatrix, back_substitute, echelon, null_space, reduce_row
+from .securecode import alphabet_bound_general
+
+
+def search(code, H, mu, cap):
+    """Code `code`'s edges in topological order and yield (edge, dual,
+    security, checks) after each: the receivers' frontier dual bases, the
+    edge's security pairs as (W, pair) if it gathered them or None, and the
+    tests counted so far, at most cap (CapExceeded).  FieldTooSmall at an
+    edge no vector passes.
+
+    The prefix search skips each prefix whose completions all lie in one
+    receiver's forbidden span, and tries one vector per direction, the one
+    whose first nonzero coefficient is 1.  A prefix leaves a line vec + c u,
+    scanned up to the first vector that passes the receivers.  A coded
+    direction or the zero vector passes every security pair, so only a new
+    direction is tested against them, and the edge gathers them then; if it
+    fails one, `solve_line` solves the rest of the line.  An edge with no
+    input carries the zero vector; a one-input edge forwards the frontier row
+    it replaces, (1) . input, and keeps the dual bases.  A test is one
+    receiver span or security pair against one prefix or vector, or one that
+    a line solve evaluates."""
+    net, f, n = code.network, code.field, code.n
+    on_path = {e.id: [] for e in net.edges}  # edge id -> its (receiver, path index) pairs
+    for r, flow in net.edge_disjoint_flows().items():
+        for pi, path in enumerate(flow.paths):
+            for eid in path:
+                on_path[eid].append((r, pi))
+
+    # per receiver, the dual basis of its frontier rows (initially the unit
+    # vectors, the virtual inputs): frontier[r][j] . dual[r][i] = 1 if i == j, else 0
+    eye = FMatrix.identity(f, n).data
+    dual = {r: list(eye) for r in net.receivers}
+    axpy, fdot = f.axpy, f.dot
+
+    checks = 0
+    top = mu if H.rows else 0  # security sets have sizes below top; with k = 0 there are none
+    # the security sets as a prefix tree whose levels list them in order: kids[W] holds
+    # the sets W + (x,) in the order x was coded, bases[W] the echelon bases of C_W and
+    # [H; C_W], and seen the directions coded so far
+    bases, kids, seen = {}, {}, set()
+
+    def node(W, C, HC):  # W's security pair: A = [H; C_W], B = C_W
+        bases[W] = C, HC
+        return W, (null_space(f, *back_substitute(f, HC), n),
+                   null_space(f, *back_substitute(f, C), n))
+
+    roots = [node((), [], echelon(f, H.data))] if top else []
+
+    def count(tests):
+        nonlocal checks
+        checks += tests
+        if checks > cap:
+            raise CapExceeded(f"secure_lif exceeded SUBSET_CHECK_CAP = "
+                              f"{cap} invariant checks at edge {e.id}")
+
+    def held(rows, vec):  # a counted test per receiver span (dual row), up to one holding vec
+        for i, x in enumerate(rows):
+            if not fdot(x, vec):
+                count(i + 1)
+                return True
+        count(len(rows))
+        return False
+
+    def forbids(pair, vec):
+        count(1)
+        return not any(fdot(x, vec) for x in pair[0]) and any(fdot(x, vec) for x in pair[1])
+
+    def prefixes(cand, vec):  # all but the last coefficient, in product order, bar doomed ones
+        if cand and held(doomed[len(cand)], vec):
+            return
+        if len(cand) == len(inputs) - 1:
+            yield cand, vec
+            return
+        for c in range(f.order if any(cand) else 2):  # the first nonzero is 1
+            yield from prefixes(cand + (c,), axpy(c, inputs[len(cand)], vec))
+
+    def first_vector():  # (coefficients, vector, security pairs or None) of the first valid one
+        security, u = None, inputs[-1]
+        for cand, vec in prefixes((), [0] * n):
+            stop = f.order if any(cand) else 2
+            for c in range(stop):  # the line vec + c u
+                w = axpy(c, u, vec)
+                if held(receiving, w):
+                    continue
+                point = reduce_row(f, [], w)  # (lead index, w scaled to 1 there), or None
+                if point and tuple(point[1]) not in seen:
+                    if security is None:  # the pairs by levels of the prefix tree: the sets in order
+                        security, level = [], roots
+                        while level:
+                            security += level
+                            level = [pair for W, _ in level for pair in kids.get(W, ())]
+                    if any(forbids(pair, w) for _, pair in security):
+                        c = solve_line(f, vec, u, [((x,), None) for x in receiving] +
+                                       [pair for _, pair in security], range(c + 1, stop), count)
+                        if c is None:
+                            break
+                        w = axpy(c, u, vec)
+                return cand + (c,), w, security
+        bound = alphabet_bound_general(len(net.edges), max(mu, 1), len(net.receivers))
+        raise FieldTooSmall(f"no valid coding vector for edge {e.id} over {f!r}; the "
+                            f"sufficient alphabet bound is q >= {bound}", edge=e.id, bound=bound)
+
+    for e in net.topological_order:
+        inputs, paths = code.inputs(e.id), on_path[e.id]
+        receiving = [dual[r][pi] for r, pi in paths]  # each annihilates a receiver's span
+        if len(inputs) > 1:  # a one-input edge has no prefix to prune
+            # doomed[j]: the receiver spans holding every input a j-prefix leaves free,
+            # those whose dual row meets no input from the j-th on
+            last = [max((i for i, v in enumerate(inputs) if fdot(x, v)), default=-1)
+                    for x in receiving]
+            doomed = [[x for x, i in zip(receiving, last) if i < j] for j in range(len(inputs))]
+        cand, vec, security = first_vector() if inputs else ((), [0] * n, None)
+        code.local[e.id] = cand  # field elements by construction
+        code.global_vectors[e.id] = tuple(vec)
+        # frontier row pi becomes vec: update the dual basis, unless a one-input
+        # edge forwards the row it replaces
+        for r, pi in paths if len(inputs) > 1 else ():
+            D = dual[r]
+            b = D[pi] = axpy(f.inv(fdot(vec, D[pi])), D[pi], [0] * n)
+            for j, row in enumerate(D):
+                c = j != pi and fdot(vec, row)
+                if c:
+                    D[j] = axpy(f.neg(c), b, row)
+        # a new direction joins each smaller set W it is independent of; having
+        # passed W's pair, vec then also leaves span [H; C_W]
+        point = reduce_row(f, [], vec)
+        if point and tuple(point[1]) not in seen:  # then the edge gathered the pairs
+            seen.add(tuple(point[1]))
+            for W, _ in security:
+                C, HC = bases[W]
+                step = len(W) < top - 1 and reduce_row(f, C, vec)
+                if step:
+                    kids.setdefault(W, []).append(
+                        node(W + (e.id,), C + [step], HC + [reduce_row(f, HC, vec)]))
+        yield e, dual, security, checks
+
+
+def solve_line(f, vec, u, pairs, values, count):
+    """The first c of `values` for which vec + c u lies in no forbidden set of
+    `pairs` (as `search` gives them), or None.  A span of annihilator rows
+    meets the line at one c, at every c or at none, by two dot products per
+    row: a pair forbids one c, the line, or all of it but at most one c.
+    Calls count(1) per pair it evaluates."""
+    def meet(rows, cs):  # the c of cs that put vec + c u in the span rows annihilate
+        for x in rows:
+            a, b = f.dot(x, vec), f.dot(x, u)
+            if a or b:
+                cs = cs & {f.div(f.neg(a), b)} if b else set()
+                if not cs:
+                    break
+        return cs
+
+    allowed = set(values)
+    for inside, outside in pairs:
+        count(1)
+        hits = meet(inside, allowed)  # forbidden unless also in B
+        if hits:
+            allowed -= hits - (set() if outside is None else meet(outside, hits))
+            if not allowed:
+                return None
+    return min(allowed, default=None)

@@ -11,9 +11,11 @@ carries echelon bases of C_W and [H; C_W] down a prefix tree, one row
 reduction per step, and yields rank [H; C_W] - |W|.  `secure_lif` (Linear
 Information Flow with security invariants) tests candidates by the
 containment form of the condition: a new vector must leave span [H; C_W]
-unless it lies in span C_W; it grows those sets from the bases it holds and
-walks point sets only to verify its output.  The rest covers alphabet bounds,
-the combination network design, the Cai-Yeung equivalence, and the Byzantine
+unless it lies in span C_W.  Its search, in `lif`, grows those sets from the
+bases it holds, gathers them only for a vector of a new direction, and solves
+a line for the last coefficient once such a vector fails one; point sets are
+walked only to verify its output.  The rest covers alphabet bounds, the
+combination network design, the Cai-Yeung equivalence, and the Byzantine
 cascade condition.
 """
 
@@ -26,15 +28,13 @@ from .exceptions import (
     BadBudgets,
     BadParameters,
     BudgetExceedsCut,
-    CapExceeded,
     DimensionMismatch,
     FieldMismatch,
     FieldTooSmall,
     InvariantViolated,
     SingularMatrix,
 )
-from .fmatrix import (FMatrix, back_substitute, combination, echelon, null_space,
-                      reduce_row)
+from .fmatrix import FMatrix, combination, echelon, reduce_row
 from .gf import FieldSpec
 from .netgraph import Network, NetworkCode, combination_network
 
@@ -166,18 +166,14 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
 
     Visits edges in topological order; at each edge picks the
     lexicographically first local coefficient vector whose global vector
-    avoids the edge's `_forbidden_subspaces`: every receiver's flow matrix
+    avoids the edge's forbidden subspaces: every receiver's flow matrix
     stays invertible and rank [H; C_W] = k + |W| holds for every full-rank
-    W = {e} united with processed edges, |W| <= mu.  The search runs
-    depth-first over coefficient prefixes in product order and skips each
-    prefix whose completions all lie in one receiver's forbidden span.  It
-    tries one coefficient vector per direction, the one whose first nonzero
-    coefficient is 1: every forbidden set is a span, less an exempt span, so c
-    and lambda c share a verdict, and c / lambda comes first in product order.
-    A global vector whose direction is already coded is tested against the
-    receiver spans only.  The finished code is verified by `verify_secrecy_condition`.  "checks" in the
-    certificate counts forbidden-subspace tests, of prefixes and of full
-    vectors, capped at SUBSET_CHECK_CAP (CapExceeded).
+    W = {e} united with processed edges, |W| <= mu.  Every forbidden set is
+    a span, less an exempt span, so c and lambda c share a verdict, and the
+    search (`lif.search`) tries only the c whose first nonzero coefficient
+    is 1, prunes prefixes, and solves for the last coefficient.  The output
+    is verified by `verify_secrecy_condition`.  "checks" in the certificate
+    counts forbidden-subspace tests, capped at SUBSET_CHECK_CAP (CapExceeded).
     Refused before the search: an n (DimensionMismatch) or f (FieldMismatch)
     other than the network's, what `admit_wiretap` refuses, a rank-deficient
     H (SingularMatrix) and k + mu > n (BudgetExceedsCut).
@@ -186,7 +182,6 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
         raise DimensionMismatch(f"n={n}, but the network has n={net.n}")
     if f not in (None, net.field):
         raise FieldMismatch(f"f is {f!r}, but the network is over {net.field!r}")
-    f = net.field
     k = H.rows
     code = NetworkCode(net)
     admit_wiretap(H, code, mu)
@@ -194,105 +189,10 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     if k + mu > n:
         raise BudgetExceedsCut(f"k + mu = {k + mu} exceeds n={n}: "
                                "no field gives rank [H; C_W] = k + |W|")
-    flows = net.edge_disjoint_flows()
-
-    # edge id -> list of (receiver, path index) where the edge appears
-    on_path = {e.id: [] for e in net.edges}
-    for r, flow in flows.items():
-        for pi, path in enumerate(flow.paths):
-            for eid in path:
-                on_path[eid].append((r, pi))
-
-    # per receiver, the dual basis of its frontier rows (initially the unit
-    # vectors, the virtual inputs): frontier[r][j] . dual[r][i] = 1 if i == j, else 0
-    eye = FMatrix.identity(f, n).data
-    dual = {r: list(eye) for r in net.receivers}
-    axpy, fdot = f.axpy, f.dot
-
+    from .lif import search  # compiled only by a process that builds
     checks = 0
-    top = mu if k else 0  # security sets have sizes below top; with k = 0 there are none
-    # the security sets as a prefix tree whose levels list them in order: kids[W] holds
-    # the sets W + (x,) in the order x was coded, bases[W] the echelon bases of C_W and
-    # [H; C_W], and seen the directions coded so far
-    bases, kids, seen = {}, {}, set()
-
-    def node(W, C, HC):  # W's `_forbidden_subspaces` item: A = [H; C_W], B = C_W
-        bases[W] = C, HC
-        return W, (null_space(f, *back_substitute(f, HC), n),
-                   null_space(f, *back_substitute(f, C), n))
-
-    roots = [node((), [], echelon(f, H.data))] if top else []
-
-    def forbids(inside, outside, vec):
-        """One counted test of vec against a `_forbidden_subspaces` pair."""
-        nonlocal checks
-        checks += 1
-        if checks > SUBSET_CHECK_CAP:
-            raise CapExceeded(f"secure_lif exceeded SUBSET_CHECK_CAP = "
-                              f"{SUBSET_CHECK_CAP} invariant checks at edge {e.id}")
-        return not any(fdot(x, vec) for x in inside) and (
-            outside is None or any(fdot(x, vec) for x in outside))
-
-    def leaves(cand, vec):
-        """Completions of cand with their vectors, in product order, bar doomed
-        prefixes and every vector whose first nonzero coefficient is not 1."""
-        if len(cand) == len(inputs):
-            yield cand, vec
-        elif not (cand and any(forbids(x, None, vec) for x in doomed[len(cand)])):
-            u = inputs[len(cand)]
-            for c in range(f.order if any(cand) else 2):
-                yield from leaves(cand + (c,), axpy(c, u, vec))
-
-    for e in net.topological_order:
-        inputs, paths = code.inputs(e.id), on_path[e.id]
-        security, level = [], roots
-        while level:
-            security += level
-            level = [pair for W, _ in level for pair in kids.get(W, ())]
-        forbidden = _forbidden_subspaces(code, dual, paths, security)
-        receiving, securing = forbidden[:len(paths)], forbidden[len(paths):]
-        # doomed[j]: the receiver spans holding every input a j-prefix leaves free,
-        # those whose dual row meets no input from the j-th on
-        last = [max((i for i, u in enumerate(inputs) if fdot(x[0], u)), default=-1)
-                for x, _ in receiving]
-        doomed = [[x for (x, _), i in zip(receiving, last) if i < j]
-                  for j in range(len(inputs))]
-        # a coded direction passes every security pair (the invariant), so only a
-        # new one is tested against them
-        for cand, vec in leaves((), [0] * n):
-            if not any(forbids(x, None, vec) for x, _ in receiving):
-                point = reduce_row(f, [], vec)  # (lead index, vec scaled to 1 there), or None
-                direction = point and tuple(point[1])
-                if direction in seen or not any(forbids(x, o, vec) for x, o in securing):
-                    break
-        else:
-            bound = alphabet_bound_general(len(net.edges), max(mu, 1), len(net.receivers))
-            raise FieldTooSmall(
-                f"no valid coding vector for edge {e.id} over {f!r}; "
-                f"the sufficient alphabet bound is q >= {bound}",
-                edge=e.id,
-                bound=bound,
-            )
-        code.set_local(e.id, cand)
-        code.global_vectors[e.id] = tuple(vec)
-        for r, pi in paths:  # frontier row pi becomes vec: update the dual basis
-            D = dual[r]
-            b = D[pi] = axpy(f.inv(fdot(vec, D[pi])), D[pi], [0] * n)
-            for j, row in enumerate(D):
-                c = j != pi and fdot(vec, row)
-                if c:
-                    D[j] = axpy(f.neg(c), b, row)
-        # a new direction joins each smaller set W it is independent of; having
-        # passed W's pair, vec then also leaves span [H; C_W]
-        if direction and direction not in seen:
-            seen.add(direction)
-            for W, _ in security:
-                C, HC = bases[W]
-                step = len(W) < top - 1 and reduce_row(f, C, vec)
-                if step:
-                    kids.setdefault(W, []).append(
-                        node(W + (e.id,), C + [step], HC + [reduce_row(f, HC, vec)]))
-
+    for *_, checks in search(code, H, mu, SUBSET_CHECK_CAP):  # the count after the last edge
+        pass
     ok, witness = verify_secrecy_condition(H, code, mu)
     if not ok:
         raise InvariantViolated(
@@ -303,15 +203,6 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
         "locals": {eid: list(c) for eid, c in code.local.items()},
     }
     return SecureDesign(coset, code, mu, certificate=certificate)
-
-
-def _forbidden_subspaces(code, dual, paths, security):
-    """The forbidden subspaces of the next edge of `code`, in test order, as
-    pairs (inside, outside) of annihilator rows of a span A and its exemption
-    B: v is forbidden when it is in A and, unless outside is None, not in B.
-    Per (receiver r, path pi) in `paths`, A is r's frontier without row pi,
-    annihilated by the dual row dual[r][pi]; then the pairs of `security`."""
-    return [((dual[r][pi],), None) for r, pi in paths] + [pair for _, pair in security]
 
 
 # ---- alphabet-size bounds ----

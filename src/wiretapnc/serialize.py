@@ -112,14 +112,18 @@ def _strings(value, name):
 
 
 def network_from_json(obj) -> Network:
+    """The network in obj; refuses an n below 1, which no receiver can decode."""
     from .netgraph import Network
+    n = _integer(obj["n"], "network n")
+    if n < 1:
+        raise MalformedInput(f"network n must be a positive integer, got {n}")
     return Network(
         nodes=_strings(obj["nodes"], "network nodes"),
         edges=[(_string(e["id"], "network edge id"), _string(e["tail"], "network edge tail"),
                 _string(e["head"], "network edge head")) for e in obj["edges"]],
         source=_string(obj["source"], "network source"),
         receivers=_strings(obj["receivers"], "network receivers"),
-        n=_integer(obj["n"], "network n"),
+        n=n,
         field=field_from_json(obj["field"]),
     )
 

@@ -227,8 +227,9 @@ def reference_candidate_verdict(H, frontier, paths, security_sets, vec):
 def reference_first_candidate(field, inputs, n, forbidden):
     """The exhaustive form of secure_lif's search: the first coefficient
     vector in product order whose combination of `inputs` lies in no
-    forbidden subspace (pairs (inside, outside) of annihilator rows, as
-    `securecode._forbidden_subspaces` gives them), or None if none does."""
+    forbidden subspace (pairs (inside, outside) of annihilator rows of a span
+    and of its exemption, outside None for none, as `lif.search`
+    describes them), or None if none does."""
     for cand in product(range(field.order), repeat=len(inputs)):
         vec = combination(field, cand, inputs, n)
         if not any(not any(field.dot(x, vec) for x in inside) and (

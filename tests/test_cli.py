@@ -13,7 +13,7 @@ from wiretapnc.coset import CosetCode
 from wiretapnc.exceptions import MalformedInput
 from wiretapnc.fmatrix import FMatrix
 from wiretapnc.gf import field_new
-from wiretapnc.netgraph import butterfly_code, butterfly_network, parallel_network
+from wiretapnc.netgraph import Network, butterfly_code, butterfly_network, parallel_network
 from wiretapnc.securecode import SecureDesign, combination_secure_design
 from wiretapnc.serialize import (
     canonical_dumps,
@@ -134,6 +134,20 @@ def test_build_is_deterministic(fixtures, capsys):
     assert "elapsed" not in a.read_text()
 
 
+def test_build_codes_an_edge_without_inputs(tmp_path, capsys):
+    """`build` on S -> T beside an edge a -> b that has no input: the design
+    gives a -> b the empty local vector and the zero global vector."""
+    f = field_new(3)
+    net = Network(["S", "T", "a", "b"], [("ST", "S", "T"), ("ab", "a", "b")], "S", ["T"], 1, f)
+    write_json(tmp_path / "net.json", network_to_json(net))
+    write_json(tmp_path / "h.json", matrix_to_json(FMatrix(f, [[1]])))
+    rc, _ = run(["build", "--network", tmp_path / "net.json", "--mu", "0",
+                 "--H", tmp_path / "h.json", "--out", tmp_path / "design.json"], capsys)
+    assert rc == 0
+    code = read_json(tmp_path / "design.json")["code"]
+    assert code == {"local": {"ST": [1], "ab": []}, "global": {"ST": [1], "ab": [0]}}
+
+
 def test_verify_failure_exit_code(fixtures, capsys, gf3):
     code = butterfly_code(gf3, (1, 1))
     design = SecureDesign(CosetCode(FMatrix(gf3, [[1, 1]])), code, 1)
@@ -245,8 +259,8 @@ def test_coset_actions_refuse_the_other_actions_options(fixtures, capsys, action
             *({"decode": ["--word", "[1, 0]"], "encode": ["--secret", "[1]"]}[action])]
     assert run(argv, capsys)[0] == 0
     assert cli.main([*argv, *option]) == 1
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-    assert errors == [f"wiretapnc: error: unrecognized arguments: {' '.join(option)}"]
+    errors = capsys.readouterr().err.splitlines()
+    assert errors == [f"error: unrecognized arguments: {' '.join(option)}"]
 
 
 def test_paper_figures_golden(capsys, tmp_path):
@@ -420,6 +434,18 @@ BAD_INPUTS = {
                                    "--mu", "1"], {}, 1),
     "decode-H-field-degree-huge": (["coset", "decode", "--H", "{d}/h_m_huge.json",
                                     "--word", "[1, 1]"], {}, 1),
+    "bounds-network-n-zero": (["bounds", "--network", "{d}/n_0.json", "--mu", "1"], {}, 1),
+    "bounds-network-n-negative": (["bounds", "--network", "{d}/n_-1.json", "--mu", "1"], {}, 1),
+    "build-network-n-zero": (["build", "--network", "{d}/n_0.json", "--mu", "1", "--H",
+                              "{d}/h.json", "--out", "{d}/built.json"], {}, 1),
+    "build-network-n-negative": (["build", "--network", "{d}/n_-1.json", "--mu", "1", "--H",
+                                  "{d}/h.json", "--out", "{d}/built.json"], {}, 1),
+    "verify-design-n-zero": (["verify", "--design", "{d}/design_n_0.json"], {}, 1),
+    "verify-design-n-negative": (["verify", "--design", "{d}/design_n_-1.json"], {}, 1),
+    "unknown-command": (["no-such-command"], {}, 1),
+    "unknown-option": (["bounds", "--network", "{d}/net.json", "--mu", "1", "--bogus"], {}, 1),
+    "missing-required-option": (["bounds", "--network", "{d}/net.json"], {}, 1),
+    "mu-not-an-integer": (["bounds", "--network", "{d}/net.json", "--mu", "one"], {}, 1),
     "out-under-a-file": (["paper-figures", "--out", "{d}/h.json/dir"], {}, 1),
     "out-dir-missing": (["paper-figures", "--out", "{d}/new/dir"], {}, 0),
 }
@@ -457,6 +483,16 @@ BAD_INPUT_MESSAGES = {
     "build-edge-ids-integers": "network edge id must be a string, got 0",
     "bounds-nodes-a-string": "network nodes must be a list of strings, got 'SABCDEF'",
     "bounds-receivers-a-string": "network receivers must be a list of strings, got 'DF'",
+    "bounds-network-n-zero": "network n must be a positive integer, got 0",
+    "bounds-network-n-negative": "network n must be a positive integer, got -1",
+    "build-network-n-zero": "network n must be a positive integer, got 0",
+    "build-network-n-negative": "network n must be a positive integer, got -1",
+    "verify-design-n-zero": "network n must be a positive integer, got 0",
+    "verify-design-n-negative": "network n must be a positive integer, got -1",
+    "unknown-command": "argument command: invalid choice: 'no-such-command'",
+    "unknown-option": "unrecognized arguments: --bogus",
+    "missing-required-option": "the following arguments are required: --mu",
+    "mu-not-an-integer": "argument --mu: invalid int value: 'one'",
 }
 
 
@@ -493,6 +529,9 @@ def test_bad_input_ends_in_one_line_error(fixtures, case):
                dict(design, params=dict(design["params"], restricted=[["SA"]])))
     net = network_to_json(butterfly_network(f))
     write_json(fixtures / "n_float.json", dict(net, n=2.0))
+    for n in (0, -1):
+        write_json(fixtures / f"n_{n}.json", dict(net, n=n))
+        write_json(fixtures / f"design_n_{n}.json", dict(design, network=dict(net, n=n)))
     write_json(fixtures / "duplicate_node.json", dict(net, nodes=net["nodes"] + ["A"]))
     write_json(fixtures / "duplicate_receiver.json", dict(net, receivers=["D", "D", "F"]))
     write_json(fixtures / "integer_edges.json",

@@ -1,9 +1,10 @@
 """`secure_lif`'s candidate search: a golden record of its outputs; the
 forbidden-subspace rule checked candidate by candidate against the rank test
 it replaces (`conftest.reference_candidate_verdict`); the pruned prefix
-search checked edge by edge against exhaustive search
-(`conftest.reference_first_candidate`); and the security pairs it builds
-incrementally checked against a fresh enumeration.
+search and the line solve for the last coefficient checked edge by edge
+against exhaustive search (`conftest.reference_first_candidate`); and the
+security pairs it builds incrementally checked against a fresh enumeration.
+The search is driven edge by edge through `lif.search`.
 
 Re-record the golden file (only when a change of outputs is intended) with
 `PYTHONPATH=src python tests/test_secure_lif_rule.py`.
@@ -24,11 +25,11 @@ from conftest import (
     reference_first_candidate,
     smallest_prime_power_at_least,
 )
-from wiretapnc import securecode
+from wiretapnc import lif, securecode
 from wiretapnc.exceptions import FieldTooSmall
 from wiretapnc.fmatrix import FMatrix, combination
 from wiretapnc.gf import field_new
-from wiretapnc.netgraph import Network, butterfly_network, combination_network
+from wiretapnc.netgraph import Network, NetworkCode, butterfly_network, combination_network
 from wiretapnc.securecode import alphabet_bound_general, secure_lif
 from wiretapnc.serialize import (
     matrix_from_json,
@@ -129,45 +130,66 @@ def _frontier(code, dual):
     return frontier
 
 
-def test_forbidden_subspace_verdict_matches_rank_test(monkeypatch):
+def _search_steps(net, H, mu):
+    """Drive secure_lif's search (`lif.search`) edge by edge and
+    yield, per edge it reaches: (code, edge id, paths, frontier, forbidden,
+    security, fresh).  Before the edge: the (receiver, path index) pairs it
+    lies on, the receivers' frontiers, and a fresh `full_rank_observations`
+    enumeration of the security sets as (W, pair).  forbidden is the edge's
+    pairs (inside, outside) of annihilator rows: the search's dual rows, then
+    the pairs it gathered at the edge, or the fresh ones when it gathered
+    none (security None).  `_frontier` checks the search's dual basis after
+    every edge, forwarding edges included.  An edge with no valid vector
+    (FieldTooSmall) is yielded uncoded and ends the run."""
+    code = NetworkCode(net)
+    on_path = {e.id: [] for e in net.edges}
+    for r, flow in net.edge_disjoint_flows().items():
+        for pi, path in enumerate(flow.paths):
+            for eid in path:
+                on_path[eid].append((r, pi))
+    dual = {r: FMatrix.identity(net.field, net.n).data for r in net.receivers}
+    steps = lif.search(code, H, mu, securecode.SUBSET_CHECK_CAP)
+    for e in net.topological_order:
+        frontier = _frontier(code, dual)
+        processed = list(code.global_vectors)
+        fresh = []
+        for W, *_ in securecode.full_rank_observations(
+                code, processed, range(mu if H.rows else 0), H):
+            C = code.coding_matrix(W)
+            fresh.append((W, (H.stack(C).null_space_basis().data, C.null_space_basis().data)))
+        paths = on_path[e.id]
+        receiving = [((dual[r][pi],), None) for r, pi in paths]
+        try:
+            coded, dual, security, _ = next(steps)
+        except FieldTooSmall as exc:
+            assert exc.edge == e.id
+            yield code, e.id, paths, frontier, receiving + [p for _, p in fresh], None, fresh
+            return
+        assert coded is e
+        pairs = fresh if security is None else security
+        yield code, e.id, paths, frontier, receiving + [p for _, p in pairs], security, fresh
+    _frontier(code, dual)
+
+
+def test_forbidden_subspace_verdict_matches_rank_test():
     """At every edge secure_lif reaches, every candidate gets the same
     verdict, after the same number of checks, from the forbidden subspaces
     as from the rank test of the frontier and of each [H; C_W; v]."""
-    forbidden_subspaces = securecode._forbidden_subspaces
     compared = []
-    instance = {}
-
-    def compare(code, dual, paths, security):
-        forbidden = forbidden_subspaces(code, dual, paths, security)
-        frontier = _frontier(code, dual)
-        H, mu = instance["H"], instance["mu"]
-        f, n = code.field, code.n
-        processed = list(code.global_vectors)
-        sets = [(W, code.coding_matrix(W)) for W, *_ in
-                securecode.full_rank_observations(code, processed, range(mu), H)]
-        # the edge being coded: secure_lif visits edges in topological order
-        eid = next(e.id for e in code.network.topological_order
-                   if e.id not in processed)
-        inputs = code.inputs(eid)
-        for cand in product(range(f.order), repeat=len(inputs)):
-            vec = combination(f, cand, inputs, n)
-            fails = [not any(f.dot(x, vec) for x in inside) and (
-                         outside is None or any(f.dot(x, vec) for x in outside))
-                     for inside, outside in forbidden]
-            # secure_lif stops at the first forbidden subspace that holds vec
-            checks = fails.index(True) + 1 if True in fails else len(fails)
-            got = (True not in fails, checks)
-            assert got == reference_candidate_verdict(H, frontier, paths, sets, vec)
-            compared.append(got[0])
-        return forbidden
-
-    monkeypatch.setattr(securecode, "_forbidden_subspaces", compare)
     for net, H, mu in _verdict_instances():
-        instance.update(H=H, mu=mu)
-        try:
-            secure_lif(net, net.n, mu, H)
-        except FieldTooSmall:
-            pass
+        for code, eid, paths, frontier, forbidden, _, fresh in _search_steps(net, H, mu):
+            f, n = code.field, code.n
+            sets = [(W, code.coding_matrix(W)) for W, _ in fresh]
+            for cand in product(range(f.order), repeat=len(code.inputs(eid))):
+                vec = combination(f, cand, code.inputs(eid), n)
+                fails = [not any(f.dot(x, vec) for x in inside) and (
+                             outside is None or any(f.dot(x, vec) for x in outside))
+                         for inside, outside in forbidden]
+                # secure_lif stops at the first forbidden subspace that holds vec
+                checks = fails.index(True) + 1 if True in fails else len(fails)
+                got = (True not in fails, checks)
+                assert got == reference_candidate_verdict(H, frontier, paths, sets, vec)
+                compared.append(got[0])
     assert True in compared and False in compared
 
 
@@ -186,64 +208,128 @@ def _search_instances():
             yield net, mds_parity_check(f, n - mu, n), mu
 
 
-def _reached_edges(monkeypatch, net, H, mu):
-    """Run secure_lif (FieldTooSmall allowed) and return, for every edge it
-    reached: (code, edge id, the security pairs it passed, a fresh
-    enumeration of them, the edge's forbidden pairs)."""
-    forbidden_subspaces = securecode._forbidden_subspaces
-    reached = []
-
-    def spy(code, dual, paths, security):
-        _frontier(code, dual)
-        processed = list(code.global_vectors)
-        fresh = []
-        for W, *_ in securecode.full_rank_observations(
-                code, processed, range(mu if H.rows else 0), H):
-            C = code.coding_matrix(W)
-            fresh.append((W, (H.stack(C).null_space_basis().data, C.null_space_basis().data)))
-        forbidden = forbidden_subspaces(code, dual, paths, security)
-        eid = next(e.id for e in code.network.topological_order
-                   if e.id not in processed)
-        reached.append((code, eid, list(security), fresh, forbidden))
-        return forbidden
-
-    with monkeypatch.context() as patch:
-        patch.setattr(securecode, "_forbidden_subspaces", spy)
-        try:
-            secure_lif(net, net.n, mu, H)
-        except FieldTooSmall:
-            pass
-    return reached
+def _line_instances():
+    """Prime fields of 31 and more with mu = n - 1, where secure_lif solves
+    for the last coefficient: random multicast networks with n = 2..3 and
+    B(3,5) and B(4,5)."""
+    rng = random.Random(31)
+    for q in (31, 37, 41, 43):
+        f = field_new(q)
+        for i in range(4):
+            n = 2 + i % 2
+            net = random_multicast_network(rng, n, rng.randint(1, 3), f)
+            yield net, mds_parity_check(f, 1, n), n - 1
+    f = field_new(31)
+    for n in (3, 4):
+        yield combination_network(n, 5, f), FMatrix(f, [[1] * n]), n - 1
 
 
-def test_pruned_search_picks_the_exhaustive_first_candidate(monkeypatch):
+def test_pruned_search_picks_the_exhaustive_first_candidate():
     """At every edge secure_lif reaches, the prefix search picks the first
     candidate in product order that passes the full-vector test, and finds
     none exactly when exhaustive search finds none."""
     found = []
     for net, H, mu in _search_instances():
-        for code, eid, _, _, forbidden in _reached_edges(monkeypatch, net, H, mu):
+        for code, eid, _, _, forbidden, _, _ in _search_steps(net, H, mu):
             want = reference_first_candidate(code.field, code.inputs(eid), code.n, forbidden)
             assert code.local.get(eid) == want, eid
             found.append(want is not None)
     assert True in found and False in found
 
 
-def test_cached_security_pairs_equal_a_fresh_enumeration(monkeypatch):
-    """The security pairs secure_lif extends edge by edge are, at every edge,
-    those a fresh `full_rank_observations` pass gives, in the same order."""
+def test_line_solve_picks_the_exhaustive_first_candidate(monkeypatch):
+    """Where the first vector of a line that passes the receivers fails a
+    security pair, secure_lif solves for the rest of the line instead of
+    scanning it; on `_line_instances` it does so, and the vector it picks at
+    every edge is still the exhaustive first candidate."""
+    solve, solved = lif.solve_line, []
+
+    def counted(*args):
+        c = solve(*args)
+        solved.append(c)
+        return c
+
+    monkeypatch.setattr(lif, "solve_line", counted)
+    for net, H, mu in _line_instances():
+        for code, eid, _, _, forbidden, _, _ in _search_steps(net, H, mu):
+            want = reference_first_candidate(code.field, code.inputs(eid), code.n, forbidden)
+            assert want is not None and code.local[eid] == want, eid
+    assert [c for c in solved if c is not None]
+
+
+def test_line_solve_matches_a_scan_of_the_line():
+    """`lif.solve_line` picks the first c of its range for which
+    vec + c u lies in no forbidden set, as a scan of the line does, and
+    counts at most one check per pair.  Random pairs over GF(7), GF(8) and
+    GF(9), some without an exemption (receivers), on lines through a point
+    of an exempt span B, inside a span A, or at random; both the first two
+    decide some answers."""
+    rng = random.Random(13)
+    decided = set()
+    for q in (7, 8, 9):
+        f, n = field_new(*prime_power_parts(q)), 4
+
+        def spanned(rows):  # a random vector of the span of rows
+            return combination(f, [rng.randrange(q) for _ in rows], rows, n)
+
+        def rows(k):
+            return [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+
+        def annihilator(span):
+            return FMatrix(f, span, n).null_space_basis().data
+
+        def forbids(pair, w):
+            inside, outside = pair
+            return not any(f.dot(x, w) for x in inside) and (
+                outside is None or any(f.dot(x, w) for x in outside))
+
+        for _ in range(300):
+            spans = []
+            for _ in range(rng.randint(1, 4)):
+                B = rows(rng.randint(1, 2))
+                spans.append((B + rows(rng.randint(0, 2)), None if rng.random() < 0.3 else B))
+            pairs = [(annihilator(A), B and annihilator(B)) for A, B in spans]
+            A, B = spans[0]
+            kind = rng.choice(("through B", "inside A", "random"))
+            u = spanned(A) if kind == "inside A" else rows(1)[0]
+            if kind == "through B":
+                vec = f.axpy(f.neg(rng.randrange(q)), u, spanned(B or A))
+            else:
+                vec = spanned(A) if kind == "inside A" else rows(1)[0]
+            values = range(rng.randrange(q), q)
+            want = next((c for c in values
+                         if not any(forbids(pair, f.axpy(c, u, vec)) for pair in pairs)), None)
+            counted = []
+            assert lif.solve_line(f, vec, u, pairs, values,
+                                  counted.append) == want, (q, kind)
+            assert len(counted) <= len(pairs)
+            if want is not None:  # the answer lies in a span A, exempt by its B
+                w = f.axpy(want, u, vec)
+                if any(not any(f.dot(x, w) for x in inside)
+                       for inside, outside in pairs if outside is not None):
+                    decided.add("an exempt point")
+                if kind == "inside A" and B is not None:
+                    decided.add("a line inside A")
+    assert decided == {"an exempt point", "a line inside A"}
+
+
+def test_cached_security_pairs_equal_a_fresh_enumeration():
+    """The security pairs secure_lif extends edge by edge are, at every edge
+    that gathers them, those a fresh `full_rank_observations` pass gives, in
+    the same order."""
     sizes = set()
     for net, H, mu in _search_instances():
-        for _, _, security, fresh, _ in _reached_edges(monkeypatch, net, H, mu):
-            assert security == fresh
-            sizes.update(len(W) for W, _ in security)
+        for *_, security, fresh in _search_steps(net, H, mu):
+            if security is not None:
+                assert security == fresh
+                sizes.update(len(W) for W, _ in security)
     assert sizes == {0, 1, 2}
 
 
 def test_secure_lif_walks_point_sets_once(monkeypatch):
     """secure_lif grows its security sets from the bases it holds: the only
     point-set walk of a run is the final verification, on the butterfly and
-    on B(4,10) with mu = 2 over GF(23) (850 edges, 5,527 checks)."""
+    on B(4,10) with mu = 2 over GF(23) (850 edges, 5,526 checks)."""
     walk, calls = securecode.full_rank_observations, []
 
     def counted(*args, **kwargs):
@@ -254,7 +340,7 @@ def test_secure_lif_walks_point_sets_once(monkeypatch):
     f3, f23 = field_new(3), field_new(23)
     for net, H, mu, checks in (
             (butterfly_network(f3), FMatrix(f3, [[1, 1]]), 1, None),
-            (combination_network(4, 10, f23), mds_parity_check(f23, 2, 4), 2, 5527)):
+            (combination_network(4, 10, f23), mds_parity_check(f23, 2, 4), 2, 5526)):
         calls.clear()
         design = secure_lif(net, net.n, mu, H)
         assert calls == [range(1, mu + 1)]

@@ -25,6 +25,7 @@ from wiretapnc.exceptions import (
 from wiretapnc.fmatrix import FMatrix
 from wiretapnc.gf import field_new
 from wiretapnc.netgraph import (
+    Network,
     butterfly_code,
     butterfly_network,
     combination_network,
@@ -125,6 +126,30 @@ def test_secure_lif_butterfly(gf3):
     pay = design.netcode.payloads(y)
     for r, flow in flows.items():
         assert design.netcode.receiver_decode(flow, pay) == y
+
+
+# an edge a -> b out of a node other than the source with no in-edge, beside
+# S -> T (n = 1); and beside two S -> T edges, with b -> T off T's flow (n = 2):
+# (edges, n, H rows, mu, {edge: (local, global)})
+INPUTLESS = {
+    "n1-mu0": ([("ST", "S", "T"), ("ab", "a", "b")], 1, [[1]], 0,
+               {"ST": ((1,), (1,)), "ab": ((), (0,))}),
+    "n1-k0": ([("ST", "S", "T"), ("ab", "a", "b")], 1, [], 1,
+              {"ST": ((1,), (1,)), "ab": ((), (0,))}),
+    "n2-mu1": ([("ab", "a", "b"), ("ST0", "S", "T"), ("ST1", "S", "T"), ("bT", "b", "T")],
+               2, [[1, 1]], 1, {"ST0": ((1, 0), (1, 0)), "ST1": ((0, 1), (0, 1)),
+                                "ab": ((), (0, 0)), "bT": ((0,), (0, 0))}),
+}
+
+
+@pytest.mark.parametrize("case", INPUTLESS)
+def test_secure_lif_codes_an_edge_without_inputs(gf3, case):
+    """An edge with no input gets the empty local vector and the zero global
+    vector, as every edge off the flows whose inputs are all zero does."""
+    edges, n, rows, mu, want = INPUTLESS[case]
+    net = Network(["S", "T", "a", "b"], edges, "S", ["T"], n, gf3)
+    code = secure_lif(net, n, mu, FMatrix(gf3, rows, n)).netcode
+    assert {eid: (code.local[eid], code.global_vectors[eid]) for eid in want} == want
 
 
 def test_secure_lif_refuses_k_plus_mu_above_n(gf3, monkeypatch):
