@@ -284,9 +284,29 @@ def _restricted(args, design):
     return args.restricted.split(",") if args.restricted else design.restricted_edges
 
 
+class _Once(argparse.Action):
+    """Stores an option's value, refusing a second occurrence of the option in
+    one parse of the parser (a subcommand's parser parses its own part)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.dest in parser.given:
+            raise argparse.ArgumentError(self, "given more than once")
+        parser.given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Refuses bad argv as MalformedInput, which `main` prints as one line,
-    instead of argparse's usage block and exit 2."""
+    """Refuses bad argv, an option given twice included, as MalformedInput,
+    which `main` prints as one line, instead of argparse's usage block and
+    exit 2 or keeping the last value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Once)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.given = set()  # the dests `_Once` has stored in this parse
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise MalformedInput(message)
@@ -297,7 +317,7 @@ def build_parser():
         prog="wiretapnc",
         description="Secure network codes for multicast wiretap networks of type II",
     )
-    analysis = argparse.ArgumentParser(add_help=False)
+    analysis = _Parser(add_help=False)
     analysis.add_argument("--design", required=True)
     analysis.add_argument("--restricted",
                           help="comma-separated edge ids (default: params.restricted)")

@@ -5,8 +5,9 @@ H(S | Z_W) = rank [H; C_W] - rank C_W, for full-rank and rank-deficient C_W
 alike.  Delta(mu) is its minimum over all W of size mu, attained where C_W
 has the largest rank, min(mu, rank C_E).  For mu <= rank C_E it is a
 branch-and-bound over the walk of sets of mu distinct coding-vector
-directions (`securecode.full_rank_observations`), which stops at the floor
-max(rank H - mu, rank [H; C_E] - rank C_E); for mu > rank C_E every
+directions (`securecode.full_rank_observations`: each point reduced by H once,
+then by one new row of C_W's and of [H; C_W]'s basis per level), which stops
+at the floor max(rank H - mu, rank [H; C_E] - rank C_E); for mu > rank C_E every
 largest-rank W spans C_E, so Delta(mu) = rank [H; C_E] - rank C_E, flagged.
 The witness is the first minimiser, in lexicographic order, among the
 largest-rank edge subsets: the smallest representative tuple of a

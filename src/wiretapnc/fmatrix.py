@@ -2,8 +2,9 @@
 
 Matrices are immutable; entries are integer-encoded elements, each checked
 by `FieldSpec.check` on the way in.  Every elimination is one step,
-`reduce_row`, which inserts a row into an echelon basis; the matrix methods
-and the point-set walk of `securecode` share it.
+`reduce_row`, which inserts a row into an echelon basis: `eliminate` reduces
+it, `lead` scales the remainder to 1 at its pivot.  The matrix methods share
+it; the point-set walk of `securecode` carries `eliminate`'s remainders.
 Pivoting is first-nonzero in column order, so every operation is a
 deterministic function of its inputs.  Zero-row matrices are first-class
 values (needed for empty wiretap observations and full-column-rank kernels).
@@ -163,21 +164,29 @@ def combination(field, coeffs, rows, width):
     return acc
 
 
-# ---- the one elimination step ----
+# ---- the one elimination step, in two halves ----
 
-def reduce_row(field, basis, v):
-    """Reduce v by an echelon basis: a list of (pivot, row) pairs, each row 1
-    at its pivot, 0 before it and 0 at the pivots of the pairs before it.
-    Returns v's remainder as (pivot, row), scaled to 1 at its first nonzero
-    entry, or None when v lies in the span of the basis."""
-    axpy = field.axpy
+def eliminate(field, basis, v):
+    """v reduced, not normalised, by an echelon basis: (pivot, row) pairs,
+    each row 1 at its pivot, 0 before it and at the earlier pairs' pivots."""
+    axpy, neg = field.axpy, field.negation
     for p, row in basis:
         if v[p]:
-            v = axpy(field.neg(v[p]), row, v)
+            v = axpy(neg(v[p]), row, v)
+    return v
+
+
+def lead(field, v):
+    """(pivot, v scaled to 1 there) at v's first nonzero entry; None if v = 0."""
     for p, c in enumerate(v):
         if c:
-            return p, v if c == 1 else axpy(field.inv(c), v, [0] * len(v))
+            return p, v if c == 1 else field.scale(field.inverse(c), v)
     return None
+
+
+def reduce_row(field, basis, v):
+    """v's remainder by an echelon basis as `lead` gives it; None in its span."""
+    return lead(field, eliminate(field, basis, v))
 
 
 def echelon(field, rows):
@@ -210,6 +219,6 @@ def null_space(field, rows, pivots, width):
         vec = [0] * width
         vec[fc] = 1
         for row, pc in zip(rows, pivots):
-            vec[pc] = field.neg(row[fc])
+            vec[pc] = field.negation(row[fc])
         kernel.append(tuple(vec))
     return tuple(kernel)

@@ -3,7 +3,8 @@
 Elements are integers in [0, q): the coefficient vector of the polynomial
 representation, read little-endian in base p.  This is the only element type,
 used by all arithmetic and every JSON interchange format; `FieldSpec.check` is
-the one check on an incoming element.
+the one check on an incoming element.  Each field picks once its row kernels
+(`axpy`, `dot`, `scale`) and the `negation` and `inverse` an elimination calls.
 """
 
 from __future__ import annotations
@@ -121,19 +122,25 @@ class FieldSpec:
             if p > 2:  # Zech logs zech[i] = log(1 + g^i), doubled; add is still the digit loop
                 self._zech = [log[self.add(1, x)] for x in exp] * 2
             self._exp, self._log = exp + exp + [0] * (2 * q1 + 1), log
-        self.axpy, self.dot = self._kernels()
+        self.axpy, self.dot, self.negation, self.inverse, self.scale = self._kernels()
 
     def _kernels(self):
-        """The row kernels, picked once per field kind: axpy(c, row, v) is the
-        new list v + c row, and dot(a, b) the inner product."""
-        p, exp, log, zech = self.p, self._exp, self._log, self._zech
+        """The kernels, picked once per field kind: axpy(c, row, v) = v + c row,
+        dot(a, b), negation(a), inverse(a) for a != 0 and scale(c, v) = c v.
+        Fields with exp/log tables read them; the others use closures."""
+        p, q1, exp, log, zech = self.p, self.order - 1, self._exp, self._log, self._zech
         if self.m == 1:
             return (lambda c, row, v: [(x + c * y) % p for x, y in zip(v, row)],
-                    lambda a, b: sum(map(mul, a, b)) % p)
+                    lambda a, b: sum(map(mul, a, b)) % p,
+                    lambda a: -a % p, lambda a: pow(a, -1, p), lambda c, v: [c * x % p for x in v])
         if exp is None:  # the digit loops
             add, fmul = self.add, self.mul
             return (lambda c, row, v: [add(x, fmul(c, y)) if y else x for x, y in zip(v, row)],
-                    lambda a, b: reduce(add, map(fmul, a, b), 0))
+                    lambda a, b: reduce(add, map(fmul, a, b), 0), self.neg, self.inv,
+                    lambda c, v: [fmul(c, x) for x in v])
+        # log[0] indexes exp's zero padding, so 0 scales and negates to 0
+        tables = (lambda a: exp[q1 - log[a]],
+                  lambda c, v: [exp[log[c] + log[x]] for x in v])
         if p == 2:  # addition is XOR
             def axpy(c, row, v):
                 lc = log[c]
@@ -144,7 +151,7 @@ class FieldSpec:
                 for x, y in zip(a, b):
                     acc ^= exp[log[x] + log[y]]
                 return acc
-            return axpy, dot
+            return axpy, dot, int, *tables  # -a = a
 
         def axpy(c, row, v):  # x + y = exp[log x + zech[log y - log x]] for x, y != 0
             lc = log[c]
@@ -158,7 +165,7 @@ class FieldSpec:
                     t = log[x] + log[y]
                     acc = exp[log[acc] + zech[t - log[acc]]] if acc else exp[t]
             return acc
-        return axpy, dot
+        return axpy, dot, lambda a: exp[log[a] + q1 // 2], *tables  # -1 = g^((q - 1) / 2)
 
     @staticmethod
     def _find_modulus(p, m):

@@ -15,7 +15,7 @@ directions whose C_W has full rank, A = [H; C_W] and B = C_W.
 from __future__ import annotations
 
 from .exceptions import CapExceeded, FieldTooSmall
-from .fmatrix import FMatrix, back_substitute, echelon, null_space, reduce_row
+from .fmatrix import FMatrix, back_substitute, echelon, lead, null_space, reduce_row
 from .securecode import alphabet_bound_general
 
 
@@ -100,7 +100,7 @@ def search(code, H, mu, cap):
                 w = axpy(c, u, vec)
                 if held(receiving, w):
                     continue
-                point = reduce_row(f, [], w)  # (lead index, w scaled to 1 there), or None
+                point = lead(f, w)  # (lead index, w scaled to 1 there), or None
                 if point and tuple(point[1]) not in seen:
                     if security is None:  # the pairs by levels of the prefix tree: the sets in order
                         security, level = [], roots
@@ -134,14 +134,14 @@ def search(code, H, mu, cap):
         # edge forwards the row it replaces
         for r, pi in paths if len(inputs) > 1 else ():
             D = dual[r]
-            b = D[pi] = axpy(f.inv(fdot(vec, D[pi])), D[pi], [0] * n)
+            b = D[pi] = f.scale(f.inv(fdot(vec, D[pi])), D[pi])
             for j, row in enumerate(D):
                 c = j != pi and fdot(vec, row)
                 if c:
-                    D[j] = axpy(f.neg(c), b, row)
+                    D[j] = axpy(f.negation(c), b, row)
         # a new direction joins each smaller set W it is independent of; having
         # passed W's pair, vec then also leaves span [H; C_W]
-        point = reduce_row(f, [], vec)
+        point = lead(f, vec)
         if point and tuple(point[1]) not in seen:  # then the edge gathered the pairs
             seen.add(tuple(point[1]))
             for W, _ in security:

@@ -6,17 +6,17 @@ full-rank observation C_W of at most mu edges.  Both sides depend on C_W
 only through its row space, so every verification and every equivocation
 runs over one walk, `full_rank_observations`, over sets of distinct
 coding-vector directions, each named by its points' first edges (the
-witness an edge-subset search in lexicographic order finds).  The walk
-carries echelon bases of C_W and [H; C_W] down a prefix tree, one row
-reduction per step, and yields rank [H; C_W] - |W|.  `secure_lif` (Linear
-Information Flow with security invariants) tests candidates by the
-containment form of the condition: a new vector must leave span [H; C_W]
-unless it lies in span C_W.  Its search, in `lif`, grows those sets from the
-bases it holds, gathers them only for a vector of a new direction, and solves
-a line for the last coefficient once such a vector fails one; point sets are
-walked only to verify its output.  The rest covers alphabet bounds, the
-combination network design, the Cai-Yeung equivalence, and the Byzantine
-cascade condition.
+witness an edge-subset search in lexicographic order finds).  Down a prefix
+tree, the walk carries every later point's remainder by C_W and [H; C_W],
+one row step per point per level, and yields rank [H; C_W] - |W|.
+`secure_lif` (Linear Information Flow with security invariants) tests
+candidates by the containment form of the condition: a new vector must leave
+span [H; C_W] unless it lies in span C_W.  Its search, in `lif`, grows those
+sets from the bases it holds, gathers them only for a vector of a new
+direction, and solves a line for the last coefficient once such a vector
+fails one; point sets are walked only to verify its output.  The rest covers
+alphabet bounds, the combination network design, the Cai-Yeung equivalence,
+and the Byzantine cascade condition.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .exceptions import (
     InvariantViolated,
     SingularMatrix,
 )
-from .fmatrix import FMatrix, combination, echelon, reduce_row
+from .fmatrix import FMatrix, combination, echelon, eliminate, lead
 from .gf import FieldSpec
 from .netgraph import Network, NetworkCode, combination_network
 
@@ -100,41 +100,47 @@ def full_rank_observations(code: NetworkCode, edges, sizes, H: FMatrix, G: FMatr
     given sizes whose C_W has full rank |W|, in lexicographic order per size.
     A direction is a nonzero global vector scaled to a leading 1; W names the
     first edge of `edges` on each.  d = rank [H; C_W G] - |W| (G = I if None).
-    The walk goes depth first and carries echelon bases (`fmatrix.reduce_row`)
-    of C_W and [H; C_W G], one row reduction per step; a dependent prefix ends
-    its subtree.  `least`: only the sets whose d is below every d yielded
-    before; a j-prefix of a size-s set is cut when its d - (s - j) is not, as
-    a point lowers d by at most 1.  The caller admits H and G (`admit_wiretap`)."""
-    f, vectors, first = code.field, {}, {}
+    The walk goes depth first, each node holding its later points as
+    remainders (`fmatrix.eliminate`) by echelon bases of C_W and [H; C_W G]:
+    taking a point reduces each later one by the one new row of each basis,
+    drops those left in span C_W, and a leaf reduces nothing.  `least`: only
+    the sets whose d is below every d yielded before; a j-prefix of a size-s
+    set is cut when its d - (s - j) is not, as a point lowers d by at most 1.
+    The caller admits H and G (`admit_wiretap`)."""
+    f, vectors, first, base = code.field, {}, {}, echelon(code.field, H.data)
     for eid in edges:  # forwarding edges repeat their input's vector
         vectors.setdefault(code.global_vectors[eid], eid)
     for vec, eid in vectors.items():
-        point = reduce_row(f, [], vec)
+        point = lead(f, vec)
         if point:
             first.setdefault(tuple(point[1]), eid)
-    points = [(eid, v, v if G is None else combination(f, v, G.data, G.cols))
+    points = [(eid, v, eliminate(f, base, v if G is None else combination(f, v, G.data, G.cols)))
               for v, eid in first.items()]
     best = inf
 
-    def grow(W, start, C, HC, left):
+    def grow(W, points, c, hc, left):  # c, hc: the ranks of C_W and [H; C_W G]
         nonlocal best
         if not left:
             if least:
-                best = len(HC) - len(C)
-            yield W, len(HC) - len(C)
+                best = hc - c
+            yield W, hc - c
             return
-        for j in range(start, len(points) - left + 1):
+        for j in range(len(points) - left + 1):
             eid, row, hrow = points[j]
-            step = reduce_row(f, C, row)
-            if step:
-                hstep = reduce_row(f, HC, hrow)
-                grown = HC + [hstep] if hstep else HC
-                # d with this point, less the left - 1 points to come, must beat best
-                if len(grown) - len(C) - left < best:
-                    yield from grow(W + (eid,), j + 1, C + [step], grown, left - 1)
+            gain = any(hrow)
+            # d with this point, less the left - 1 points to come, must beat best
+            if hc + gain - c - left < best:
+                later = []
+                if left > 1:  # the remainders of the points after this one
+                    step, hstep = [lead(f, row)], [lead(f, hrow)] if gain else []
+                    for e, r, h in points[j + 1:]:
+                        r = eliminate(f, step, r)
+                        if any(r):
+                            later.append((e, r, eliminate(f, hstep, h) if gain else h))
+                yield from grow(W + (eid,), later, c + 1, hc + gain, left - 1)
 
     for size in sizes:
-        yield from grow((), 0, [], echelon(f, H.data), size)
+        yield from grow((), points, 0, len(base), size)
 
 
 def verify_secrecy_condition(H: FMatrix, code: NetworkCode, mu: int, restricted=None):

@@ -446,6 +446,10 @@ BAD_INPUTS = {
     "unknown-option": (["bounds", "--network", "{d}/net.json", "--mu", "1", "--bogus"], {}, 1),
     "missing-required-option": (["bounds", "--network", "{d}/net.json"], {}, 1),
     "mu-not-an-integer": (["bounds", "--network", "{d}/net.json", "--mu", "one"], {}, 1),
+    "bounds-mu-twice": (["bounds", "--network", "{d}/net.json", "--mu", "1", "--mu", "2"], {}, 1),
+    "build-network-twice": (["build", "--network", "{d}/net.json", "--network",
+                             "{d}/net.json", "--mu", "1", "--H", "{d}/h.json", "--out",
+                             "{d}/built.json"], {}, 1),
     "out-under-a-file": (["paper-figures", "--out", "{d}/h.json/dir"], {}, 1),
     "out-dir-missing": (["paper-figures", "--out", "{d}/new/dir"], {}, 0),
 }
@@ -493,6 +497,8 @@ BAD_INPUT_MESSAGES = {
     "unknown-option": "unrecognized arguments: --bogus",
     "missing-required-option": "the following arguments are required: --mu",
     "mu-not-an-integer": "argument --mu: invalid int value: 'one'",
+    "bounds-mu-twice": "argument --mu: given more than once",
+    "build-network-twice": "argument --network: given more than once",
 }
 
 

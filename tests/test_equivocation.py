@@ -33,7 +33,7 @@ from wiretapnc.exceptions import (
     FieldMismatch,
     SingularMatrix,
 )
-from wiretapnc.fmatrix import FMatrix, reduce_row
+from wiretapnc.fmatrix import FMatrix, eliminate
 from wiretapnc.gf import field_new
 from wiretapnc.netgraph import NetworkCode, butterfly_code, parallel_network
 from wiretapnc.securecode import (
@@ -236,26 +236,36 @@ def test_dual_problem_on_large_combination_network():
             assert equivocation_rank(H, code, mu, restricted=witness)[0] == delta
 
 
+def count_row_steps(monkeypatch):
+    """A one-element list that counts the walk's row steps from here on:
+    remainders reduced by one basis row each (`securecode.eliminate`)."""
+    steps = [0]
+
+    def counted(field, basis, v):
+        steps[0] += len(basis)
+        return eliminate(field, basis, v)
+
+    monkeypatch.setattr(securecode, "eliminate", counted)
+    return steps
+
+
 def test_fan_corpus_equals_edge_subset_loops(monkeypatch):
-    """On seeded fan codes over GF(2)-GF(7), n <= 5, M <= 8 and every mu <=
+    """On seeded fan codes over GF(2)-GF(9), n <= 5, M <= 8 and every mu <=
     rank C_E, Delta(mu), witness and flag, and the secrecy and cascade
     verdicts, equal the plain edge-subset loops; and Delta's search both
     stops early (its walk is left unfinished) and prunes by the bound (a
-    finished walk still reduces fewer rows than the unpruned walk)."""
-    walk, steps, finished, seen = securecode.full_rank_observations, [0], [], Counter()
-
-    def counted(*args):
-        steps[0] += 1
-        return reduce_row(*args)
+    finished walk still takes fewer row steps, remainders reduced by one
+    basis row, than the unpruned walk)."""
+    walk, steps, finished, seen = (securecode.full_rank_observations,
+                                   count_row_steps(monkeypatch), [], Counter())
 
     def watched(*args, **kwargs):
         yield from walk(*args, **kwargs)
         finished.append(True)
 
-    monkeypatch.setattr(securecode, "reduce_row", counted)
     monkeypatch.setattr(equivocation, "full_rank_observations", watched)
     rng = random.Random(12)
-    for q in (2, 3, 4, 5, 7) * 5:
+    for q in (2, 3, 4, 5, 7, 8, 9) * 5:
         f = field_new(*prime_power_parts(q))
         n = rng.randint(2, 5)
         code, H = fan_instance(rng, f, rng.randint(2, 8), n, rng.randint(1, n))
@@ -277,6 +287,17 @@ def test_fan_corpus_equals_edge_subset_loops(monkeypatch):
             assert byzantine_secrecy_check(H, G, code, mu) == \
                 reference_first_violation(H, code, (mu,), None, G)
     assert seen["stopped"] and seen["pruned"], seen
+
+
+def test_fan_delta_row_steps_pinned(monkeypatch):
+    """The walk's work on fan Delta(5) over GF(31) (M=30, n=8, k=3,
+    random.Random(1)), in row steps: remainders reduced by one basis row, the
+    k rows of H once per point at the root, then one new row of each basis
+    per later point per level.  A deterministic guard on the walk's cost."""
+    steps = count_row_steps(monkeypatch)
+    code, H = fan_instance(random.Random(1), field_new(31), 30, 8, 3)
+    assert equivocation_rank(H, code, 5) == (2, ("Sv0", "Sv1", "Sv10", "Sv13", "Sv20"), False)
+    assert steps[0] == 63201
 
 
 def test_point_set_walk_builds_no_matrix_per_set(monkeypatch):

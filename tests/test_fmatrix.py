@@ -9,7 +9,7 @@ from wiretapnc.exceptions import (
     NoSolution,
     SingularMatrix,
 )
-from wiretapnc.fmatrix import FMatrix, combination
+from wiretapnc.fmatrix import FMatrix, combination, echelon, eliminate, lead, reduce_row
 from wiretapnc.gf import field_new
 
 
@@ -155,3 +155,34 @@ def test_combination_equals_mul_mat_rows(p, m):
         assert tuple(got) == want
         assert got == [f.dot(coeffs, B.column(j)) for j in range(B.cols)]
     assert combination(f, [], [], 3) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (7, 1), (2, 2), (2, 3), (3, 2), (3, 3),
+                                 (2, 5), (65537, 1), (3, 11)])
+def test_eliminate_then_lead_is_reduce_row(p, m):
+    """On seeded echelon bases: `eliminate` leaves v minus a combination of
+    the basis rows, 0 at every pivot; reducing by a basis and then by rows
+    added to it later equals reducing by the grown basis (what the point-set
+    walk carries); and `lead` scales the remainder to 1 at its first nonzero
+    entry, as `reduce_row` does."""
+    f = field_new(p, m)
+    rng = random.Random(p * 100 + m)
+    for _ in range(6):
+        n = rng.randint(1, 6)
+        rows = [[rng.randrange(f.order) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        basis = echelon(f, rows)
+        for v in [[rng.randrange(f.order) for _ in range(n)] for _ in range(4)] + rows:
+            r = eliminate(f, basis, v)
+            assert all(r[pivot] == 0 for pivot, _ in basis)
+            diff = [f.sub(x, y) for x, y in zip(r, v)]
+            assert FMatrix(f, [row for _, row in basis] + [diff], n).rank() == len(basis)
+            for t in range(len(basis) + 1):
+                assert eliminate(f, basis[t:], eliminate(f, basis[:t], v)) == r
+            step = lead(f, r)
+            assert step == reduce_row(f, basis, v)
+            if step is None:
+                assert not any(r)
+            else:
+                pivot, row = step
+                assert not any(r[:pivot]) and row[pivot] == 1
+                assert [f.mul(r[pivot], x) for x in row] == list(r)

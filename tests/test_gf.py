@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,36 @@ def test_table_kernels_match_digit_loops(monkeypatch, p, m):
         assert f.axpy(a, elems, v) == [ref.add(x, f.mul(a, b)) for x, b in zip(v, elems)]
         assert [f.dot((a, b, a), (b, 1, 1)) for b in elems] == [
             ref.add(ref.add(f.mul(a, b), b), a) for b in elems]
+
+
+# every kernel kind: prime, tabled characteristic 2 and odd characteristic
+KERNEL_FIELDS = [(2, 1), (3, 1), (7, 1), (2, 2), (2, 3), (3, 2), (3, 3), (2, 5)]
+
+
+@pytest.mark.parametrize("p,m", KERNEL_FIELDS)
+def test_elimination_kernels_equal_field_methods(p, m):
+    """The negation, inverse and scale kernels a field picks once equal its
+    neg, inv and mul methods on every element, and scale on every pair."""
+    f = field_new(p, m)
+    elems = range(f.order)
+    assert [f.negation(a) for a in elems] == [f.neg(a) for a in elems]
+    assert [f.inverse(a) for a in elems[1:]] == [f.inv(a) for a in elems[1:]]
+    for c in elems:
+        assert f.scale(c, elems) == [f.mul(c, x) for x in elems]
+
+
+@pytest.mark.parametrize("p,m", [(65537, 1), (3, 11)])
+def test_elimination_kernels_spot_checks(p, m):
+    """Past the tables: a prime above LOG_TABLE_CAP and a digit-loop
+    extension field, on 0, 1, -1 and seeded elements."""
+    f = field_new(p, m)
+    assert f.order > LOG_TABLE_CAP and f._exp is None
+    rng = random.Random(p + m)
+    elems = [0, 1, f.order - 1] + [rng.randrange(f.order) for _ in range(40)]
+    assert [f.negation(a) for a in elems] == [f.neg(a) for a in elems]
+    assert [f.inverse(a) for a in elems if a] == [f.inv(a) for a in elems if a]
+    for c in elems[:8]:
+        assert f.scale(c, elems) == [f.mul(c, x) for x in elems]
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (7, 1), (2, 3), (3, 2), (5, 2)])

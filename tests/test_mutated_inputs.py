@@ -169,11 +169,12 @@ def test_mutated_argv_ends_in_an_exit_code(command, tmp_path, capsys, monkeypatc
     for case, argv in argv_corpus(command):
         codes[case] = run_case(f"{command}: {case}", [a.format(d=tmp_path) for a in argv],
                                capsys)
-    # the valid line runs; an unknown option, a dropped sub-command and every
-    # dropped option the command needs are refused
+    # the valid line runs; an unknown option, a dropped sub-command, every
+    # dropped option the command needs and every option given twice are refused
     assert codes["valid"] == 0
     assert codes["an unknown option"] == 1
     words, options = ARGV[command]
     assert all(codes[f"without {w!r}"] == 1 for w in words)
     assert all(codes[f"without {flag}"] == (0 if flag == OPTIONAL.get(command) else 1)
                for flag, _ in options)
+    assert all(codes[f"{flag} twice"] == 1 for flag, _ in options)
