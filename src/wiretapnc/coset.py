@@ -50,10 +50,6 @@ class CosetCode:
         # the encoder matrix G = [P; N], as n row tuples
         self.generator = (*map(tuple, words), *null_space(self.field, rows, pivots, self.n))
 
-    def particular_solution(self, secret):
-        """The word [secret 0] G of syndrome `secret`: nonzero only on H's pivot columns."""
-        return self.encode_with_randomness(secret, [0] * (self.n - self.k))
-
     def encode_with_randomness(self, secret, r):
         """Deterministic coset word [secret r] G for explicit kernel coefficients r."""
         if len(r) != self.n - self.k:

@@ -28,7 +28,7 @@ from .exceptions import (
 )
 from .fmatrix import FMatrix, combination, echelon, reduce_row
 from .netgraph import NetworkCode
-from .securecode import admit_wiretap, full_rank_observations, wiretappable_edges
+from .securecode import admit_wiretap, check_budget, full_rank_observations, wiretappable_edges
 
 GHW_CODEWORD_CAP = 10 ** 6
 
@@ -108,6 +108,7 @@ def network_dr_profile(H: FMatrix, code: NetworkCode, restricted=None):
 def equivocation_wtc2(H: FMatrix, mu: int) -> int:
     """Classical wiretap-channel-II equivocation:
     min over |U| = n - mu of the rank of the columns of H indexed by U."""
+    check_budget(mu)
     n = H.cols
     if mu >= n:
         return 0
@@ -132,7 +133,8 @@ def equivocation_underestimated(k: int, lam: int, mu: int) -> int:
 def equivocation_restricted_cut(H: FMatrix, mu: int, code: NetworkCode, cut_edges) -> int:
     """Wiretapper restricted to a decodable cut of n edges, whose coding
     matrix must be invertible: the coset code behaves exactly as on the
-    wiretap channel of type II."""
+    wiretap channel of type II.  H is the coset code in cut coordinates."""
+    admit_wiretap(H, code, mu, cut_edges)
     C = code.coding_matrix(cut_edges)
     if C.rows != C.cols or C.rank() != C.rows:
         raise CutNotInvertible(f"cut {tuple(cut_edges)} has singular coding matrix")

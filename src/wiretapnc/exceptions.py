@@ -39,10 +39,6 @@ class SingularMatrix(WiretapNCError):
         self.rank = rank
 
 
-class NoSolution(WiretapNCError):
-    pass
-
-
 class LengthExceedsField(WiretapNCError):
     pass
 

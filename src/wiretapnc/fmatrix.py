@@ -3,8 +3,11 @@
 Matrices are immutable; entries are integer-encoded elements, each checked
 by `FieldSpec.check` on the way in.  Every elimination is one step,
 `reduce_row`, which inserts a row into an echelon basis: `eliminate` reduces
-it, `lead` scales the remainder to 1 at its pivot.  The matrix methods share
-it; the point-set walk of `securecode` carries `eliminate`'s remainders.
+it, `lead` scales the remainder to 1 at its pivot.  `echelon` builds a basis
+with it, `back_substitute` gives the reduced echelon form, and `null_space`
+reads the canonical kernel off that form: rank, inverse and the coset
+encoder use these, and the point-set walk of `securecode` carries
+`eliminate`'s remainders.  `combination` is the one row combination.
 Pivoting is first-nonzero in column order, so every operation is a
 deterministic function of its inputs.  Zero-row matrices are first-class
 values (needed for empty wiretap observations and full-column-rank kernels).
@@ -15,7 +18,6 @@ from __future__ import annotations
 from .exceptions import (
     DimensionMismatch,
     FieldMismatch,
-    NoSolution,
     SingularMatrix,
 )
 from .gf import FieldSpec
@@ -45,9 +47,6 @@ class FMatrix:
     def row(self, i):
         return self.data[i]
 
-    def column(self, j):
-        return tuple(r[j] for r in self.data)
-
     def __eq__(self, other):
         return (
             isinstance(other, FMatrix)
@@ -70,17 +69,8 @@ class FMatrix:
         data = self.data if augment is None else [(*r, *a) for r, a in zip(self.data, augment)]
         return back_substitute(self.field, echelon(self.field, data))
 
-    def rref(self):
-        rows, pivots = self._echelon()
-        zero = [0] * self.cols
-        return FMatrix(self.field, rows + [zero] * (self.rows - len(rows)), self.cols), pivots
-
     def rank(self) -> int:
         return len(echelon(self.field, self.data))
-
-    def row_basis(self) -> "FMatrix":
-        """Nonzero rows of the RREF: canonical basis of the row space."""
-        return FMatrix(self.field, self._echelon()[0], self.cols)
 
     def invert(self) -> "FMatrix":
         if self.rows != self.cols:
@@ -92,31 +82,11 @@ class FMatrix:
             raise SingularMatrix(f"singular matrix of rank {rank}", rank=rank)
         return FMatrix(self.field, [row[self.cols:] for row in rows])
 
-    def null_space_basis(self) -> "FMatrix":
-        """Rows form the reduced-echelon canonical basis of the right kernel."""
-        return FMatrix(self.field, null_space(self.field, *self._echelon(), self.cols), self.cols)
-
-    def solve(self, b):
-        """Solve M x = b.  Returns (x, unique); raises NoSolution if inconsistent."""
-        b = [self.field.check(x) for x in b]
-        if len(b) != self.rows:
-            raise DimensionMismatch(f"rhs length {len(b)} != {self.rows} rows")
-        rows, pivots = self._echelon(augment=[[x] for x in b])
-        if pivots and pivots[-1] == self.cols:
-            raise NoSolution("inconsistent system")
-        x = [0] * self.cols
-        for row, c in zip(rows, pivots):
-            x[c] = row[-1]
-        return x, len(pivots) == self.cols
-
     # ---- structural operations ----
 
-    def _check_field(self, other):
+    def stack(self, other: "FMatrix") -> "FMatrix":
         if self.field != other.field:
             raise FieldMismatch("matrices over different fields")
-
-    def stack(self, other: "FMatrix") -> "FMatrix":
-        self._check_field(other)
         if self.cols != other.cols:
             raise DimensionMismatch(f"{self.cols} cols vs {other.cols}")
         return FMatrix(self.field, self.data + other.data, self.cols)
@@ -130,22 +100,15 @@ class FMatrix:
         )
 
     def submatrix_rows(self, indices) -> "FMatrix":
+        indices = list(indices)
+        if not all(0 <= i < self.rows for i in indices):
+            raise DimensionMismatch("row index out of range")
         return FMatrix(self.field, [self.data[i] for i in indices], self.cols)
 
     def transpose(self) -> "FMatrix":
         if self.rows == 0:
             return FMatrix(self.field, [[] for _ in range(self.cols)], 0)
         return FMatrix(self.field, list(zip(*self.data)), self.rows)
-
-    def mul_mat(self, other: "FMatrix") -> "FMatrix":
-        self._check_field(other)
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"{self.cols} cols vs {other.rows} rows")
-        f = self.field
-        return FMatrix(
-            f, [combination(f, arow, other.data, other.cols) for arow in self.data],
-            other.cols,
-        )
 
     def mul_vec(self, v):
         v = [self.field.check(x) for x in v]
@@ -169,7 +132,7 @@ def combination(field, coeffs, rows, width):
 def eliminate(field, basis, v):
     """v reduced, not normalised, by an echelon basis: (pivot, row) pairs,
     each row 1 at its pivot, 0 before it and at the earlier pairs' pivots."""
-    axpy, neg = field.axpy, field.negation
+    axpy, neg = field.axpy, field.neg
     for p, row in basis:
         if v[p]:
             v = axpy(neg(v[p]), row, v)
@@ -180,7 +143,7 @@ def lead(field, v):
     """(pivot, v scaled to 1 there) at v's first nonzero entry; None if v = 0."""
     for p, c in enumerate(v):
         if c:
-            return p, v if c == 1 else field.scale(field.inverse(c), v)
+            return p, v if c == 1 else field.scale(field.inv(c), v)
     return None
 
 
@@ -219,6 +182,6 @@ def null_space(field, rows, pivots, width):
         vec = [0] * width
         vec[fc] = 1
         for row, pc in zip(rows, pivots):
-            vec[pc] = field.negation(row[fc])
+            vec[pc] = field.neg(row[fc])
         kernel.append(tuple(vec))
     return tuple(kernel)

@@ -3,14 +3,16 @@
 Elements are integers in [0, q): the coefficient vector of the polynomial
 representation, read little-endian in base p.  This is the only element type,
 used by all arithmetic and every JSON interchange format; `FieldSpec.check` is
-the one check on an incoming element.  Each field picks once its row kernels
-(`axpy`, `dot`, `scale`) and the `negation` and `inverse` an elimination calls.
+the one check on an incoming element.  Each field picks its arithmetic once:
+`add`, `neg`, `mul`, `inv` and the row kernels `axpy`, `dot` and `scale`, by
+reduction mod p, by exp/log tables, or by the digit loops of an extension
+field above `LOG_TABLE_CAP`, which also seed the tables.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import index, mul
+from operator import index, mul, xor
 
 from .exceptions import (
     BadParameters,
@@ -119,27 +121,33 @@ class FieldSpec:
             for i in range(q1):
                 exp[i], log[x] = x, i
                 x = self._mul_poly(x, g)
-            if p > 2:  # Zech logs zech[i] = log(1 + g^i), doubled; add is still the digit loop
-                self._zech = [log[self.add(1, x)] for x in exp] * 2
+            if p > 2:  # Zech logs zech[i] = log(1 + g^i), doubled
+                self._zech = [log[self._add_digits(1, x)] for x in exp] * 2
             self._exp, self._log = exp + exp + [0] * (2 * q1 + 1), log
-        self.axpy, self.dot, self.negation, self.inverse, self.scale = self._kernels()
+        (self.add, self.neg, self.axpy, self.dot,
+         self.mul, self.inv, self.scale) = self._kernels()
 
     def _kernels(self):
-        """The kernels, picked once per field kind: axpy(c, row, v) = v + c row,
-        dot(a, b), negation(a), inverse(a) for a != 0 and scale(c, v) = c v.
-        Fields with exp/log tables read them; the others use closures."""
+        """add, neg, axpy(c, row, v) = v + c row, dot, mul, inv (DivisionByZero
+        for 0) and scale(c, v) = c v, picked once per field kind: mod p, table
+        lookups, or the digit loops."""
         p, q1, exp, log, zech = self.p, self.order - 1, self._exp, self._log, self._zech
         if self.m == 1:
-            return (lambda c, row, v: [(x + c * y) % p for x, y in zip(v, row)],
-                    lambda a, b: sum(map(mul, a, b)) % p,
-                    lambda a: -a % p, lambda a: pow(a, -1, p), lambda c, v: [c * x % p for x in v])
+            return (lambda a, b: (a + b) % p, lambda a: -a % p,
+                    lambda c, row, v: [(x + c * y) % p for x, y in zip(v, row)],
+                    lambda a, b: sum(map(mul, a, b)) % p, lambda a, b: a * b % p,
+                    lambda a: pow(a, -1, p) if a else _no_inverse(),
+                    lambda c, v: [c * x % p for x in v])
         if exp is None:  # the digit loops
-            add, fmul = self.add, self.mul
-            return (lambda c, row, v: [add(x, fmul(c, y)) if y else x for x, y in zip(v, row)],
-                    lambda a, b: reduce(add, map(fmul, a, b), 0), self.neg, self.inv,
+            add, fmul = self._add_digits, self._mul_poly
+            return (add, self._neg_digits,
+                    lambda c, row, v: [add(x, fmul(c, y)) if y else x for x, y in zip(v, row)],
+                    lambda a, b: reduce(add, map(fmul, a, b), 0), fmul,
+                    lambda a: _power(fmul, a, q1 - 1) if a else _no_inverse(),
                     lambda c, v: [fmul(c, x) for x in v])
-        # log[0] indexes exp's zero padding, so 0 scales and negates to 0
-        tables = (lambda a: exp[q1 - log[a]],
+        # log[0] indexes exp's zero padding, so 0 multiplies, scales and negates to 0
+        tables = (lambda a, b: exp[log[a] + log[b]],
+                  lambda a: exp[q1 - log[a]] if a else _no_inverse(),
                   lambda c, v: [exp[log[c] + log[x]] for x in v])
         if p == 2:  # addition is XOR
             def axpy(c, row, v):
@@ -151,9 +159,12 @@ class FieldSpec:
                 for x, y in zip(a, b):
                     acc ^= exp[log[x] + log[y]]
                 return acc
-            return axpy, dot, int, *tables  # -a = a
+            return xor, int, axpy, dot, *tables  # -a = a
 
-        def axpy(c, row, v):  # x + y = exp[log x + zech[log y - log x]] for x, y != 0
+        def add(a, b):  # a + b = exp[log a + zech[log b - log a]] for a, b != 0
+            return exp[log[a] + zech[log[b] - log[a]]] if a and b else a ^ b
+
+        def axpy(c, row, v):
             lc = log[c]
             return [(exp[log[x] + zech[lc + log[y] - log[x]]] if x else exp[lc + log[y]])
                     if y else x for x, y in zip(v, row)] if c else list(v)
@@ -165,7 +176,7 @@ class FieldSpec:
                     t = log[x] + log[y]
                     acc = exp[log[acc] + zech[t - log[acc]]] if acc else exp[t]
             return acc
-        return axpy, dot, lambda a: exp[log[a] + q1 // 2], *tables  # -1 = g^((q - 1) / 2)
+        return add, lambda a: exp[log[a] + q1 // 2], axpy, dot, *tables  # -1 = g^((q - 1) / 2)
 
     @staticmethod
     def _find_modulus(p, m):
@@ -179,16 +190,9 @@ class FieldSpec:
                 return tuple(poly)
         raise AssertionError("no irreducible polynomial found")  # unreachable
 
-    # ---- arithmetic on integer-encoded elements ----
+    # ---- the digit loops: extension arithmetic without tables ----
 
-    def add(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        if self._exp is not None:
-            if self.p == 2 or not (a and b):  # XOR, or one of a and b is 0
-                return a ^ b
-            log = self._log
-            return self._exp[log[a] + self._zech[log[b] - log[a]]]
+    def _add_digits(self, a, b):
         p = self.p
         res = 0
         mult = 1
@@ -199,11 +203,7 @@ class FieldSpec:
             mult *= p
         return res
 
-    def neg(self, a: int) -> int:
-        if self.m == 1:
-            return -a % self.p
-        if self._exp is not None:  # -a = a for p = 2, else -1 = g^((q - 1) / 2)
-            return a if self.p == 2 else self._exp[self._log[a] + (self.order - 1) // 2]
+    def _neg_digits(self, a):
         p = self.p
         res = 0
         mult = 1
@@ -212,16 +212,6 @@ class FieldSpec:
             a //= p
             mult *= p
         return res
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return a * b % self.p
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_poly(a, b)
 
     def _mul_poly(self, a, b):
         p = self.p
@@ -238,26 +228,8 @@ class FieldSpec:
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
-            return self.pow(self.inv(a), -e)
-        if self.m == 1:
-            return pow(a, e, self.p)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("zero has no multiplicative inverse")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        if self._exp is not None:
-            return self._exp[self.order - 1 - self._log[a]]
-        return self.pow(a, self.order - 2)
+            a, e = self.inv(a), -e
+        return pow(a, e, self.p) if self.m == 1 else _power(self.mul, a, e)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -275,23 +247,16 @@ class FieldSpec:
             raise EntryOutOfRange(f"entry {value} out of range for {self}")
         return value
 
-    def multiplicative_order(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("zero has no multiplicative order")
-        x = a
-        order = 1
-        while x != 1:
-            x = self.mul(x, a)
-            order += 1
-        return order
-
     def primitive_element(self) -> int:
-        """Smallest element (in integer-encoding order) of order q - 1."""
+        """Smallest element (in integer-encoding order) of order q - 1, by
+        polynomial products in an extension: the tables it seeds come later."""
         if self.order == 2:
             return 1
-        factors = _prime_factors(self.order - 1)
+        q1 = self.order - 1
+        factors = _prime_factors(q1)
         for v in range(2, self.order):
-            if all(self.pow(v, (self.order - 1) // r) != 1 for r in factors):
+            if all((pow(v, q1 // r, self.p) if self.m == 1 else
+                    _power(self._mul_poly, v, q1 // r)) != 1 for r in factors):
                 return v
         raise AssertionError("no primitive element found")  # unreachable
 
@@ -315,6 +280,21 @@ class FieldSpec:
 def field_new(p: int, m: int = 1) -> FieldSpec:
     """Construct (and cache) GF(p^m); deterministic across runs."""
     return FieldSpec(p, m)
+
+
+def _no_inverse():
+    raise DivisionByZero("zero has no multiplicative inverse")
+
+
+def _power(mul, a, e):
+    """a^e for e >= 0 by square-and-multiply with the product `mul`."""
+    result = 1
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
 
 
 def _prime_factors(n):

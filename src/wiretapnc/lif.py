@@ -138,7 +138,7 @@ def search(code, H, mu, cap):
             for j, row in enumerate(D):
                 c = j != pi and fdot(vec, row)
                 if c:
-                    D[j] = axpy(f.negation(c), b, row)
+                    D[j] = axpy(f.neg(c), b, row)
         # a new direction joins each smaller set W it is independent of; having
         # passed W's pair, vec then also leaves span [H; C_W]
         point = lead(f, vec)

@@ -297,6 +297,8 @@ def cai_yeung_to_coset(T: FMatrix, k: int) -> CosetCode:
     of T^-1, so that H (T [S; R]) = S for every secret S and randomness R."""
     if T.rows != T.cols:
         raise SingularMatrix("T must be square")
+    if not 0 <= k <= T.rows:
+        raise BadParameters(f"k={k} must lie between 0 and n={T.rows}")
     Tinv = T.invert()
     return CosetCode(Tinv.submatrix_rows(range(k)))
 

@@ -9,7 +9,7 @@ import pytest
 
 from wiretapnc.coset import CosetCode
 from wiretapnc.exceptions import InsufficientCut
-from wiretapnc.fmatrix import FMatrix, combination
+from wiretapnc.fmatrix import FMatrix, back_substitute, combination, echelon, null_space
 from wiretapnc.gf import field_new, is_prime
 from wiretapnc.netgraph import Network, NetworkCode
 from wiretapnc.securecode import wiretappable_edges
@@ -67,6 +67,24 @@ def random_full_rank_matrix(rng, field, rows, cols):
             return M
 
 
+def matmul(A, B):
+    """The product A B, one `combination` of B's rows per row of A."""
+    f = A.field
+    return FMatrix(f, [combination(f, row, B.data, B.cols) for row in A.data], B.cols)
+
+
+def row_space(M):
+    """The nonzero rows of M's reduced echelon form: the canonical basis of
+    its row space."""
+    return FMatrix(M.field, back_substitute(M.field, echelon(M.field, M.data))[0], M.cols)
+
+
+def kernel(M):
+    """The reduced-echelon canonical basis of M's right kernel."""
+    f = M.field
+    return FMatrix(f, null_space(f, *back_substitute(f, echelon(f, M.data)), M.cols), M.cols)
+
+
 def complete_to_invertible(C):
     """Rows extending C's rows to a basis of the full space.
 
@@ -76,9 +94,9 @@ def complete_to_invertible(C):
     formula is completion-independent, so either choice is valid.
     """
     n = C.cols
-    kernel = C.null_space_basis()
-    if C.stack(kernel).rank() == n:
-        return kernel
+    K = kernel(C)
+    if C.stack(K).rank() == n:
+        return K
     rows = [list(r) for r in C.data]
     added = []
     rank = C.rows
@@ -97,7 +115,7 @@ def inverse_and_select_equivocation(H, C):
     """The paper's form of H(S | Z_W) for a full-rank C (r x n): the rank of
     H [C; completion]^-1 restricted to its last n - r columns."""
     n, r = C.cols, C.rows
-    HA = H.mul_mat(C.stack(complete_to_invertible(C)).invert())
+    HA = matmul(H, C.stack(complete_to_invertible(C)).invert())
     return HA.submatrix_columns(range(r, n)).rank()
 
 
@@ -194,7 +212,7 @@ def reference_first_violation(H, code, sizes, restricted=None, G=None):
             if C.rank() != size:
                 continue
             if G is not None:
-                C = C.mul_mat(G)
+                C = matmul(C, G)
             if observation_equivocation(H, C, size) != H.rows:
                 return False, W
     return True, None

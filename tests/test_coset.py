@@ -17,7 +17,7 @@ from wiretapnc.exceptions import (
     LengthExceedsField,
     SingularMatrix,
 )
-from wiretapnc.fmatrix import FMatrix
+from wiretapnc.fmatrix import FMatrix, echelon
 from wiretapnc.gf import field_new
 
 
@@ -66,6 +66,8 @@ def test_cosets_partition_the_space(gf3):
 
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (7, 1), (3, 2)])
 def test_particular_solution_has_syndrome_and_pivot_support(p, m):
+    """The word [secret 0] G, with no randomness, has syndrome `secret` and is
+    nonzero only on H's pivot columns."""
     f = field_new(p, m)
     q = f.order
     n = 3
@@ -76,9 +78,9 @@ def test_particular_solution_has_syndrome_and_pivot_support(p, m):
             if H.rank() == k:
                 break
         code = CosetCode(H)
-        _, pivots = H.rref()
+        pivots = [pivot for pivot, _ in echelon(f, H.data)]
         for secret in product(range(q), repeat=k):
-            y = code.particular_solution(list(secret))
+            y = code.encode_with_randomness(list(secret), [0] * (n - k))
             assert code.decode(y) == list(secret)
             assert all(not y[j] for j in range(n) if j not in pivots)
 

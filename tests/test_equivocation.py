@@ -7,12 +7,15 @@ from conftest import (
     complete_to_invertible,
     fan_instance,
     inverse_and_select_equivocation,
+    kernel,
+    matmul,
     observation_equivocation,
     prime_power_parts,
     random_coded_instance,
     random_full_rank_matrix,
     reference_equivocation_rank,
     reference_first_violation,
+    row_space,
 )
 from wiretapnc import equivocation, securecode
 from wiretapnc.coset import rs_parity_check
@@ -124,20 +127,31 @@ def test_restricted_cut(gf3):
     cut = ["AD", "ED"]
     B = code.coding_matrix(cut)
     H = FMatrix(gf3, [[1, 1]])
-    H_cut = H.mul_mat(B.invert())  # coset code as seen across the cut
+    H_cut = matmul(H, B.invert())  # coset code as seen across the cut
     for mu in (1, 2):
         assert equivocation_restricted_cut(H_cut, mu, code, cut) == \
             equivocation_rank(H, code, mu, restricted=cut)[0]
     # singular cut matrix is rejected
     with pytest.raises(CutNotInvertible):
         equivocation_restricted_cut(H, 1, code, ["BE", "ED"])
+    # the wiretap search is admitted first: H's width and field, mu and the cut's edges
+    with pytest.raises(DimensionMismatch, match="H has 3 columns, expected 2"):
+        equivocation_restricted_cut(FMatrix(gf3, [[1, 1, 1]]), 1, code, cut)
+    with pytest.raises(BadBudgets, match="mu=-1 must be non-negative"):
+        equivocation_restricted_cut(H_cut, -1, code, cut)
+    with pytest.raises(FieldMismatch):
+        equivocation_restricted_cut(FMatrix(field_new(5), [[1, 1]]), 1, code, cut)
+    with pytest.raises(DimensionMismatch, match=r"unknown edges \['XX'\]"):
+        equivocation_restricted_cut(H_cut, 1, code, ["AD", "XX"])
+    with pytest.raises(BadBudgets, match="mu=-3 must be non-negative"):
+        equivocation_wtc2(H_cut, -3)
 
 
 def test_generalized_hamming_weights(gf2, gf7):
     assert generalized_hamming_weights(FMatrix(gf2, [[1, 1]])) == [2]
     assert generalized_hamming_weights(FMatrix.identity(gf2, 2)) == [1, 2]
     # MDS code: d_r = n - K + r for an [n, K] code
-    G = rs_parity_check(2, 4, gf7).null_space_basis().row_basis()
+    G = kernel(rs_parity_check(2, 4, gf7))
     assert generalized_hamming_weights(G) == [3, 4]
     with pytest.raises(SingularMatrix):
         generalized_hamming_weights(FMatrix(gf2, [[1, 1], [1, 1]]))
@@ -149,7 +163,7 @@ def test_wei_consistency(gf2, gf7):
     assert wei_consistency_check(G, 1, 1)
     assert not wei_consistency_check(G, 1, 0)
     # MDS: delta(mu) = min(K, n - mu) in the restricted regime
-    G = rs_parity_check(2, 4, gf7).null_space_basis().row_basis()
+    G = kernel(rs_parity_check(2, 4, gf7))
     n, K = G.cols, G.rows
     H = rs_parity_check(2, 4, gf7)
     for mu in range(n):
@@ -162,7 +176,7 @@ def test_completion_used_by_rank_formula(gf7):
     # must not depend on the kernel completion being invertible
     H = FMatrix(gf7, [[1, 1, 1], [3, 2, 6]])
     C = FMatrix(gf7, [[2, 4, 1]])
-    assert C.stack(C.null_space_basis()).rank() < 3
+    assert C.stack(kernel(C)).rank() < 3
     A = C.stack(complete_to_invertible(C))
     assert A.rank() == 3
     assert observation_equivocation(H, C) == inverse_and_select_equivocation(H, C) == 2
@@ -183,7 +197,7 @@ def test_kernel_equals_inverse_and_select_form():
                             for _ in range(rows)], n)
             seen["full" if C.rank() == rows else "deficient"] += 1
             assert observation_equivocation(H, C) == \
-                inverse_and_select_equivocation(H, C.row_basis())
+                inverse_and_select_equivocation(H, row_space(C))
     assert min(seen.values()) > 0
 
 
@@ -206,7 +220,7 @@ def test_point_enumeration_equals_edge_subset_loop(q):
         for restricted in (None, sorted(rng.sample(ids, rng.randint(1, len(ids))))):
             edges = ids if restricted is None else restricted
             # each set of directions is yielded once, whichever edges carry it
-            lines = [frozenset(code.coding_matrix([e]).row_basis() for e in W)
+            lines = [frozenset(row_space(code.coding_matrix([e])) for e in W)
                      for W, *_ in full_rank_observations(code, edges, range(n + 1), H)]
             assert len(lines) == len(set(lines))
             for mu in range(len(edges) + 1):

@@ -93,10 +93,11 @@ def test_field_axioms_exhaustive(monkeypatch, make, p, m, cap):
 @pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(2, 9)
                                  if p ** m <= 256])
 def test_table_kernels_match_digit_loops(monkeypatch, p, m):
-    """On every tabled field with q <= 256, add, neg, axpy and dot (XOR, or
-    Zech logarithms) equal the digit loops of the same field untabled, on
-    every pair of elements.  Products come from the exp table, which is
-    checked here against polynomial products of the primitive element."""
+    """On every tabled field with q <= 256, add, neg, inv and the row
+    kernels axpy, dot and scale (XOR, or Zech logarithms, and log sums) equal
+    the digit loops of the same field untabled, on every pair of elements.
+    Products come from the exp table, which is checked here against
+    polynomial products of the primitive element."""
     f = field_new(p, m)
     monkeypatch.setattr(gf, "LOG_TABLE_CAP", 0)
     ref = FieldSpec(p, m)
@@ -108,13 +109,15 @@ def test_table_kernels_match_digit_loops(monkeypatch, p, m):
         x = ref.mul(x, g)
     elems = range(q)
     assert [f.neg(a) for a in elems] == [ref.neg(a) for a in elems]
+    assert [f.inv(a) for a in elems[1:]] == [ref.inv(a) for a in elems[1:]]
     for a in elems:
         assert [f.add(a, b) for b in elems] == [ref.add(a, b) for b in elems]
+        assert f.scale(a, elems) == ref.scale(a, elems)
         # v[b] = a + b mod q: over all a, every (a, b) and every (v[b], b) pair is met
         v = [(a + b) % q for b in elems]
-        assert f.axpy(a, elems, v) == [ref.add(x, f.mul(a, b)) for x, b in zip(v, elems)]
+        assert f.axpy(a, elems, v) == [ref.add(x, ref.mul(a, b)) for x, b in zip(v, elems)]
         assert [f.dot((a, b, a), (b, 1, 1)) for b in elems] == [
-            ref.add(ref.add(f.mul(a, b), b), a) for b in elems]
+            ref.add(ref.add(ref.mul(a, b), b), a) for b in elems]
 
 
 # every kernel kind: prime, tabled characteristic 2 and odd characteristic
@@ -123,12 +126,13 @@ KERNEL_FIELDS = [(2, 1), (3, 1), (7, 1), (2, 2), (2, 3), (3, 2), (3, 3), (2, 5)]
 
 @pytest.mark.parametrize("p,m", KERNEL_FIELDS)
 def test_elimination_kernels_equal_field_methods(p, m):
-    """The negation, inverse and scale kernels a field picks once equal its
-    neg, inv and mul methods on every element, and scale on every pair."""
+    """The kernels an elimination calls, neg, inv and scale, agree with the
+    field's add and mul: a + neg(a) = 0 and a inv(a) = 1 on every element,
+    and scale(c, v) = [c x for x in v] on every pair."""
     f = field_new(p, m)
     elems = range(f.order)
-    assert [f.negation(a) for a in elems] == [f.neg(a) for a in elems]
-    assert [f.inverse(a) for a in elems[1:]] == [f.inv(a) for a in elems[1:]]
+    assert all(f.add(a, f.neg(a)) == 0 for a in elems)
+    assert all(f.mul(a, f.inv(a)) == 1 for a in elems[1:])
     for c in elems:
         assert f.scale(c, elems) == [f.mul(c, x) for x in elems]
 
@@ -136,13 +140,15 @@ def test_elimination_kernels_equal_field_methods(p, m):
 @pytest.mark.parametrize("p,m", [(65537, 1), (3, 11)])
 def test_elimination_kernels_spot_checks(p, m):
     """Past the tables: a prime above LOG_TABLE_CAP and a digit-loop
-    extension field, on 0, 1, -1 and seeded elements."""
+    extension field, on 0, 1, -1 and seeded elements: a + neg(a) = 0,
+    neg(a) = (p - 1) a, a inv(a) = 1 and scale(c, v) = [c x for x in v]."""
     f = field_new(p, m)
     assert f.order > LOG_TABLE_CAP and f._exp is None
     rng = random.Random(p + m)
     elems = [0, 1, f.order - 1] + [rng.randrange(f.order) for _ in range(40)]
-    assert [f.negation(a) for a in elems] == [f.neg(a) for a in elems]
-    assert [f.inverse(a) for a in elems if a] == [f.inv(a) for a in elems if a]
+    assert all(f.add(a, f.neg(a)) == 0 for a in elems)
+    assert [f.neg(a) for a in elems] == [f.mul(p - 1, a) for a in elems]
+    assert all(f.mul(a, f.inv(a)) == 1 for a in elems if a)
     for c in elems[:8]:
         assert f.scale(c, elems) == [f.mul(c, x) for x in elems]
 
@@ -157,13 +163,14 @@ def test_primitive_element_generates_units(p, m):
         seen.add(x)
         x = f.mul(x, g)
     assert seen == set(range(1, f.order))
-    assert f.multiplicative_order(g) == f.order - 1
 
 
 def test_multiplicative_order_divides_group_order():
-    f = field_new(3, 2)
-    for a in range(1, f.order):
-        assert (f.order - 1) % f.multiplicative_order(a) == 0
+    # a^(q - 1) = 1 for every unit a, in the tabled and the untabled field
+    for f in (field_new(3, 2), field_new(3, 11)):
+        rng = random.Random(f.order)
+        for a in [1, f.order - 1] + [rng.randrange(1, f.order) for _ in range(8)]:
+            assert f.pow(a, f.order - 1) == 1
 
 
 def test_inverse_of_product():
@@ -173,14 +180,21 @@ def test_inverse_of_product():
             assert f.inv(f.mul(a, b)) == f.mul(f.inv(a), f.inv(b))
 
 
-def test_division_by_zero():
-    f = field_new(5)
-    with pytest.raises(DivisionByZero):
+@pytest.mark.parametrize("p,m", [
+    pytest.param(5, 1, id="prime"),
+    pytest.param(2, 3, id="tabled-2-3"),
+    pytest.param(3, 2, id="tabled-3-2"),
+    pytest.param(3, 11, id="digit-loops-3-11"),
+    pytest.param(65537, 1, id="prime-65537"),
+])
+def test_division_by_zero(p, m):
+    f = field_new(p, m)
+    with pytest.raises(DivisionByZero, match="zero has no multiplicative inverse"):
         f.inv(0)
     with pytest.raises(DivisionByZero):
-        f.div(3, 0)
+        f.div(1, 0)
     with pytest.raises(DivisionByZero):
-        f.multiplicative_order(0)
+        f.pow(0, -1)
 
 
 def test_element_operators():
@@ -188,7 +202,7 @@ def test_element_operators():
     a, b = 3, 5
     assert f.add(a, b) == 1
     assert f.mul(a, b) == 1
-    assert f.sub(a, b) == 5
+    assert f.add(a, f.neg(b)) == 5
     assert f.neg(a) == 4
     assert f.div(a, b) == f.mul(a, f.inv(b))
     assert f.pow(a, -1) == f.inv(a) == 5
@@ -207,7 +221,7 @@ def test_cross_field_operations_rejected():
     with pytest.raises(EntryOutOfRange):
         gf3.check(4)
     with pytest.raises(FieldMismatch):
-        FMatrix(gf3, [[1]]).mul_mat(FMatrix(gf5, [[1]]))
+        FMatrix(gf3, [[1]]).stack(FMatrix(gf5, [[1]]))
 
 
 def test_element_range_checked():

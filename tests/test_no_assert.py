@@ -3,7 +3,9 @@
 Verification in the package never uses `assert`: `python -O` strips
 assert statements, so a check written that way would stop checking.  And
 no module imports a name it never uses: a dead import is code that nothing
-calls, left behind when its last caller went.  No module reads the
+calls, left behind when its last caller went; likewise every function,
+method and class is referenced by name in the package or exported, but
+for a pinned few with their reasons.  No module reads the
 environment: every cap is a module constant, so a result depends only on
 the inputs and the seed.  And every library error is raised somewhere: an
 exception class nothing raises is a refusal that no longer exists.
@@ -73,3 +75,42 @@ def test_every_library_error_is_raised_somewhere():
                     raised.add(exc.id)
     unraised = sorted(classes - raised - {"WiretapNCError"})
     assert not unraised, f"exception classes nothing raises: {unraised}"
+
+
+# definitions that nothing in the package names, each kept for its reason
+UNREFERENCED = {
+    "Network.min_cut": "the one public reading of a receiver's max-flow value",
+    "CosetChannelOracle.entropy_terms": "checked against conftest.reference_entropy_terms",
+    "_Parser.error": "argparse calls it",
+}
+
+
+def test_every_definition_is_referenced_or_exported():
+    defined, referenced = {}, set()
+
+    def visit(node, prefix, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                defined[name] = f"{path.name}:{child.lineno}"
+                visit(child, name + ".", path)
+            else:
+                visit(child, prefix, path)
+
+    for path, tree in package_trees():
+        visit(tree, "", path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    referenced |= {name for names in wiretapnc._EXPORTS.values() for name in names}
+    unused = {}
+    for name, where in defined.items():
+        short = name.rsplit(".", 1)[-1]
+        if short not in referenced and not (short.startswith("__") and short.endswith("__")):
+            unused[name] = where  # dunders are called by Python itself
+    found = sorted(f"{where} {name}" for name, where in unused.items() if name not in UNREFERENCED)
+    assert not found, f"definitions nothing references: {found}"
+    stale = sorted(set(UNREFERENCED) - set(unused))
+    assert not stale, f"pinned as unreferenced, but referenced or gone: {stale}"

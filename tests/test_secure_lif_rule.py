@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    kernel,
     mds_parity_check,
     prime_power_parts,
     random_multicast_network,
@@ -156,7 +157,7 @@ def _search_steps(net, H, mu):
         for W, *_ in securecode.full_rank_observations(
                 code, processed, range(mu if H.rows else 0), H):
             C = code.coding_matrix(W)
-            fresh.append((W, (H.stack(C).null_space_basis().data, C.null_space_basis().data)))
+            fresh.append((W, (kernel(H.stack(C)).data, kernel(C).data)))
         paths = on_path[e.id]
         receiving = [((dual[r][pi],), None) for r, pi in paths]
         try:
@@ -276,7 +277,7 @@ def test_line_solve_matches_a_scan_of_the_line():
             return [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
 
         def annihilator(span):
-            return FMatrix(f, span, n).null_space_basis().data
+            return kernel(FMatrix(f, span, n)).data
 
         def forbids(pair, w):
             inside, outside = pair

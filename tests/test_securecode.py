@@ -279,6 +279,14 @@ def test_cai_yeung_equivalence_exhaustive(gf3):
     assert checked == 48  # |GL(2, 3)|
 
 
+def test_cai_yeung_refuses_k_outside_0_to_n(gf3):
+    T = FMatrix.identity(gf3, 3)
+    for k in (4, -1):
+        with pytest.raises(BadParameters, match=rf"k={k} must lie between 0 and n=3"):
+            cai_yeung_to_coset(T, k)
+    assert cai_yeung_to_coset(T, 3).k == 3 and cai_yeung_to_coset(T, 0).k == 0
+
+
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2)])
 def test_coset_generator_is_a_cai_yeung_matrix(p, m):
     """The coset code's encoder matrix G, transposed, is a Cai-Yeung T whose
