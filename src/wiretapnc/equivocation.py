@@ -9,6 +9,9 @@ directions (`securecode.full_rank_observations`: each point reduced by H once,
 then by one new row of C_W's and of [H; C_W]'s basis per level), which stops
 at the floor max(rank H - mu, rank [H; C_E] - rank C_E); for mu > rank C_E every
 largest-rank W spans C_E, so Delta(mu) = rank [H; C_E] - rank C_E, flagged.
+A call, or a sweep for all its mu, prepares the points once
+(`observation_points`); rank H, rank C_E and rank [H; C_E] are read off
+them, and only a flagged witness eliminates edge rows.
 The witness is the first minimiser, in lexicographic order, among the
 largest-rank edge subsets: the smallest representative tuple of a
 minimising point set, or the first mu-subset spanning C_E.
@@ -28,7 +31,8 @@ from .exceptions import (
 )
 from .fmatrix import FMatrix, combination, echelon, reduce_row
 from .netgraph import NetworkCode
-from .securecode import admit_wiretap, check_budget, full_rank_observations, wiretappable_edges
+from .securecode import (admit_wiretap, check_budget, full_rank_observations,
+                         observation_points, wiretappable_edges)
 
 GHW_CODEWORD_CAP = 10 ** 6
 
@@ -54,42 +58,47 @@ def equivocation_rank(H: FMatrix, code: NetworkCode, mu: int, restricted=None):
         return H.rows, (), False
     if mu > len(edges):
         raise DimensionMismatch(f"mu={mu} exceeds {len(edges)} wiretappable edges")
-    f = code.field
-    rows = [code.global_vectors[e] for e in edges]
-    rank_E = len(echelon(f, rows))
+    return next(_deltas(H, code, edges, (mu,)))
+
+
+def _deltas(H, code, edges, mus):
+    """(delta, witness, flagged) per mu of `mus`, 0 < mu <= |edges|, from one
+    preparation of the walk's points, made when the first is asked for."""
+    f, (base, points) = code.field, observation_points(code, edges, H)
+    rank_E = len(echelon(f, [v for _, v, _ in points]))
     # no observation leaves less than Z_E does: H(S | Z_W) >= H(S | Z_E)
-    floor = len(echelon(f, [*H.data, *rows])) - rank_E
-    if mu > rank_E:
-        # the first mu-subset spanning C_E: take each edge in turn while the
-        # positions left can still lift the chosen ones to rank_E.  An edge
-        # skipped that way lies in the span of those chosen before it, so
-        # the chosen edges and every later edge always still span C_E.
-        chosen, basis = [], []
-        for e, v in zip(edges, rows):
-            step = reduce_row(f, basis, v)
-            if len(chosen) < mu and rank_E - len(basis) - bool(step) < mu - len(chosen):
-                chosen.append(e)
-                basis += [step] if step else []
-        return floor, tuple(chosen), True
-    # nor less than rank [H; C_W] - |W| >= rank H - mu
-    floor = max(floor, len(echelon(f, H.data)) - mu)
-    for W, d in full_rank_observations(code, edges, (mu,), H, least=True):
-        if d <= floor:
-            break
-    return d, W, False
+    floor = len(base) + len(echelon(f, [h for *_, h in points])) - rank_E
+    for mu in mus:
+        if mu <= rank_E:  # nor less than rank [H; C_W] - |W| >= rank H - mu
+            for W, d in full_rank_observations(f, base, points, (mu,), least=True):
+                if d <= max(floor, len(base) - mu):
+                    break
+            yield d, W, False
+        else:
+            # the first mu-subset spanning C_E: take each edge in turn while the
+            # positions left can still lift the chosen ones to rank_E.  An edge
+            # skipped that way lies in the span of those chosen before it, so
+            # the chosen edges and every later edge always still span C_E.
+            chosen, basis = [], []
+            for e in edges:
+                step = reduce_row(f, basis, code.global_vectors[e])
+                if len(chosen) < mu and rank_E - len(basis) - bool(step) < mu - len(chosen):
+                    chosen.append(e)
+                    basis += [step] if step else []
+            yield floor, tuple(chosen), True
 
 
 def equivocation_sweep(H: FMatrix, code: NetworkCode, mu_max: int,
                        restricted=None) -> EquivocationReport:
-    """Delta(mu) for mu = 0..mu_max plus the network d_r profile."""
-    admit_wiretap(H, code, mu_max, restricted, name="mu_max")
-    k = H.rows
-    report = EquivocationReport()
-    for mu in range(mu_max + 1):
-        delta, witness, flagged = equivocation_rank(H, code, mu, restricted)
-        report.delta[mu] = delta
-        report.witnesses[mu] = witness
-        report.flagged[mu] = flagged
+    """Delta(mu) for mu = 0..mu_max plus the network d_r profile, with one
+    admission, and one preparation of the walk's points if mu_max > 0."""
+    edges = admit_wiretap(H, code, mu_max, restricted, name="mu_max")
+    if mu_max > len(edges):  # equivocation_rank's refusal of the first mu past |E|
+        raise DimensionMismatch(f"mu={len(edges) + 1} exceeds {len(edges)} wiretappable edges")
+    k, report, mus = H.rows, EquivocationReport(), range(1, mu_max + 1)
+    report.delta[0], report.witnesses[0], report.flagged[0] = k, (), False
+    for mu, result in zip(mus, _deltas(H, code, edges, mus)):  # an empty mus asks for none
+        report.delta[mu], report.witnesses[mu], report.flagged[mu] = result
     for r in range(k + 1):
         for mu in range(mu_max + 1):
             if report.delta[mu] == k - r:

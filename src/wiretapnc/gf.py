@@ -115,14 +115,16 @@ class FieldSpec:
         self._exp = self._log = self._zech = None
         if m > 1 and self.order <= LOG_TABLE_CAP:
             g = self.primitive_element()
-            q1 = self.order - 1
+            q1, ph = self.order - 1, p ** (m // 2)
             exp, log = [1] * q1, [2 * q1] * self.order
-            x = 1
+            low = [self._mul_poly(v, g) for v in range(ph)]  # x g = low[x % ph] + high[x // ph]
+            high = [self._mul_poly(v * ph, g) for v in range(self.order // ph)]
+            add, x = xor if p == 2 else self._add_digits, 1
             for i in range(q1):
                 exp[i], log[x] = x, i
-                x = self._mul_poly(x, g)
-            if p > 2:  # Zech logs zech[i] = log(1 + g^i), doubled
-                self._zech = [log[self._add_digits(1, x)] for x in exp] * 2
+                x = add(low[x % ph], high[x // ph])
+            if p > 2:  # Zech logs zech[i] = log(1 + g^i), doubled; 1 + x changes digit 0 only
+                self._zech = [log[x - x % p + (x + 1) % p] for x in exp] * 2
             self._exp, self._log = exp + exp + [0] * (2 * q1 + 1), log
         (self.add, self.neg, self.axpy, self.dot,
          self.mul, self.inv, self.scale) = self._kernels()

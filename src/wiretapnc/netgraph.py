@@ -16,6 +16,7 @@ from that flow.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from itertools import combinations
 
 from .exceptions import (
@@ -116,6 +117,11 @@ class Network:
 
     def in_edges(self, node):
         return tuple(self._in[node])
+
+    @cached_property
+    def sorted_edge_ids(self):
+        """The edge ids in wiretap-search order, sorted on first use."""
+        return tuple(sorted(self.edge_by_id))
 
     # ---- flows ----
 

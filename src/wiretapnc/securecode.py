@@ -6,7 +6,9 @@ full-rank observation C_W of at most mu edges.  Both sides depend on C_W
 only through its row space, so every verification and every equivocation
 runs over one walk, `full_rank_observations`, over sets of distinct
 coding-vector directions, each named by its points' first edges (the
-witness an edge-subset search in lexicographic order finds).  Down a prefix
+witness an edge-subset search in lexicographic order finds), prepared once
+per analysis (`observation_points`), which also gives rank H, rank C_E and
+rank [H; C_E] with no elimination of every edge row.  Down a prefix
 tree, the walk carries every later point's remainder by C_W and [H; C_W],
 one row step per point per level, and yields rank [H; C_W] - |W|.
 `secure_lif` (Linear Information Flow with security invariants) tests
@@ -56,11 +58,11 @@ class SecureDesign:
 def wiretappable_edges(code: NetworkCode, restricted=None):
     """Edge ids open to the wiretapper, in sorted (enumeration) order: those
     in `restricted`, or every edge when it is None or empty."""
-    ids = sorted(e.id for e in code.network.edges)
+    ids = code.network.sorted_edge_ids
     if not restricted:
-        return ids
+        return list(ids)
     restricted = set(restricted)
-    unknown = restricted - set(ids)
+    unknown = restricted - code.network.edge_by_id.keys()
     if unknown:
         raise DimensionMismatch(f"restricted set names unknown edges {sorted(unknown)}")
     return [eid for eid in ids if eid in restricted]
@@ -94,19 +96,13 @@ def admit_wiretap(H: FMatrix, code: NetworkCode, mu: int, restricted=None,
     return wiretappable_edges(code, restricted)
 
 
-def full_rank_observations(code: NetworkCode, edges, sizes, H: FMatrix, G: FMatrix | None = None,
-                           least=False):
-    """Yield (W, d) per set W of distinct coding-vector directions of the
-    given sizes whose C_W has full rank |W|, in lexicographic order per size.
-    A direction is a nonzero global vector scaled to a leading 1; W names the
-    first edge of `edges` on each.  d = rank [H; C_W G] - |W| (G = I if None).
-    The walk goes depth first, each node holding its later points as
-    remainders (`fmatrix.eliminate`) by echelon bases of C_W and [H; C_W G]:
-    taking a point reduces each later one by the one new row of each basis,
-    drops those left in span C_W, and a leaf reduces nothing.  `least`: only
-    the sets whose d is below every d yielded before; a j-prefix of a size-s
-    set is cut when its d - (s - j) is not, as a point lowers d by at most 1.
-    The caller admits H and G (`admit_wiretap`)."""
+def observation_points(code: NetworkCode, edges, H: FMatrix, G: FMatrix | None = None):
+    """The walk's preparation, made once per analysis: (base, points), base
+    an echelon basis of H, and per distinct coding-vector direction of
+    `edges` (a nonzero global vector v scaled to a leading 1) one point: its
+    first edge, the direction, and v G reduced by base (G = I if None).  The
+    directions span C_E, and their remainders span a complement of span H
+    in span [H; C_E G].  The caller admits H and G (`admit_wiretap`)."""
     f, vectors, first, base = code.field, {}, {}, echelon(code.field, H.data)
     for eid in edges:  # forwarding edges repeat their input's vector
         vectors.setdefault(code.global_vectors[eid], eid)
@@ -114,8 +110,20 @@ def full_rank_observations(code: NetworkCode, edges, sizes, H: FMatrix, G: FMatr
         point = lead(f, vec)
         if point:
             first.setdefault(tuple(point[1]), eid)
-    points = [(eid, v, eliminate(f, base, v if G is None else combination(f, v, G.data, G.cols)))
-              for v, eid in first.items()]
+    return base, [(e, v, eliminate(f, base, v if G is None else combination(f, v, G.data, G.cols)))
+                  for v, e in first.items()]
+
+
+def full_rank_observations(f: FieldSpec, base, points, sizes, least=False):
+    """Yield (W, d) per set W of `points` (`observation_points`, with H's basis
+    `base`) of the given sizes whose C_W has full rank |W|, in lexicographic
+    order per size, named by first edges; d = rank [H; C_W G] - |W|.  Depth
+    first, each node holds its later points as remainders by echelon bases of
+    C_W and [H; C_W G]: taking a point reduces each later one by the one new
+    row of each basis, drops those left in span C_W, and a leaf reduces
+    nothing.  `least`: only the sets whose d is below every d yielded before;
+    a j-prefix of a size-s set is cut when its d - (s - j) is not, as a point
+    lowers d by at most 1."""
     best = inf
 
     def grow(W, points, c, hc, left):  # c, hc: the ranks of C_W and [H; C_W G]
@@ -160,7 +168,7 @@ def _first_violation(H, code, mu, restricted, sizes, G=None):
     edges = admit_wiretap(H, code, mu, restricted, G)
     if mu > code.n:
         raise BudgetExceedsCut(f"mu={mu} exceeds multicast dimension n={code.n}")
-    for W, d in full_rank_observations(code, edges, sizes, H, G):
+    for W, d in full_rank_observations(code.field, *observation_points(code, edges, H, G), sizes):
         if d != H.rows:
             return False, W
     return True, None

@@ -36,13 +36,14 @@ from wiretapnc.exceptions import (
     FieldMismatch,
     SingularMatrix,
 )
-from wiretapnc.fmatrix import FMatrix, eliminate
+from wiretapnc.fmatrix import FMatrix, combination, eliminate
 from wiretapnc.gf import field_new
-from wiretapnc.netgraph import NetworkCode, butterfly_code, parallel_network
+from wiretapnc.netgraph import NetworkCode, butterfly_code, combination_network, parallel_network
 from wiretapnc.securecode import (
     byzantine_secrecy_check,
     combination_secure_design,
     full_rank_observations,
+    observation_points,
     verify_secrecy_condition,
 )
 
@@ -221,7 +222,8 @@ def test_point_enumeration_equals_edge_subset_loop(q):
             edges = ids if restricted is None else restricted
             # each set of directions is yielded once, whichever edges carry it
             lines = [frozenset(row_space(code.coding_matrix([e])) for e in W)
-                     for W, *_ in full_rank_observations(code, edges, range(n + 1), H)]
+                     for W, *_ in full_rank_observations(
+                         f, *observation_points(code, edges, H), range(n + 1))]
             assert len(lines) == len(set(lines))
             for mu in range(len(edges) + 1):
                 got = equivocation_rank(H, code, mu, restricted)
@@ -291,7 +293,7 @@ def test_fan_corpus_equals_edge_subset_loops(monkeypatch):
             searched = steps[0]
             assert got == reference_equivocation_rank(H, code, mu), (q, mu)
             steps[0] = 0
-            list(walk(code, edges, (mu,), H))
+            list(walk(f, *observation_points(code, edges, H), (mu,)))
             if not finished:
                 seen["stopped"] += 1
             elif searched < steps[0]:
@@ -332,3 +334,121 @@ def test_point_set_walk_builds_no_matrix_per_set(monkeypatch):
         monkeypatch.undo()
         counts.append(calls)
     assert counts[0] == counts[1]
+
+
+def with_zero_and_parallel(rng, code):
+    """The code with one edge's vector zeroed and another's a nonzero
+    multiple of a third edge's, as the walk merges both."""
+    f, ids = code.field, sorted(code.global_vectors)
+    zero, copy, source = rng.sample(ids, 3)
+    code.global_vectors[zero] = (0,) * code.n
+    code.global_vectors[copy] = tuple(
+        f.mul(rng.randrange(1, f.order), x) for x in code.global_vectors[source])
+    return code
+
+
+@pytest.mark.parametrize("q", [3, 7, 2, 4, 8, 9, 25])
+def test_sweep_equals_separate_rank_calls(q):
+    """equivocation_sweep to mu_max = |E| reports at every mu the delta,
+    witness and flag that a separate equivocation_rank call gives, on seeded
+    random codes with a zero vector and parallel vectors, with and without a
+    restricted set; past |E| it refuses with equivocation_rank's refusal of
+    the first mu past |E|."""
+    rng, seen = random.Random(700 + q), Counter()
+    for _ in range(6):
+        _, code, H = random_coded_instance(rng, q=q, max_edges=8)
+        ids = sorted(with_zero_and_parallel(rng, code).global_vectors)
+        for restricted in (None, sorted(rng.sample(ids, rng.randint(1, len(ids))))):
+            edges = ids if restricted is None else restricted
+            report = equivocation_sweep(H, code, len(edges), restricted)
+            for mu in range(len(edges) + 1):
+                got = report.delta[mu], report.witnesses[mu], report.flagged[mu]
+                assert got == equivocation_rank(H, code, mu, restricted), mu
+                seen[got[2]] += 1
+            refusal = f"^mu={len(edges) + 1} exceeds {len(edges)} wiretappable edges$"
+            with pytest.raises(DimensionMismatch, match=refusal):
+                equivocation_sweep(H, code, len(edges) + 2, restricted)
+    assert seen[True] and seen[False], seen
+
+
+def forwarding_combination_code(rng, f, n, M, r):
+    """B(n, M) with source vectors drawn from a random r-dimensional
+    subspace and a middle layer that only forwards them."""
+    code = NetworkCode(combination_network(n, M, f))
+    span = random_full_rank_matrix(rng, f, r, n)
+    for e in code.network.edges:
+        coeffs = [rng.randrange(f.order) for _ in range(r)]
+        code.set_local(e.id, combination(f, coeffs, span.data, n) if e.tail == "S" else (1,))
+    code.propagate()
+    return code
+
+
+def test_ranks_read_off_the_points_equal_direct_elimination():
+    """rank H, rank C_E and rank [H; C_E] read off the walk's points (H's
+    basis, the directions and their remainders by H) equal eliminations of
+    H, of every edge row and of [H; C_E]; Delta(mu) past rank C_E is the
+    floor rank [H; C_E] - rank C_E, flagged, with a witness spanning C_E, and
+    up to rank C_E (mu <= 2 on the combination networks) equals the plain
+    edge-subset loop.  On forwarding-heavy combination networks and random
+    codes."""
+    rng, seen = random.Random(31), Counter()
+    instances = []
+    for q, n, M in ((5, 3, 5), (7, 4, 6), (4, 3, 4), (9, 2, 4)):
+        f = field_new(*prime_power_parts(q))
+        for r in range(1, n + 1):
+            code = forwarding_combination_code(rng, f, n, M, r)
+            instances.append((code, random_full_rank_matrix(rng, f, rng.randint(1, n), n), 2))
+    for q in (2, 3, 8, 9):
+        _, code, H = random_coded_instance(rng, q=q, max_edges=8)
+        instances.append((with_zero_and_parallel(rng, code), H, code.n))
+    for code, H, top in instances:
+        f, n, edges = code.field, code.n, sorted(code.global_vectors)
+        base, points = observation_points(code, edges, H)
+        C = code.coding_matrix(edges)
+        rank_E = FMatrix(f, [v for _, v, _ in points], n).rank()
+        rank_HE = len(base) + FMatrix(f, [h for *_, h in points], n).rank()
+        assert (len(base), rank_E, rank_HE) == (H.rank(), C.rank(), H.stack(C).rank())
+        floor = observation_equivocation(H, C)
+        for mu in range(1, len(edges) + 1):
+            if mu <= min(rank_E, top):
+                got = equivocation_rank(H, code, mu)
+                assert got == reference_equivocation_rank(H, code, mu), mu
+                seen["floor reached"] += got[0] == floor
+            elif mu > rank_E and mu <= rank_E + 2:
+                delta, witness, flagged = equivocation_rank(H, code, mu)
+                assert (delta, flagged, len(witness)) == (floor, True, mu)
+                assert code.coding_matrix(witness).rank() == rank_E
+                seen["flagged"] += 1
+    assert seen["floor reached"] and seen["flagged"], seen
+
+
+def test_one_preparation_per_analysis(monkeypatch):
+    """Each equivocation_rank call with mu > 0 (flagged or not), each
+    verify_secrecy_condition and byzantine_secrecy_check call prepares the
+    walk's points once; a sweep prepares once for every mu_max >= 1, and not
+    at all for mu_max = 0."""
+    prepare, calls = securecode.observation_points, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return prepare(*args, **kwargs)
+
+    for module in (securecode, equivocation):
+        monkeypatch.setattr(module, "observation_points", counted)
+    f = field_new(3)
+    H, code, G = FMatrix(f, [[1, 1]]), butterfly_code(f, (1, 2)), FMatrix(f, [[1, 1], [0, 1]])
+
+    def preparations(run, *args):
+        calls.clear()
+        run(*args)
+        return len(calls)
+
+    assert preparations(equivocation_rank, H, code, 0) == 0
+    for mu in range(1, 10):
+        assert preparations(equivocation_rank, H, code, mu) == 1
+        assert preparations(equivocation_sweep, H, code, mu) == 1
+    for mu in (1, 2):
+        assert preparations(verify_secrecy_condition, H, code, mu) == 1
+        assert preparations(byzantine_secrecy_check, H, G, code, mu) == 1
+    assert preparations(equivocation_sweep, H, code, 0) == 0
+    assert preparations(network_dr_profile, H, code) == 1

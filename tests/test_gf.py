@@ -120,6 +120,25 @@ def test_table_kernels_match_digit_loops(monkeypatch, p, m):
             ref.add(ref.add(ref.mul(a, b), b), a) for b in elems]
 
 
+@pytest.mark.parametrize("p,m", [(2, 8), (3, 5), (5, 3), (7, 2)])
+def test_tables_equal_polynomial_powers(p, m):
+    """The exp, log and Zech tables, built by adding g's products with the
+    running power's low and high digit halves, equal those the powers g^i by
+    polynomial products give: exp doubled then zero-padded, log with log[0] =
+    2 (q - 1), and for odd p zech[i] = log(1 + g^i), doubled."""
+    f = FieldSpec(p, m)
+    q1, g = f.order - 1, f.primitive_element()
+    powers = [1]
+    while len(powers) < q1:
+        powers.append(f._mul_poly(powers[-1], g))
+    log = [2 * q1] * f.order
+    for i, x in enumerate(powers):
+        log[x] = i
+    assert f._exp == powers * 2 + [0] * (2 * q1 + 1)
+    assert f._log == log
+    assert f._zech == (None if p == 2 else [log[f._add_digits(1, x)] for x in powers] * 2)
+
+
 # every kernel kind: prime, tabled characteristic 2 and odd characteristic
 KERNEL_FIELDS = [(2, 1), (3, 1), (7, 1), (2, 2), (2, 3), (3, 2), (3, 3), (2, 5)]
 

@@ -155,7 +155,8 @@ def _search_steps(net, H, mu):
         processed = list(code.global_vectors)
         fresh = []
         for W, *_ in securecode.full_rank_observations(
-                code, processed, range(mu if H.rows else 0), H):
+                net.field, *securecode.observation_points(code, processed, H),
+                range(mu if H.rows else 0)):
             C = code.coding_matrix(W)
             fresh.append((W, (kernel(H.stack(C)).data, kernel(C).data)))
         paths = on_path[e.id]
@@ -334,7 +335,7 @@ def test_secure_lif_walks_point_sets_once(monkeypatch):
     walk, calls = securecode.full_rank_observations, []
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[3])
         return walk(*args, **kwargs)
 
     monkeypatch.setattr(securecode, "full_rank_observations", counted)

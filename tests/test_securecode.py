@@ -34,6 +34,7 @@ from wiretapnc.netgraph import (
 from wiretapnc.oracle import min_equivocation_bruteforce
 from wiretapnc.securecode import (
     SecureDesign,
+    admit_wiretap,
     alphabet_bound_general,
     alphabet_bound_minimal,
     alphabet_bound_two_sources,
@@ -54,6 +55,22 @@ def test_wiretappable_edges(gf3):
     assert wiretappable_edges(code, ["SC", "SA"]) == ["SA", "SC"]
     with pytest.raises(DimensionMismatch):
         wiretappable_edges(code, ["nope"])
+
+
+def test_wiretappable_edges_are_a_fresh_list(gf3):
+    """Each admission gets a list of its own: mutating one leaves the next,
+    and the network's sorted ids, unchanged.  The ids are sorted on first
+    use, not when the Network is built."""
+    code = butterfly_code(gf3)
+    assert "sorted_edge_ids" not in vars(code.network)
+    want = sorted(e.id for e in code.network.edges)
+    first = wiretappable_edges(code)
+    assert first == want
+    first.reverse()
+    first.append("nope")
+    assert wiretappable_edges(code) == want
+    assert admit_wiretap(FMatrix(gf3, [[1, 1]]), code, 1) == want
+    assert code.network.sorted_edge_ids == tuple(want)
 
 
 def test_verify_butterfly_variants(gf3):
