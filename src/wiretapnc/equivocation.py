@@ -11,7 +11,8 @@ at the floor max(rank H - mu, rank [H; C_E] - rank C_E); for mu > rank C_E every
 largest-rank W spans C_E, so Delta(mu) = rank [H; C_E] - rank C_E, flagged.
 A call, or a sweep for all its mu, prepares the points once
 (`observation_points`); rank H, rank C_E and rank [H; C_E] are read off
-them, and only a flagged witness eliminates edge rows.
+them, and the flagged witnesses come from one reduction pass over the edge
+rows for every flagged mu (`_first_spanning`).
 The witness is the first minimiser, in lexicographic order, among the
 largest-rank edge subsets: the smallest representative tuple of a
 minimising point set, or the first mu-subset spanning C_E.
@@ -68,6 +69,7 @@ def _deltas(H, code, edges, mus):
     rank_E = len(echelon(f, [v for _, v, _ in points]))
     # no observation leaves less than Z_E does: H(S | Z_W) >= H(S | Z_E)
     floor = len(base) + len(echelon(f, [h for *_, h in points])) - rank_E
+    spanning = None
     for mu in mus:
         if mu <= rank_E:  # nor less than rank [H; C_W] - |W| >= rank H - mu
             for W, d in full_rank_observations(f, base, points, (mu,), least=True):
@@ -75,17 +77,32 @@ def _deltas(H, code, edges, mus):
                     break
             yield d, W, False
         else:
-            # the first mu-subset spanning C_E: take each edge in turn while the
-            # positions left can still lift the chosen ones to rank_E.  An edge
-            # skipped that way lies in the span of those chosen before it, so
-            # the chosen edges and every later edge always still span C_E.
-            chosen, basis = [], []
-            for e in edges:
-                step = reduce_row(f, basis, code.global_vectors[e])
-                if len(chosen) < mu and rank_E - len(basis) - bool(step) < mu - len(chosen):
-                    chosen.append(e)
-                    basis += [step] if step else []
-            yield floor, tuple(chosen), True
+            spanning = spanning or _first_spanning(f, code, edges, rank_E)
+            yield floor, spanning(mu), True
+
+
+def _first_spanning(f, code, edges, rank_E):
+    """mu -> the first mu-subset of `edges` in lexicographic order whose
+    coding vectors span C_E (of rank rank_E < mu), from one reduction pass.
+    Taking each edge in turn while the positions left can still lift the
+    chosen ones to rank_E takes every edge outside the span of those before
+    it (a new edge), whatever mu is, and the first mu - rank_E others: an
+    edge skipped lies in the span of those chosen before it, so the chosen
+    edges and every later edge always still span C_E."""
+    new, basis = [], []
+    for i, e in enumerate(edges):
+        if len(basis) == rank_E:  # every later edge is in the span
+            break
+        step = reduce_row(f, basis, code.global_vectors[e])
+        if step:
+            basis.append(step)
+            new.append(i)
+    others = [i for i in range(len(edges)) if i not in new]
+
+    def witness(mu):  # up to the (mu - rank_E)-th other edge, then the new edges after it
+        last = others[mu - rank_E - 1]
+        return tuple(edges[:last + 1]) + tuple(edges[i] for i in new if i > last)
+    return witness
 
 
 def equivocation_sweep(H: FMatrix, code: NetworkCode, mu_max: int,

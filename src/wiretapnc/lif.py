@@ -10,6 +10,11 @@ outside None when nothing is exempt.  Per (receiver, path) through the edge, A
 is the receiver's frontier without the path's row, annihilated by one row of
 the frontier's dual basis.  Per security set W, a set of fewer than mu coded
 directions whose C_W has full rank, A = [H; C_W] and B = C_W.
+
+Only edges that mix two or more inputs choose anything.  A forwarding edge,
+with one input, is settled without a search: it repeats its input's
+direction, as in Jaggi et al.'s Linear Information Flow, or carries the zero
+vector off every flow.
 """
 
 from __future__ import annotations
@@ -32,11 +37,16 @@ def search(code, H, mu, cap):
     scanned up to the first vector that passes the receivers.  A coded
     direction or the zero vector passes every security pair, so only a new
     direction is tested against them, and the edge gathers them then; if it
-    fails one, `solve_line` solves the rest of the line.  An edge with no
-    input carries the zero vector; a one-input edge forwards the frontier row
-    it replaces, (1) . input, and keeps the dual bases.  A test is one
-    receiver span or security pair against one prefix or vector, or one that
-    a line solve evaluates."""
+    fails one, `solve_line` solves the rest of the line.
+
+    An edge with no input carries the zero vector.  A one-input (forwarding)
+    edge runs no search: off every flow it carries the zero vector, (0), as
+    the first candidate, with no test; on a flow (1) . input, the frontier
+    row it replaces, with the tests the search would count, 1 for the zero
+    vector and one per receiver span for the input.  It keeps the dual
+    bases, and its direction is already coded, so it gathers no security
+    pairs.  A test is one receiver span or security pair against one prefix
+    or vector, or one that a line solve evaluates."""
     net, f, n = code.network, code.field, code.n
     on_path = {e.id: [] for e in net.edges}  # edge id -> its (receiver, path index) pairs
     for r, flow in net.edge_disjoint_flows().items():
@@ -92,6 +102,11 @@ def search(code, H, mu, cap):
         for c in range(f.order if any(cand) else 2):  # the first nonzero is 1
             yield from prefixes(cand + (c,), axpy(c, inputs[len(cand)], vec))
 
+    def too_small():
+        bound = alphabet_bound_general(len(net.edges), max(mu, 1), len(net.receivers))
+        return FieldTooSmall(f"no valid coding vector for edge {e.id} over {f!r}; the "
+                             f"sufficient alphabet bound is q >= {bound}", edge=e.id, bound=bound)
+
     def first_vector():  # (coefficients, vector, security pairs or None) of the first valid one
         security, u = None, inputs[-1]
         for cand, vec in prefixes((), [0] * n):
@@ -114,42 +129,50 @@ def search(code, H, mu, cap):
                             break
                         w = axpy(c, u, vec)
                 return cand + (c,), w, security
-        bound = alphabet_bound_general(len(net.edges), max(mu, 1), len(net.receivers))
-        raise FieldTooSmall(f"no valid coding vector for edge {e.id} over {f!r}; the "
-                            f"sufficient alphabet bound is q >= {bound}", edge=e.id, bound=bound)
+        raise too_small()
 
+    zero = (0,) * n
     for e in net.topological_order:
         inputs, paths = code.inputs(e.id), on_path[e.id]
         receiving = [dual[r][pi] for r, pi in paths]  # each annihilates a receiver's span
-        if len(inputs) > 1:  # a one-input edge has no prefix to prune
+        if len(inputs) < 2:
+            # nothing to mix, so no search (an edge with no input is on no flow).  A
+            # forwarding edge's direction is coded already, or n = 1 and there are no
+            # security sets, so it gathers no pairs
+            cand, vec, security = (0,) * len(inputs), zero, None
+            if receiving:
+                count(1)  # the zero vector, held by the first receiver span
+                if held(receiving, inputs[0]):  # each dual row meets its own frontier row
+                    raise too_small()
+                cand, vec = (1,), inputs[0]
+        else:
             # doomed[j]: the receiver spans holding every input a j-prefix leaves free,
             # those whose dual row meets no input from the j-th on
             last = [max((i for i, v in enumerate(inputs) if fdot(x, v)), default=-1)
                     for x in receiving]
             doomed = [[x for x, i in zip(receiving, last) if i < j] for j in range(len(inputs))]
-        cand, vec, security = first_vector() if inputs else ((), [0] * n, None)
+            cand, vec, security = first_vector()
+            vec = tuple(vec)
+            for r, pi in paths:  # frontier row pi becomes vec: update the dual basis
+                D = dual[r]
+                b = D[pi] = f.scale(f.inv(fdot(vec, D[pi])), D[pi])
+                for j, row in enumerate(D):
+                    c = j != pi and fdot(vec, row)
+                    if c:
+                        D[j] = axpy(f.neg(c), b, row)
+            # a new direction joins each smaller set W it is independent of; having
+            # passed W's pair, vec then also leaves span [H; C_W]
+            point = lead(f, vec)
+            if point and tuple(point[1]) not in seen:  # then the edge gathered the pairs
+                seen.add(tuple(point[1]))
+                for W, _ in security:
+                    C, HC = bases[W]
+                    step = len(W) < top - 1 and reduce_row(f, C, vec)
+                    if step:
+                        kids.setdefault(W, []).append(
+                            node(W + (e.id,), C + [step], HC + [reduce_row(f, HC, vec)]))
         code.local[e.id] = cand  # field elements by construction
-        code.global_vectors[e.id] = tuple(vec)
-        # frontier row pi becomes vec: update the dual basis, unless a one-input
-        # edge forwards the row it replaces
-        for r, pi in paths if len(inputs) > 1 else ():
-            D = dual[r]
-            b = D[pi] = f.scale(f.inv(fdot(vec, D[pi])), D[pi])
-            for j, row in enumerate(D):
-                c = j != pi and fdot(vec, row)
-                if c:
-                    D[j] = axpy(f.neg(c), b, row)
-        # a new direction joins each smaller set W it is independent of; having
-        # passed W's pair, vec then also leaves span [H; C_W]
-        point = lead(f, vec)
-        if point and tuple(point[1]) not in seen:  # then the edge gathered the pairs
-            seen.add(tuple(point[1]))
-            for W, _ in security:
-                C, HC = bases[W]
-                step = len(W) < top - 1 and reduce_row(f, C, vec)
-                if step:
-                    kids.setdefault(W, []).append(
-                        node(W + (e.id,), C + [step], HC + [reduce_row(f, HC, vec)]))
+        code.global_vectors[e.id] = vec
         yield e, dual, security, checks
 
 

@@ -185,9 +185,12 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     W = {e} united with processed edges, |W| <= mu.  Every forbidden set is
     a span, less an exempt span, so c and lambda c share a verdict, and the
     search (`lif.search`) tries only the c whose first nonzero coefficient
-    is 1, prunes prefixes, and solves for the last coefficient.  The output
-    is verified by `verify_secrecy_condition`.  "checks" in the certificate
-    counts forbidden-subspace tests, capped at SUBSET_CHECK_CAP (CapExceeded).
+    is 1, prunes prefixes, and solves for the last coefficient.  Only edges
+    that mix two or more inputs are searched: a forwarding (one-input) edge
+    repeats its input on a flow and carries the zero vector off every flow.
+    The output is verified by `verify_secrecy_condition`.  "checks" in the
+    certificate counts forbidden-subspace tests, capped at SUBSET_CHECK_CAP
+    (CapExceeded).
     Refused before the search: an n (DimensionMismatch) or f (FieldMismatch)
     other than the network's, what `admit_wiretap` refuses, a rank-deficient
     H (SingularMatrix) and k + mu > n (BudgetExceedsCut).

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -420,6 +421,46 @@ def test_ranks_read_off_the_points_equal_direct_elimination():
                 assert code.coding_matrix(witness).rank() == rank_E
                 seen["flagged"] += 1
     assert seen["floor reached"] and seen["flagged"], seen
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_flagged_witness_is_the_first_subset_spanning_C_E(q):
+    """For every mu past rank C_E, equivocation_rank and one sweep report
+    the floor rank [H; C_E] - rank C_E, flagged, with the first mu-subset in
+    lexicographic order whose rank is rank C_E.  On seeded random codes whose
+    vectors are drawn from a random subspace, with zero vectors and repeated
+    directions, with and without a restricted set."""
+    rng, seen = random.Random(900 + q), Counter()
+    for _ in range(8):
+        _, code, H = random_coded_instance(rng, q=q, max_edges=9)
+        f, n, ids = code.field, code.n, sorted(code.global_vectors)
+        span = random_full_rank_matrix(rng, f, rng.randint(1, n), n)
+        drawn = []
+        for eid in ids:
+            kind = rng.choice(("zero", "repeat", "span", "span"))
+            kind = "span" if kind == "repeat" and not drawn else kind
+            if kind == "zero":
+                vec = (0,) * n
+            elif kind == "repeat":
+                vec = tuple(f.mul(rng.randrange(1, q), x) for x in rng.choice(drawn))
+            else:
+                vec = tuple(combination(f, [rng.randrange(q) for _ in span.data], span.data, n))
+            code.global_vectors[eid] = vec
+            drawn.append(vec)
+            seen[kind] += 1
+        for restricted in (None, sorted(rng.sample(ids, rng.randint(1, len(ids))))):
+            edges = ids if restricted is None else restricted
+            C = code.coding_matrix(edges)
+            rank_E, floor = C.rank(), observation_equivocation(H, C)
+            report = equivocation_sweep(H, code, len(edges), restricted)
+            for mu in range(rank_E + 1, len(edges) + 1):
+                want = next(W for W in combinations(edges, mu)
+                            if code.coding_matrix(W).rank() == rank_E)
+                assert equivocation_rank(H, code, mu, restricted) == (floor, want, True), mu
+                got = report.delta[mu], report.witnesses[mu], report.flagged[mu]
+                assert got == (floor, want, True), mu
+                seen["not a prefix"] += want != tuple(edges[:mu])
+    assert min(seen[key] for key in ("zero", "repeat", "span", "not a prefix")) > 0, seen
 
 
 def test_one_preparation_per_analysis(monkeypatch):

@@ -1,4 +1,6 @@
-"""`secure_lif`'s candidate search: a golden record of its outputs; the
+"""`secure_lif`'s candidate search: a golden record of its outputs, and a
+record of the steps of `lif.search` (locals, globals, checks and dual bases
+after every edge) on networks with every kind of forwarding edge; the
 forbidden-subspace rule checked candidate by candidate against the rank test
 it replaces (`conftest.reference_candidate_verdict`); the pruned prefix
 search and the line solve for the last coefficient checked edge by edge
@@ -6,7 +8,7 @@ against exhaustive search (`conftest.reference_first_candidate`); and the
 security pairs it builds incrementally checked against a fresh enumeration.
 The search is driven edge by edge through `lif.search`.
 
-Re-record the golden file (only when a change of outputs is intended) with
+Re-record both files (only when a change of outputs is intended) with
 `PYTHONPATH=src python tests/test_secure_lif_rule.py`.
 """
 
@@ -40,6 +42,7 @@ from wiretapnc.serialize import (
 )
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "secure_lif_golden.json"
+STEPS_PATH = Path(__file__).parent / "data" / "lif_forwarding_steps.json"
 
 
 def _on_field(net, f):
@@ -86,10 +89,53 @@ def record():
     GOLDEN_PATH.write_text('{"instances": [\n' + ",\n".join(entries) + "\n]}\n")
 
 
+def forwarding_instances():
+    """(name, network, H, mu) rich in forwarding (one-input) edges.  The
+    relayed butterflies forward their coded edge CD down the chain DX, XY,
+    YT1 (and YT2), to DZ, off every flow below CD, and on to ZW, whose only
+    input DZ is off every flow.  The n = 1 chain's source out-edges forward a
+    unit vector, one of them off every flow.  Every receiver in-edge of
+    B(3,4) forwards a coded direction while security sets of size 1 exist."""
+    for q in (3, 4):
+        f = field_new(*prime_power_parts(q))
+        net = Network("S A B C D X Y Z W T1 T2".split(),
+                      [("SA", "S", "A"), ("SB", "S", "B"), ("AC", "A", "C"), ("BC", "B", "C"),
+                       ("CD", "C", "D"), ("DX", "D", "X"), ("XY", "X", "Y"), ("YT1", "Y", "T1"),
+                       ("YT2", "Y", "T2"), ("AT1", "A", "T1"), ("BT2", "B", "T2"),
+                       ("DZ", "D", "Z"), ("ZW", "Z", "W")], "S", ("T1", "T2"), 2, f)
+        yield f"relayed-butterfly-mu1-GF({q})", net, FMatrix(f, [[1, 1]]), 1
+    f2 = field_new(2)
+    net = Network("S A Y Z T".split(), [("SA", "S", "A"), ("SY", "S", "Y"), ("AT", "A", "T"),
+                                        ("AZ", "A", "Z")], "S", ("T",), 1, f2)
+    yield "chain-n1-mu0-GF(2)", net, FMatrix(f2, [[1]]), 0
+    for q in (7, 8):
+        f = field_new(*prime_power_parts(q))
+        yield (f"B(3,4)-mu2-GF({q})", combination_network(3, 4, f),
+               mds_parity_check(f, 1, 3), 2)
+
+
+def _steps(net, H, mu):
+    """[edge id, local, global, checks, dual bases] after each edge `lif.search` codes."""
+    code = NetworkCode(net)
+    return [[e.id, list(code.local[e.id]), list(code.global_vectors[e.id]), checks,
+             {r: [list(row) for row in D] for r, D in dual.items()}]
+            for e, dual, _, checks in lif.search(code, H, mu, securecode.SUBSET_CHECK_CAP)]
+
+
+def record_steps():
+    entries = [json.dumps({"name": name, "network": network_to_json(net),
+                           "H": matrix_to_json(H), "mu": mu, "steps": _steps(net, H, mu)},
+                          sort_keys=True)
+               for name, net, H, mu in forwarding_instances()]
+    STEPS_PATH.write_text('{"instances": [\n' + ",\n".join(entries) + "\n]}\n")
+
+
 if __name__ == "__main__":
     record()
+    record_steps()
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())["instances"]
+STEPS = json.loads(STEPS_PATH.read_text())["instances"]
 
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=[e["name"] for e in GOLDEN])
@@ -98,6 +144,33 @@ def test_secure_lif_matches_golden_record(entry):
     design = secure_lif(net, net.n, entry["mu"], matrix_from_json(entry["H"]))
     want = {key: entry[key] for key in ("locals", "global", "checks")}
     assert _outputs(design) == want
+
+
+def test_search_steps_through_forwarding_edges_match_record():
+    """On `forwarding_instances`, `lif.search` yields after every edge the
+    recorded local and global vectors, checks and receivers' dual bases,
+    forwarding edges settled without a candidate search included.  The
+    record covers each kind of forwarding edge: a chain of them, one off
+    every flow below a coded edge, one whose only input is off every flow,
+    and a source out-edge of an n = 1 network."""
+    kinds = set()
+    for entry in STEPS:
+        net = network_from_json(entry["network"])
+        got = _steps(net, matrix_from_json(entry["H"]), entry["mu"])
+        assert got == entry["steps"], entry["name"]
+        vectors = {eid: any(v) for eid, _, v, *_ in got}  # edge id -> nonzero
+        for e in net.edges:
+            ins = net.in_edges(e.tail)
+            if e.tail == net.source:
+                if net.n == 1:
+                    kinds.add("n = 1 source")
+            elif len(ins) == 1 and not vectors[e.id]:
+                kinds.add("input off every flow" if not vectors[ins[0].id]
+                          else "off every flow below a coded edge")
+            elif len(ins) == 1 and len(net.in_edges(ins[0].tail)) == 1:
+                kinds.add("chain")
+    assert kinds == {"chain", "off every flow below a coded edge",
+                     "input off every flow", "n = 1 source"}
 
 
 def _verdict_instances():
