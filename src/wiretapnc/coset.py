@@ -18,6 +18,7 @@ from itertools import combinations
 from math import comb
 
 from .exceptions import (
+    BadParameters,
     CapExceeded,
     DimensionMismatch,
     ExtensionTooSmall,
@@ -80,10 +81,8 @@ def rs_parity_check(n: int, length: int, field: FieldSpec) -> FMatrix:
             f"length {length} exceeds q-1 = {field.order - 1}"
         )
     a = field.primitive_element()
-    return FMatrix(
-        field,
-        [[field.pow(a, (i + 1) * j) for j in range(length)] for i in range(n)],
-    )
+    return FMatrix(field, [[field.pow(a, (i + 1) * j) for j in range(length)] for i in range(n)],
+                   length)
 
 
 def is_mds_parity_check(Hfull: FMatrix):
@@ -108,8 +107,10 @@ def gabidulin_parity_check(n: int, k: int, base: FieldSpec, m: int) -> FMatrix:
     """Moore-style parity check of an [n, k] Gabidulin code over GF(q^m).
 
     Row i, column j holds g_j^(q^i) where g_j = x^j is the canonical basis of
-    GF(q^m) over GF(q) truncated to n elements.  Requires m >= n.
+    GF(q^m) over GF(q) truncated to n elements.  Requires 0 <= k <= n <= m.
     """
+    if not 0 <= k <= n:
+        raise BadParameters(f"k={k} must lie between 0 and n={n}")
     if base.m != 1:
         raise ExtensionTooSmall(
             "Gabidulin construction requires a prime base field"
@@ -120,10 +121,7 @@ def gabidulin_parity_check(n: int, k: int, base: FieldSpec, m: int) -> FMatrix:
     q = base.order
     # g_j = x^j encodes as p^j in the little-endian integer encoding
     basis = [base.p ** j for j in range(n)]
-    return FMatrix(
-        ext,
-        [[ext.pow(g, q ** i) for g in basis] for i in range(n - k)],
-    )
+    return FMatrix(ext, [[ext.pow(g, q ** i) for g in basis] for i in range(n - k)], n)
 
 
 def lift_matrix(M: FMatrix, ext: FieldSpec) -> FMatrix:

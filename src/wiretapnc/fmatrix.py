@@ -42,7 +42,7 @@ class FMatrix:
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     def row(self, i):
         return self.data[i]
@@ -80,7 +80,7 @@ class FMatrix:
         rank = sum(c < self.cols for c in pivots)
         if rank != self.cols:
             raise SingularMatrix(f"singular matrix of rank {rank}", rank=rank)
-        return FMatrix(self.field, [row[self.cols:] for row in rows])
+        return FMatrix(self.field, [row[self.cols:] for row in rows], self.cols)
 
     # ---- structural operations ----
 

@@ -11,10 +11,10 @@ is the receiver's frontier without the path's row, annihilated by one row of
 the frontier's dual basis.  Per security set W, a set of fewer than mu coded
 directions whose C_W has full rank, A = [H; C_W] and B = C_W.
 
-Only edges that mix two or more inputs choose anything.  A forwarding edge,
-with one input, is settled without a search: it repeats its input's
-direction, as in Jaggi et al.'s Linear Information Flow, or carries the zero
-vector off every flow.
+Only the encoding edges of the flow union choose anything.  By its paths and
+inputs, an edge on no flow carries the zero vector, untested; one on a flow
+with one input repeats it, as in Jaggi et al.'s Linear Information Flow; one
+on a flow with two or more inputs is searched.
 """
 
 from __future__ import annotations
@@ -31,22 +31,23 @@ def search(code, H, mu, cap):
     tests counted so far, at most cap (CapExceeded).  FieldTooSmall at an
     edge no vector passes.
 
+    An edge on no flow, with any number of inputs (none included), carries
+    the zero vector, local zeros, with no test and no security pairs.  One
+    on a flow with one input (forwarding) is not searched: (1) . input, the
+    frontier row it replaces, with the tests the search would count, 1 for
+    the zero vector and one per receiver span for the input; it keeps the
+    dual bases and, its direction coded already, gathers no security pairs.
+    One on a flow with two or more inputs is searched.
+
     The prefix search skips each prefix whose completions all lie in one
     receiver's forbidden span, and tries one vector per direction, the one
     whose first nonzero coefficient is 1.  A prefix leaves a line vec + c u,
-    scanned up to the first vector that passes the receivers.  A coded
-    direction or the zero vector passes every security pair, so only a new
+    scanned up to the first vector that passes the receivers, which is
+    nonzero.  A coded direction passes every security pair, so only a new
     direction is tested against them, and the edge gathers them then; if it
-    fails one, `solve_line` solves the rest of the line.
-
-    An edge with no input carries the zero vector.  A one-input (forwarding)
-    edge runs no search: off every flow it carries the zero vector, (0), as
-    the first candidate, with no test; on a flow (1) . input, the frontier
-    row it replaces, with the tests the search would count, 1 for the zero
-    vector and one per receiver span for the input.  It keeps the dual
-    bases, and its direction is already coded, so it gathers no security
-    pairs.  A test is one receiver span or security pair against one prefix
-    or vector, or one that a line solve evaluates."""
+    fails one, `solve_line` solves the rest of the line.  A test is one
+    receiver span or security pair against one prefix or vector, or one
+    that a line solve evaluates."""
     net, f, n = code.network, code.field, code.n
     on_path = {e.id: [] for e in net.edges}  # edge id -> its (receiver, path index) pairs
     for r, flow in net.edge_disjoint_flows().items():
@@ -115,8 +116,7 @@ def search(code, H, mu, cap):
                 w = axpy(c, u, vec)
                 if held(receiving, w):
                     continue
-                point = lead(f, w)  # (lead index, w scaled to 1 there), or None
-                if point and tuple(point[1]) not in seen:
+                if tuple(lead(f, w)[1]) not in seen:  # a new direction
                     if security is None:  # the pairs by levels of the prefix tree: the sets in order
                         security, level = [], roots
                         while level:
@@ -131,20 +131,16 @@ def search(code, H, mu, cap):
                 return cand + (c,), w, security
         raise too_small()
 
-    zero = (0,) * n
     for e in net.topological_order:
         inputs, paths = code.inputs(e.id), on_path[e.id]
         receiving = [dual[r][pi] for r, pi in paths]  # each annihilates a receiver's span
-        if len(inputs) < 2:
-            # nothing to mix, so no search (an edge with no input is on no flow).  A
-            # forwarding edge's direction is coded already, or n = 1 and there are no
-            # security sets, so it gathers no pairs
-            cand, vec, security = (0,) * len(inputs), zero, None
-            if receiving:
-                count(1)  # the zero vector, held by the first receiver span
-                if held(receiving, inputs[0]):  # each dual row meets its own frontier row
-                    raise too_small()
-                cand, vec = (1,), inputs[0]
+        if not paths:  # in no receiver's frontier, and in every exempt span
+            cand, vec, security = (0,) * len(inputs), (0,) * n, None
+        elif len(inputs) == 1:  # coded already, or n = 1 with no security sets: no pairs
+            count(1)  # the zero vector, held by the first receiver span
+            if held(receiving, inputs[0]):  # each dual row meets its own frontier row
+                raise too_small()
+            cand, vec, security = (1,), inputs[0], None
         else:
             # doomed[j]: the receiver spans holding every input a j-prefix leaves free,
             # those whose dual row meets no input from the j-th on
@@ -162,9 +158,9 @@ def search(code, H, mu, cap):
                         D[j] = axpy(f.neg(c), b, row)
             # a new direction joins each smaller set W it is independent of; having
             # passed W's pair, vec then also leaves span [H; C_W]
-            point = lead(f, vec)
-            if point and tuple(point[1]) not in seen:  # then the edge gathered the pairs
-                seen.add(tuple(point[1]))
+            direction = tuple(lead(f, vec)[1])
+            if direction not in seen:  # then the edge gathered the pairs
+                seen.add(direction)
                 for W, _ in security:
                     C, HC = bases[W]
                     step = len(W) < top - 1 and reduce_row(f, C, vec)

@@ -185,9 +185,9 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     W = {e} united with processed edges, |W| <= mu.  Every forbidden set is
     a span, less an exempt span, so c and lambda c share a verdict, and the
     search (`lif.search`) tries only the c whose first nonzero coefficient
-    is 1, prunes prefixes, and solves for the last coefficient.  Only edges
-    that mix two or more inputs are searched: a forwarding (one-input) edge
-    repeats its input on a flow and carries the zero vector off every flow.
+    is 1, prunes prefixes, and solves for the last coefficient.  Only the
+    encoding edges of the flow union are searched: an edge on no flow carries
+    the zero vector, untested, and one on a flow with one input repeats it.
     The output is verified by `verify_secrecy_condition`.  "checks" in the
     certificate counts forbidden-subspace tests, capped at SUBSET_CHECK_CAP
     (CapExceeded).

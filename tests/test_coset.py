@@ -12,6 +12,7 @@ from wiretapnc.coset import (
     universal_secrecy_check,
 )
 from wiretapnc.exceptions import (
+    BadParameters,
     DimensionMismatch,
     ExtensionTooSmall,
     LengthExceedsField,
@@ -130,6 +131,19 @@ def test_gabidulin_requirements(gf2):
         gabidulin_parity_check(3, 1, gf2, 2)  # m < n
     with pytest.raises(ExtensionTooSmall):
         gabidulin_parity_check(2, 1, field_new(2, 2), 2)  # non-prime base
+
+
+def test_parity_checks_of_no_rows_keep_their_columns(gf2, gf7):
+    assert rs_parity_check(0, 6, gf7) == FMatrix(gf7, [], 6)
+    for n in (0, 1, 2, 3):  # the [n, n] code checks nothing
+        assert gabidulin_parity_check(n, n, gf2, 3) == FMatrix(field_new(2, 3), [], n)
+
+
+def test_gabidulin_refuses_k_outside_0_to_n(gf3):
+    for k in (-1, 3):
+        with pytest.raises(BadParameters, match=f"k={k} must lie between 0 and n=2"):
+            gabidulin_parity_check(2, k, gf3, 2)
+    assert gabidulin_parity_check(2, 0, gf3, 2).rows == 2
 
 
 def test_gabidulin_moore_structure(gf2):

@@ -67,6 +67,13 @@ def test_zero_row_matrix_is_first_class(gf3):
         FMatrix(gf3, [])
 
 
+def test_empty_identity_and_inverse_are_0x0(gf3):
+    empty = FMatrix(gf3, [], 0)
+    assert FMatrix.identity(gf3, 0) == empty
+    assert empty.invert() == empty
+    assert (empty.rows, empty.cols) == (0, 0)
+
+
 def test_structural_operations(gf3):
     M = FMatrix(gf3, [[1, 2, 0], [0, 1, 1]])
     assert M.transpose().data == ((1, 0), (2, 1), (0, 1))

@@ -1,6 +1,7 @@
 """`secure_lif`'s candidate search: a golden record of its outputs, and a
 record of the steps of `lif.search` (locals, globals, checks and dual bases
-after every edge) on networks with every kind of forwarding edge; the
+after every edge) on networks with every kind of forwarding edge; edges on
+no flow, mixing or with no input, taking the zero vector untested; the
 forbidden-subspace rule checked candidate by candidate against the rank test
 it replaces (`conftest.reference_candidate_verdict`); the pruned prefix
 search and the line solve for the last coefficient checked edge by edge
@@ -171,6 +172,39 @@ def test_search_steps_through_forwarding_edges_match_record():
                 kinds.add("chain")
     assert kinds == {"chain", "off every flow below a coded edge",
                      "input off every flow", "n = 1 source"}
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_edges_on_no_flow_take_the_zero_vector_untested(q):
+    """An edge on no flow carries the zero vector, local zeros of its input
+    count, whatever its inputs: on a butterfly, CW mixes two inputs on a
+    flow, DZ mixes CD, on a flow, with XD, off every flow, and XD, out of a
+    node the source does not reach, has no input.  Each counts no test,
+    gathers no security pairs and leaves the receivers' dual bases as they
+    were."""
+    f = field_new(*prime_power_parts(q))
+    net = Network("S A B C D X W Z T1 T2".split(),
+                  [("SA", "S", "A"), ("SB", "S", "B"), ("AC", "A", "C"), ("BC", "B", "C"),
+                   ("CD", "C", "D"), ("DT1", "D", "T1"), ("DT2", "D", "T2"),
+                   ("AT1", "A", "T1"), ("BT2", "B", "T2"), ("CW", "C", "W"),
+                   ("XD", "X", "D"), ("DZ", "D", "Z")], "S", ("T1", "T2"), 2, f)
+    on_flow = {eid for flow in net.edge_disjoint_flows().values()
+               for path in flow.paths for eid in path}
+    settled = {"CW": 2, "DZ": 2, "XD": 0}  # edge id -> input count
+    assert not on_flow & set(settled) and "CD" in on_flow
+    code = NetworkCode(net)
+    before, seen = 0, {}
+    dual = {r: list(FMatrix.identity(f, 2).data) for r in net.receivers}
+    for e, after, security, checks in lif.search(code, FMatrix(f, [[1, 1]]), 1,
+                                                 securecode.SUBSET_CHECK_CAP):
+        after = {r: [tuple(row) for row in D] for r, D in after.items()}
+        if e.id in settled:
+            assert code.local[e.id] == (0,) * settled[e.id], e.id
+            assert tuple(code.global_vectors[e.id]) == (0, 0), e.id
+            assert (checks, security, after) == (before, None, dual), e.id
+            seen[e.id] = len(code.inputs(e.id))
+        before, dual = checks, after
+    assert seen == settled
 
 
 def _verdict_instances():
