@@ -49,11 +49,6 @@ def search(code, H, mu, cap):
     receiver span or security pair against one prefix or vector, or one
     that a line solve evaluates."""
     net, f, n = code.network, code.field, code.n
-    on_path = {e.id: [] for e in net.edges}  # edge id -> its (receiver, path index) pairs
-    for r, flow in net.edge_disjoint_flows().items():
-        for pi, path in enumerate(flow.paths):
-            for eid in path:
-                on_path[eid].append((r, pi))
 
     # per receiver, the dual basis of its frontier rows (initially the unit
     # vectors, the virtual inputs): frontier[r][j] . dual[r][i] = 1 if i == j, else 0
@@ -132,7 +127,7 @@ def search(code, H, mu, cap):
         raise too_small()
 
     for e in net.topological_order:
-        inputs, paths = code.inputs(e.id), on_path[e.id]
+        inputs, paths = code.inputs(e.id), net.flow_pairs[e.id]  # (receiver, path index) pairs
         receiving = [dual[r][pi] for r, pi in paths]  # each annihilates a receiver's span
         if not paths:  # in no receiver's frontier, and in every exempt span
             cand, vec, security = (0,) * len(inputs), (0,) * n, None
@@ -142,11 +137,15 @@ def search(code, H, mu, cap):
                 raise too_small()
             cand, vec, security = (1,), inputs[0], None
         else:
-            # doomed[j]: the receiver spans holding every input a j-prefix leaves free,
-            # those whose dual row meets no input from the j-th on
-            last = [max((i for i, v in enumerate(inputs) if fdot(x, v)), default=-1)
-                    for x in receiving]
-            doomed = [[x for x, i in zip(receiving, last) if i < j] for j in range(len(inputs))]
+            # doomed[j]: the receiver spans holding every input a j-prefix leaves free, those
+            # whose dual row meets no input from the j-th on: past the last, found from the end
+            doomed = [[] for _ in inputs]
+            for x in receiving:
+                i = len(inputs) - 1
+                while i >= 0 and not fdot(x, inputs[i]):
+                    i -= 1
+                for later in doomed[i + 1:]:
+                    later.append(x)
             cand, vec, security = first_vector()
             vec = tuple(vec)
             for r, pi in paths:  # frontier row pi becomes vec: update the dual basis

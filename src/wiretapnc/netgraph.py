@@ -9,13 +9,13 @@ coding vector of length n.
 Edges are visited in a fixed topological order (Kahn on nodes, ties broken by
 edge id) by every algorithm, so all outputs are deterministic.  Each
 receiver's max flow is found once, when the Network is built, searched over
-the receiver's ancestors only; its min cut and edge-disjoint paths are read
-from that flow.
+the receiver's ancestors only; its min cut is read from that flow, and its
+edge-disjoint paths are decomposed from it once, on first use.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from functools import cached_property
 from itertools import combinations
 
@@ -40,13 +40,8 @@ class Edge:
         self.id, self.tail, self.head, self.index = id, tail, head, index
 
 
-class Flow:
-    """n edge-disjoint source-to-receiver paths, as edge-id lists."""
-
-    __slots__ = ("receiver", "paths")
-
-    def __init__(self, receiver: str, paths: tuple):
-        self.receiver, self.paths = receiver, paths
+# n edge-disjoint source-to-receiver paths, as edge-id tuples; immutable: Networks share them
+Flow = namedtuple("Flow", "receiver paths")
 
 
 class Network:
@@ -175,14 +170,14 @@ class Network:
             raise UnknownNode(f"unknown receiver {receiver}")
         return self._flows[receiver][0]
 
-    def edge_disjoint_flows(self):
-        """One Flow of n disjoint paths per receiver, decomposed from the max
+    @cached_property
+    def _decomposed(self):
+        """{receiver: its Flow}, decomposed once, on first use, from the max
         flow found when the Network was built: each path leaves every node by
         its first unused flow edge in edge-list order."""
         flows = {}
         for r, (_, used) in self._flows.items():
-            out = self._by_tail(self.edge_by_id[eid] for eid in used)
-            paths = []
+            out, paths = self._by_tail(self.edge_by_id[eid] for eid in used), []
             for _ in range(self.n):
                 path, v = [], self.source
                 while v != r:
@@ -192,6 +187,20 @@ class Network:
                 paths.append(tuple(path))
             flows[r] = Flow(r, tuple(paths))
         return flows
+
+    @cached_property
+    def flow_pairs(self):
+        """{edge id: its (receiver, path index) pairs, () off the flow union}."""
+        pairs = {e.id: [] for e in self.edges}
+        for r, flow in self._decomposed.items():
+            for pi, path in enumerate(flow.paths):
+                for eid in path:
+                    pairs[eid].append((r, pi))
+        return {eid: tuple(p) for eid, p in pairs.items()}
+
+    def edge_disjoint_flows(self):
+        """One Flow of n disjoint paths per receiver, decomposed once, in a new dict."""
+        return dict(self._decomposed)
 
 
 class NetworkCode:

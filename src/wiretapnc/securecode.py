@@ -226,8 +226,9 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
 
 def alphabet_bound_general(E_count: int, mu: int, t: int) -> int:
     """Sufficient field size choose(|E|-1, mu-1) + t for the modified LIF."""
-    if E_count < 1 or mu < 1 or t < 1:
-        raise DimensionMismatch("arguments must be positive")
+    for name, value in (("the edge count |E|", E_count), ("mu", mu), ("the receiver count t", t)):
+        if value < 1:
+            raise DimensionMismatch(f"{name}={value} must be at least 1")
     return comb(E_count - 1, mu - 1) + t
 
 
@@ -237,8 +238,9 @@ def alphabet_bound_minimal(k: int, mu: int, t: int) -> int:
     Counts only the encoding edges of a minimal multicast network; the
     minimal-network reduction itself is not performed here.
     """
-    if k < 1 or mu < 1 or t < 1:
-        raise DimensionMismatch("arguments must be positive")
+    for name, value in (("k", k), ("mu", mu), ("the receiver count t", t)):
+        if value < 1:
+            raise DimensionMismatch(f"{name}={value} must be at least 1")
     return comb(2 * k ** 3 * t ** 2, mu - 1) + t
 
 
@@ -248,7 +250,7 @@ def alphabet_bound_two_sources(t: int) -> int:
     s <= sqrt(2t - 7/4) + 1/2 is equivalent to s^2 - s + 2 <= 2t.
     """
     if t < 1:
-        raise DimensionMismatch("t must be positive")
+        raise DimensionMismatch(f"the receiver count t={t} must be at least 1")
     s = 0
     while (s + 1) ** 2 - (s + 1) + 2 <= 2 * t:
         s += 1

@@ -365,6 +365,19 @@ def test_library_error_exit_code(fixtures, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("receivers, mu, error", [
+    (("D", "F"), 0, "error: mu=0 must be at least 1"),
+    ((), 1, "error: the receiver count t=0 must be at least 1"),
+])
+def test_bounds_refusal_names_the_count_and_its_value(tmp_path, capsys, receivers, mu, error):
+    net = butterfly_network(field_new(3))
+    net = Network(net.nodes, [(e.id, e.tail, e.head) for e in net.edges], "S",
+                  receivers, 2, net.field)
+    write_json(tmp_path / "net.json", network_to_json(net))
+    assert cli.main(["bounds", "--network", str(tmp_path / "net.json"), "--mu", str(mu)]) == 1
+    assert capsys.readouterr().err.splitlines() == [error]
+
+
 # argv ("{d}" is the fixtures directory), extra environment, exit code: each
 # bad input ends in exit 1 and one "error:" line; --out into a missing
 # directory creates it, --out below a regular file cannot

@@ -456,6 +456,39 @@ def test_secure_lif_walks_point_sets_once(monkeypatch):
         assert checks in (None, design.certificate["checks"])
 
 
+def test_a_reused_network_builds_as_a_freshly_loaded_copy():
+    """A Network decomposes its flows once, on first use, and every build on
+    it reads that decomposition.  One Network, reused for builds with another
+    H, another mu, the same call twice, and after a caller has cleared or
+    edited what `edge_disjoint_flows` returned, gives each time the locals,
+    globals and checks of a build on a freshly loaded copy; on the butterfly
+    and on B(4,10) (210 receivers) over GF(23)."""
+    f3, f23 = field_new(3), field_new(23)
+    ones = FMatrix(f23, [[1] * 4])
+    for net, builds in (
+            (butterfly_network(f3), [(FMatrix(f3, [[1, 1]]), 1), (FMatrix(f3, [[1, 2]]), 1),
+                                     (FMatrix(f3, [], 2), 0), (FMatrix(f3, [[1, 1]]), 1)]),
+            (combination_network(4, 10, f23),
+             [(mds_parity_check(f23, 2, 4), 2), (ones, 2), (mds_parity_check(f23, 3, 4), 1),
+              (ones, 3), (mds_parity_check(f23, 2, 4), 2)])):
+        fresh = network_from_json(network_to_json(net)).edge_disjoint_flows()
+        for i, (H, mu) in enumerate(builds):
+            flows = net.edge_disjoint_flows()
+            assert flows == fresh
+            first, *rest = flows
+            with pytest.raises(AttributeError):
+                flows[first].paths = ()
+            if i == 0:  # edited before any build has read the flows
+                flows[first] = flows[first]._replace(paths=flows[first].paths[::-1])
+                del flows[rest[0]]
+            else:
+                flows.clear()
+            design = secure_lif(net, net.n, mu, H)
+            copy = network_from_json(network_to_json(net))
+            assert _outputs(design) == _outputs(secure_lif(copy, copy.n, mu, H))
+        assert net.edge_disjoint_flows() == fresh
+
+
 @pytest.mark.parametrize("n, t", [(4, 3), (5, 1)])
 def test_random_multicast_network_refuses_parameters_no_draw_fits(n, t):
     """n = 4 with three receivers needs at least 15 edges, over max_edges =

@@ -248,6 +248,19 @@ def test_alphabet_bounds():
         alphabet_bound_two_sources(0)
 
 
+@pytest.mark.parametrize("bound, args, message", [
+    (alphabet_bound_general, (0, 1, 1), "the edge count |E|=0 must be at least 1"),
+    (alphabet_bound_general, (9, -1, 2), "mu=-1 must be at least 1"),
+    (alphabet_bound_minimal, (0, 1, 1), "k=0 must be at least 1"),
+    (alphabet_bound_minimal, (1, 1, 0), "the receiver count t=0 must be at least 1"),
+    (alphabet_bound_two_sources, (0,), "the receiver count t=0 must be at least 1"),
+])
+def test_alphabet_bound_refusals_name_the_count_and_its_value(bound, args, message):
+    with pytest.raises(DimensionMismatch) as info:
+        bound(*args)
+    assert str(info.value) == message
+
+
 def test_projective_line_colors(gf3):
     assert projective_line_colors(gf3) == [(0, 1), (1, 0), (1, 1), (1, 2)]
     assert projective_line_colors(gf3, exclude_all_ones=True) == [
