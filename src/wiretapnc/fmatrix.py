@@ -75,8 +75,7 @@ class FMatrix:
     def invert(self) -> "FMatrix":
         if self.rows != self.cols:
             raise SingularMatrix(f"matrix is {self.rows}x{self.cols}, not square")
-        eye = [[1 if i == j else 0 for j in range(self.rows)] for i in range(self.rows)]
-        rows, pivots = self._echelon(augment=eye)
+        rows, pivots = self._echelon(augment=FMatrix.identity(self.field, self.rows).data)
         rank = sum(c < self.cols for c in pivots)
         if rank != self.cols:
             raise SingularMatrix(f"singular matrix of rank {rank}", rank=rank)

@@ -20,7 +20,7 @@ on a flow with two or more inputs is searched.
 from __future__ import annotations
 
 from .exceptions import CapExceeded, FieldTooSmall
-from .fmatrix import FMatrix, back_substitute, echelon, lead, null_space, reduce_row
+from .fmatrix import back_substitute, echelon, lead, null_space, reduce_row
 from .securecode import alphabet_bound_general
 
 
@@ -52,8 +52,7 @@ def search(code, H, mu, cap):
 
     # per receiver, the dual basis of its frontier rows (initially the unit
     # vectors, the virtual inputs): frontier[r][j] . dual[r][i] = 1 if i == j, else 0
-    eye = FMatrix.identity(f, n).data
-    dual = {r: list(eye) for r in net.receivers}
+    dual = {r: list(code.units) for r in net.receivers}
     axpy, fdot = f.axpy, f.dot
 
     checks = 0

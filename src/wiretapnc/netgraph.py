@@ -204,16 +204,30 @@ class Network:
 
 
 class NetworkCode:
-    """Local coefficients plus propagated global coding vectors per edge."""
+    """Local coefficients plus propagated global coding vectors per edge, and
+    the analyses' preparations made from them (`prepared`)."""
 
     def __init__(self, network: Network):
         self.network = network
         self.n = network.n
         self.local = {}
         self.global_vectors = {}
-        self._units = tuple(
+        self.units = tuple(  # the source's n virtual inputs
             tuple(1 if i == j else 0 for j in range(self.n)) for i in range(self.n)
         )
+        self._prepared = {}  # key -> (the global vectors it was made from, the preparation)
+
+    def prepared(self, key, edges, prepare):
+        """prepare(vectors), vectors the tuple of the global vectors of `edges`:
+        made on the first call with `key`, and reused while the vectors on
+        `edges` equal those it was made from, compared on every call, as
+        callers assign `global_vectors` directly.  `key` names all else it
+        reads, and it holds only tuples, as every later caller shares it."""
+        vectors = tuple(map(self.global_vectors.__getitem__, edges))
+        entry = self._prepared.get(key)
+        if entry is None or entry[0] != vectors:
+            entry = self._prepared[key] = vectors, prepare(vectors)
+        return entry[1]
 
     @property
     def field(self):
@@ -226,7 +240,7 @@ class NetworkCode:
         net = self.network
         e = net.edge_by_id[edge_id]
         if e.tail == net.source:
-            return self._units
+            return self.units
         return [self.global_vectors[ie.id] for ie in net.in_edges(e.tail)]
 
     def set_local(self, edge_id, coeffs):

@@ -6,9 +6,11 @@ full-rank observation C_W of at most mu edges.  Both sides depend on C_W
 only through its row space, so every verification and every equivocation
 runs over one walk, `full_rank_observations`, over sets of distinct
 coding-vector directions, each named by its points' first edges (the
-witness an edge-subset search in lexicographic order finds), prepared once
-per analysis (`observation_points`), which also gives rank H, rank C_E and
-rank [H; C_E] with no elimination of every edge row.  Down a prefix
+witness an edge-subset search in lexicographic order finds), prepared by
+`observation_points`, which also gives rank H, rank C_E and rank [H; C_E]
+with no elimination of every edge row.  A code keeps the preparation per
+(H, G, edge set) and reuses it while its global vectors on those edges are
+unchanged (`NetworkCode.prepared`).  Down a prefix
 tree, the walk carries every later point's remainder by C_W and [H; C_W],
 one row step per point per level, and yields rank [H; C_W] - |W|.
 `secure_lif` (Linear Information Flow with security invariants) tests
@@ -97,21 +99,31 @@ def admit_wiretap(H: FMatrix, code: NetworkCode, mu: int, restricted=None,
 
 
 def observation_points(code: NetworkCode, edges, H: FMatrix, G: FMatrix | None = None):
-    """The walk's preparation, made once per analysis: (base, points), base
-    an echelon basis of H, and per distinct coding-vector direction of
-    `edges` (a nonzero global vector v scaled to a leading 1) one point: its
-    first edge, the direction, and v G reduced by base (G = I if None).  The
-    directions span C_E, and their remainders span a complement of span H
-    in span [H; C_E G].  The caller admits H and G (`admit_wiretap`)."""
-    f, vectors, first, base = code.field, {}, {}, echelon(code.field, H.data)
-    for eid in edges:  # forwarding edges repeat their input's vector
-        vectors.setdefault(code.global_vectors[eid], eid)
-    for vec, eid in vectors.items():
-        point = lead(f, vec)
-        if point:
-            first.setdefault(tuple(point[1]), eid)
-    return base, [(e, v, eliminate(f, base, v if G is None else combination(f, v, G.data, G.cols)))
-                  for v, e in first.items()]
+    """The walk's preparation: (base, points), base an echelon basis of H,
+    and per distinct coding-vector direction of `edges` (a nonzero global
+    vector v scaled to a leading 1) one point: its first edge, the direction,
+    and v G reduced by base (G = I if None).  The directions span C_E, and
+    their remainders span a complement of span H in span [H; C_E G].  Made
+    on a code's first analysis with (H, G, edges), and reused by each later
+    one while the global vectors on `edges` are unchanged
+    (`NetworkCode.prepared`).  The caller admits H and G (`admit_wiretap`)."""
+    f = code.field
+
+    def prepare(vectors):
+        first, distinct = {}, {}
+        for vec, eid in zip(vectors, edges):  # forwarding edges repeat their input's vector
+            distinct.setdefault(vec, eid)
+        for vec, eid in distinct.items():
+            point = lead(f, vec)
+            if point:
+                first.setdefault(tuple(point[1]), eid)
+        base = tuple((p, tuple(row)) for p, row in echelon(f, H.data))
+
+        def remainder(v):  # of v G by base
+            return tuple(eliminate(f, base, v if G is None else combination(f, v, G.data, G.cols)))
+        return base, tuple((e, v, remainder(v)) for v, e in first.items())
+
+    return code.prepared((H.data, None if G is None else G.data, tuple(edges)), edges, prepare)
 
 
 def full_rank_observations(f: FieldSpec, base, points, sizes, least=False):

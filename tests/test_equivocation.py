@@ -493,3 +493,90 @@ def test_one_preparation_per_analysis(monkeypatch):
         assert preparations(byzantine_secrecy_check, H, G, code, mu) == 1
     assert preparations(equivocation_sweep, H, code, 0) == 0
     assert preparations(network_dr_profile, H, code) == 1
+
+
+def report_values(report):
+    return report.delta, report.witnesses, report.flagged, report.d_profile
+
+
+def test_each_preparation_is_made_once_per_h_g_and_edge_set(monkeypatch):
+    """On one unchanged code, Delta(mu) for mu = 1..3, a sweep, the secrecy
+    and cascade verdicts and the d_r profile, asked twice, prepare the walk
+    once per distinct (H, G, admitted edge set): one echelon of H for the
+    points, and rank C_E and the floor's two echelons once per (H, edge
+    set) that Delta is asked on.  Another H, another G or another restricted
+    set prepares again; the same set named in another order does not."""
+    work = Counter()
+    for module in (securecode, equivocation):
+        def counted(f, rows, name=module.__name__, real=module.echelon):
+            work[name] += 1
+            return real(f, rows)
+        monkeypatch.setattr(module, "echelon", counted)
+    f = field_new(3)
+    H, code, G = FMatrix(f, [[1, 1]]), butterfly_code(f, (1, 2)), FMatrix(f, [[1, 1], [0, 1]])
+
+    def analyses(H, G, restricted=None):
+        return ([equivocation_rank(H, code, mu, restricted) for mu in (1, 2, 3)],
+                report_values(equivocation_sweep(H, code, 3, restricted)),
+                verify_secrecy_condition(H, code, 2, restricted),
+                byzantine_secrecy_check(H, G, code, 2, restricted),
+                network_dr_profile(H, code, restricted))
+
+    def prepared(*args):
+        work.clear()
+        first, again = analyses(*args), analyses(*args)
+        assert first == again
+        return work["wiretapnc.securecode"], work["wiretapnc.equivocation"]
+
+    # (H, None, E) for Delta and the verdict and (H, G, E) for the cascade check
+    assert prepared(H, G) == (2, 2)
+    assert prepared(H, G) == (0, 0)
+    assert prepared(FMatrix(f, [[1, 2]]), G) == (2, 2)  # another H
+    assert prepared(H, FMatrix(f, [[1, 0], [1, 1]])) == (1, 0)  # another G
+    assert prepared(H, G, ["SA", "BE", "ED"]) == (2, 2)  # another edge set
+    assert prepared(H, G, ["ED", "SA", "BE"]) == (0, 0)  # the same set
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9])
+def test_analyses_follow_each_change_of_the_code(q):
+    """A code analysed, then changed (one vector zeroed and one a nonzero
+    multiple of another's, then new locals propagated), gives after each
+    change every Delta, witness, flag, verdict, sweep report and d_r profile
+    that the same analyses give on a freshly built copy."""
+    rng, changed = random.Random(900 + q), 0
+    for _ in range(5):
+        _, code, H = random_coded_instance(rng, q=q, max_edges=8)
+        f, n, ids = code.field, code.n, sorted(code.global_vectors)
+        G = random_full_rank_matrix(rng, f, n, n)
+        restricted = sorted(rng.sample(ids, rng.randint(1, len(ids))))
+
+        def analyses(code):
+            out = []
+            for subset in (None, restricted):
+                top = len(ids if subset is None else subset)
+                out += [[equivocation_rank(H, code, mu, subset) for mu in range(top + 1)],
+                        report_values(equivocation_sweep(H, code, top, subset)),
+                        [verify_secrecy_condition(H, code, mu, subset) for mu in range(n + 1)],
+                        [byzantine_secrecy_check(H, G, code, mu, subset)
+                         for mu in range(n + 1)],
+                        network_dr_profile(H, code, subset)]
+            return out
+
+        def fresh_copy():
+            copy = NetworkCode(code.network)
+            copy.local, copy.global_vectors = dict(code.local), dict(code.global_vectors)
+            return copy
+
+        before = analyses(code)
+        assert before == analyses(fresh_copy())
+        with_zero_and_parallel(rng, code)
+        after = analyses(code)
+        assert after == analyses(fresh_copy())
+        changed += after != before
+        for e in code.network.topological_order:
+            code.set_local(e.id, [rng.randrange(q) for _ in code.local[e.id]])
+        code.propagate()
+        again = analyses(code)
+        assert again == analyses(fresh_copy())
+        changed += again != after
+    assert changed, "no change moved any analysis"
