@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import __version__
-from .exceptions import MalformedInput, WiretapNCError
+from .exceptions import BudgetExceedsCut, MalformedInput, WiretapNCError
 from .serialize import (
     canonical_dumps,
     code_to_json,
@@ -240,6 +240,8 @@ def cmd_bounds(args):
     from .securecode import alphabet_bound_general
     t0 = time.monotonic()
     net = load_json(args.network, network_from_json, "network")
+    if args.mu > net.n:  # choose(|E| - 1, mu - 1) is 0 there: t alone suffices for nothing
+        raise BudgetExceedsCut(f"mu={args.mu} exceeds multicast dimension n={net.n}")
     bound = alphabet_bound_general(len(net.edges), args.mu, len(net.receivers))
     print(bound)
     _print_manifest("bounds", {"network": args.network}, t0, {"bound": bound})

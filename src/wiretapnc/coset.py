@@ -25,23 +25,25 @@ from .exceptions import (
     LengthExceedsField,
     SingularMatrix,
 )
-from .fmatrix import FMatrix, combination, null_space
+from .fmatrix import FMatrix, combination
 from .gf import FieldSpec, field_new
 
 MDS_SUBSET_CAP = 10 ** 6
 
 
 class CosetCode:
-    """Coset code defined by a full-row-rank k x n parity check matrix H."""
+    """Coset code defined by a full-row-rank k x n parity check matrix H.
+
+    The generator is read off the forms H keeps (`FMatrix.reduced` and
+    `FMatrix.kernel`), so H is reduced once however many codes, builds and
+    oracles read it; a rank-deficient H is refused on every call."""
 
     def __init__(self, parity_check: FMatrix):
         H = self.parity_check = parity_check
         self.k, self.n, self.field = H.rows, H.cols, H.field
-        # one elimination of [H | I_k]: [R | E] with R the RREF of H, whose pivot
-        # columns P make E = H_P^-1; column i of E, placed on P, has syndrome e_i
-        eye = [[int(i == j) for j in range(self.k)] for i in range(self.k)]
-        rows, pivots = H._echelon(augment=eye)
-        rank = sum(c < self.n for c in pivots)
+        # H's reduced form [R | E], R the RREF of H, whose pivot columns P make
+        # E = H_P^-1: column i of E, placed on P, has syndrome e_i
+        rows, pivots, rank = H.reduced
         if rank != self.k:
             raise SingularMatrix(f"parity check must have full row rank {self.k}", rank=rank)
         words = [[0] * self.n for _ in range(self.k)]
@@ -49,7 +51,7 @@ class CosetCode:
             for word, x in zip(words, row[self.n:]):
                 word[c] = x
         # the encoder matrix G = [P; N], as n row tuples
-        self.generator = (*map(tuple, words), *null_space(self.field, rows, pivots, self.n))
+        self.generator = (*map(tuple, words), *H.kernel)
 
     def encode_with_randomness(self, secret, r):
         """Deterministic coset word [secret r] G for explicit kernel coefficients r."""

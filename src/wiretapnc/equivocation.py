@@ -11,10 +11,10 @@ at the floor max(rank H - mu, rank [H; C_E] - rank C_E); for mu > rank C_E every
 largest-rank W spans C_E, so Delta(mu) = rank [H; C_E] - rank C_E, flagged.
 A call, or a sweep for all its mu, looks up the points once
 (`observation_points`); rank H, rank C_E and rank [H; C_E] are read off
-them, and the code keeps the points, rank C_E and the floor per (H, edge
-set) while its global vectors on those edges are unchanged
-(`NetworkCode.prepared`).  The flagged witnesses come from one reduction
-pass over the edge rows for every flagged mu (`_first_spanning`).
+them.  The code keeps the points per (H, edge set), with rank C_E and the
+floor once a Delta has read them, while its global vectors on those edges
+are unchanged (`NetworkCode.prepared`).  The flagged witnesses come from one
+reduction pass over the edge rows for every flagged mu (`_first_spanning`).
 The witness is the first minimiser, in lexicographic order, among the
 largest-rank edge subsets: the smallest representative tuple of a
 minimising point set, or the first mu-subset spanning C_E.
@@ -66,16 +66,16 @@ def equivocation_rank(H: FMatrix, code: NetworkCode, mu: int, restricted=None):
 
 def _deltas(H, code, edges, mus):
     """(delta, witness, flagged) per mu of `mus`, 0 < mu <= |edges|, from the
-    walk's points and the rank C_E and floor read off them, each kept on the
-    code (`NetworkCode.prepared`) and looked up when the first is asked for."""
-    f, (base, points) = code.field, observation_points(code, edges, H)
-
-    def ranks(_):
+    walk's points and the rank C_E and floor read off them, all kept in the
+    code's one preparation (`observation_points`), looked up when the first
+    is asked for; rank C_E and the floor are read on the first Delta."""
+    f, prepared = code.field, observation_points(code, edges, H)
+    base, points = prepared
+    if prepared.ranks is None:
         rank_E = len(echelon(f, [v for _, v, _ in points]))
         # no observation leaves less than Z_E does: H(S | Z_W) >= H(S | Z_E)
-        return rank_E, len(base) + len(echelon(f, [h for *_, h in points])) - rank_E
-
-    rank_E, floor = code.prepared(("ranks", H.data, tuple(edges)), edges, ranks)
+        prepared.ranks = rank_E, len(base) + len(echelon(f, [h for *_, h in points])) - rank_E
+    rank_E, floor = prepared.ranks
     spanning = None
     for mu in mus:
         if mu <= rank_E:  # nor less than rank [H; C_W] - |W| >= rank H - mu
@@ -108,7 +108,7 @@ def _first_spanning(f, code, edges, rank_E):
 
     def witness(mu):  # up to the (mu - rank_E)-th other edge, then the new edges after it
         last = others[mu - rank_E - 1]
-        return tuple(edges[:last + 1]) + tuple(edges[i] for i in new if i > last)
+        return edges[:last + 1] + tuple(edges[i] for i in new if i > last)
     return witness
 
 

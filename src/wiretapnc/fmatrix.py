@@ -5,9 +5,12 @@ by `FieldSpec.check` on the way in.  Every elimination is one step,
 `reduce_row`, which inserts a row into an echelon basis: `eliminate` reduces
 it, `lead` scales the remainder to 1 at its pivot.  `echelon` builds a basis
 with it, `back_substitute` gives the reduced echelon form, and `null_space`
-reads the canonical kernel off that form: rank, inverse and the coset
-encoder use these, and the point-set walk of `securecode` carries
-`eliminate`'s remainders.  `combination` is the one row combination.
+reads the canonical kernel off that form; the point-set walk of
+`securecode` carries `eliminate`'s remainders.  A matrix keeps two forms,
+each made on first use: `reduced`, the reduced echelon form of [M | I],
+which the inverse, the coset encoder and `secure_lif`'s search read, and
+`kernel`, M's canonical right kernel, which the encoder and the search read.
+`combination` is the one row combination.
 Pivoting is first-nonzero in column order, so every operation is a
 deterministic function of its inputs.  Zero-row matrices are first-class
 values (needed for empty wiretap observations and full-column-rank kernels).
@@ -24,7 +27,7 @@ from .gf import FieldSpec
 
 
 class FMatrix:
-    __slots__ = ("field", "data", "rows", "cols")
+    __slots__ = ("field", "data", "rows", "cols", "_reduced", "_kernel")
 
     def __init__(self, field: FieldSpec, rows, cols: int | None = None):
         data = tuple(tuple(map(field.check, row)) for row in rows)
@@ -39,6 +42,9 @@ class FMatrix:
         self.data = data
         self.rows = len(data)
         self.cols = cols
+        # made on first use (`reduced`, `kernel`); the matrix is immutable, so
+        # nothing invalidates them
+        self._reduced = self._kernel = None
 
     @classmethod
     def identity(cls, field, n):
@@ -63,11 +69,31 @@ class FMatrix:
 
     # ---- elimination core ----
 
-    def _echelon(self, augment=None):
-        """Reduced echelon form of [M | augment]: (rows, pivots), the nonzero
-        rows in pivot order.  A pivot at or past `cols` lies in the augment."""
-        data = self.data if augment is None else [(*r, *a) for r, a in zip(self.data, augment)]
-        return back_substitute(self.field, echelon(self.field, data))
+    def _echelon(self):
+        """The reduced echelon form of [M | I_rows], as `reduced` keeps it."""
+        eye = FMatrix.identity(self.field, self.rows).data
+        rows, pivots = back_substitute(
+            self.field, echelon(self.field, [(*r, *a) for r, a in zip(self.data, eye)]))
+        return tuple(map(tuple, rows)), pivots, sum(c < self.cols for c in pivots)
+
+    @property
+    def reduced(self):
+        """(rows, pivots, rank): the reduced echelon form of [M | I_rows], its
+        nonzero rows as tuples in pivot order.  The first `rank` pivots lie
+        in M, so those rows, cut to `cols` columns, are M's reduced echelon
+        form; the rest lie in the augment.  Made on first use and kept."""
+        if self._reduced is None:
+            self._reduced = self._echelon()
+        return self._reduced
+
+    @property
+    def kernel(self):
+        """M's canonical right kernel: the reduced-echelon basis, as row
+        tuples, of the vectors v with M v = 0.  Made on first use and kept."""
+        if self._kernel is None:
+            rows, pivots, rank = self.reduced
+            self._kernel = null_space(self.field, rows[:rank], pivots[:rank], self.cols)
+        return self._kernel
 
     def rank(self) -> int:
         return len(echelon(self.field, self.data))
@@ -75,8 +101,7 @@ class FMatrix:
     def invert(self) -> "FMatrix":
         if self.rows != self.cols:
             raise SingularMatrix(f"matrix is {self.rows}x{self.cols}, not square")
-        rows, pivots = self._echelon(augment=FMatrix.identity(self.field, self.rows).data)
-        rank = sum(c < self.cols for c in pivots)
+        rows, _, rank = self.reduced
         if rank != self.cols:
             raise SingularMatrix(f"singular matrix of rank {rank}", rank=rank)
         return FMatrix(self.field, [row[self.cols:] for row in rows], self.cols)

@@ -9,7 +9,9 @@ span B, given as a pair (inside, outside) of annihilator rows of A and of B,
 outside None when nothing is exempt.  Per (receiver, path) through the edge, A
 is the receiver's frontier without the path's row, annihilated by one row of
 the frontier's dual basis.  Per security set W, a set of fewer than mu coded
-directions whose C_W has full rank, A = [H; C_W] and B = C_W.
+directions whose C_W has full rank, A = [H; C_W] and B = C_W.  The root pair,
+W empty, is read off the forms H keeps: its kernel annihilates A = span H,
+the unit vectors annihilate B = 0, and its reduced rows are the root basis.
 
 Only the encoding edges of the flow union choose anything.  By its paths and
 inputs, an edge on no flow carries the zero vector, untested; one on a flow
@@ -20,7 +22,7 @@ on a flow with two or more inputs is searched.
 from __future__ import annotations
 
 from .exceptions import CapExceeded, FieldTooSmall
-from .fmatrix import back_substitute, echelon, lead, null_space, reduce_row
+from .fmatrix import back_substitute, lead, null_space, reduce_row
 from .securecode import alphabet_bound_general
 
 
@@ -67,7 +69,11 @@ def search(code, H, mu, cap):
         return W, (null_space(f, *back_substitute(f, HC), n),
                    null_space(f, *back_substitute(f, C), n))
 
-    roots = [node((), [], echelon(f, H.data))] if top else []
+    roots = []
+    if top:  # W = (): A = span H and B = 0, from the forms H keeps
+        rows, pivots, rank = H.reduced
+        bases[()] = [], [(p, row[:n]) for p, row in zip(pivots[:rank], rows)]
+        roots.append(((), (H.kernel, code.units)))
 
     def count(tests):
         nonlocal checks

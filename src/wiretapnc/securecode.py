@@ -58,16 +58,17 @@ class SecureDesign:
 
 
 def wiretappable_edges(code: NetworkCode, restricted=None):
-    """Edge ids open to the wiretapper, in sorted (enumeration) order: those
-    in `restricted`, or every edge when it is None or empty."""
+    """The tuple of edge ids open to the wiretapper, in sorted (enumeration)
+    order: those in `restricted`, or, when it is None or empty, every edge,
+    the network's own `sorted_edge_ids`."""
     ids = code.network.sorted_edge_ids
     if not restricted:
-        return list(ids)
+        return ids
     restricted = set(restricted)
     unknown = restricted - code.network.edge_by_id.keys()
     if unknown:
         raise DimensionMismatch(f"restricted set names unknown edges {sorted(unknown)}")
-    return [eid for eid in ids if eid in restricted]
+    return tuple(eid for eid in ids if eid in restricted)
 
 
 def check_budget(mu: int, name: str = "mu"):
@@ -98,15 +99,23 @@ def admit_wiretap(H: FMatrix, code: NetworkCode, mu: int, restricted=None,
     return wiretappable_edges(code, restricted)
 
 
+class Preparation(tuple):
+    """The walk's preparation (base, points), as `observation_points` keeps
+    it on a code; `ranks` is (rank C_E, floor) once Delta(mu) has read them
+    off the points (`equivocation._deltas`), None before."""
+    ranks = None
+
+
 def observation_points(code: NetworkCode, edges, H: FMatrix, G: FMatrix | None = None):
     """The walk's preparation: (base, points), base an echelon basis of H,
     and per distinct coding-vector direction of `edges` (a nonzero global
     vector v scaled to a leading 1) one point: its first edge, the direction,
     and v G reduced by base (G = I if None).  The directions span C_E, and
     their remainders span a complement of span H in span [H; C_E G].  Made
-    on a code's first analysis with (H, G, edges), and reused by each later
-    one while the global vectors on `edges` are unchanged
-    (`NetworkCode.prepared`).  The caller admits H and G (`admit_wiretap`)."""
+    on a code's first analysis with (H, G, edges), as a `Preparation`, and
+    reused by each later one while the global vectors on `edges` are
+    unchanged (`NetworkCode.prepared`).  The caller admits H and G
+    (`admit_wiretap`)."""
     f = code.field
 
     def prepare(vectors):
@@ -121,7 +130,7 @@ def observation_points(code: NetworkCode, edges, H: FMatrix, G: FMatrix | None =
 
         def remainder(v):  # of v G by base
             return tuple(eliminate(f, base, v if G is None else combination(f, v, G.data, G.cols)))
-        return base, tuple((e, v, remainder(v)) for v, e in first.items())
+        return Preparation((base, tuple((e, v, remainder(v)) for v, e in first.items())))
 
     return code.prepared((H.data, None if G is None else G.data, tuple(edges)), edges, prepare)
 

@@ -365,6 +365,18 @@ def test_library_error_exit_code(fixtures, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("mu", [3, 99999999])
+def test_bounds_refuses_mu_above_n(fixtures, capsys, mu):
+    """Above the butterfly's n = 2 the binomial term is 0 and only t is left,
+    which is no sufficient field size: refused as the secrecy check refuses
+    it, in one error line; mu = n still gets its bound."""
+    assert cli.main(["bounds", "--network", str(fixtures / "net.json"), "--mu", str(mu)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()) == ("", [f"error: mu={mu} exceeds multicast dimension n=2"])
+    rc, out = run(["bounds", "--network", fixtures / "net.json", "--mu", "2"], capsys)
+    assert rc == 0 and out.splitlines()[0] == "10"  # choose(9 - 1, 2 - 1) + 2 receivers
+
+
 @pytest.mark.parametrize("receivers, mu, error", [
     (("D", "F"), 0, "error: mu=0 must be at least 1"),
     ((), 1, "error: the receiver count t=0 must be at least 1"),

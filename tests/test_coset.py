@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from conftest import prime_power_parts, random_full_rank_matrix
 from wiretapnc.coset import (
     CosetCode,
     gabidulin_parity_check,
@@ -18,8 +19,10 @@ from wiretapnc.exceptions import (
     LengthExceedsField,
     SingularMatrix,
 )
-from wiretapnc.fmatrix import FMatrix, echelon
+from wiretapnc.fmatrix import FMatrix, combination, echelon
 from wiretapnc.gf import field_new
+from wiretapnc.netgraph import butterfly_network
+from wiretapnc.securecode import secure_lif
 
 
 def test_binary_repetition_cosets(gf2):
@@ -34,6 +37,33 @@ def test_binary_repetition_cosets(gf2):
 def test_requires_full_row_rank(gf2):
     with pytest.raises(SingularMatrix):
         CosetCode(FMatrix(gf2, [[1, 1], [1, 1]]))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9])
+def test_a_rank_deficient_h_is_refused_on_every_call(q):
+    """A rank-deficient H is refused with the same SingularMatrix message and
+    rank by every CosetCode, secure_lif and (square H) invert call, and
+    what it keeps is whole: its reduced form and kernel equal those of a
+    value-equal copy, and the kernel has n - rank rows that H annihilates."""
+    f = field_new(*prime_power_parts(q))
+    rng, net = random.Random(40 + q), butterfly_network(f)
+    for rows, rank in ((2, 1), (2, 0)):
+        top = random_full_rank_matrix(rng, f, rank, 2) if rank else FMatrix(f, [], 2)
+        H = top.stack(FMatrix(f, [combination(f, [rng.randrange(q) for _ in range(rank)],
+                                              top.data, 2) for _ in range(rows - rank)], 2))
+        calls = [lambda: CosetCode(H), lambda: secure_lif(net, 2, 0, H), H.invert]
+        refusals = set()
+        for _ in range(3):
+            for call in calls:
+                with pytest.raises(SingularMatrix) as exc:
+                    call()
+                refusals.add((str(exc.value), exc.value.rank))
+        assert refusals == {(f"parity check must have full row rank {rows}", rank),
+                            (f"singular matrix of rank {rank}", rank)}
+        copy = FMatrix(f, H.data, 2)
+        assert (H.reduced, H.kernel) == (copy.reduced, copy.kernel)
+        assert len(H.kernel) == 2 - rank
+        assert all(H.mul_vec(v) == [0, 0] for v in H.kernel)
 
 
 def test_decode_inverts_encode_exhaustively():

@@ -495,6 +495,28 @@ def test_one_preparation_per_analysis(monkeypatch):
     assert preparations(network_dr_profile, H, code) == 1
 
 
+def test_each_analysis_looks_its_preparation_up_once(monkeypatch):
+    """Each Delta(mu) call, sweep, secrecy and cascade verdict looks the
+    code's preparations up once: the points, and with them rank C_E and the
+    floor, are one entry, first asked for or not, flagged or not."""
+    lookups, real = [], NetworkCode.prepared
+
+    def counted(self, *args):
+        lookups.append(args[0])
+        return real(self, *args)
+
+    monkeypatch.setattr(NetworkCode, "prepared", counted)
+    f = field_new(3)
+    H, code, G = FMatrix(f, [[1, 1]]), butterfly_code(f, (1, 2)), FMatrix(f, [[1, 1], [0, 1]])
+    for _ in range(2):
+        for run, args in [(equivocation_rank, (H, code, mu)) for mu in (1, 2, 3, 9)] + [
+                (equivocation_sweep, (H, code, 9)), (verify_secrecy_condition, (H, code, 2)),
+                (byzantine_secrecy_check, (H, G, code, 2)), (network_dr_profile, (H, code))]:
+            lookups.clear()
+            run(*args)
+            assert len(lookups) == 1, run.__name__
+
+
 def report_values(report):
     return report.delta, report.witnesses, report.flagged, report.d_profile
 

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from conftest import complete_to_invertible, kernel, matmul, random_full_rank_matrix
+from conftest import (
+    complete_to_invertible,
+    kernel,
+    matmul,
+    prime_power_parts,
+    random_full_rank_matrix,
+)
 from wiretapnc.exceptions import (
     DimensionMismatch,
     FieldMismatch,
@@ -187,3 +193,30 @@ def test_eliminate_then_lead_is_reduce_row(p, m):
                 pivot, row = step
                 assert not any(r[:pivot]) and row[pivot] == 1
                 assert [f.mul(r[pivot], x) for x in row] == list(r)
+
+
+def _reduction_with_identity(M):
+    """(rows, pivots, rank) of [M | I] by `echelon` and `back_substitute`."""
+    f, eye = M.field, FMatrix.identity(M.field, M.rows).data
+    rows, pivots = back_substitute(f, echelon(f, [(*r, *e) for r, e in zip(M.data, eye)]))
+    return tuple(map(tuple, rows)), pivots, sum(c < M.cols for c in pivots)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9])
+def test_kept_forms_equal_a_fresh_reduction(q):
+    """A matrix's kept reduced form of [M | I] and kernel equal a fresh
+    reduction's, on seeded matrices of full and of deficient row rank (an
+    augment pivot, on which `null_space` of the whole form would index past
+    the columns), with no rows or no columns; each is made once and kept."""
+    f, rng = field_new(*prime_power_parts(q)), random.Random(q)
+    deficient = 0
+    for _ in range(30):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        M = FMatrix(f, [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)], cols)
+        if rows > 1 and rng.random() < 0.5:  # a row repeated: rank below the row count
+            M = M.stack(M.submatrix_rows([0]))
+        assert M.reduced == _reduction_with_identity(M)
+        assert M.kernel == kernel(M).data
+        deficient += M.reduced[2] < M.rows
+        assert M.reduced is M.reduced and M.kernel is M.kernel
+    assert deficient

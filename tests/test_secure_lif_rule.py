@@ -24,16 +24,19 @@ from conftest import (
     kernel,
     mds_parity_check,
     prime_power_parts,
+    random_full_rank_matrix,
     random_multicast_network,
     reference_candidate_verdict,
     reference_first_candidate,
     smallest_prime_power_at_least,
 )
 from wiretapnc import lif, securecode
+from wiretapnc.coset import CosetCode
 from wiretapnc.exceptions import FieldTooSmall
-from wiretapnc.fmatrix import FMatrix, combination
+from wiretapnc.fmatrix import FMatrix, back_substitute, combination, echelon, null_space
 from wiretapnc.gf import field_new
 from wiretapnc.netgraph import Network, NetworkCode, butterfly_network, combination_network
+from wiretapnc.oracle import CosetChannelOracle
 from wiretapnc.securecode import alphabet_bound_general, secure_lif
 from wiretapnc.serialize import (
     matrix_from_json,
@@ -487,6 +490,86 @@ def test_a_reused_network_builds_as_a_freshly_loaded_copy():
             copy = network_from_json(network_to_json(net))
             assert _outputs(design) == _outputs(secure_lif(copy, copy.n, mu, H))
         assert net.edge_disjoint_flows() == fresh
+
+
+def _build(net, mu, H):
+    """A build's outputs, or its refusal when no vector passes an edge."""
+    try:
+        return _outputs(secure_lif(net, net.n, mu, H))
+    except FieldTooSmall as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9])
+def test_a_reused_h_builds_as_a_fresh_copy(q):
+    """H keeps its reduced form and kernel once made.  Builds with one H
+    object, first cold, then after a CosetCode, the oracle and (square H, at
+    mu = 0) an inverse have read those forms, and again, each give the
+    locals, globals and checks, or the refusal, of a build with a fresh
+    value-equal copy of H."""
+    f, rng = field_new(*prime_power_parts(q)), random.Random(1700 + q)
+    built = set()
+    for i in range(8):
+        n = rng.randint(2, 3)
+        net = random_multicast_network(rng, n, rng.randint(1, 2), f)
+        k = n if i == 0 else rng.randint(1, n - 1)
+        H = random_full_rank_matrix(rng, f, k, n)
+        want = _build(net, n - k, FMatrix(f, H.data, n))
+        assert _build(net, n - k, H) == want
+        CosetCode(H)
+        CosetChannelOracle(H, secure_lif(net, n, 0, FMatrix(f, [], n)).netcode)
+        if k == n:
+            H.invert()
+        assert _build(net, n - k, H) == want
+        assert _build(net, n - k, H) == want
+        built.add((k == n, isinstance(want, dict)))
+    assert (True, True) in built and (False, True) in built
+
+
+def test_repeated_uses_of_one_h_reduce_it_once(monkeypatch):
+    """Repeated CosetCode(H), secure_lif and invert calls on one H object
+    reduce it once (`FMatrix._echelon`), the first time any of them reads
+    its forms; a value-equal copy is another object, reduced once too."""
+    reduced, real = [], FMatrix._echelon
+
+    def counted(self):
+        reduced.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FMatrix, "_echelon", counted)
+    f = field_new(7)
+    net = butterfly_network(f)
+    H, square = FMatrix(f, [[1, 2]]), FMatrix(f, [[1, 2], [3, 4]])
+    for _ in range(3):
+        secure_lif(net, 2, 1, H)
+        CosetCode(H)
+        square.invert()
+        CosetCode(square)
+        secure_lif(net, 2, 0, square)
+    copy = FMatrix(f, H.data, 2)
+    for _ in range(2):
+        secure_lif(net, 2, 1, copy)
+    assert list(map(id, reduced)) == [id(H), id(square), id(copy)]
+
+
+def test_root_pair_is_h_kernel_and_the_unit_vectors():
+    """The root security pair (W empty) the search gathers at its first edge
+    is H's canonical kernel, as `null_space` of `back_substitute` of
+    `echelon(H)` gives it, and the unit vectors, on seeded full-rank H of
+    every height below n over five fields."""
+    rng, seen = random.Random(29), 0
+    for q in (2, 3, 4, 7, 9):
+        f = field_new(*prime_power_parts(q))
+        for n, k in ((2, 1), (3, 1), (3, 2), (4, 2), (4, 3)):
+            H = random_full_rank_matrix(rng, f, k, n)
+            net = combination_network(n, n + 1, f)
+            first = next(lif.search(NetworkCode(net), H, n - k, securecode.SUBSET_CHECK_CAP))
+            (W, pair), *_ = first[2]
+            units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            want = null_space(f, *back_substitute(f, echelon(f, H.data)), n)
+            assert (W, pair) == ((), (want, units)) and pair[0] == H.kernel
+            seen += 1
+    assert seen == 25
 
 
 @pytest.mark.parametrize("n, t", [(4, 3), (5, 1)])

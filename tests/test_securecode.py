@@ -51,26 +51,28 @@ from wiretapnc.serialize import design_from_json, design_to_json
 
 def test_wiretappable_edges(gf3):
     code = butterfly_code(gf3)
-    assert wiretappable_edges(code)[:3] == ["AB", "AD", "BE"]
-    assert wiretappable_edges(code, ["SC", "SA"]) == ["SA", "SC"]
+    assert wiretappable_edges(code)[:3] == ("AB", "AD", "BE")
+    assert wiretappable_edges(code, ["SC", "SA"]) == ("SA", "SC")
     with pytest.raises(DimensionMismatch):
         wiretappable_edges(code, ["nope"])
 
 
-def test_wiretappable_edges_are_a_fresh_list(gf3):
-    """Each admission gets a list of its own: mutating one leaves the next,
-    and the network's sorted ids, unchanged.  The ids are sorted on first
-    use, not when the Network is built."""
+def test_unrestricted_wiretappable_edges_are_the_networks_sorted_ids(gf3):
+    """With no restricted set, every admission gets the network's own sorted
+    ids, one tuple that no caller can edit, sorted on first use, not when
+    the Network is built; a restricted set gets a tuple too."""
     code = butterfly_code(gf3)
     assert "sorted_edge_ids" not in vars(code.network)
-    want = sorted(e.id for e in code.network.edges)
+    want = tuple(sorted(e.id for e in code.network.edges))
     first = wiretappable_edges(code)
-    assert first == want
-    first.reverse()
-    first.append("nope")
-    assert wiretappable_edges(code) == want
-    assert admit_wiretap(FMatrix(gf3, [[1, 1]]), code, 1) == want
-    assert code.network.sorted_edge_ids == tuple(want)
+    assert first == want and first is code.network.sorted_edge_ids
+    for restricted in (None, [], ()):
+        assert wiretappable_edges(code, restricted) is first
+    assert admit_wiretap(FMatrix(gf3, [[1, 1]]), code, 1) is first
+    assert type(wiretappable_edges(code, ["BE", "AB"])) is tuple
+    with pytest.raises(AttributeError):
+        first.append("nope")
+    assert code.network.sorted_edge_ids == want
 
 
 def test_verify_butterfly_variants(gf3):
