@@ -48,7 +48,10 @@ class FMatrix:
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+        eye = cls(field, (), n)  # checks n; 0 and 1 are elements of every field
+        eye.data = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+        eye.rows = n
+        return eye
 
     def row(self, i):
         return self.data[i]

@@ -222,7 +222,12 @@ class NetworkCode:
         made on the first call with `key`, and reused while the vectors on
         `edges` equal those it was made from, compared on every call, as
         callers assign `global_vectors` directly.  `key` names all else it
-        reads, and it holds only tuples, as every later caller shares it."""
+        reads, and it holds only tuples, as every later caller shares it.
+        A code keeps one entry per key for its life, replaced when its
+        vectors change: the wiretap walk's points per (H, G, edge set)
+        (`securecode.observation_points`) and the brute-force oracle per
+        (H, edge ids) (`oracle.min_equivocation_bruteforce`).  A `prepare`
+        that raises keeps nothing."""
         vectors = tuple(map(self.global_vectors.__getitem__, edges))
         entry = self._prepared.get(key)
         if entry is None or entry[0] != vectors:

@@ -28,6 +28,15 @@ secret, into one int64 code, offset by the row.  One `bincount` counts every
 and at most CELL_BUDGET cells; one sort counts them when they have more.
 Z's counts are the sums over the secret digit, and a row's counts sum to
 q^n, so they are equal iff max(count) * cells = q^n.
+
+Keeping.  `min_equivocation_bruteforce` takes its oracle from the code
+(`NetworkCode.prepared`), keyed by H's rows and the code's edge ids, so an
+(H, code) is tabulated once and every mu and every restricted set is counted
+from that table, while the code's global vectors equal those it was made
+from; when one changes, the next call tabulates and checks again.  A kept
+oracle holds no int64 array per outcome: its symbol table and its secret
+column are in the smallest unsigned dtypes that hold q - 1 and q^k - 1.  An
+oracle built directly, `CosetChannelOracle(H, code)`, is always fresh.
 """
 
 from __future__ import annotations
@@ -78,7 +87,9 @@ class CosetChannelOracle:
             raise CapExceeded(f"q^n = {self.total} outcomes exceed {ENUM_CAP = }")
         # one row per edge, so an observation reads contiguous rows
         self._column = {eid: j for j, eid in enumerate(code.global_vectors)}
-        self._secret = np.arange(self.total, dtype=np.int64) % self.q ** self.k
+        secrets = self.q ** self.k
+        self._secret = (np.arange(self.total, dtype=np.int64) % secrets).astype(
+            np.min_scalar_type(secrets - 1))
         self._powers = self.q ** np.arange(self.n + 1, dtype=np.int64)
         self._symbols = self._tabulate(generator, list(code.global_vectors.values()) + list(H.data))
 
@@ -206,14 +217,19 @@ def min_equivocation_bruteforce(H: FMatrix, code: NetworkCode, mu: int,
     """Exact Delta(mu) = min over |W| = mu of H(S|Z_W), with witness: the
     first minimiser in `combinations` order.
 
-    The independent ground truth for the rank formula.
+    The independent ground truth for the rank formula.  Admission, the
+    mu = 0 answer and the refusal of mu above the edge count come first;
+    then the oracle kept on the code is read, made on the first call with
+    H's rows and kept while the code's global vectors are unchanged
+    (`NetworkCode.prepared`); a table ENUM_CAP refuses is not kept.
     """
     edges = admit_wiretap(H, code, mu, restricted)
     if mu == 0:
         return H.rows, ()
     if mu > len(edges):
         raise DimensionMismatch(f"mu={mu} exceeds {len(edges)} wiretappable edges")
-    oracle = CosetChannelOracle(H, code)
+    ids = tuple(code.global_vectors)
+    oracle = code.prepared(("oracle", H.data, ids), ids, lambda _: CosetChannelOracle(H, code))
     observations, rows = combinations(edges, mu), oracle._chunk_rows(mu)
     best, witness = None, None
     while best != 0 and (chunk := list(islice(observations, rows))):

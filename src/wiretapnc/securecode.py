@@ -38,7 +38,7 @@ from .exceptions import (
     InvariantViolated,
     SingularMatrix,
 )
-from .fmatrix import FMatrix, combination, echelon, eliminate, lead
+from .fmatrix import FMatrix, combination, eliminate, lead
 from .gf import FieldSpec
 from .netgraph import Network, NetworkCode, combination_network
 
@@ -107,8 +107,9 @@ class Preparation(tuple):
 
 
 def observation_points(code: NetworkCode, edges, H: FMatrix, G: FMatrix | None = None):
-    """The walk's preparation: (base, points), base an echelon basis of H,
-    and per distinct coding-vector direction of `edges` (a nonzero global
+    """The walk's preparation: (base, points), base H's reduced echelon
+    basis (the first rank rows of `FMatrix.reduced`, cut to n columns), and
+    per distinct coding-vector direction of `edges` (a nonzero global
     vector v scaled to a leading 1) one point: its first edge, the direction,
     and v G reduced by base (G = I if None).  The directions span C_E, and
     their remainders span a complement of span H in span [H; C_E G].  Made
@@ -126,7 +127,8 @@ def observation_points(code: NetworkCode, edges, H: FMatrix, G: FMatrix | None =
             point = lead(f, vec)
             if point:
                 first.setdefault(tuple(point[1]), eid)
-        base = tuple((p, tuple(row)) for p, row in echelon(f, H.data))
+        rows, pivots, rank = H.reduced
+        base = tuple((p, row[:H.cols]) for p, row in zip(pivots[:rank], rows))
 
         def remainder(v):  # of v G by base
             return tuple(eliminate(f, base, v if G is None else combination(f, v, G.data, G.cols)))

@@ -40,6 +40,7 @@ from wiretapnc.exceptions import (
 from wiretapnc.fmatrix import FMatrix, combination, eliminate
 from wiretapnc.gf import field_new
 from wiretapnc.netgraph import NetworkCode, butterfly_code, combination_network, parallel_network
+from wiretapnc.oracle import min_equivocation_bruteforce
 from wiretapnc.securecode import (
     byzantine_secrecy_check,
     combination_secure_design,
@@ -524,16 +525,25 @@ def report_values(report):
 def test_each_preparation_is_made_once_per_h_g_and_edge_set(monkeypatch):
     """On one unchanged code, Delta(mu) for mu = 1..3, a sweep, the secrecy
     and cascade verdicts and the d_r profile, asked twice, prepare the walk
-    once per distinct (H, G, admitted edge set): one echelon of H for the
-    points, and rank C_E and the floor's two echelons once per (H, edge
-    set) that Delta is asked on.  Another H, another G or another restricted
-    set prepares again; the same set named in another order does not."""
+    once per distinct (H, G, admitted edge set): one `prepare` passed to
+    `NetworkCode.prepared` for the points, and rank C_E and the floor's two
+    echelons once per (H, edge set) that Delta is asked on.  Another H,
+    another G or another restricted set prepares again; the same set named
+    in another order does not."""
     work = Counter()
-    for module in (securecode, equivocation):
-        def counted(f, rows, name=module.__name__, real=module.echelon):
-            work[name] += 1
-            return real(f, rows)
-        monkeypatch.setattr(module, "echelon", counted)
+    lookup = NetworkCode.prepared
+
+    def prepared_counted(code, key, edges, prepare):
+        def counted(vectors):
+            work["prepare"] += 1
+            return prepare(vectors)
+        return lookup(code, key, edges, counted)
+
+    def echelon_counted(f, rows, real=equivocation.echelon):
+        work["echelon"] += 1
+        return real(f, rows)
+    monkeypatch.setattr(NetworkCode, "prepared", prepared_counted)
+    monkeypatch.setattr(equivocation, "echelon", echelon_counted)
     f = field_new(3)
     H, code, G = FMatrix(f, [[1, 1]]), butterfly_code(f, (1, 2)), FMatrix(f, [[1, 1], [0, 1]])
 
@@ -548,7 +558,7 @@ def test_each_preparation_is_made_once_per_h_g_and_edge_set(monkeypatch):
         work.clear()
         first, again = analyses(*args), analyses(*args)
         assert first == again
-        return work["wiretapnc.securecode"], work["wiretapnc.equivocation"]
+        return work["prepare"], work["echelon"]
 
     # (H, None, E) for Delta and the verdict and (H, G, E) for the cascade check
     assert prepared(H, G) == (2, 2)
@@ -563,8 +573,9 @@ def test_each_preparation_is_made_once_per_h_g_and_edge_set(monkeypatch):
 def test_analyses_follow_each_change_of_the_code(q):
     """A code analysed, then changed (one vector zeroed and one a nonzero
     multiple of another's, then new locals propagated), gives after each
-    change every Delta, witness, flag, verdict, sweep report and d_r profile
-    that the same analyses give on a freshly built copy."""
+    change every Delta, witness, flag, verdict, sweep report, d_r profile
+    and brute-force Delta that the same analyses give on a freshly built
+    copy."""
     rng, changed = random.Random(900 + q), 0
     for _ in range(5):
         _, code, H = random_coded_instance(rng, q=q, max_edges=8)
@@ -581,7 +592,9 @@ def test_analyses_follow_each_change_of_the_code(q):
                         [verify_secrecy_condition(H, code, mu, subset) for mu in range(n + 1)],
                         [byzantine_secrecy_check(H, G, code, mu, subset)
                          for mu in range(n + 1)],
-                        network_dr_profile(H, code, subset)]
+                        network_dr_profile(H, code, subset),
+                        [min_equivocation_bruteforce(H, code, mu, subset)
+                         for mu in range(top + 1)]]
             return out
 
         def fresh_copy():

@@ -14,6 +14,7 @@ from conftest import (
 from wiretapnc.coset import CosetCode
 from wiretapnc.equivocation import equivocation_rank, equivocation_sweep
 from wiretapnc.exceptions import (
+    CapExceeded,
     DimensionMismatch,
     FieldMismatch,
     InvariantViolated,
@@ -322,3 +323,47 @@ def test_unequal_counts_on_a_power_of_q_cells_are_refused():
     with pytest.raises(InvariantViolated, match=r"\(S, Z\) counts of W=.* not uniform") as info:
         oracle.entropy_terms(W)
     assert info.value.witness == W
+
+
+def test_one_table_per_h_while_the_code_is_unchanged(gf3, monkeypatch):
+    """min_equivocation_bruteforce tabulates an unchanged (H, code) once, for
+    every mu and every restricted set, asked twice; another H tabulates
+    once more, a value-equal copy of H does not, a change of one global
+    vector tabulates again, and a table ENUM_CAP refuses is not kept.  Every
+    answer equals the reference loop's."""
+    tables = []
+    tabulate = CosetChannelOracle._tabulate
+
+    def counted(self, generator, columns):
+        tables.append(self)
+        return tabulate(self, generator, columns)
+
+    monkeypatch.setattr(CosetChannelOracle, "_tabulate", counted)
+    H, code = FMatrix(gf3, [[1, 1]]), butterfly_code(gf3, (1, 2))
+    edges = sorted(code.global_vectors)
+    subsets = (None, ["SA", "BE", "ED"], ["ED", "SA", "BE"], edges[3:], ["CF"])
+
+    def deltas(H):
+        got = [min_equivocation_bruteforce(H, code, mu, subset)
+               for subset in subsets for mu in range(len(subset or edges) + 1)]
+        assert got == [reference_min_equivocation_bruteforce(H, code, mu, subset)
+                       for subset in subsets for mu in range(len(subset or edges) + 1)]
+        return len(tables)
+
+    assert deltas(H) == 1
+    assert deltas(H) == 1
+    assert deltas(FMatrix(gf3, [[1, 1]])) == 1  # the same rows
+    assert deltas(FMatrix(gf3, [[1, 2]])) == 2  # another H
+    assert deltas(H) == 2
+    code.global_vectors["BE"] = (1, 1)  # the textbook code: BE now leaks
+    assert deltas(H) == 3
+    assert min_equivocation_bruteforce(H, code, 1) == (0, ("BE",))
+    assert deltas(H) == 3
+    cap, other = oracle_module.ENUM_CAP, FMatrix(gf3, [[1, 0]])
+    monkeypatch.setattr(oracle_module, "ENUM_CAP", 8)
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            min_equivocation_bruteforce(other, code, 1)
+    monkeypatch.setattr(oracle_module, "ENUM_CAP", cap)
+    assert deltas(other) == 4
+    assert deltas(other) == 4
