@@ -44,67 +44,55 @@ def _print_manifest(command, inputs, t0, summary):
 
 # ---- built-in reference reports ----
 
+def _report(name, H, code, **extra):
+    """The fields every reference report has: the example's name, H, the code,
+    the secrecy verdict at mu = 1, Delta(1) with its witness and the oracle's
+    Delta(1); `extra` holds the fields the example adds."""
+    from .equivocation import equivocation_rank
+    from .oracle import min_equivocation_bruteforce
+    from .securecode import verify_secrecy_condition
+    ok, witness = verify_secrecy_condition(H, code, mu=1)
+    delta, min_witness, _ = equivocation_rank(H, code, 1)
+    return {
+        "name": name,
+        "H": matrix_to_json(H),
+        "code": code_to_json(code),
+        "secrecy": {"ok": ok, "witness": list(witness) if witness else None},
+        "delta_mu1": delta,
+        "delta_witness": list(min_witness),
+        "oracle_delta_mu1": min_equivocation_bruteforce(H, code, 1)[0],
+        **extra,
+    }
+
+
 def _butterfly_report(secure: bool):
     from .equivocation import equivocation_rank
     from .gf import field_new
     from .netgraph import butterfly_code
     from .oracle import min_equivocation_bruteforce
-    from .securecode import verify_secrecy_condition
     f = field_new(3)
     alpha = f.primitive_element()
     code = butterfly_code(f, be_local=(1, alpha) if secure else (1, 1))
     H = matrix_from_json({"field": {"p": 3, "m": 1}, "rows": [[1, 1]]})
-    ok, witness = verify_secrecy_condition(H, code, mu=1)
-    per_edge = {}
-    for e in sorted(code.global_vectors):
-        delta, _, _ = equivocation_rank(H, code, 1, restricted=[e])
-        per_edge[e] = delta
-    delta, min_witness, _ = equivocation_rank(H, code, 1)
-    oracle_delta, oracle_witness = min_equivocation_bruteforce(H, code, 1)
-    return {
-        "name": "butterfly_secure" if secure else "butterfly_insecure",
-        "H": matrix_to_json(H),
-        "code": code_to_json(code),
-        "secrecy": {"ok": ok, "witness": list(witness) if witness else None},
-        "delta_mu1": delta,
-        "delta_witness": list(min_witness),
-        "delta_per_edge": per_edge,
-        "oracle_delta_mu1": oracle_delta,
-        "oracle_witness": list(oracle_witness),
-    }
+    return _report(
+        "butterfly_secure" if secure else "butterfly_insecure", H, code,
+        delta_per_edge={e: equivocation_rank(H, code, 1, restricted=[e])[0]
+                        for e in sorted(code.global_vectors)},
+        oracle_witness=list(min_equivocation_bruteforce(H, code, 1)[1]))
 
 
 def _combination_report():
-    from .equivocation import equivocation_rank
     from .gf import field_new
-    from .oracle import min_equivocation_bruteforce
-    from .securecode import combination_secure_design, verify_secrecy_condition
-    f = field_new(7)
-    design = combination_secure_design(3, 4, f, 2)
-    H = design.coset.parity_check
+    from .securecode import combination_secure_design
+    design = combination_secure_design(3, 4, field_new(7), 2)
     code = design.netcode
-    ok, witness = verify_secrecy_condition(H, code, mu=1)
-    flows = code.network.edge_disjoint_flows()
     y = [1, 5, 2]
     payloads = code.payloads(y)
-    decodes = {
-        r: code.receiver_decode(flow, payloads) == y for r, flow in flows.items()
-    }
-    delta, min_witness, _ = equivocation_rank(H, code, 1)
-    oracle_delta, _ = min_equivocation_bruteforce(H, code, 1)
-    return {
-        "name": "combination_b34",
-        "H": matrix_to_json(H),
-        "source_edge_vectors": {
-            f"Sm{i}": list(code.global_vectors[f"Sm{i}"]) for i in range(4)
-        },
-        "code": code_to_json(code),
-        "secrecy": {"ok": ok, "witness": list(witness) if witness else None},
-        "all_receivers_decode": all(decodes.values()),
-        "delta_mu1": delta,
-        "delta_witness": list(min_witness),
-        "oracle_delta_mu1": oracle_delta,
-    }
+    return _report(
+        "combination_b34", design.coset.parity_check, code,
+        source_edge_vectors={f"Sm{i}": list(code.global_vectors[f"Sm{i}"]) for i in range(4)},
+        all_receivers_decode=all(code.receiver_decode(flow, payloads) == y
+                                 for flow in code.network.edge_disjoint_flows().values()))
 
 
 def generate_reference_reports():

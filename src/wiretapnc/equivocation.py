@@ -21,7 +21,7 @@ minimising point set, or the first mu-subset spanning C_E.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from .exceptions import (
@@ -187,14 +187,8 @@ def generalized_hamming_weights(C_generator: FMatrix):
     q = f.order
     if q ** k > GHW_CODEWORD_CAP:
         raise CapExceeded(f"q^k = {q ** k} exceeds {GHW_CODEWORD_CAP = }")
-    codewords = []
-    for msg_code in range(1, q ** k):
-        msg = []
-        v = msg_code
-        for _ in range(k):
-            msg.append(v % q)
-            v //= q
-        codewords.append(tuple(combination(f, msg, G.data, G.cols)))
+    codewords = [tuple(combination(f, msg, G.data, G.cols))
+                 for msg in product(range(q), repeat=k) if any(msg)]
     weights = []
     for r in range(1, k + 1):
         if comb(len(codewords), r) > GHW_CODEWORD_CAP:

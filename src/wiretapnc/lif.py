@@ -21,17 +21,17 @@ on a flow with two or more inputs is searched.
 
 from __future__ import annotations
 
+from . import securecode
 from .exceptions import CapExceeded, FieldTooSmall
 from .fmatrix import back_substitute, lead, null_space, reduce_row
-from .securecode import alphabet_bound_general
 
 
-def search(code, H, mu, cap):
+def search(code, H, mu):
     """Code `code`'s edges in topological order and yield (edge, dual,
     security, checks) after each: the receivers' frontier dual bases, the
     edge's security pairs as (W, pair) if it gathered them or None, and the
-    tests counted so far, at most cap (CapExceeded).  FieldTooSmall at an
-    edge no vector passes.
+    tests counted so far, at most `securecode.SUBSET_CHECK_CAP`, read when the
+    search starts (CapExceeded).  FieldTooSmall at an edge no vector passes.
 
     An edge on no flow, with any number of inputs (none included), carries
     the zero vector, local zeros, with no test and no security pairs.  One
@@ -50,7 +50,7 @@ def search(code, H, mu, cap):
     fails one, `solve_line` solves the rest of the line.  A test is one
     receiver span or security pair against one prefix or vector, or one
     that a line solve evaluates."""
-    net, f, n = code.network, code.field, code.n
+    net, f, n, cap = code.network, code.field, code.n, securecode.SUBSET_CHECK_CAP
 
     # per receiver, the dual basis of its frontier rows (initially the unit
     # vectors, the virtual inputs): frontier[r][j] . dual[r][i] = 1 if i == j, else 0
@@ -104,7 +104,7 @@ def search(code, H, mu, cap):
             yield from prefixes(cand + (c,), axpy(c, inputs[len(cand)], vec))
 
     def too_small():
-        bound = alphabet_bound_general(len(net.edges), max(mu, 1), len(net.receivers))
+        bound = securecode.alphabet_bound_general(len(net.edges), max(mu, 1), len(net.receivers))
         return FieldTooSmall(f"no valid coding vector for edge {e.id} over {f!r}; the "
                              f"sufficient alphabet bound is q >= {bound}", edge=e.id, bound=bound)
 

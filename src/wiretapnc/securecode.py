@@ -24,7 +24,7 @@ and the Byzantine cascade condition.
 
 from __future__ import annotations
 
-from math import comb, inf
+from math import comb, inf, isqrt
 
 from .coset import CosetCode, rs_parity_check
 from .exceptions import (
@@ -233,7 +233,7 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
                                "no field gives rank [H; C_W] = k + |W|")
     from .lif import search  # compiled only by a process that builds
     checks = 0
-    for *_, checks in search(code, H, mu, SUBSET_CHECK_CAP):  # the count after the last edge
+    for *_, checks in search(code, H, mu):  # the count after the last edge
         pass
     ok, witness = verify_secrecy_condition(H, code, mu)
     if not ok:
@@ -270,16 +270,14 @@ def alphabet_bound_minimal(k: int, mu: int, t: int) -> int:
 
 
 def alphabet_bound_two_sources(t: int) -> int:
-    """floor(sqrt(2t - 7/4) + 1/2) + 1, via exact integer search.
+    """floor(sqrt(2t - 7/4) + 1/2) + 1, exactly.
 
-    s <= sqrt(2t - 7/4) + 1/2 is equivalent to s^2 - s + 2 <= 2t.
+    s <= sqrt(2t - 7/4) + 1/2 is equivalent to s^2 - s + 2 <= 2t, that is to
+    (2s - 1)^2 <= 8t - 7, so the largest such s is (isqrt(8t - 7) + 1) // 2.
     """
     if t < 1:
         raise DimensionMismatch(f"the receiver count t={t} must be at least 1")
-    s = 0
-    while (s + 1) ** 2 - (s + 1) + 2 <= 2 * t:
-        s += 1
-    return s + 1
+    return (isqrt(8 * t - 7) + 1) // 2 + 1
 
 
 def projective_line_colors(f: FieldSpec, exclude_all_ones: bool = False):

@@ -156,6 +156,11 @@ def test_generalized_hamming_weights(gf2, gf7):
     # MDS code: d_r = n - K + r for an [n, K] code
     G = kernel(rs_parity_check(2, 4, gf7))
     assert generalized_hamming_weights(G) == [3, 4]
+    # an extension field, and k = 3 over an odd prime field
+    assert generalized_hamming_weights(
+        FMatrix(field_new(2, 2), [[1, 1, 1, 0], [0, 1, 2, 3]])) == [3, 4]
+    assert generalized_hamming_weights(FMatrix(
+        field_new(3), [[1, 1, 1, 0, 0], [0, 1, 2, 1, 0], [0, 0, 1, 1, 1]])) == [2, 4, 5]
     with pytest.raises(SingularMatrix):
         generalized_hamming_weights(FMatrix(gf2, [[1, 1], [1, 1]]))
 

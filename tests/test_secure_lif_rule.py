@@ -123,7 +123,7 @@ def _steps(net, H, mu):
     code = NetworkCode(net)
     return [[e.id, list(code.local[e.id]), list(code.global_vectors[e.id]), checks,
              {r: [list(row) for row in D] for r, D in dual.items()}]
-            for e, dual, _, checks in lif.search(code, H, mu, securecode.SUBSET_CHECK_CAP)]
+            for e, dual, _, checks in lif.search(code, H, mu)]
 
 
 def record_steps():
@@ -198,8 +198,7 @@ def test_edges_on_no_flow_take_the_zero_vector_untested(q):
     code = NetworkCode(net)
     before, seen = 0, {}
     dual = {r: list(FMatrix.identity(f, 2).data) for r in net.receivers}
-    for e, after, security, checks in lif.search(code, FMatrix(f, [[1, 1]]), 1,
-                                                 securecode.SUBSET_CHECK_CAP):
+    for e, after, security, checks in lif.search(code, FMatrix(f, [[1, 1]]), 1):
         after = {r: [tuple(row) for row in D] for r, D in after.items()}
         if e.id in settled:
             assert code.local[e.id] == (0,) * settled[e.id], e.id
@@ -259,7 +258,7 @@ def _search_steps(net, H, mu):
             for eid in path:
                 on_path[eid].append((r, pi))
     dual = {r: FMatrix.identity(net.field, net.n).data for r in net.receivers}
-    steps = lif.search(code, H, mu, securecode.SUBSET_CHECK_CAP)
+    steps = lif.search(code, H, mu)
     for e in net.topological_order:
         frontier = _frontier(code, dual)
         processed = list(code.global_vectors)
@@ -563,7 +562,7 @@ def test_root_pair_is_h_kernel_and_the_unit_vectors():
         for n, k in ((2, 1), (3, 1), (3, 2), (4, 2), (4, 3)):
             H = random_full_rank_matrix(rng, f, k, n)
             net = combination_network(n, n + 1, f)
-            first = next(lif.search(NetworkCode(net), H, n - k, securecode.SUBSET_CHECK_CAP))
+            first = next(lif.search(NetworkCode(net), H, n - k))
             (W, pair), *_ = first[2]
             units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
             want = null_space(f, *back_substitute(f, echelon(f, H.data)), n)

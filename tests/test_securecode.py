@@ -240,8 +240,9 @@ def test_alphabet_bounds():
     assert alphabet_bound_two_sources(7) == 5
     assert alphabet_bound_minimal(1, 1, 1) == 2
     assert alphabet_bound_general(12, 2, 3) == 14
-    # the two-source bound is the largest s with s^2 - s + 2 <= 2t, plus one
-    for t in range(1, 40):
+    # the two-source bound is the largest s with s^2 - s + 2 <= 2t, plus one,
+    # also where a search one s at a time would take 1.4e9 steps
+    for t in [*range(1, 10**5 + 1), 10**12, 10**18]:
         s = alphabet_bound_two_sources(t) - 1
         assert s * s - s + 2 <= 2 * t < (s + 1) * s + 2
     with pytest.raises(DimensionMismatch):
