@@ -23,9 +23,10 @@ instead of trusting it.
 Counting.  Observations of one size are counted a chunk at a time, in
 `combinations` order, and the Delta(mu) search stops after the chunk that
 holds the first zero.  Each row of a chunk packs its edges' symbols, then the
-secret, into one int64 code, offset by the row.  One `bincount` counts every
-(S, Z) cell of the chunk when a row's codes have at most q cells per outcome
-and at most CELL_BUDGET cells; one sort counts them when they have more.
+secret, into one code, offset by the row.  One `bincount` counts every (S, Z)
+cell of the chunk, coded in the narrowest unsigned dtype that holds them all,
+when a row has at most q cells per outcome and CELL_BUDGET cells; one sort of
+int64 codes counts them when it has more.
 Z's counts are the sums over the secret digit, and a row's counts sum to
 q^n, so they are equal iff max(count) * cells = q^n.
 
@@ -116,9 +117,9 @@ class CosetChannelOracle:
         for j in range(1, m):
             symbols += table[j::m] * symbols.dtype.type(p ** j)
         edges = len(self._column)
-        syndrome = np.zeros(total, dtype=np.int64)
+        syndrome = np.zeros(total, dtype=self._secret.dtype)  # each partial sum is below q^k
         for j in range(self.k):
-            syndrome += symbols[edges + j].astype(np.int64) * self.q ** j
+            syndrome += symbols[edges + j].astype(syndrome.dtype) * syndrome.dtype.type(self.q ** j)
         bad = np.flatnonzero(syndrome != self._secret)
         if bad.size:
             t = int(bad[0])
@@ -154,7 +155,10 @@ class CosetChannelOracle:
             raise DimensionMismatch(f"unknown edge {unknown.args[0]!r}") from None
         symbols = self._symbols[index]
         size = index.shape[1]
-        code, bound = np.zeros((rows, total), dtype=np.int64), 1
+        dense = self._dense(size)
+        # products and sums in place: numpy < 2 and >= 2 widen temporaries differently
+        width = np.min_scalar_type(rows * q ** size * secrets) if dense else np.int64
+        code, bound = np.zeros((rows, total), dtype=width), 1
         for j in range(size):
             if rows * bound * q * secrets > CODE_LIMIT:  # re-index densely
                 code = np.unique(code, return_inverse=True)[1].reshape(rows, total)
@@ -162,14 +166,14 @@ class CosetChannelOracle:
             code *= q
             code += symbols[:, j]
             bound *= q
-        code += np.arange(0, rows * bound, bound)[:, None]
+        code += np.arange(0, rows * bound, bound, dtype=width)[:, None]
         code *= secrets
         code += self._secret  # (row, Z, S) in mixed radix
-        if self._dense(size):
+        if dense:
             counts = np.bincount(code.ravel(), minlength=rows * bound * secrets)
             counts = counts.reshape(rows, bound, secrets)
             tables = (counts.reshape(rows, -1), counts.sum(axis=2))
-            stats = [(t.max(axis=1), np.count_nonzero(t, axis=1)) for t in tables]
+            stats = [(t.max(axis=1), (t != 0).sum(axis=1)) for t in tables]
         else:
             code, counts = np.unique(code, return_counts=True)
             z = code // secrets  # row * bound + Z, ascending
@@ -183,7 +187,7 @@ class CosetChannelOracle:
                 stats.append((np.maximum.reduceat(c, starts), np.diff(starts, append=c.size)))
         exponents, bad = [], np.zeros(rows, dtype=bool)
         for top, cells in stats:
-            j = np.searchsorted(self._powers, cells)
+            j = self._powers.searchsorted(cells)
             bad |= (top * cells != total) | (self._powers[j] != cells)
             exponents.append(j)
         if bad.any():

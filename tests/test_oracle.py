@@ -1,7 +1,7 @@
 import random
 import re
 from functools import partial
-from itertools import combinations
+from itertools import combinations, cycle, islice
 
 import numpy as np
 import pytest
@@ -308,6 +308,56 @@ def test_non_uniform_table_reports_the_first_bad_observation(gf3, monkeypatch, b
     with pytest.raises(InvariantViolated, match="not uniform") as info:
         min_equivocation_bruteforce(H, code, 1)
     assert info.value.witness == (bad_edge,)
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (2, 3), (3, 2)])
+def test_bincount_codes_take_the_narrowest_type(monkeypatch, p, m):
+    """Whole observation lists whose rows x cells fall on each side of 2^8 and
+    2^16 are counted from uint8, uint16 and uint32 codes, and each count
+    equals the reference loop's; a corrupted symbol is still reported at its
+    first observation at each width."""
+    q = p ** m
+    _, code, H = random_coded_instance(random.Random(3301 + q), q=q, n=2, k=1, max_edges=6)
+    oracle = CosetChannelOracle(H, code)
+    edges = sorted(code.global_vectors)
+    widths, bincount = [], np.bincount
+
+    def spy(codes, *args, **kwargs):
+        widths.append(codes.dtype)
+        return bincount(codes, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    lists = []
+    for size in (1, 2):
+        cells = q ** (size + oracle.k)
+        assert oracle._dense(size)
+        for limit in (1 << 8, 1 << 16):
+            for rows in ((limit - 1) // cells, (limit - 1) // cells + 1):
+                if rows:
+                    lists.append((cells, list(islice(cycle(combinations(edges, size)), rows))))
+    want = {W: reference_entropy_terms(H, code, W)
+            for size in (1, 2) for W in combinations(edges, size)}
+
+    def width(cells, observations):
+        product = len(observations) * cells
+        return np.dtype(np.uint8 if product < 1 << 8 else np.uint16 if product < 1 << 16
+                        else np.uint32)
+
+    for cells, observations in lists:
+        h_sz, h_z = oracle._exponents(observations)
+        assert widths[-1] == width(cells, observations)
+        assert [(int(a - b), int(b)) for a, b in zip(h_sz, h_z)] == [
+            pytest.approx((want[W]["H(S|Z)"], want[W]["H(Z)"]), abs=1e-9) for W in observations]
+    assert {np.dtype(t) for t in (np.uint8, np.uint16, np.uint32)} <= set(widths)
+    row = oracle._symbols[oracle._column[edges[1]]]
+    row[0] = (row[0] + 1) % q
+    for cells, observations in lists:
+        first = first_refused(oracle, observations)
+        assert first is not None and edges[1] in first
+        with pytest.raises(InvariantViolated) as info:
+            oracle._exponents(observations)
+        assert widths[-1] == width(cells, observations)
+        assert info.value.witness == first
 
 
 def test_unequal_counts_on_a_power_of_q_cells_are_refused():
