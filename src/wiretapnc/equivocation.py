@@ -6,9 +6,10 @@ alike.  Delta(mu) is its minimum over all W of size mu, attained where C_W
 has the largest rank, min(mu, rank C_E).  For mu <= rank C_E it is a
 branch-and-bound over the walk of sets of mu distinct coding-vector
 directions (`securecode.full_rank_observations`: each point reduced by H once,
-then by one new row of C_W's and of [H; C_W]'s basis per level), which stops
-at the floor max(rank H - mu, rank [H; C_E] - rank C_E); for mu > rank C_E every
-largest-rank W spans C_E, so Delta(mu) = rank [H; C_E] - rank C_E, flagged.
+then by one new row of each basis per level, lead forms compared above the
+leaves), which stops at the floor max(rank H - mu, rank [H; C_E] - rank C_E);
+for mu > rank C_E every largest-rank W spans C_E, so Delta(mu) =
+rank [H; C_E] - rank C_E, flagged.
 A call, or a sweep for all its mu, looks up the points once
 (`observation_points`); rank H, rank C_E and rank [H; C_E] are read off
 them, and rank C_E and the floor are kept with the points, as long as they
@@ -78,7 +79,8 @@ def _deltas(H, code, edges, mus):
     spanning = None
     for mu in mus:
         if mu <= rank_E:  # nor less than rank [H; C_W] - |W| >= rank H - mu
-            for W, d in full_rank_observations(f, base, points, (mu,), least=True):
+            for W, d in full_rank_observations(f, *prepared, (mu,), least=True,
+                                               leads=prepared.leads):
                 if d <= max(floor, len(base) - mu):
                     break
             yield d, W, False

@@ -7,10 +7,9 @@ it, `lead` scales the remainder to 1 at its pivot.  `echelon` builds a basis
 with it, `back_substitute` gives the reduced echelon form, and `null_space`
 reads the canonical kernel off that form; the point-set walk of
 `securecode` carries `eliminate`'s remainders.  A matrix keeps two forms,
-each a `functools.cached_property` made on first use: `reduced`, the reduced
-echelon form of [M | I], which the inverse, the coset encoder and
-`secure_lif`'s search read, and `kernel`, M's canonical right kernel, which
-the encoder and the search read.
+each in a slot, made on first use: `reduced`, the reduced echelon form of
+[M | I], which the inverse, the coset encoder and `secure_lif`'s search read,
+and `kernel`, M's canonical right kernel, which the encoder and the search read.
 `combination` is the one row combination.
 Pivoting is first-nonzero in column order, so every operation is a
 deterministic function of its inputs.  Zero-row matrices are first-class
@@ -18,8 +17,6 @@ values (needed for empty wiretap observations and full-column-rank kernels).
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from .exceptions import (
     DimensionMismatch,
@@ -30,6 +27,8 @@ from .gf import FieldSpec
 
 
 class FMatrix:
+    __slots__ = ("field", "data", "rows", "cols", "_reduced", "_kernel")
+
     def __init__(self, field: FieldSpec, rows, cols: int | None = None):
         data = tuple(tuple(map(field.check, row)) for row in rows)
         if cols is None and not data:
@@ -43,6 +42,7 @@ class FMatrix:
         self.data = data
         self.rows = len(data)
         self.cols = cols
+        self._reduced = self._kernel = None
 
     @classmethod
     def identity(cls, field, n):
@@ -77,20 +77,24 @@ class FMatrix:
             self.field, echelon(self.field, [(*r, *a) for r, a in zip(self.data, eye)]))
         return tuple(map(tuple, rows)), pivots, sum(c < self.cols for c in pivots)
 
-    @cached_property
+    @property
     def reduced(self):
         """(rows, pivots, rank): the reduced echelon form of [M | I_rows], its
         nonzero rows as tuples in pivot order.  The first `rank` pivots lie
         in M, so those rows, cut to `cols` columns, are M's reduced echelon
         form; the rest lie in the augment.  Made on first use and kept."""
-        return self._echelon()
+        if self._reduced is None:
+            self._reduced = self._echelon()
+        return self._reduced
 
-    @cached_property
+    @property
     def kernel(self):
         """M's canonical right kernel: the reduced-echelon basis, as row
         tuples, of the vectors v with M v = 0.  Made on first use and kept."""
-        rows, pivots, rank = self.reduced
-        return null_space(self.field, rows[:rank], pivots[:rank], self.cols)
+        if self._kernel is None:
+            rows, pivots, rank = self.reduced
+            self._kernel = null_space(self.field, rows[:rank], pivots[:rank], self.cols)
+        return self._kernel
 
     def rank(self) -> int:
         return len(echelon(self.field, self.data))

@@ -113,7 +113,7 @@ class CosetChannelOracle:
             np.add(table[:, None, :size], step, out=grown)
             np.minimum(grown, grown - wrap, out=grown)  # x - p wraps above x when x < p
             size *= p
-        symbols = table[::m].astype(np.min_scalar_type(self.q - 1))
+        symbols = table[::m].astype(np.min_scalar_type(self.q - 1), copy=m > 1)  # m = 1: a view
         for j in range(1, m):
             symbols += table[j::m] * symbols.dtype.type(p ** j)
         edges = len(self._column)

@@ -11,7 +11,9 @@ witness an edge-subset search in lexicographic order finds), prepared by
 with no elimination of every edge row; over every edge, the code keeps
 it (`NetworkCode.prepared` says how long).  Down a prefix
 tree, the walk carries every later point's remainder by C_W and [H; C_W],
-one row step per point per level, and yields rank [H; C_W] - |W|.
+one row step per point per level, but a node above the leaves compares
+lead forms instead (the root's kept with the points), and yields
+rank [H; C_W] - |W|.
 `secure_lif` (Linear Information Flow with security invariants) tests
 candidates by the containment form of the condition: a new vector must leave
 span [H; C_W] unless it lies in span C_W.  Its search, in `lif`, grows those
@@ -101,8 +103,12 @@ def admit_wiretap(H: FMatrix, code: NetworkCode, mu: int, restricted=None,
 class Preparation(tuple):
     """The walk's preparation (base, points) from `observation_points`;
     `ranks` is (rank C_E, floor) once Delta(mu) has read them off the points
-    (`equivocation._deltas`), None before."""
+    (`equivocation._deltas`), None before; `leads` the points' lead forms,
+    made by the first walk of size 2 (`full_rank_observations`)."""
     ranks = None
+
+    def __init__(self, _):
+        self.leads = []
 
 
 def observation_points(code: NetworkCode, edges, H: FMatrix, G: FMatrix | None = None):
@@ -139,19 +145,25 @@ def observation_points(code: NetworkCode, edges, H: FMatrix, G: FMatrix | None =
     return code.prepared("cascade", (H.data, G.data), prepare)
 
 
-def full_rank_observations(f: FieldSpec, base, points, sizes, least=False):
+def full_rank_observations(f: FieldSpec, base, points, sizes, least=False, leads=None):
     """Yield (W, d) per set W of `points` (`observation_points`, with H's basis
     `base`) of the given sizes whose C_W has full rank |W|, in lexicographic
     order per size, named by first edges; d = rank [H; C_W G] - |W|.  Depth
     first, each node holds its later points as remainders by echelon bases of
     C_W and [H; C_W G]: taking a point reduces each later one by the one new
-    row of each basis, drops those left in span C_W, and a leaf reduces
-    nothing.  `least`: only the sets whose d is below every d yielded before;
-    a j-prefix of a size-s set is cut when its d - (s - j) is not, as a point
-    lowers d by at most 1."""
+    row of each basis and drops those left in span C_W.  Above the leaves, as
+    r - r[p] s = 0 for a row s with 1 at pivot p iff r's lead form is s, a
+    node compares its points' lead forms instead, made once (the root's kept
+    in `leads`, `Preparation.leads`, when given).  `least`: only the sets
+    whose d is below every d yielded before; a j-prefix of a size-s set is
+    cut when its d - (s - j) is not, as a point lowers d by at most 1."""
     best = inf
 
-    def grow(W, points, c, hc, left):  # c, hc: the ranks of C_W and [H; C_W G]
+    def form(v):  # v scaled to 1 at its pivot, () for 0
+        step = lead(f, v)
+        return tuple(step[1]) if step else ()
+
+    def grow(W, points, c, hc, left, forms):  # c, hc: the ranks of C_W and [H; C_W G]
         nonlocal best
         if not left:
             if least:
@@ -162,18 +174,29 @@ def full_rank_observations(f: FieldSpec, base, points, sizes, least=False):
             eid, row, hrow = points[j]
             gain = any(hrow)
             # d with this point, less the left - 1 points to come, must beat best
-            if hc + gain - c - left < best:
-                later = []
-                if left > 1:  # the remainders of the points after this one
-                    step, hstep = [lead(f, row)], [lead(f, hrow)] if gain else []
-                    for e, r, h in points[j + 1:]:
-                        r = eliminate(f, step, r)
-                        if any(r):
-                            later.append((e, r, eliminate(f, hstep, h) if gain else h))
-                yield from grow(W + (eid,), later, c + 1, hc + gain, left - 1)
+            if (low := hc + gain - c - left) >= best:
+                continue
+            if left == 2:  # a later point gains iff its H form is nonzero and not this one's
+                if not forms:
+                    forms += [(e, form(r), form(h)) for e, r, h in points]
+                _, r, h = forms[j]
+                for e, ri, hi in forms[j + 1:]:
+                    if ri != r and (d := low + (hi != h and hi != ())) < best:
+                        if least:
+                            best = d
+                        yield W + (eid, e), d
+                continue
+            later = []
+            if left > 1:  # the remainders of the points after this one
+                step, hstep = [lead(f, row)], [lead(f, hrow)] if gain else []
+                for e, r, h in points[j + 1:]:
+                    r = eliminate(f, step, r)
+                    if any(r):
+                        later.append((e, r, eliminate(f, hstep, h) if gain else h))
+            yield from grow(W + (eid,), later, c + 1, hc + gain, left - 1, [])
 
     for size in sizes:
-        yield from grow((), points, 0, len(base), size)
+        yield from grow((), points, 0, len(base), size, [] if leads is None else leads)
 
 
 def verify_secrecy_condition(H: FMatrix, code: NetworkCode, mu: int, restricted=None):
@@ -193,7 +216,8 @@ def _first_violation(H, code, mu, restricted, sizes, G=None):
     edges = admit_wiretap(H, code, mu, restricted, G)
     if mu > code.n:
         raise BudgetExceedsCut(f"mu={mu} exceeds multicast dimension n={code.n}")
-    for W, d in full_rank_observations(code.field, *observation_points(code, edges, H, G), sizes):
+    prepared = observation_points(code, edges, H, G)
+    for W, d in full_rank_observations(code.field, *prepared, sizes, leads=prepared.leads):
         if d != H.rows:
             return False, W
     return True, None

@@ -218,6 +218,28 @@ def reference_first_violation(H, code, sizes, restricted=None, G=None):
     return True, None
 
 
+def reference_walk(H, code, size, G=None, least=False):
+    """`full_rank_observations`' (W, d) sequence over every edge, by the plain
+    loop over the edge subsets of one size in lexicographic order: each W of
+    full rank whose every edge is the first edge of its direction, with
+    d = rank [H; C_W G] - |W| (G = I when None); with `least`, only those
+    whose d is below every d before."""
+    edges = sorted(code.global_vectors)
+    nonzero = [e for e in edges if any(code.global_vectors[e])]
+    firsts = [e for e in nonzero if all(code.coding_matrix((x, e)).rank() == 2
+                                        for x in nonzero[:nonzero.index(e)])]
+    walked, best = [], math.inf
+    for W in combinations(edges, size):
+        C = code.coding_matrix(W)
+        if not set(W) <= set(firsts) or C.rank() != size:
+            continue
+        d = observation_equivocation(H, C if G is None else matmul(C, G), size)
+        if not least or d < best:
+            walked.append((W, d))
+            best = d if least else best
+    return walked
+
+
 def reference_candidate_verdict(H, frontier, paths, security_sets, vec):
     """secure_lif's candidate test by ranks, as (accepted, checks run): for
     each (receiver r, path pi) in `paths`, r's frontier with row pi replaced
@@ -303,19 +325,36 @@ def random_coded_instance(rng, q=None, n=None, k=None, max_edges=10):
     return net, code, H
 
 
-def fan_instance(rng, field, M, n, k):
-    """The fan code S -> v_i -> R, i < M: branch i carries one random source
-    vector on both of its edges, Sv<i> and v<i>R (so zero and parallel
-    vectors occur), with a random full-rank k x n coset matrix H."""
+def fan_code(field, n, vectors):
+    """The fan code S -> v_i -> R: branch i carries vectors[i] on both of its
+    edges, Sv<i> and v<i>R."""
+    M = len(vectors)
     nodes = ["S", "R"] + [f"v{i}" for i in range(M)]
     edges = [(f"Sv{i}", "S", f"v{i}") for i in range(M)]
     edges += [(f"v{i}R", f"v{i}", "R") for i in range(M)]
     code = NetworkCode(Network(nodes, edges, "S", (), n, field))
-    for i in range(M):
-        code.set_local(f"Sv{i}", [rng.randrange(field.order) for _ in range(n)])
+    for i, vector in enumerate(vectors):
+        code.set_local(f"Sv{i}", vector)
         code.set_local(f"v{i}R", [1])
     code.propagate()
-    return code, random_full_rank_matrix(rng, field, k, n)
+    return code
+
+
+def fan_instance(rng, field, M, n, k):
+    """The fan code (`fan_code`) whose M branches carry random source
+    vectors (so zero and parallel vectors occur), with a random full-rank
+    k x n coset matrix H."""
+    vectors = [[rng.randrange(field.order) for _ in range(n)] for _ in range(M)]
+    return fan_code(field, n, vectors), random_full_rank_matrix(rng, field, k, n)
+
+
+def plane_fan_instance(field):
+    """The fan code (`fan_code`) whose q + 1 branches carry every direction
+    of the plane x_3 = 0 of F_q^3, (0, 1, 0) and then (1, a, 0) for each a,
+    with H = [0 0 1]: no set of at most 2 directions violates the secrecy
+    condition, so a mu = 2 verification walks all choose(q + 1, 2) pairs."""
+    vectors = [(0, 1, 0)] + [(1, a, 0) for a in range(field.order)]
+    return fan_code(field, 3, vectors), FMatrix(field, [[0, 0, 1]])
 
 
 def random_multicast_network(rng, n, t, field, max_edges=12):

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -11,11 +12,13 @@ from conftest import (
     kernel,
     matmul,
     observation_equivocation,
+    plane_fan_instance,
     prime_power_parts,
     random_coded_instance,
     random_full_rank_matrix,
     reference_equivocation_rank,
     reference_first_violation,
+    reference_walk,
     row_space,
 )
 from wiretapnc import equivocation, securecode
@@ -316,11 +319,85 @@ def test_fan_delta_row_steps_pinned(monkeypatch):
     """The walk's work on fan Delta(5) over GF(31) (M=30, n=8, k=3,
     random.Random(1)), in row steps: remainders reduced by one basis row, the
     k rows of H once per point at the root, then one new row of each basis
-    per later point per level.  A deterministic guard on the walk's cost."""
+    per later point per level above the one over the leaves, which compares
+    lead forms instead.  A deterministic guard on the walk's cost."""
     steps = count_row_steps(monkeypatch)
     code, H = fan_instance(random.Random(1), field_new(31), 30, 8, 3)
     assert equivocation_rank(H, code, 5) == (2, ("Sv0", "Sv1", "Sv10", "Sv13", "Sv20"), False)
-    assert steps[0] == 63201
+    assert steps[0] == 62958
+
+
+def test_kept_analyses_at_mu_2_do_no_field_arithmetic(monkeypatch):
+    """On a kept code, mu = 2 equivocation_rank, verify_secrecy_condition and
+    byzantine_secrecy_check take no row step and scale no row after their
+    first calls: the points, rank C_E, the floor and the root's lead forms
+    are kept, and the root, the one node above the leaves, compares lead
+    forms.  Every answer equals the plain edge-subset loop's."""
+    steps, scaled, lead = count_row_steps(monkeypatch), [0], securecode.lead
+
+    def counted(field, v):
+        scaled[0] += 1
+        return lead(field, v)
+
+    monkeypatch.setattr(securecode, "lead", counted)
+    rng = random.Random(34)
+    code, H = fan_instance(rng, field_new(7), 12, 4, 2)
+    G = random_full_rank_matrix(rng, code.field, 4, 4)
+
+    def analyses():
+        return [equivocation_rank(H, code, 2), verify_secrecy_condition(H, code, 2),
+                byzantine_secrecy_check(H, G, code, 2)]
+
+    first = analyses()
+    assert first == [reference_equivocation_rank(H, code, 2),
+                     reference_first_violation(H, code, (1, 2)),
+                     reference_first_violation(H, code, (2,), None, G)]
+    assert steps[0] and scaled[0]
+    for _ in range(2):
+        steps[0] = scaled[0] = 0
+        assert analyses() == first
+        assert steps[0] == scaled[0] == 0
+
+
+@pytest.mark.parametrize("q", [2, 4, 7, 9])
+def test_walk_equals_the_edge_subset_loop(q):
+    """At sizes 2 and 3, with and without a cascade G and with and without
+    `least`, the walk's whole (W, d) sequence equals the plain loop's
+    (`reference_walk`), whether the root's lead forms are made for the walk,
+    made into the preparation's `leads` or read from them; on seeded fan codes
+    with zero and parallel vectors, where three directions can be dependent
+    and `least` cuts sets."""
+    rng, f, seen = random.Random(3400 + q), field_new(*prime_power_parts(q)), Counter()
+    for n in (2, 3, 3, 4):
+        code, H = fan_instance(rng, f, rng.randint(3, 8), n, rng.randint(1, n))
+        with_zero_and_parallel(rng, code)
+        edges = code.network.sorted_edge_ids
+        for G in (None, random_full_rank_matrix(rng, f, n, n)):
+            prepared = observation_points(code, edges, H, G)
+            for size in (2, 3):
+                whole = reference_walk(H, code, size, G)
+                for least in (False, True):
+                    want = reference_walk(H, code, size, G, least)
+                    for leads in (None, prepared.leads, prepared.leads):
+                        got = full_rank_observations(f, *prepared, (size,), least, leads)
+                        assert list(got) == want, (size, least, G is None)
+                    seen["cut"] += len(want) < len(whole)
+                seen["dependent"] += len(whole) < comb(len(prepared[1]), size)
+    assert seen["cut"] and seen["dependent"], seen
+
+
+def test_plane_fan_walks_every_pair():
+    """Over GF(31) the plane fan code (`plane_fan_instance`, the instance of
+    CI's GF(2003) wall) keeps the secrecy condition at mu = 2, as the plain
+    edge-subset loop finds, and its size-2 walk yields all choose(32, 2)
+    pairs of directions, each with d = k = 1."""
+    f = field_new(31)
+    code, H = plane_fan_instance(f)
+    assert verify_secrecy_condition(H, code, 2) == (True, None) == \
+        reference_first_violation(H, code, (1, 2))
+    walked = list(full_rank_observations(
+        f, *observation_points(code, code.network.sorted_edge_ids, H), (2,)))
+    assert len(walked) == comb(32, 2) and {d for _, d in walked} == {1}
 
 
 def test_point_set_walk_builds_no_matrix_per_set(monkeypatch):
@@ -586,6 +663,50 @@ def test_each_preparation_is_made_once_per_h_g_and_edge_set(monkeypatch):
     # the two verdicts do not
     assert prepared(H, G, ["SA", "BE", "ED"]) == (14, 20)
     assert prepared(H, G, ["ED", "SA", "BE"]) == (14, 20)
+
+
+def test_each_preparation_makes_its_lead_forms_once(monkeypatch):
+    """At mu <= 2 the root is the only node above the leaves, and its lead
+    forms are kept with the points: on one unchanged code, Delta(mu) for
+    mu = 1, 2, a sweep to 2 and the secrecy and cascade verdicts at mu = 2,
+    asked twice, make them once per preparation ("walk" and "cascade");
+    another H makes them again with its points; a mu = 1 verdict makes
+    none; a restricted set makes them on every walk of size 2."""
+    work = Counter()
+
+    class Leads(list):
+        def __iadd__(self, forms):
+            work["leads"] += 1
+            return super().__iadd__(forms)
+
+    class Counted(securecode.Preparation):
+        def __init__(self, items):
+            super().__init__(items)
+            work["points"] += 1
+            self.leads = Leads()
+
+    monkeypatch.setattr(securecode, "Preparation", Counted)
+    f = field_new(3)
+    H, code, G = FMatrix(f, [[1, 1]]), butterfly_code(f, (1, 2)), FMatrix(f, [[1, 1], [0, 1]])
+
+    def made(H, restricted=None):
+        work.clear()
+        for _ in range(2):
+            assert [equivocation_rank(H, code, mu, restricted) for mu in (1, 2)] == [
+                reference_equivocation_rank(H, code, mu, restricted) for mu in (1, 2)]
+            equivocation_sweep(H, code, 2, restricted)
+            verify_secrecy_condition(H, code, 2, restricted)
+            byzantine_secrecy_check(H, G, code, 2, restricted)
+        return work["points"], work["leads"]
+
+    assert made(H) == (2, 2)
+    assert made(H) == (0, 0)
+    assert made(FMatrix(f, [[1, 2]])) == (2, 2)  # another H
+    work.clear()
+    verify_secrecy_condition(FMatrix(f, [[0, 1]]), code, 1)
+    assert (work["points"], work["leads"]) == (1, 0)
+    # per round: two Delta calls, a sweep and two verdicts; all but Delta(1) walk size 2
+    assert made(H, ["SA", "BE", "ED"]) == (10, 8)
 
 
 def test_a_restricted_analysis_keeps_nothing(monkeypatch):

@@ -1,11 +1,13 @@
 import random
 import re
+import tracemalloc
 from functools import partial
 from itertools import combinations, cycle, islice
 
 import numpy as np
 import pytest
 from conftest import (
+    observation_equivocation,
     random_coded_instance,
     reference_entropy_terms,
     reference_min_equivocation_bruteforce,
@@ -358,6 +360,39 @@ def test_bincount_codes_take_the_narrowest_type(monkeypatch, p, m):
             oracle._exponents(observations)
         assert widths[-1] == width(cells, observations)
         assert info.value.witness == first
+
+
+def test_symbols_keep_no_copy_of_the_digit_table(monkeypatch):
+    """Over GF(7) a symbol is its one base-p digit, so tabulating keeps the
+    digit table itself as the symbols: its allocation peak stays below twice
+    that table (a copy of every row took it above).  Over GF(9) the oracle
+    keeps one row per column, not the table's m = 2 digit rows.  Each
+    observation's H(S | Z_W) equals the rank formula's."""
+    peaks, tabulate = [], CosetChannelOracle._tabulate
+
+    def measured(self, generator, columns):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        symbols = tabulate(self, generator, columns)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return symbols
+
+    monkeypatch.setattr(CosetChannelOracle, "_tabulate", measured)
+    for q, n, max_edges in ((7, 6, 10), (9, 5, 8)):
+        _, code, H = random_coded_instance(random.Random(3), q=q, n=n, k=2, max_edges=max_edges)
+        tracemalloc.start()
+        try:
+            oracle = CosetChannelOracle(H, code)
+        finally:
+            tracemalloc.stop()
+        p, m = H.field.p, H.field.m
+        rows = len(code.global_vectors) + H.rows
+        assert oracle._symbols.base.shape == (rows, q ** n)
+        if m == 1:
+            assert peaks[-1] < 2 * rows * q ** n * np.min_scalar_type(2 * p - 2).itemsize
+        for W in combinations(sorted(code.global_vectors), 2):
+            assert oracle.entropy_terms(W)["H(S|Z)"] == pytest.approx(
+                observation_equivocation(H, code.coding_matrix(W)), abs=1e-9)
 
 
 def test_unequal_counts_on_a_power_of_q_cells_are_refused():
