@@ -5,9 +5,9 @@ H(S | Z_W) = rank [H; C_W] - rank C_W, for full-rank and rank-deficient C_W
 alike.  Delta(mu) is its minimum over all W of size mu, attained where C_W
 has the largest rank, min(mu, rank C_E).  For mu <= rank C_E it is a
 branch-and-bound over the walk of sets of mu distinct coding-vector
-directions (`securecode.full_rank_observations`: each point reduced by H once,
-then by one new row of each basis per level, lead forms compared above the
-leaves), which stops at the floor max(rank H - mu, rank [H; C_E] - rank C_E);
+directions (`securecode.full_rank_observations`: points in lead form, reduced
+by one new row of each basis per level, compared above the leaves), which
+stops at the floor max(rank H - mu, rank [H; C_E] - rank C_E);
 for mu > rank C_E every largest-rank W spans C_E, so Delta(mu) =
 rank [H; C_E] - rank C_E, flagged.
 A call, or a sweep for all its mu, looks up the points once
@@ -74,13 +74,12 @@ def _deltas(H, code, edges, mus):
     if prepared.ranks is None:
         rank_E = len(echelon(f, [v for _, v, _ in points]))
         # no observation leaves less than Z_E does: H(S | Z_W) >= H(S | Z_E)
-        prepared.ranks = rank_E, len(base) + len(echelon(f, [h for *_, h in points])) - rank_E
+        prepared.ranks = rank_E, len(base) + len(echelon(f, [h for *_, h in points if h])) - rank_E
     rank_E, floor = prepared.ranks
     spanning = None
     for mu in mus:
         if mu <= rank_E:  # nor less than rank [H; C_W] - |W| >= rank H - mu
-            for W, d in full_rank_observations(f, *prepared, (mu,), least=True,
-                                               leads=prepared.leads):
+            for W, d in full_rank_observations(f, *prepared, (mu,), least=True):
                 if d <= max(floor, len(base) - mu):
                     break
             yield d, W, False

@@ -6,10 +6,12 @@ by `FieldSpec.check` on the way in.  Every elimination is one step,
 it, `lead` scales the remainder to 1 at its pivot.  `echelon` builds a basis
 with it, `back_substitute` gives the reduced echelon form, and `null_space`
 reads the canonical kernel off that form; the point-set walk of
-`securecode` carries `eliminate`'s remainders.  A matrix keeps two forms,
-each in a slot, made on first use: `reduced`, the reduced echelon form of
-[M | I], which the inverse, the coset encoder and `secure_lif`'s search read,
-and `kernel`, M's canonical right kernel, which the encoder and the search read.
+`securecode` carries `eliminate`'s remainders.  `lead_form`, `lead`'s row as
+a tuple (() for 0), is the one form of a direction, the walk's and the
+search's.  A matrix keeps two forms, each in a slot, made on first use:
+`reduced`, the reduced echelon form of [M | I], which the inverse, the coset
+encoder and `secure_lif`'s search read, and `kernel`, M's canonical right
+kernel, which the encoder and the search read.
 `combination` is the one row combination.
 Pivoting is first-nonzero in column order, so every operation is a
 deterministic function of its inputs.  Zero-row matrices are first-class
@@ -170,6 +172,11 @@ def lead(field, v):
         if c:
             return p, v if c == 1 else field.scale(field.inv(c), v)
     return None
+
+
+def lead_form(field, v):
+    """v scaled to 1 at its pivot, as a tuple; () if v = 0."""
+    return tuple(step[1]) if (step := lead(field, v)) else ()
 
 
 def reduce_row(field, basis, v):

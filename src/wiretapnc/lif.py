@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from . import securecode
 from .exceptions import CapExceeded, FieldTooSmall
-from .fmatrix import back_substitute, lead, null_space, reduce_row
+from .fmatrix import back_substitute, lead_form, null_space, reduce_row
 
 
 def search(code, H, mu):
@@ -116,7 +116,7 @@ def search(code, H, mu):
                 w = axpy(c, u, vec)
                 if held(receiving, w):
                     continue
-                if tuple(lead(f, w)[1]) not in seen:  # a new direction
+                if lead_form(f, w) not in seen:  # a new direction
                     if security is None:  # the pairs by levels of the prefix tree: the sets in order
                         security, level = [], roots
                         while level:
@@ -162,7 +162,7 @@ def search(code, H, mu):
                         D[j] = axpy(f.neg(c), b, row)
             # a new direction joins each smaller set W it is independent of; having
             # passed W's pair, vec then also leaves span [H; C_W]
-            direction = tuple(lead(f, vec)[1])
+            direction = lead_form(f, vec)
             if direction not in seen:  # then the edge gathered the pairs
                 seen.add(direction)
                 for W, _ in security:

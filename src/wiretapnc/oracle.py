@@ -33,10 +33,11 @@ q^n, so they are equal iff max(count) * cells = q^n.
 Keeping.  `min_equivocation_bruteforce` takes its oracle from the code
 (`NetworkCode.prepared` says how long it is kept), so every mu and every
 restricted set is counted from one table of every edge, and a changed
-vector makes the table, and its syndrome check, again.  A kept oracle holds
-no int64 array per outcome: its symbol table and its secret column are in
-the smallest unsigned dtypes that hold q - 1 and q^k - 1.  An oracle built
-directly, `CosetChannelOracle(H, code)`, is always fresh.
+vector makes the table, and its syndrome check, again.  An oracle neither
+keeps nor builds an int64 array per outcome: its symbol table and its secret
+column (0..q^k - 1 tiled) are in the smallest unsigned dtypes that hold q - 1
+and q^k - 1.  An oracle built directly, `CosetChannelOracle(H, code)`, is
+always fresh.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ class CosetChannelOracle:
         # one row per edge, so an observation reads contiguous rows
         self._column = {eid: j for j, eid in enumerate(code.global_vectors)}
         secrets = self.q ** self.k
-        self._secret = (np.arange(self.total, dtype=np.int64) % secrets).astype(
-            np.min_scalar_type(secrets - 1))
+        self._secret = np.tile(np.arange(secrets, dtype=np.min_scalar_type(secrets - 1)),
+                               self.q ** (self.n - self.k))  # t mod q^k for every t
         self._powers = self.q ** np.arange(self.n + 1, dtype=np.int64)
         self._symbols = self._tabulate(generator, list(code.global_vectors.values()) + list(H.data))
 
@@ -111,7 +112,8 @@ class CosetChannelOracle:
         for step in multiples:
             grown = table[:, size:p * size].reshape(width, p - 1, size)
             np.add(table[:, None, :size], step, out=grown)
-            np.minimum(grown, grown - wrap, out=grown)  # x - p wraps above x when x < p
+            for row in grown:  # x - p wraps above x when x < p
+                np.minimum(row, row - wrap, out=row)
             size *= p
         symbols = table[::m].astype(np.min_scalar_type(self.q - 1), copy=m > 1)  # m = 1: a view
         for j in range(1, m):

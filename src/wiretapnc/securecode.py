@@ -12,8 +12,8 @@ with no elimination of every edge row; over every edge, the code keeps
 it (`NetworkCode.prepared` says how long).  Down a prefix
 tree, the walk carries every later point's remainder by C_W and [H; C_W],
 one row step per point per level, but a node above the leaves compares
-lead forms instead (the root's kept with the points), and yields
-rank [H; C_W] - |W|.
+lead forms instead (the root's are its points, each prepared in lead form),
+and yields rank [H; C_W] - |W|.
 `secure_lif` (Linear Information Flow with security invariants) tests
 candidates by the containment form of the condition: a new vector must leave
 span [H; C_W] unless it lies in span C_W.  Its search, in `lif`, grows those
@@ -39,7 +39,7 @@ from .exceptions import (
     InvariantViolated,
     SingularMatrix,
 )
-from .fmatrix import FMatrix, combination, eliminate, lead
+from .fmatrix import FMatrix, combination, eliminate, lead, lead_form
 from .gf import FieldSpec
 from .netgraph import Network, NetworkCode, combination_network
 
@@ -85,8 +85,8 @@ def admit_wiretap(H: FMatrix, code: NetworkCode, mu: int, restricted=None,
     every analysis before any shortcut, by `secure_lif` and by a design load.
     Refuses mu < 0 (BadBudgets), an H or G over another field (FieldMismatch),
     a G without n rows or an H whose width is not n, or G's width when given
-    (DimensionMismatch), and unknown restricted edges.  Returns the
-    wiretappable edge ids, sorted."""
+    (DimensionMismatch), unknown restricted edges, and a rank-deficient H
+    (SingularMatrix).  Returns the wiretappable edge ids, sorted."""
     check_budget(mu, name)
     for label, M in (("H", H), ("G", G)):
         if M is not None and M.field != code.field:
@@ -97,27 +97,24 @@ def admit_wiretap(H: FMatrix, code: NetworkCode, mu: int, restricted=None,
     width = code.n if G is None else G.cols
     if H.cols != width:
         raise DimensionMismatch(f"H has {H.cols} columns, expected {width}")
+    if (rank := H.reduced[2]) != H.rows:
+        raise SingularMatrix(f"parity check must have full row rank {H.rows}", rank=rank)
     return wiretappable_edges(code, restricted)
 
 
 class Preparation(tuple):
-    """The walk's preparation (base, points) from `observation_points`;
-    `ranks` is (rank C_E, floor) once Delta(mu) has read them off the points
-    (`equivocation._deltas`), None before; `leads` the points' lead forms,
-    made by the first walk of size 2 (`full_rank_observations`)."""
+    """The walk's preparation (base, points) from `observation_points`; `ranks`
+    is None until `equivocation._deltas` reads (rank C_E, floor) off them."""
     ranks = None
-
-    def __init__(self, _):
-        self.leads = []
 
 
 def observation_points(code: NetworkCode, edges, H: FMatrix, G: FMatrix | None = None):
     """The walk's preparation: (base, points), base H's reduced echelon
     basis (the first rank rows of `FMatrix.reduced`, cut to n columns), and
-    per distinct coding-vector direction of `edges` (a nonzero global
-    vector v scaled to a leading 1) one point: its first edge, the direction,
-    and v G reduced by base (G = I if None).  The directions span C_E, and
-    their remainders span a complement of span H in span [H; C_E G].  Over
+    per distinct coding-vector direction of `edges` (`lead_form` of a nonzero
+    global vector v) one point: its first edge, the direction, and the lead
+    form of v G reduced by base (G = I if None), () in span H.  Those span
+    C_E and a complement of span H in span [H; C_E G].  Over
     every edge it is kept on the code (`NetworkCode.prepared`); a restricted
     set is prepared for this call only.  The caller admits H and G
     (`admit_wiretap`)."""
@@ -128,14 +125,13 @@ def observation_points(code: NetworkCode, edges, H: FMatrix, G: FMatrix | None =
         for eid in edges:  # forwarding edges repeat their input's vector
             distinct.setdefault(code.global_vectors[eid], eid)
         for vec, eid in distinct.items():
-            point = lead(f, vec)
-            if point:
-                first.setdefault(tuple(point[1]), eid)
+            if direction := lead_form(f, vec):
+                first.setdefault(direction, eid)
         rows, pivots, rank = H.reduced
         base = tuple((p, row[:H.cols]) for p, row in zip(pivots[:rank], rows))
 
         def remainder(v):  # of v G by base
-            return tuple(eliminate(f, base, v if G is None else combination(f, v, G.data, G.cols)))
+            return lead_form(f, eliminate(f, base, combination(f, v, G.data, G.cols) if G else v))
         return Preparation((base, tuple((e, v, remainder(v)) for v, e in first.items())))
 
     if edges != code.network.sorted_edge_ids:
@@ -145,7 +141,7 @@ def observation_points(code: NetworkCode, edges, H: FMatrix, G: FMatrix | None =
     return code.prepared("cascade", (H.data, G.data), prepare)
 
 
-def full_rank_observations(f: FieldSpec, base, points, sizes, least=False, leads=None):
+def full_rank_observations(f: FieldSpec, base, points, sizes, least=False):
     """Yield (W, d) per set W of `points` (`observation_points`, with H's basis
     `base`) of the given sizes whose C_W has full rank |W|, in lexicographic
     order per size, named by first edges; d = rank [H; C_W G] - |W|.  Depth
@@ -153,15 +149,12 @@ def full_rank_observations(f: FieldSpec, base, points, sizes, least=False, leads
     C_W and [H; C_W G]: taking a point reduces each later one by the one new
     row of each basis and drops those left in span C_W.  Above the leaves, as
     r - r[p] s = 0 for a row s with 1 at pivot p iff r's lead form is s, a
-    node compares its points' lead forms instead, made once (the root's kept
-    in `leads`, `Preparation.leads`, when given).  `least`: only the sets
-    whose d is below every d yielded before; a j-prefix of a size-s set is
-    cut when its d - (s - j) is not, as a point lowers d by at most 1."""
+    node compares its points' lead forms instead: the root's points are
+    theirs, and a node below it makes them once, at its first point not cut.
+    `least`: only the sets whose d is below every d yielded before; a
+    j-prefix of a size-s set is cut when its d - (s - j) is not, as a point
+    lowers d by at most 1."""
     best = inf
-
-    def form(v):  # v scaled to 1 at its pivot, () for 0
-        step = lead(f, v)
-        return tuple(step[1]) if step else ()
 
     def grow(W, points, c, hc, left, forms):  # c, hc: the ranks of C_W and [H; C_W G]
         nonlocal best
@@ -178,7 +171,7 @@ def full_rank_observations(f: FieldSpec, base, points, sizes, least=False, leads
                 continue
             if left == 2:  # a later point gains iff its H form is nonzero and not this one's
                 if not forms:
-                    forms += [(e, form(r), form(h)) for e, r, h in points]
+                    forms += [(e, lead_form(f, r), lead_form(f, h)) for e, r, h in points]
                 _, r, h = forms[j]
                 for e, ri, hi in forms[j + 1:]:
                     if ri != r and (d := low + (hi != h and hi != ())) < best:
@@ -192,11 +185,11 @@ def full_rank_observations(f: FieldSpec, base, points, sizes, least=False, leads
                 for e, r, h in points[j + 1:]:
                     r = eliminate(f, step, r)
                     if any(r):
-                        later.append((e, r, eliminate(f, hstep, h) if gain else h))
+                        later.append((e, r, eliminate(f, hstep, h) if gain and h else h))
             yield from grow(W + (eid,), later, c + 1, hc + gain, left - 1, [])
 
     for size in sizes:
-        yield from grow((), points, 0, len(base), size, [] if leads is None else leads)
+        yield from grow((), points, 0, len(base), size, points)
 
 
 def verify_secrecy_condition(H: FMatrix, code: NetworkCode, mu: int, restricted=None):
@@ -216,8 +209,7 @@ def _first_violation(H, code, mu, restricted, sizes, G=None):
     edges = admit_wiretap(H, code, mu, restricted, G)
     if mu > code.n:
         raise BudgetExceedsCut(f"mu={mu} exceeds multicast dimension n={code.n}")
-    prepared = observation_points(code, edges, H, G)
-    for W, d in full_rank_observations(code.field, *prepared, sizes, leads=prepared.leads):
+    for W, d in full_rank_observations(code.field, *observation_points(code, edges, H, G), sizes):
         if d != H.rows:
             return False, W
     return True, None
@@ -241,8 +233,8 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     certificate counts forbidden-subspace tests, capped at SUBSET_CHECK_CAP
     (CapExceeded).
     Refused before the search: an n (DimensionMismatch) or f (FieldMismatch)
-    other than the network's, what `admit_wiretap` refuses, a rank-deficient
-    H (SingularMatrix) and k + mu > n (BudgetExceedsCut).
+    other than the network's, what `admit_wiretap` refuses (a rank-deficient
+    H among it) and k + mu > n (BudgetExceedsCut).
     """
     if n != net.n:
         raise DimensionMismatch(f"n={n}, but the network has n={net.n}")
@@ -251,7 +243,6 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
     k = H.rows
     code = NetworkCode(net)
     admit_wiretap(H, code, mu)
-    coset = CosetCode(H)  # raises SingularMatrix
     if k + mu > n:
         raise BudgetExceedsCut(f"k + mu = {k + mu} exceeds n={n}: "
                                "no field gives rank [H; C_W] = k + |W|")
@@ -268,7 +259,7 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
         "checks": checks,
         "locals": {eid: list(c) for eid, c in code.local.items()},
     }
-    return SecureDesign(coset, code, mu, certificate=certificate)
+    return SecureDesign(CosetCode(H), code, mu, certificate=certificate)
 
 
 # ---- alphabet-size bounds ----

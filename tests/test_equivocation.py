@@ -40,7 +40,7 @@ from wiretapnc.exceptions import (
     FieldMismatch,
     SingularMatrix,
 )
-from wiretapnc.fmatrix import FMatrix, combination, eliminate
+from wiretapnc.fmatrix import FMatrix, combination, eliminate, lead_form
 from wiretapnc.gf import field_new
 from wiretapnc.netgraph import NetworkCode, butterfly_code, combination_network, parallel_network
 from wiretapnc.oracle import min_equivocation_bruteforce
@@ -50,6 +50,7 @@ from wiretapnc.securecode import (
     full_rank_observations,
     observation_points,
     verify_secrecy_condition,
+    wiretappable_edges,
 )
 
 
@@ -327,19 +328,39 @@ def test_fan_delta_row_steps_pinned(monkeypatch):
     assert steps[0] == 62958
 
 
+def test_every_analysis_refuses_a_rank_deficient_parity_check(gf3):
+    """H = [[1, 1], [2, 2]] has rank 1 below its k = 2 rows.  Every analysis
+    refuses it at mu = 0 and mu = 1, before any shortcut, with the coset
+    code's own refusal: unrefused, Delta(0) would read 2 where H(S) = 1, and
+    the plain and cascade checks (G = I) would disagree at mu = 0."""
+    H, G = FMatrix(gf3, [[1, 1], [2, 2]]), FMatrix.identity(gf3, 2)
+    code = butterfly_code(gf3, (1, 2))
+    for mu in (0, 1):
+        for call in (lambda: verify_secrecy_condition(H, code, mu),
+                     lambda: byzantine_secrecy_check(H, G, code, mu),
+                     lambda: equivocation_rank(H, code, mu),
+                     lambda: equivocation_sweep(H, code, mu),
+                     lambda: network_dr_profile(H, code),
+                     lambda: min_equivocation_bruteforce(H, code, mu),
+                     lambda: equivocation_restricted_cut(H, mu, code, ["SA", "SC"])):
+            with pytest.raises(SingularMatrix,
+                               match="^parity check must have full row rank 2$") as refused:
+                call()
+            assert refused.value.rank == 1
+
+
 def test_kept_analyses_at_mu_2_do_no_field_arithmetic(monkeypatch):
     """On a kept code, mu = 2 equivocation_rank, verify_secrecy_condition and
     byzantine_secrecy_check take no row step and scale no row after their
-    first calls: the points, rank C_E, the floor and the root's lead forms
-    are kept, and the root, the one node above the leaves, compares lead
-    forms.  Every answer equals the plain edge-subset loop's."""
-    steps, scaled, lead = count_row_steps(monkeypatch), [0], securecode.lead
-
-    def counted(field, v):
-        scaled[0] += 1
-        return lead(field, v)
-
-    monkeypatch.setattr(securecode, "lead", counted)
+    first calls: the points, already lead forms, rank C_E and the floor are
+    kept, and the root, the one node above the leaves, compares its points.
+    Every answer equals the plain edge-subset loop's."""
+    steps, scaled = count_row_steps(monkeypatch), [0]
+    for name in ("lead", "lead_form"):
+        def counted(field, v, _scale=getattr(securecode, name)):
+            scaled[0] += 1
+            return _scale(field, v)
+        monkeypatch.setattr(securecode, name, counted)
     rng = random.Random(34)
     code, H = fan_instance(rng, field_new(7), 12, 4, 2)
     G = random_full_rank_matrix(rng, code.field, 4, 4)
@@ -363,10 +384,9 @@ def test_kept_analyses_at_mu_2_do_no_field_arithmetic(monkeypatch):
 def test_walk_equals_the_edge_subset_loop(q):
     """At sizes 2 and 3, with and without a cascade G and with and without
     `least`, the walk's whole (W, d) sequence equals the plain loop's
-    (`reference_walk`), whether the root's lead forms are made for the walk,
-    made into the preparation's `leads` or read from them; on seeded fan codes
-    with zero and parallel vectors, where three directions can be dependent
-    and `least` cuts sets."""
+    (`reference_walk`), on a fresh preparation and on one walked before; on
+    seeded fan codes with zero and parallel vectors, where three directions
+    can be dependent and `least` cuts sets."""
     rng, f, seen = random.Random(3400 + q), field_new(*prime_power_parts(q)), Counter()
     for n in (2, 3, 3, 4):
         code, H = fan_instance(rng, f, rng.randint(3, 8), n, rng.randint(1, n))
@@ -378,12 +398,33 @@ def test_walk_equals_the_edge_subset_loop(q):
                 whole = reference_walk(H, code, size, G)
                 for least in (False, True):
                     want = reference_walk(H, code, size, G, least)
-                    for leads in (None, prepared.leads, prepared.leads):
-                        got = full_rank_observations(f, *prepared, (size,), least, leads)
+                    for _ in range(2):
+                        got = full_rank_observations(f, *prepared, (size,), least)
                         assert list(got) == want, (size, least, G is None)
                     seen["cut"] += len(want) < len(whole)
                 seen["dependent"] += len(whole) < comb(len(prepared[1]), size)
     assert seen["cut"] and seen["dependent"], seen
+
+
+@pytest.mark.parametrize("q", [2, 4, 7, 9])
+def test_every_point_is_in_lead_form(q):
+    """Every point of a preparation, kept (over every edge) or restricted,
+    with and without a cascade G, is in lead form: its direction is
+    `lead_form` of its first edge's vector, and its remainder by H is a
+    tuple 1 at its first nonzero entry, or () when it lies in span H.  On
+    seeded fan codes with zero and parallel vectors."""
+    rng, f, seen = random.Random(3500 + q), field_new(*prime_power_parts(q)), Counter()
+    for n in (2, 3, 3, 4):
+        code, H = fan_instance(rng, f, rng.randint(3, 8), n, rng.randint(1, n))
+        ids = sorted(with_zero_and_parallel(rng, code).global_vectors)
+        for edges in (ids, rng.sample(ids, rng.randint(1, len(ids)))):
+            edges = wiretappable_edges(code, edges)
+            for G in (None, random_full_rank_matrix(rng, f, n, n)):
+                for e, direction, h in observation_points(code, edges, H, G)[1]:
+                    assert direction == lead_form(f, code.global_vectors[e]) != ()
+                    assert type(h) is tuple and (h == () or next(filter(None, h)) == 1), h
+                    seen[h == ()] += 1
+    assert seen[True] and seen[False], seen
 
 
 def test_plane_fan_walks_every_pair():
@@ -490,7 +531,7 @@ def test_ranks_read_off_the_points_equal_direct_elimination():
         base, points = observation_points(code, edges, H)
         C = code.coding_matrix(edges)
         rank_E = FMatrix(f, [v for _, v, _ in points], n).rank()
-        rank_HE = len(base) + FMatrix(f, [h for *_, h in points], n).rank()
+        rank_HE = len(base) + FMatrix(f, [h for *_, h in points if h], n).rank()
         assert (len(base), rank_E, rank_HE) == (H.rank(), C.rank(), H.stack(C).rank())
         floor = observation_equivocation(H, C)
         for mu in range(1, len(edges) + 1):
@@ -663,50 +704,6 @@ def test_each_preparation_is_made_once_per_h_g_and_edge_set(monkeypatch):
     # the two verdicts do not
     assert prepared(H, G, ["SA", "BE", "ED"]) == (14, 20)
     assert prepared(H, G, ["ED", "SA", "BE"]) == (14, 20)
-
-
-def test_each_preparation_makes_its_lead_forms_once(monkeypatch):
-    """At mu <= 2 the root is the only node above the leaves, and its lead
-    forms are kept with the points: on one unchanged code, Delta(mu) for
-    mu = 1, 2, a sweep to 2 and the secrecy and cascade verdicts at mu = 2,
-    asked twice, make them once per preparation ("walk" and "cascade");
-    another H makes them again with its points; a mu = 1 verdict makes
-    none; a restricted set makes them on every walk of size 2."""
-    work = Counter()
-
-    class Leads(list):
-        def __iadd__(self, forms):
-            work["leads"] += 1
-            return super().__iadd__(forms)
-
-    class Counted(securecode.Preparation):
-        def __init__(self, items):
-            super().__init__(items)
-            work["points"] += 1
-            self.leads = Leads()
-
-    monkeypatch.setattr(securecode, "Preparation", Counted)
-    f = field_new(3)
-    H, code, G = FMatrix(f, [[1, 1]]), butterfly_code(f, (1, 2)), FMatrix(f, [[1, 1], [0, 1]])
-
-    def made(H, restricted=None):
-        work.clear()
-        for _ in range(2):
-            assert [equivocation_rank(H, code, mu, restricted) for mu in (1, 2)] == [
-                reference_equivocation_rank(H, code, mu, restricted) for mu in (1, 2)]
-            equivocation_sweep(H, code, 2, restricted)
-            verify_secrecy_condition(H, code, 2, restricted)
-            byzantine_secrecy_check(H, G, code, 2, restricted)
-        return work["points"], work["leads"]
-
-    assert made(H) == (2, 2)
-    assert made(H) == (0, 0)
-    assert made(FMatrix(f, [[1, 2]])) == (2, 2)  # another H
-    work.clear()
-    verify_secrecy_condition(FMatrix(f, [[0, 1]]), code, 1)
-    assert (work["points"], work["leads"]) == (1, 0)
-    # per round: two Delta calls, a sweep and two verdicts; all but Delta(1) walk size 2
-    assert made(H, ["SA", "BE", "ED"]) == (10, 8)
 
 
 def test_a_restricted_analysis_keeps_nothing(monkeypatch):

@@ -395,6 +395,24 @@ def test_symbols_keep_no_copy_of_the_digit_table(monkeypatch):
                 observation_equivocation(H, code.coding_matrix(W)), abs=1e-9)
 
 
+def test_construction_makes_no_array_of_every_outcome_wider_than_a_symbol():
+    """Over GF(7) with n = 6 and k = 2, building the oracle peaks at most
+    1.8 times its symbol table (2.3 times when the secret column came from
+    an int64 array of q^n and the wrap of each tabulated digit spanned every
+    row at once); the secret column is t mod q^k for every outcome t, in an
+    unsigned dtype."""
+    _, code, H = random_coded_instance(random.Random(3), q=7, n=6, k=2, max_edges=10)
+    tracemalloc.start()
+    try:
+        oracle = CosetChannelOracle(H, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * oracle._symbols.nbytes
+    assert oracle._secret.dtype.kind == "u"
+    assert np.array_equal(oracle._secret, np.arange(7 ** 6) % 7 ** 2)
+
+
 def test_unequal_counts_on_a_power_of_q_cells_are_refused():
     # over GF(2) with n = 3, a view that is 1 on outcomes 0 and 1 only has
     # Z counts 6, 2 and (S, Z) counts 3, 3, 1, 1: both tables sit on a power
