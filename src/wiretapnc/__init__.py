@@ -19,10 +19,9 @@ _EXPORTS = {
     "securecode": ("securecode", "SecureDesign", "alphabet_bound_general",
                    "alphabet_bound_minimal", "alphabet_bound_two_sources",
                    "byzantine_secrecy_check", "cai_yeung_to_coset", "combination_secure_design",
-                   "projective_line_colors", "secure_lif", "verify_secrecy_condition"),
+                   "secure_lif", "verify_secrecy_condition"),
     "equivocation": ("equivocation", "EquivocationReport", "equivocation_rank",
-                     "equivocation_restricted_cut", "equivocation_sweep",
-                     "equivocation_underestimated", "equivocation_wtc2",
+                     "equivocation_restricted_cut", "equivocation_sweep", "equivocation_wtc2",
                      "generalized_hamming_weights", "network_dr_profile", "wei_consistency_check"),
     # the oracle imports numpy
     "oracle": ("CosetChannelOracle", "min_equivocation_bruteforce"),

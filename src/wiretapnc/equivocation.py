@@ -26,7 +26,6 @@ from itertools import combinations, product
 from math import comb
 
 from .exceptions import (
-    BadBudgets,
     CapExceeded,
     CutNotInvertible,
     DimensionMismatch,
@@ -153,14 +152,6 @@ def equivocation_wtc2(H: FMatrix, mu: int) -> int:
             if best == 0:
                 break
     return best
-
-
-def equivocation_underestimated(k: int, lam: int, mu: int) -> int:
-    """Leakage for a wiretapper stronger than designed for: k - (mu - lambda),
-    clamped at zero.  Valid for designs with perfect secrecy at lambda."""
-    if lam < 0 or mu < lam:
-        raise BadBudgets(f"need 0 <= lambda <= mu, got lambda={lam}, mu={mu}")
-    return max(k - (mu - lam), 0)
 
 
 def equivocation_restricted_cut(H: FMatrix, mu: int, code: NetworkCode, cut_edges) -> int:

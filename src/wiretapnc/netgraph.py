@@ -6,11 +6,12 @@ other edges: every edge has a local coefficient vector over its tail's
 in-edges (the n virtual inputs for source out-edges) and a derived global
 coding vector of length n.
 
-Edges are visited in a fixed topological order (Kahn on nodes, ties broken by
-edge id) by every algorithm, so all outputs are deterministic.  Each
-receiver's max flow is found once, when the Network is built, searched over
-the receiver's ancestors only; its min cut is read from that flow, and its
-edge-disjoint paths are decomposed from it once, on first use.
+Edges are visited in one fixed topological order by every algorithm, so all
+outputs are deterministic: Kahn's walk, the first ready nodes taken by name,
+each node's out-edges by id.  Each receiver's max flow is found once, when
+the Network is built, searched over the receiver's ancestors only; its min
+cut is read from that flow, and its edge-disjoint paths are decomposed from
+it once, on first use.
 """
 
 from __future__ import annotations
@@ -81,10 +82,7 @@ class Network:
             self._in[e.head].append(e)
             self._out[e.tail].append(e)
 
-        self._node_rank = self._toposort_nodes()
-        self.topological_order = tuple(
-            sorted(self.edges, key=lambda e: (self._node_rank[e.tail], e.id))
-        )
+        self.topological_order = self._toposort()
         self._flows = {r: self._max_flow(r) for r in self.receivers}
         for r, (cut, _) in self._flows.items():
             if cut < n:
@@ -92,23 +90,19 @@ class Network:
                     f"min-cut to {r} is {cut} < n={n}", receiver=r
                 )
 
-    def _toposort_nodes(self):
-        indeg = {v: 0 for v in self.nodes}
-        for e in self.edges:
-            indeg[e.head] += 1
-        ready = sorted(v for v, d in indeg.items() if d == 0)
-        queue = deque(ready)
-        rank = {}
+    def _toposort(self):
+        # an edge on a cycle is never reached, as its tail is never ready
+        indeg = {v: len(self._in[v]) for v in self.nodes}
+        queue, order = deque(sorted(v for v, d in indeg.items() if d == 0)), []
         while queue:
-            v = queue.popleft()
-            rank[v] = len(rank)
-            for e in sorted(self._out[v], key=lambda e: e.id):
+            for e in sorted(self._out[queue.popleft()], key=lambda e: e.id):
+                order.append(e)
                 indeg[e.head] -= 1
                 if indeg[e.head] == 0:
                     queue.append(e.head)
-        if len(rank) != len(self.nodes):
+        if len(order) != len(self.edges):
             raise AcyclicityViolated("network graph contains a cycle")
-        return rank
+        return tuple(order)
 
     def in_edges(self, node):
         return tuple(self._in[node])

@@ -16,9 +16,10 @@ a field element is adding digits mod p, and the table grows one base-p digit
 d of t at a time, table[v p^d + t] = table[t] + v x^l c_i for d = i m + l,
 in the smallest unsigned dtype that holds 2p.  Multiplying by a fixed element
 is GF(p)-linear on digits, so the digits of every x^l c_i are one small
-integer matrix mod p, made once.  The same recursion gives every outcome's
-syndrome H y, which must equal its secret: the oracle checks the encoder
-instead of trusting it.
+integer matrix mod p, made once.  The same recursion, on H's rows in a
+table of their own, dropped after the check, gives every outcome's syndrome
+H y, which must equal its secret: the oracle checks the encoder instead of
+trusting it.
 
 Counting.  Observations of one size are counted a chunk at a time, in
 `combinations` order, and the Delta(mu) search stops after the chunk that
@@ -97,7 +98,28 @@ class CosetChannelOracle:
     def _tabulate(self, generator, columns):
         """The symbol of every outcome on each column: the global vectors,
         then H's rows, whose k symbols are the outcome's syndrome H y and must
-        equal its secret.  Returns the global vectors' rows."""
+        equal its secret.  H's rows are tabulated first, in a table of their
+        own that the check drops.  Returns the global vectors' rows."""
+        edges = len(self._column)
+        self._check_syndromes(generator, columns[edges:])
+        return self._symbol_rows(generator, columns[:edges])
+
+    def _check_syndromes(self, generator, rows):
+        table = self._symbol_rows(generator, rows)
+        syndrome = np.zeros(self.total, dtype=self._secret.dtype)  # each partial sum is below q^k
+        for j, row in enumerate(table):
+            syndrome += row.astype(syndrome.dtype) * syndrome.dtype.type(self.q ** j)
+        bad = np.flatnonzero(syndrome != self._secret)
+        if bad.size:
+            t = int(bad[0])
+            u = [t // self.q ** i % self.q for i in range(self.n)]
+            raise InvariantViolated(
+                f"outcome {t} (s={u[:self.k]}, r={u[self.k:]}) encodes to a word "
+                f"of syndrome {table[:, t].tolist()}, not its secret",
+                witness=(u[:self.k], u[self.k:]))
+
+    def _symbol_rows(self, generator, columns):
+        """One row per column: over a prime field, the digit table itself."""
         f, n, total = self.field, self.n, self.total
         p, m = f.p, f.m
         width = len(columns) * m  # m base-p digit rows per column
@@ -118,19 +140,7 @@ class CosetChannelOracle:
         symbols = table[::m].astype(np.min_scalar_type(self.q - 1), copy=m > 1)  # m = 1: a view
         for j in range(1, m):
             symbols += table[j::m] * symbols.dtype.type(p ** j)
-        edges = len(self._column)
-        syndrome = np.zeros(total, dtype=self._secret.dtype)  # each partial sum is below q^k
-        for j in range(self.k):
-            syndrome += symbols[edges + j].astype(syndrome.dtype) * syndrome.dtype.type(self.q ** j)
-        bad = np.flatnonzero(syndrome != self._secret)
-        if bad.size:
-            t = int(bad[0])
-            u = [t // self.q ** i % self.q for i in range(n)]
-            raise InvariantViolated(
-                f"outcome {t} (s={u[:self.k]}, r={u[self.k:]}) encodes to a word "
-                f"of syndrome {symbols[edges:, t].tolist()}, not its secret",
-                witness=(u[:self.k], u[self.k:]))
-        return symbols[:edges]
+        return symbols
 
     def _dense(self, size):
         """Whether observations of this size are counted by one bincount over

@@ -295,16 +295,6 @@ def alphabet_bound_two_sources(t: int) -> int:
     return (isqrt(8 * t - 7) + 1) // 2 + 1
 
 
-def projective_line_colors(f: FieldSpec, exclude_all_ones: bool = False):
-    """Points of the projective line: [0,1], [1,0], [1, alpha^i] for all i."""
-    alpha = f.primitive_element()
-    pts = [(0, 1), (1, 0)]
-    pts += [(1, f.pow(alpha, i)) for i in range(f.order - 1)]
-    if exclude_all_ones:
-        pts = [p for p in pts if p != (1, 1)]
-    return pts
-
-
 # ---- direct constructions ----
 
 def combination_secure_design(n: int, M: int, f: FieldSpec, k: int) -> SecureDesign:

@@ -27,7 +27,6 @@ from wiretapnc.equivocation import (
     equivocation_rank,
     equivocation_restricted_cut,
     equivocation_sweep,
-    equivocation_underestimated,
     equivocation_wtc2,
     generalized_hamming_weights,
     network_dr_profile,
@@ -116,17 +115,6 @@ def test_wtc2_values(gf2, gf7):
     assert equivocation_wtc2(H, 2) == 1
     # a zero column gives away nothing yet costs the remaining columns rank
     assert equivocation_wtc2(FMatrix(gf2, [[1, 0]]), 1) == 0
-
-
-def test_underestimated_wiretapper():
-    assert equivocation_underestimated(2, 1, 1) == 2
-    assert equivocation_underestimated(2, 1, 2) == 1
-    assert equivocation_underestimated(2, 1, 3) == 0
-    assert equivocation_underestimated(1, 0, 5) == 0
-    with pytest.raises(BadBudgets):
-        equivocation_underestimated(2, 2, 1)
-    with pytest.raises(BadBudgets):
-        equivocation_underestimated(2, -1, 1)
 
 
 def test_restricted_cut(gf3):

@@ -38,6 +38,35 @@ def test_butterfly_shape(gf3):
     assert [e.id for e in net.topological_order][:2] == ["SA", "SC"]
 
 
+def kahn_edge_order(nodes, edges):
+    """Kahn's walk over edge tuples: the first ready nodes taken by name,
+    each popped node's out-edges by id."""
+    indeg = {v: sum(head == v for _, _, head in edges) for v in nodes}
+    queue, order = deque(sorted(v for v in nodes if indeg[v] == 0)), []
+    while queue:
+        v = queue.popleft()
+        for eid, _, head in sorted(e for e in edges if e[1] == v):
+            order.append(eid)
+            indeg[head] -= 1
+            if indeg[head] == 0:
+                queue.append(head)
+    return order
+
+
+def test_topological_order_is_kahns_walk_with_ties_by_name_and_id(gf7):
+    # Z is ready beside the source and listed before it; A is ready only after Z
+    nodes, edges = ("Z", "S", "A", "R"), [("b", "Z", "A"), ("c", "S", "R"),
+                                          ("a", "Z", "R"), ("d", "A", "R")]
+    nets = [butterfly_network(gf7), combination_network(3, 4, gf7),
+            Network(nodes, edges, "S", ("R",), 1, gf7)]
+    for net in nets:
+        tuples = [(e.id, e.tail, e.head) for e in net.edges]
+        assert [e.id for e in net.topological_order] == kahn_edge_order(net.nodes, tuples)
+    assert [e.id for e in nets[0].topological_order] == [
+        "SA", "SC", "AB", "AD", "CB", "CF", "BE", "ED", "EF"]
+    assert [e.id for e in nets[2].topological_order] == ["c", "a", "b", "d"]
+
+
 def test_construction_guards(gf2):
     with pytest.raises(UnknownNode):
         Network(("S", "R"), [("e", "S", "X")], "S", ("R",), 1, gf2)

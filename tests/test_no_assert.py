@@ -6,10 +6,16 @@ no module imports a name it never uses: a dead import is code that nothing
 calls, left behind when its last caller went; likewise every function,
 method and class is referenced by name in the package or exported, but
 for a pinned few with their reasons, and every upper-case module-level
-name (a cap or a constant) is read in the package.  No module reads the
-environment: every cap is a module constant, so a result depends only on
-the inputs and the seed.  And every library error is raised somewhere: an
-exception class nothing raises is a refusal that no longer exists.
+name (a cap or a constant) is read in the package.  Every exported function
+or class is called, by a call naming it, from the package outside its own
+definition or from the benchmark's workloads, but for a pinned few with
+their reasons: the references tests compare the library against, the paper
+claims a ROADMAP item will wire, and what a CI step calls; a pin whose name
+is called or no longer exported fails, so the pins cannot go stale.  No
+module reads the environment: every cap is a module constant, so a result
+depends only on the inputs and the seed.  And every library error is
+raised somewhere: an exception class nothing raises is a refusal that no
+longer exists.
 """
 
 import ast
@@ -115,6 +121,49 @@ def test_every_definition_is_referenced_or_exported():
     assert not found, f"definitions nothing references: {found}"
     stale = sorted(set(UNREFERENCED) - set(unused))
     assert not stale, f"pinned as unreferenced, but referenced or gone: {stale}"
+
+
+# exported functions that no package function and no benchmark workload calls,
+# each kept for its reason
+UNCALLED = {
+    "is_mds_parity_check": "a reference: tests check rs_parity_check's MDS property with it",
+    "parallel_code": "a reference: tests check network analyses against wiretap channel II",
+    "equivocation_restricted_cut": "a reference: tests check Delta(mu) on decodable cuts with it",
+    "wei_consistency_check": "a reference: tests check Delta(mu) against Wei's duality with it",
+    "alphabet_bound_minimal": "a paper bound ROADMAP item 9 wires into a command",
+    "alphabet_bound_two_sources": "a paper bound ROADMAP item 9 wires into a command",
+    "gabidulin_parity_check": "the universal design ROADMAP item 16 wires into a command",
+    "universal_secrecy_check": "the universal design ROADMAP item 16 wires into a command",
+    "cai_yeung_to_coset": "the paper's equivalence ROADMAP item 17 wires into paper-figures",
+    "network_dr_profile": "the d_r-profile wall step of the CI workflow calls it",
+}
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_every_exported_function_is_called_or_pinned():
+    called = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name != owner:  # a definition calling itself is not a caller
+                    called.add(name)
+            visit(child, owner)
+
+    trees = [tree for _, tree in package_trees()]
+    trees.append(ast.parse(WORKLOADS.read_text(), filename=str(WORKLOADS)))
+    for tree in trees:
+        for node in tree.body:
+            defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(node, node.name if defines else None)
+    exported = {name for module, names in wiretapnc._EXPORTS.items() for name in names
+                if name not in wiretapnc._EXPORTS}
+    uncalled = sorted(name for name in exported - called if name not in UNCALLED)
+    assert not uncalled, f"exported functions nothing calls: {uncalled}"
+    stale = sorted(name for name in UNCALLED if name in called or name not in exported)
+    assert not stale, f"pinned as uncalled, but called or no longer exported: {stale}"
 
 
 def test_every_module_constant_is_read_in_the_package():

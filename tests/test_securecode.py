@@ -41,7 +41,6 @@ from wiretapnc.securecode import (
     byzantine_secrecy_check,
     cai_yeung_to_coset,
     combination_secure_design,
-    projective_line_colors,
     secure_lif,
     verify_secrecy_condition,
     wiretappable_edges,
@@ -262,14 +261,6 @@ def test_alphabet_bound_refusals_name_the_count_and_its_value(bound, args, messa
     with pytest.raises(DimensionMismatch) as info:
         bound(*args)
     assert str(info.value) == message
-
-
-def test_projective_line_colors(gf3):
-    assert projective_line_colors(gf3) == [(0, 1), (1, 0), (1, 1), (1, 2)]
-    assert projective_line_colors(gf3, exclude_all_ones=True) == [
-        (0, 1), (1, 0), (1, 2)]
-    f4 = field_new(2, 2)
-    assert len(projective_line_colors(f4)) == 5  # q + 1 points
 
 
 def test_combination_design_exact_values(gf7):
