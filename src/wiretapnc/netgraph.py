@@ -9,9 +9,9 @@ coding vector of length n.
 Edges are visited in one fixed topological order by every algorithm, so all
 outputs are deterministic: Kahn's walk, the first ready nodes taken by name,
 each node's out-edges by id.  Each receiver's max flow is found once, when
-the Network is built, searched over the receiver's ancestors only; its min
-cut is read from that flow, and its edge-disjoint paths are decomposed from
-it once, on first use.
+the Network is built, by a forced walk back to the source or else by
+augmenting paths over the receiver's ancestors only; its min cut is read
+from that flow, and its edge-disjoint paths are decomposed once, on first use.
 """
 
 from __future__ import annotations
@@ -122,13 +122,27 @@ class Network:
         return out
 
     def _max_flow(self, receiver):
-        """BFS augmenting paths on the unit-capacity edge graph, run once per
-        receiver when the Network is built, over its ancestors' in-edges only:
-        flow lies only on source-to-receiver paths, and a non-ancestor leads
-        only to non-ancestors, so a search of every edge finds the same flow.
+        """(value, used): the receiver's max flow and the ids of the edges that
+        carry it, found once when the Network is built.  A forced walk goes back
+        from each in-edge of the receiver through nodes of one in-edge; if every
+        walk reaches the source on edges walked once, the flow is the receiver's
+        in-degree, which bounds it, and flow conservation at those nodes puts
+        every max flow on the walked edges.  Otherwise `_augment` searches."""
+        used = set()
+        for e in self._in[receiver]:
+            while e.tail != self.source and len(self._in[e.tail]) == 1 and e.id not in used:
+                used.add(e.id)
+                e = self._in[e.tail][0]
+            if e.tail != self.source or e.id in used:  # a root, a merge or an edge walked twice
+                return self._augment(receiver)
+            used.add(e.id)
+        return len(self._in[receiver]), used
 
-        Returns (value, used) where used is the set of edge ids carrying flow.
-        """
+    def _augment(self, receiver):
+        """BFS augmenting paths on the unit-capacity edge graph, over the
+        receiver's ancestors' in-edges only: flow lies only on
+        source-to-receiver paths, and a non-ancestor leads only to
+        non-ancestors, so a search of every edge finds the same flow."""
         stack, seen = [receiver], {receiver}  # a reverse walk finds the ancestors
         while stack:
             for e in self._in[stack.pop()]:

@@ -24,10 +24,10 @@ trusting it.
 Counting.  Observations of one size are counted a chunk at a time, in
 `combinations` order, and the Delta(mu) search stops after the chunk that
 holds the first zero.  Each row of a chunk packs its edges' symbols, then the
-secret, into one code, offset by the row.  One `bincount` counts every (S, Z)
-cell of the chunk, coded in the narrowest unsigned dtype that holds them all,
-when a row has at most q cells per outcome and CELL_BUDGET cells; one sort of
-int64 codes counts them when it has more.
+secret, into one code, offset by the row.  `bincount` counts every (S, Z)
+cell of the chunk, coded in the narrowest unsigned dtype that holds them all
+and cast to intp CELL_BUDGET codes at a time, when a row has at most q cells
+per outcome and CELL_BUDGET cells; one sort of int64 codes counts the others.
 Z's counts are the sums over the secret digit, and a row's counts sum to
 q^n, so they are equal iff max(count) * cells = q^n.
 
@@ -143,7 +143,7 @@ class CosetChannelOracle:
         return symbols
 
     def _dense(self, size):
-        """Whether observations of this size are counted by one bincount over
+        """Whether observations of this size are counted by bincount over
         their (S, Z) cells, at most q per outcome, rather than by one sort."""
         return self.q ** (size + self.k) <= min(CELL_BUDGET, self.q * self.total)
 
@@ -182,7 +182,10 @@ class CosetChannelOracle:
         code *= secrets
         code += self._secret  # (row, Z, S) in mixed radix
         if dense:
-            counts = np.bincount(code.ravel(), minlength=rows * bound * secrets)
+            code, cells = code.ravel(), rows * bound * secrets
+            counts = np.bincount(code, minlength=cells) if code.size <= CELL_BUDGET else sum(
+                np.bincount(code[i:i + CELL_BUDGET], minlength=cells)
+                for i in range(0, code.size, CELL_BUDGET))
             counts = counts.reshape(rows, bound, secrets)
             tables = (counts.reshape(rows, -1), counts.sum(axis=2))
             stats = [(t.max(axis=1), (t != 0).sum(axis=1)) for t in tables]

@@ -3,12 +3,12 @@
 Field elements serialize as their integer encodings.  All writers use
 canonical form (sorted keys, two-space indent, trailing newline) so result
 files are byte-stable and diffable.  The parsers that build networks, codes
-and designs import their modules when called, so reading a matrix loads none.
+and designs import their modules when called, so reading a matrix loads none,
+and `sha256_file` imports hashlib: only a manifest's input hashes load OpenSSL.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -52,6 +52,7 @@ def load_json(path, parse, kind):
 
 
 def sha256_file(path) -> str:
+    import hashlib
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         h.update(fh.read())

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -302,11 +303,13 @@ def test_manifest_goes_to_stdout_not_files(fixtures, capsys):
     assert manifest["version"]
 
 
-# command (None: `import wiretapnc` alone) -> the package modules it must
-# leave unloaded; only `oracle` and `paper-figures` may load numpy, and no
-# command loads dataclasses
+# command (None: `import wiretapnc` alone; a string: that module imported)
+# -> the package modules it must leave unloaded; only `oracle` and
+# `paper-figures` may load numpy, no command loads dataclasses, and only a
+# command whose manifest hashes input files loads hashlib
 IMPORT_GRAPH = (
     (None, {p.stem for p in Path(wiretapnc.__file__).parent.glob("*.py")} - {"__init__"}),
+    ("wiretapnc.serialize", {"netgraph", "securecode", "equivocation", "oracle", "cli"}),
     (["coset", "encode", "--H", "{d}/h.json", "--secret", "[1]"],
      {"netgraph", "securecode", "equivocation", "oracle"}),
     (["coset", "decode", "--H", "{d}/h.json", "--word", "[1, 0]"],
@@ -323,12 +326,16 @@ IMPORT_GRAPH = (
 
 def test_commands_without_the_oracle_leave_numpy_unloaded(fixtures):
     """Each command, in a fresh process, imports only the modules it runs:
-    numpy only for the oracle, and never dataclasses."""
+    numpy only for the oracle, never dataclasses, and hashlib only to hash
+    the input files its manifest names (unless the interpreter loads it at
+    start-up), whose sha256 values the manifest prints."""
     script = """
-import json, sys
+import importlib, json, sys
 import wiretapnc
 argv = json.loads(sys.argv[1])
-if argv is not None:
+if isinstance(argv, str):
+    importlib.import_module(argv)
+elif argv is not None:
     import wiretapnc.cli
     wiretapnc.cli.main(argv)
 print(json.dumps(sorted(sys.modules)))
@@ -336,17 +343,29 @@ print(json.dumps(sorted(sys.modules)))
     src = Path(wiretapnc.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
+    bare = subprocess.run([sys.executable, "-c", "import sys; print('hashlib' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    bare_loads_hashlib = bare.stdout.split() != ["False"]
     for argv, unloaded in IMPORT_GRAPH:
-        if argv is not None:
-            argv = [a.format(d=fixtures) for a in argv]
-        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=env,
+        command = [a.format(d=fixtures) for a in argv] if isinstance(argv, list) else None
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(command or argv)], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        lines = proc.stdout.splitlines()
+        loaded = set(json.loads(lines[-1]))
         assert not {f"wiretapnc.{m}" for m in unloaded} & loaded, argv
-        wants_numpy = argv is not None and argv[0] in ("oracle", "paper-figures")
+        wants_numpy = command is not None and command[0] in ("oracle", "paper-figures")
         assert ("numpy" in loaded) == wants_numpy, argv
         assert "dataclasses" not in loaded, argv
+        hashes = command is not None and command[0] != "paper-figures"
+        if not bare_loads_hashlib:
+            assert ("hashlib" in loaded) == hashes, argv
+        if hashes:
+            manifest = next(json.loads(ln) for ln in lines if ln.startswith('{"command": '))
+            paths = dict(zip(command, command[1:]))
+            assert manifest["inputs"] and manifest["inputs"] == {
+                name: hashlib.sha256(Path(paths[f"--{name}"]).read_bytes()).hexdigest()
+                for name in manifest["inputs"]}, argv
 
 
 def test_every_public_name_resolves_and_stays_cached():

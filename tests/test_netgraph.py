@@ -233,10 +233,52 @@ def test_max_flow_enqueues_only_the_receivers_ancestors(monkeypatch, build):
     monkeypatch.setattr(netgraph, "deque", RecordingDeque)
     for r in net.receivers:
         enqueued.clear()
-        assert net._max_flow(r)[0] == net.min_cut(r)
+        assert net._augment(r) == net._flows[r]  # the flow the Network stored, forced or not
         assert enqueued[0] == net.source
         assert set(enqueued) <= ancestors(net, r) | {net.source}
         assert (r in enqueued) == (net.min_cut(r) > 0)
+
+
+def test_forced_walks_settle_every_receiver_without_a_search(monkeypatch):
+    """Combination networks and random multicast networks (each middle node
+    has one source edge) make one deque per network, in `_toposort`."""
+    made = []
+
+    class CountingDeque(deque):
+        def __init__(self, items=()):
+            super().__init__(items)
+            made.append(self)
+
+    monkeypatch.setattr(netgraph, "deque", CountingDeque)
+    rng, f = random.Random(20261021), field_new(2)
+    nets = [combination_network(n, M, f) for n in range(1, 6) for M in range(n, 11)]
+    for _ in range(300):
+        n, t = rng.randint(1, 4), rng.randint(1, 4)
+        nets.append(random_multicast_network(rng, n, t, f, n - 1 + t * n + rng.randint(0, 3)))
+    assert len(made) == len(nets)
+
+
+def shared_edge_network(field):
+    """R's two in-edges walk back to the one edge Sa, so R's cut is 1."""
+    edges = [("Sa", "S", "a"), ("aR", "a", "R"), ("aR2", "a", "R")]
+    return Network(("S", "a", "R"), edges, "S", ("R",), 1, field)
+
+
+@pytest.mark.parametrize("build, searched", [
+    (shared_edge_network, ["R"]),
+    (butterfly_network, ["D", "F"]),  # D's and F's walks reach B, of two in-edges
+    (lambda f: unreachable_receiver_network(f, 0), ["R"]),  # R's walk reaches the root U
+], ids=["shared-edge", "butterfly", "root-not-source"])
+def test_walks_that_are_not_forced_fall_back_to_the_search(monkeypatch, build, searched):
+    calls = []
+    augment = Network._augment
+    monkeypatch.setattr(Network, "_augment", lambda net, r: calls.append(r) or augment(net, r))
+    net = build(field_new(2))
+    assert calls == searched
+    flows = net.edge_disjoint_flows()
+    for r, (value, paths) in reference_flows(net).items():
+        assert net.min_cut(r) == value
+        assert flows[r].paths == paths
 
 
 def test_max_flow_runs_once_per_receiver_when_the_network_is_built(monkeypatch):

@@ -415,6 +415,48 @@ def test_construction_makes_no_array_of_every_outcome_wider_than_a_symbol():
     assert np.array_equal(oracle._secret, np.arange(7 ** 6) % 7 ** 2)
 
 
+def test_counting_a_row_above_the_cell_budget_casts_no_whole_row_to_intp():
+    """Over GF(7) with n = 8 and k = 3, one observation is 7^8 codes, more
+    than CELL_BUDGET.  Counting it adds less than an intp copy of the row to
+    what the oracle holds (8 bytes an outcome: bincount over the whole row
+    made one), and the peak stays below the 148.6 MiB that copy gave.  Its
+    H(S | Z_W) equals the rank formula's."""
+    _, code, H = random_coded_instance(random.Random(1), q=7, n=8, k=3, max_edges=10)
+    W = ("e00", "e01")
+    tracemalloc.start()
+    try:
+        oracle = CosetChannelOracle(H, code)
+        assert oracle.total > oracle_module.CELL_BUDGET and oracle._dense(len(W))
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        terms = oracle.entropy_terms(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 148.6 * 2 ** 20
+    assert peak - held < 8 * oracle.total
+    assert terms["H(S|Z)"] == pytest.approx(
+        observation_equivocation(H, code.coding_matrix(W)), abs=1e-9)
+
+
+def test_a_row_above_the_cell_budget_is_counted_in_slices(monkeypatch):
+    """With CELL_BUDGET = 10, a row over GF(2) with n = 4 is 16 codes: each
+    single edge is counted by bincount in slices of at most 10 codes, and its
+    entropy terms equal the reference loop's."""
+    monkeypatch.setattr(oracle_module, "CELL_BUDGET", 10)
+    _, code, H = random_coded_instance(random.Random(5), q=2, n=4, k=2, max_edges=6)
+    oracle = CosetChannelOracle(H, code)
+    assert oracle._dense(1) and oracle._chunk_rows(1) == 1
+    sizes, bincount = [], np.bincount
+    monkeypatch.setattr(np, "bincount",
+                        lambda codes, **kwargs: sizes.append(codes.size) or bincount(codes, **kwargs))
+    edges = sorted(code.global_vectors)
+    for e in edges:
+        assert oracle.entropy_terms((e,)) == pytest.approx(
+            reference_entropy_terms(H, code, (e,)), abs=1e-9)
+    assert sizes == [10, 6] * len(edges)
+
+
 def test_unequal_counts_on_a_power_of_q_cells_are_refused():
     # over GF(2) with n = 3, a view that is 1 on outcomes 0 and 1 only has
     # Z counts 6, 2 and (S, Z) counts 3, 3, 1, 1: both tables sit on a power
