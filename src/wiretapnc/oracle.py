@@ -183,9 +183,8 @@ class CosetChannelOracle:
         code += self._secret  # (row, Z, S) in mixed radix
         if dense:
             code, cells = code.ravel(), rows * bound * secrets
-            counts = np.bincount(code, minlength=cells) if code.size <= CELL_BUDGET else sum(
-                np.bincount(code[i:i + CELL_BUDGET], minlength=cells)
-                for i in range(0, code.size, CELL_BUDGET))
+            counts = sum(np.bincount(code[i:i + CELL_BUDGET], minlength=cells)
+                         for i in range(0, code.size, CELL_BUDGET))
             counts = counts.reshape(rows, bound, secrets)
             tables = (counts.reshape(rows, -1), counts.sum(axis=2))
             stats = [(t.max(axis=1), (t != 0).sum(axis=1)) for t in tables]
