@@ -54,12 +54,13 @@ class CosetCode:
         self.generator = (*map(tuple, words), *H.kernel)
 
     def encode_with_randomness(self, secret, r):
-        """Deterministic coset word [secret r] G for explicit kernel coefficients r."""
+        """Deterministic coset word [secret r] G for explicit kernel
+        coefficients r; every symbol of both is checked as a field element."""
         if len(r) != self.n - self.k:
             raise DimensionMismatch(f"need {self.n - self.k} randomness symbols")
         if len(secret) != self.k:
             raise DimensionMismatch(f"secret length {len(secret)} != k={self.k}")
-        return combination(self.field, [*map(self.field.check, secret), *r],
+        return combination(self.field, [*map(self.field.check, [*secret, *r])],
                            self.generator, self.n)
 
     def encode(self, secret, seed: int = 0):

@@ -3,11 +3,11 @@
 Y is uniform on F_q^n, so the equivocation of an observation W is
 H(S | Z_W) = rank [H; C_W] - rank C_W, for full-rank and rank-deficient C_W
 alike.  Delta(mu) is its minimum over all W of size mu, attained where C_W
-has the largest rank, min(mu, rank C_E).  For mu <= rank C_E it is a
-branch-and-bound over the walk of sets of mu distinct coding-vector
-directions (`securecode.full_rank_observations`: points in lead form, reduced
-by one new row of each basis per level, compared above the leaves), which
-stops at the floor max(rank H - mu, rank [H; C_E] - rank C_E);
+has the largest rank, min(mu, rank C_E).  For mu <= rank C_E it is the last
+running minimum of the walk of sets of mu distinct coding-vector directions
+(`securecode.full_rank_observations`: points in lead form, reduced by one
+new row of each basis per level, compared above the leaves), which stops
+at the floor max(rank H - mu, rank [H; C_E] - rank C_E);
 for mu > rank C_E every largest-rank W spans C_E, so Delta(mu) =
 rank [H; C_E] - rank C_E, flagged.
 A call, or a sweep for all its mu, looks up the points once
@@ -78,7 +78,7 @@ def _deltas(H, code, edges, mus):
     spanning = None
     for mu in mus:
         if mu <= rank_E:  # nor less than rank [H; C_W] - |W| >= rank H - mu
-            for W, d in full_rank_observations(f, *prepared, (mu,), least=True):
+            for W, d in full_rank_observations(f, *prepared, (mu,)):
                 if d <= max(floor, len(base) - mu):
                     break
             yield d, W, False

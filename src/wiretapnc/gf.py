@@ -41,22 +41,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_divmod(num, den, p):
-    """Polynomial division of coefficient lists (little-endian) over GF(p)."""
+def _poly_mod(num, den, p):
+    """The remainder of coefficient lists (little-endian) num by den over GF(p)."""
     num = list(num)
-    dlead = den[-1]
-    dlead_inv = pow(dlead, p - 2, p)
+    dlead_inv = pow(den[-1], p - 2, p)
     dd = len(den) - 1
-    quot = [0] * max(len(num) - dd, 0)
     for i in range(len(num) - 1 - dd, -1, -1):
-        coef = num[i + dd] * dlead_inv % p
-        quot[i] = coef
-        if coef:
+        if coef := num[i + dd] * dlead_inv % p:
             for j, c in enumerate(den):
                 num[i + j] = (num[i + j] - coef * c) % p
     while len(num) > 1 and num[-1] == 0:
         num.pop()
-    return quot, num
+    return num
 
 
 def _is_irreducible(poly, p):
@@ -66,8 +62,7 @@ def _is_irreducible(poly, p):
         # monic divisors of degree d, lower coefficients enumerated base p
         for code in range(p ** d):
             div = _int_to_coeffs(code, p, d) + [1]
-            _, rem = _poly_divmod(poly, div, p)
-            if rem == [0]:
+            if _poly_mod(poly, div, p) == [0]:
                 return False
     return True
 
@@ -224,7 +219,7 @@ class FieldSpec:
             if ai:
                 for j, bj in enumerate(bc):
                     prod[i + j] = (prod[i + j] + ai * bj) % p
-        _, rem = _poly_divmod(prod, list(self.modulus), p)
+        rem = _poly_mod(prod, self.modulus, p)
         rem += [0] * (self.m - len(rem))
         return _coeffs_to_int(rem, p)
 

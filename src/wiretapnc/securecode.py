@@ -12,8 +12,11 @@ with no elimination of every edge row; over every edge, the code keeps
 it (`NetworkCode.prepared` says how long).  Down a prefix
 tree, the walk carries every later point's remainder by C_W and [H; C_W],
 one row step per point per level, but a node above the leaves compares
-lead forms instead (the root's are its points, each prepared in lead form),
-and yields rank [H; C_W] - |W|.
+lead forms instead (the root's are its points, each prepared in lead form).
+It yields d = rank [H; C_W] - |W| for the first full-rank set and then only
+for the sets that lower the running minimum, and cuts every prefix that
+cannot: d is at most k, so a set violates iff its d is below k, and a
+verification is the first yield with d != k; Delta(mu) is the last yield.
 `secure_lif` (Linear Information Flow with security invariants) tests
 candidates by the containment form of the condition: a new vector must leave
 span [H; C_W] unless it lies in span C_W.  Its search, in `lif`, grows those
@@ -141,27 +144,26 @@ def observation_points(code: NetworkCode, edges, H: FMatrix, G: FMatrix | None =
     return code.prepared("cascade", (H.data, G.data), prepare)
 
 
-def full_rank_observations(f: FieldSpec, base, points, sizes, least=False):
-    """Yield (W, d) per set W of `points` (`observation_points`, with H's basis
-    `base`) of the given sizes whose C_W has full rank |W|, in lexicographic
-    order per size, named by first edges; d = rank [H; C_W G] - |W|.  Depth
-    first, each node holds its later points as remainders by echelon bases of
-    C_W and [H; C_W G]: taking a point reduces each later one by the one new
-    row of each basis and drops those left in span C_W.  Above the leaves, as
-    r - r[p] s = 0 for a row s with 1 at pivot p iff r's lead form is s, a
-    node compares its points' lead forms instead: the root's points are
-    theirs, and a node below it makes them once, at its first point not cut.
-    `least`: only the sets whose d is below every d yielded before; a
-    j-prefix of a size-s set is cut when its d - (s - j) is not, as a point
-    lowers d by at most 1."""
+def full_rank_observations(f: FieldSpec, base, points, sizes):
+    """Yield (W, d), d = rank [H; C_W G] - |W|, for the first set W of `points`
+    (`observation_points`, with H's basis `base`) of the given sizes whose C_W
+    has full rank |W|, sizes in the given order, then lexicographic, named by
+    first edges, and after it for each whose d is below every d yielded
+    before: a j-prefix of a size-s set is cut when its d - (s - j) is not, as
+    a point lowers d by at most 1.  Depth first, each node holds its later
+    points as remainders by echelon bases of C_W and [H; C_W G]: taking a
+    point reduces each later one by the one new row of each basis and drops
+    those left in span C_W.  Above the leaves, as r - r[p] s = 0 for a row s
+    with 1 at pivot p iff r's lead form is s, a node compares its points'
+    lead forms instead: the root's points are theirs, and a node below it
+    makes them once, at its first point not cut."""
     best = inf
 
     def grow(W, points, c, hc, left, forms):  # c, hc: the ranks of C_W and [H; C_W G]
         nonlocal best
         if not left:
-            if least:
-                best = hc - c
-            yield W, hc - c
+            best = hc - c
+            yield W, best
             return
         for j in range(len(points) - left + 1):
             eid, row, hrow = points[j]
@@ -175,8 +177,7 @@ def full_rank_observations(f: FieldSpec, base, points, sizes, least=False):
                 _, r, h = forms[j]
                 for e, ri, hi in forms[j + 1:]:
                     if ri != r and (d := low + (hi != h and hi != ())) < best:
-                        if least:
-                            best = d
+                        best = d
                         yield W + (eid, e), d
                 continue
             later = []
@@ -196,9 +197,10 @@ def verify_secrecy_condition(H: FMatrix, code: NetworkCode, mu: int, restricted=
     """Exhaustive check of the secrecy rank condition.
 
     Requires rank [H; C_W] = k + |W| for every full-rank observation of at
-    most mu edges (within the restricted set if given), once per set of
-    distinct coding-vector directions.  Returns (ok, witness) with witness
-    the first violating edge subset, smallest size first, then lexicographic.
+    most mu edges (within the restricted set if given), over the walk's
+    running minima, which skip only the sets that cannot violate.  Returns
+    (ok, witness) with witness the first violating edge subset, smallest
+    size first, then lexicographic.
     """
     return _first_violation(H, code, mu, restricted, range(1, mu + 1))
 

@@ -219,11 +219,12 @@ def reference_first_violation(H, code, sizes, restricted=None, G=None):
 
 
 def reference_walk(H, code, size, G=None, least=False):
-    """`full_rank_observations`' (W, d) sequence over every edge, by the plain
-    loop over the edge subsets of one size in lexicographic order: each W of
-    full rank whose every edge is the first edge of its direction, with
-    d = rank [H; C_W G] - |W| (G = I when None); with `least`, only those
-    whose d is below every d before."""
+    """The (W, d) of every full-rank set of distinct directions over every
+    edge, by the plain loop over the edge subsets of one size in
+    lexicographic order: each W of full rank whose every edge is the first
+    edge of its direction, with d = rank [H; C_W G] - |W| (G = I when None);
+    with `least`, only the first and those whose d is below every d before,
+    `full_rank_observations`' sequence."""
     edges = sorted(code.global_vectors)
     nonzero = [e for e in edges if any(code.global_vectors[e])]
     firsts = [e for e in nonzero if all(code.coding_matrix((x, e)).rank() == 2
@@ -352,7 +353,8 @@ def plane_fan_instance(field):
     """The fan code (`fan_code`) whose q + 1 branches carry every direction
     of the plane x_3 = 0 of F_q^3, (0, 1, 0) and then (1, a, 0) for each a,
     with H = [0 0 1]: no set of at most 2 directions violates the secrecy
-    condition, so a mu = 2 verification walks all choose(q + 1, 2) pairs."""
+    condition, so a mu = 2 verification compares all choose(q + 1, 2) pairs
+    and yields none of them, as none lowers the running minimum."""
     vectors = [(0, 1, 0)] + [(1, a, 0) for a in range(field.order)]
     return fan_code(field, 3, vectors), FMatrix(field, [[0, 0, 1]])
 

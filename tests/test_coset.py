@@ -15,6 +15,7 @@ from wiretapnc.coset import (
 from wiretapnc.exceptions import (
     BadParameters,
     DimensionMismatch,
+    EntryOutOfRange,
     ExtensionTooSmall,
     LengthExceedsField,
     SingularMatrix,
@@ -129,6 +130,22 @@ def test_dimension_guards(gf3):
         code.encode_with_randomness([1, 2], [0])
     with pytest.raises(DimensionMismatch):
         code.encode_with_randomness([1], [0, 0])
+
+
+@pytest.mark.parametrize("q", [5, 4, 9])
+def test_randomness_symbols_are_checked(q):
+    """Each randomness symbol is checked as the secret's are: on H = [[1, 1]],
+    7 (out of range but over GF(9)), -1, True and 1.5 raise EntryOutOfRange,
+    not a word with a float in it or an IndexError."""
+    f = field_new(*prime_power_parts(q))
+    code = CosetCode(FMatrix(f, [[1, 1]]))
+    for r in (7, -1, True, 1.5):
+        if r == 7 and q == 9:
+            word = code.encode_with_randomness([1], [r])
+            assert code.decode(word) == [1] and all(type(x) is int for x in word)
+            continue
+        with pytest.raises(EntryOutOfRange):
+            code.encode_with_randomness([1], [r])
 
 
 def test_rs_parity_check_gf7(gf7):

@@ -201,6 +201,12 @@ def test_kernel_equals_inverse_and_select_form():
     assert min(seen.values()) > 0
 
 
+def distinct_directions(code, sets):
+    """Whether no two of the edge sets carry the same set of directions."""
+    lines = [frozenset(row_space(code.coding_matrix([e])) for e in W) for W in sets]
+    return len(lines) == len(set(lines))
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16])
 def test_point_enumeration_equals_edge_subset_loop(q):
     # every mu from 0 to |E|, so mu > rank C_E (the closed form) is covered
@@ -217,13 +223,15 @@ def test_point_enumeration_equals_edge_subset_loop(q):
             f.mul(rng.randrange(1, q), x) for x in code.global_vectors[source])
         seen["parallel"] += any(code.global_vectors[source])
         G = random_full_rank_matrix(rng, f, n, n)
+        # each set of directions is yielded once, whichever edges carry it, by
+        # the walk, which yields running minima only, and by the plain loop that
+        # it is checked against (`reference_walk`), which yields every set
+        assert distinct_directions(code, [W for size in range(n + 1)
+                                          for W, _ in reference_walk(H, code, size)])
         for restricted in (None, sorted(rng.sample(ids, rng.randint(1, len(ids))))):
             edges = ids if restricted is None else restricted
-            # each set of directions is yielded once, whichever edges carry it
-            lines = [frozenset(row_space(code.coding_matrix([e])) for e in W)
-                     for W, *_ in full_rank_observations(
-                         f, *observation_points(code, edges, H), range(n + 1))]
-            assert len(lines) == len(set(lines))
+            assert distinct_directions(code, [W for W, _ in full_rank_observations(
+                f, *observation_points(code, edges, H), range(n + 1))])
             for mu in range(len(edges) + 1):
                 got = equivocation_rank(H, code, mu, restricted)
                 assert got == reference_equivocation_rank(H, code, mu, restricted), mu
@@ -268,14 +276,13 @@ def test_fan_corpus_equals_edge_subset_loops(monkeypatch):
     """On seeded fan codes over GF(2)-GF(9), n <= 5, M <= 8 and every mu <=
     rank C_E, Delta(mu), witness and flag, and the secrecy and cascade
     verdicts, equal the plain edge-subset loops; and Delta's search both
-    stops early (its walk is left unfinished) and prunes by the bound (a
-    finished walk still takes fewer row steps, remainders reduced by one
-    basis row, than the unpruned walk)."""
-    walk, steps, finished, seen = (securecode.full_rank_observations,
-                                   count_row_steps(monkeypatch), [], Counter())
+    stops early (its walk is left unfinished) and cuts by the bound (a
+    finished walk yields fewer sets than the plain loop finds full-rank sets
+    of distinct directions, `reference_walk`)."""
+    walk, finished, seen = securecode.full_rank_observations, [], Counter()
 
-    def watched(*args, **kwargs):
-        yield from walk(*args, **kwargs)
+    def watched(*args):
+        yield from walk(*args)
         finished.append(True)
 
     monkeypatch.setattr(equivocation, "full_rank_observations", watched)
@@ -287,21 +294,19 @@ def test_fan_corpus_equals_edge_subset_loops(monkeypatch):
         G = random_full_rank_matrix(rng, f, n, n)
         edges = sorted(code.global_vectors)
         for mu in range(1, code.coding_matrix(edges).rank() + 1):
-            steps[0], finished[:] = 0, []
+            finished[:] = []
             got = equivocation_rank(H, code, mu)
-            searched = steps[0]
             assert got == reference_equivocation_rank(H, code, mu), (q, mu)
-            steps[0] = 0
-            list(walk(f, *observation_points(code, edges, H), (mu,)))
             if not finished:
                 seen["stopped"] += 1
-            elif searched < steps[0]:
-                seen["pruned"] += 1
+            elif len(list(walk(f, *observation_points(code, edges, H), (mu,)))) < \
+                    len(reference_walk(H, code, mu)):
+                seen["cut"] += 1
             assert verify_secrecy_condition(H, code, mu) == \
                 reference_first_violation(H, code, range(1, mu + 1))
             assert byzantine_secrecy_check(H, G, code, mu) == \
                 reference_first_violation(H, code, (mu,), None, G)
-    assert seen["stopped"] and seen["pruned"], seen
+    assert seen["stopped"] and seen["cut"], seen
 
 
 def test_fan_delta_row_steps_pinned(monkeypatch):
@@ -370,11 +375,11 @@ def test_kept_analyses_at_mu_2_do_no_field_arithmetic(monkeypatch):
 
 @pytest.mark.parametrize("q", [2, 4, 7, 9])
 def test_walk_equals_the_edge_subset_loop(q):
-    """At sizes 2 and 3, with and without a cascade G and with and without
-    `least`, the walk's whole (W, d) sequence equals the plain loop's
-    (`reference_walk`), on a fresh preparation and on one walked before; on
+    """At sizes 2 and 3, with and without a cascade G, the walk's whole
+    (W, d) sequence equals the plain loop's running minima (`reference_walk`
+    with `least`), on a fresh preparation and on one walked before; on
     seeded fan codes with zero and parallel vectors, where three directions
-    can be dependent and `least` cuts sets."""
+    can be dependent and the running minimum cuts sets."""
     rng, f, seen = random.Random(3400 + q), field_new(*prime_power_parts(q)), Counter()
     for n in (2, 3, 3, 4):
         code, H = fan_instance(rng, f, rng.randint(3, 8), n, rng.randint(1, n))
@@ -384,12 +389,11 @@ def test_walk_equals_the_edge_subset_loop(q):
             prepared = observation_points(code, edges, H, G)
             for size in (2, 3):
                 whole = reference_walk(H, code, size, G)
-                for least in (False, True):
-                    want = reference_walk(H, code, size, G, least)
-                    for _ in range(2):
-                        got = full_rank_observations(f, *prepared, (size,), least)
-                        assert list(got) == want, (size, least, G is None)
-                    seen["cut"] += len(want) < len(whole)
+                want = reference_walk(H, code, size, G, least=True)
+                for _ in range(2):
+                    got = full_rank_observations(f, *prepared, (size,))
+                    assert list(got) == want, (size, G is None)
+                seen["cut"] += len(want) < len(whole)
                 seen["dependent"] += len(whole) < comb(len(prepared[1]), size)
     assert seen["cut"] and seen["dependent"], seen
 
@@ -415,18 +419,40 @@ def test_every_point_is_in_lead_form(q):
     assert seen[True] and seen[False], seen
 
 
-def test_plane_fan_walks_every_pair():
+def test_plane_fan_walk_yields_one_pair():
     """Over GF(31) the plane fan code (`plane_fan_instance`, the instance of
     CI's GF(2003) wall) keeps the secrecy condition at mu = 2, as the plain
-    edge-subset loop finds, and its size-2 walk yields all choose(32, 2)
-    pairs of directions, each with d = k = 1."""
+    edge-subset loop finds, and its size-2 walk yields one pair: every pair
+    has d = k = 1, so none after the first lowers the running minimum (a walk
+    that yields every full-rank set gives all choose(32, 2) = 496)."""
     f = field_new(31)
     code, H = plane_fan_instance(f)
     assert verify_secrecy_condition(H, code, 2) == (True, None) == \
         reference_first_violation(H, code, (1, 2))
     walked = list(full_rank_observations(
         f, *observation_points(code, code.network.sorted_edge_ids, H), (2,)))
-    assert len(walked) == comb(32, 2) and {d for _, d in walked} == {1}
+    assert walked == [(("Sv0", "Sv1"), 1)]
+
+
+def test_secure_cascade_walk_yields_one_set(monkeypatch):
+    """On the secure B(4, 6) design over GF(11) at mu = 2, with G = I, the
+    cascade check holds, as the plain edge-subset loop finds, and its walk
+    yields one set, the first: every full-rank pair has d = k = 2, so none
+    after it lowers the running minimum (a walk that yields every full-rank
+    set gives all choose(6, 2) = 15 pairs of source out-edges)."""
+    design = combination_secure_design(4, 6, field_new(11), 2)
+    H, code = design.coset.parity_check, design.netcode
+    G, walk, walked = FMatrix.identity(code.field, 4), securecode.full_rank_observations, []
+
+    def recorded(*args):
+        for W, d in walk(*args):
+            walked.append((W, d))
+            yield W, d
+
+    monkeypatch.setattr(securecode, "full_rank_observations", recorded)
+    assert byzantine_secrecy_check(H, G, code, 2) == (True, None) == \
+        reference_first_violation(H, code, (2,), None, G)
+    assert walked == [(("Sm0", "Sm1"), 2)]
 
 
 def test_point_set_walk_builds_no_matrix_per_set(monkeypatch):

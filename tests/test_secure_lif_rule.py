@@ -28,6 +28,7 @@ from conftest import (
     random_multicast_network,
     reference_candidate_verdict,
     reference_first_candidate,
+    reference_walk,
     smallest_prime_power_at_least,
 )
 from wiretapnc import lif, securecode
@@ -244,11 +245,12 @@ def _search_steps(net, H, mu):
     """Drive secure_lif's search (`lif.search`) edge by edge and
     yield, per edge it reaches: (code, edge id, paths, frontier, forbidden,
     security, fresh).  Before the edge: the (receiver, path index) pairs it
-    lies on, the receivers' frontiers, and a fresh `full_rank_observations`
-    enumeration of the security sets as (W, pair).  forbidden is the edge's
-    pairs (inside, outside) of annihilator rows: the search's dual rows, then
-    the pairs it gathered at the edge, or the fresh ones when it gathered
-    none (security None).  `_frontier` checks the search's dual basis after
+    lies on, the receivers' frontiers, and a fresh enumeration of the
+    security sets as (W, pair), every full-rank set of each size below mu by
+    the plain edge-subset loop (`conftest.reference_walk`).  forbidden is
+    the edge's pairs (inside, outside) of annihilator rows: the search's dual
+    rows, then the pairs it gathered at the edge, or the fresh ones when it
+    gathered none (security None).  `_frontier` checks the search's dual basis after
     every edge, forwarding edges included.  An edge with no valid vector
     (FieldTooSmall) is yielded uncoded and ends the run."""
     code = NetworkCode(net)
@@ -261,13 +263,11 @@ def _search_steps(net, H, mu):
     steps = lif.search(code, H, mu)
     for e in net.topological_order:
         frontier = _frontier(code, dual)
-        processed = list(code.global_vectors)
         fresh = []
-        for W, *_ in securecode.full_rank_observations(
-                net.field, *securecode.observation_points(code, processed, H),
-                range(mu if H.rows else 0)):
-            C = code.coding_matrix(W)
-            fresh.append((W, (kernel(H.stack(C)).data, kernel(C).data)))
+        for size in range(mu if H.rows else 0):
+            for W, _ in reference_walk(H, code, size):
+                C = code.coding_matrix(W)
+                fresh.append((W, (kernel(H.stack(C)).data, kernel(C).data)))
         paths = on_path[e.id]
         receiving = [((dual[r][pi],), None) for r, pi in paths]
         try:
@@ -426,8 +426,8 @@ def test_line_solve_matches_a_scan_of_the_line():
 
 def test_cached_security_pairs_equal_a_fresh_enumeration():
     """The security pairs secure_lif extends edge by edge are, at every edge
-    that gathers them, those a fresh `full_rank_observations` pass gives, in
-    the same order."""
+    that gathers them, those a fresh plain edge-subset loop gives
+    (`conftest.reference_walk`), in the same order."""
     sizes = set()
     for net, H, mu in _search_instances():
         for *_, security, fresh in _search_steps(net, H, mu):
