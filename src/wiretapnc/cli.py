@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -308,15 +309,16 @@ def build_parser():
     analysis.add_argument("--design", required=True)
     analysis.add_argument("--restricted",
                           help="comma-separated edge ids (default: params.restricted)")
+    network = _Parser(add_help=False)
+    network.add_argument("--network", required=True)
+    network.add_argument("--mu", type=int, required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("paper-figures", help="regenerate the built-in reference example reports")
     p.add_argument("--out", help="directory for generated report copies")
     p.set_defaults(func=cmd_paper_figures)
 
-    p = sub.add_parser("build", help="security-constrained LIF construction")
-    p.add_argument("--network", required=True)
-    p.add_argument("--mu", type=int, required=True)
+    p = sub.add_parser("build", parents=[network], help="security-constrained LIF construction")
     p.add_argument("--H", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
@@ -333,9 +335,7 @@ def build_parser():
     p.add_argument("--mu", type=int, required=True)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("bounds", help="sufficient alphabet size for a network")
-    p.add_argument("--network", required=True)
-    p.add_argument("--mu", type=int, required=True)
+    p = sub.add_parser("bounds", parents=[network], help="sufficient alphabet size for a network")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("coset", help="coset encode/decode")
@@ -352,11 +352,16 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at the interpreter's exit
+        return status
     except SystemExit as exc:  # --help
         return 1 if exc.code not in (0, None) else 0
     except WiretapNCError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # stdout closed early (`| head -1`): the exit's flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

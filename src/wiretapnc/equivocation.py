@@ -25,15 +25,10 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb
 
-from .exceptions import (
-    CapExceeded,
-    CutNotInvertible,
-    DimensionMismatch,
-    SingularMatrix,
-)
+from .exceptions import CapExceeded, CutNotInvertible, SingularMatrix
 from .fmatrix import FMatrix, combination, echelon, reduce_row
 from .netgraph import NetworkCode
-from .securecode import (admit_wiretap, check_budget, full_rank_observations,
+from .securecode import (admit_deltas, admit_wiretap, check_budget, full_rank_observations,
                          observation_points, wiretappable_edges)
 
 GHW_CODEWORD_CAP = 10 ** 6
@@ -55,28 +50,29 @@ def equivocation_rank(H: FMatrix, code: NetworkCode, mu: int, restricted=None):
     Returns (delta, witness, flagged); flagged means mu > rank C_E, so no
     size-mu subset achieves rank mu.
     """
-    edges = admit_wiretap(H, code, mu, restricted)
-    if mu == 0:
-        return H.rows, (), False
-    if mu > len(edges):
-        raise DimensionMismatch(f"mu={mu} exceeds {len(edges)} wiretappable edges")
-    return next(_deltas(H, code, edges, (mu,)))
+    return next(_deltas(H, code, mu, (mu,), restricted))
 
 
-def _deltas(H, code, edges, mus):
-    """(delta, witness, flagged) per mu of `mus`, 0 < mu <= |edges|, from the
-    walk's points and the rank C_E and floor read off them, all in one
-    preparation (`observation_points`), looked up when the first is asked
-    for; rank C_E and the floor are read on its first Delta."""
-    f, prepared = code.field, observation_points(code, edges, H)
-    base, points = prepared
-    if prepared.ranks is None:
-        rank_E = len(echelon(f, [v for _, v, _ in points]))
-        # no observation leaves less than Z_E does: H(S | Z_W) >= H(S | Z_E)
-        prepared.ranks = rank_E, len(base) + len(echelon(f, [h for *_, h in points if h])) - rank_E
-    rank_E, floor = prepared.ranks
-    spanning = None
+def _deltas(H, code, budget, mus, restricted=None, name="mu"):
+    """(delta, witness, flagged) per mu of `mus`, after one admission
+    (`admit_deltas` at `budget`).  Delta(0) = rank H; the walk's points are
+    prepared (`observation_points`) at the first mu > 0, and rank C_E and
+    the floor are read off them on their first Delta."""
+    edges = admit_deltas(H, code, budget, mus, restricted, name)
+    f, prepared, spanning = code.field, None, None
     for mu in mus:
+        if not mu:
+            yield H.rows, (), False
+            continue
+        if not prepared:
+            prepared = observation_points(code, edges, H)
+            base, points = prepared
+            if prepared.ranks is None:
+                rank_E = len(echelon(f, [v for _, v, _ in points]))
+                # no observation leaves less than Z_E does: H(S | Z_W) >= H(S | Z_E)
+                rank_HE = len(base) + len(echelon(f, [h for *_, h in points if h]))
+                prepared.ranks = rank_E, rank_HE - rank_E
+            rank_E, floor = prepared.ranks
         if mu <= rank_E:  # nor less than rank [H; C_W] - |W| >= rank H - mu
             for W, d in full_rank_observations(f, *prepared, (mu,)):
                 if d <= max(floor, len(base) - mu):
@@ -113,20 +109,15 @@ def _first_spanning(f, code, edges, rank_E):
 
 def equivocation_sweep(H: FMatrix, code: NetworkCode, mu_max: int,
                        restricted=None) -> EquivocationReport:
-    """Delta(mu) for mu = 0..mu_max plus the network d_r profile, with one
-    admission, and one preparation of the walk's points if mu_max > 0."""
-    edges = admit_wiretap(H, code, mu_max, restricted, name="mu_max")
-    if mu_max > len(edges):  # equivocation_rank's refusal of the first mu past |E|
-        raise DimensionMismatch(f"mu={len(edges) + 1} exceeds {len(edges)} wiretappable edges")
-    k, report, mus = H.rows, EquivocationReport(), range(1, mu_max + 1)
-    report.delta[0], report.witnesses[0], report.flagged[0] = k, (), False
-    for mu, result in zip(mus, _deltas(H, code, edges, mus)):  # an empty mus asks for none
-        report.delta[mu], report.witnesses[mu], report.flagged[mu] = result
-    for r in range(k + 1):
-        for mu in range(mu_max + 1):
-            if report.delta[mu] == k - r:
-                report.d_profile[r] = mu
-                break
+    """Delta(mu) for mu = 0..mu_max plus the network d_r profile, the first
+    mu with Delta(mu) = k - r, in one pass over `_deltas`: Delta never rises
+    with mu and falls by at most 1 per step (one more symbol lowers H(S | Z)
+    by at most one q-ary unit), so each r up to k - Delta(mu_max) is met."""
+    report, mus = EquivocationReport(), range(mu_max + 1)
+    deltas = _deltas(H, code, mu_max, mus, restricted, "mu_max")
+    for (delta, witness, flagged), mu in zip(deltas, mus):  # deltas first: it admits an empty mus
+        report.delta[mu], report.witnesses[mu], report.flagged[mu] = delta, witness, flagged
+        report.d_profile.setdefault(H.rows - delta, mu)
     return report
 
 

@@ -6,7 +6,9 @@ used by all arithmetic and every JSON interchange format; `FieldSpec.check` is
 the one check on an incoming element.  Each field picks its arithmetic once:
 `add`, `neg`, `mul`, `inv` and the row kernels `axpy`, `dot` and `scale`, by
 reduction mod p, by exp/log tables, or by the digit loops of an extension
-field above `LOG_TABLE_CAP`, which also seed the tables.
+field above `LOG_TABLE_CAP` (digit-wise sums and polynomial products, -a
+being the product (p - 1) a), which also seed the tables.  One trial
+division, `_prime_factors`, serves `is_prime` and the primitive element.
 """
 
 from __future__ import annotations
@@ -27,18 +29,7 @@ LOG_TABLE_CAP = 2 ** 16
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and _prime_factors(n) == {n}
 
 
 def _poly_mod(num, den, p):
@@ -137,7 +128,7 @@ class FieldSpec:
                     lambda c, v: [c * x % p for x in v])
         if exp is None:  # the digit loops
             add, fmul = self._add_digits, self._mul_poly
-            return (add, self._neg_digits,
+            return (add, lambda a: fmul(p - 1, a),  # -a = (p - 1) a
                     lambda c, row, v: [add(x, fmul(c, y)) if y else x for x, y in zip(v, row)],
                     lambda a, b: reduce(add, map(fmul, a, b), 0), fmul,
                     lambda a: _power(fmul, a, q1 - 1) if a else _no_inverse(),
@@ -197,16 +188,6 @@ class FieldSpec:
             res += (a % p + b % p) % p * mult
             a //= p
             b //= p
-            mult *= p
-        return res
-
-    def _neg_digits(self, a):
-        p = self.p
-        res = 0
-        mult = 1
-        while a:
-            res += -a % p % p * mult
-            a //= p
             mult *= p
         return res
 

@@ -16,10 +16,10 @@ a field element is adding digits mod p, and the table grows one base-p digit
 d of t at a time, table[v p^d + t] = table[t] + v x^l c_i for d = i m + l,
 in the smallest unsigned dtype that holds 2p.  Multiplying by a fixed element
 is GF(p)-linear on digits, so the digits of every x^l c_i are one small
-integer matrix mod p, made once.  The same recursion, on H's rows in a
-table of their own, dropped after the check, gives every outcome's syndrome
-H y, which must equal its secret: the oracle checks the encoder instead of
-trusting it.
+integer matrix mod p, made once from the c_i, computed in the field.  The same
+recursion, on H's rows in a table of their own, dropped after the check,
+gives every outcome's syndrome H y, which must equal its secret: the oracle
+checks the encoder instead of trusting it.
 
 Counting.  Observations of one size are counted a chunk at a time, in
 `combinations` order, and the Delta(mu) search stops after the chunk that
@@ -51,23 +51,21 @@ from .coset import CosetCode
 from .exceptions import CapExceeded, DimensionMismatch, InvariantViolated
 from .fmatrix import FMatrix
 from .netgraph import NetworkCode
-from .securecode import admit_wiretap
+from .securecode import admit_deltas, admit_wiretap
 
 ENUM_CAP = 10 ** 7  # q^n outcomes one oracle may enumerate
 CELL_BUDGET = 1 << 16  # codes or count cells in one chunk, whatever |W|
 CODE_LIMIT = 1 << 62  # packed codes stay below this, so int64 never wraps
 
 
-def _digit_matrix(field, rows, cols):
-    """GF(p) matrix of u -> u A for the GF(p^m) matrix A with these rows:
-    row i m + l holds the base-p digits of x^l A[i][j] for every column j."""
+def _digit_matrix(field, rows):
+    """GF(p) matrix of u -> u A for the GF(p^m) matrix A with these rows, at
+    least one: row i m + l holds the base-p digits of x^l A[i][j] for every
+    column j."""
     p, m = field.p, field.m
     place = [p ** d for d in range(m)]
-    return np.array(
-        [[field.mul(a, unit) // w % p for a in row for w in place]
-         for row in rows for unit in place],
-        dtype=np.int64,
-    ).reshape(len(rows) * m, cols * m)
+    return np.array([[field.mul(a, unit) // w % p for a in row for w in place]
+                     for row in rows for unit in place], dtype=np.int64)
 
 
 class CosetChannelOracle:
@@ -120,12 +118,11 @@ class CosetChannelOracle:
 
     def _symbol_rows(self, generator, columns):
         """One row per column: over a prime field, the digit table itself."""
-        f, n, total = self.field, self.n, self.total
+        f, total = self.field, self.total
         p, m = f.p, f.m
         width = len(columns) * m  # m base-p digit rows per column
-        transposed = [[col[i] for col in columns] for i in range(n)]
         # row d = i m + l: the base-p digits of x^l c_i, which digit d of t adds
-        channel = _digit_matrix(f, generator, n) @ _digit_matrix(f, transposed, len(columns)) % p
+        channel = _digit_matrix(f, [[f.dot(g, c) for c in columns] for g in generator])
         digit = np.min_scalar_type(2 * p - 2)  # unsigned, holds a sum of two digits
         multiples = channel[:, :, None] * np.arange(1, p) % p
         multiples = multiples.astype(digit)[..., None]  # d -> (width, p - 1, 1)
@@ -234,16 +231,14 @@ def min_equivocation_bruteforce(H: FMatrix, code: NetworkCode, mu: int,
     """Exact Delta(mu) = min over |W| = mu of H(S|Z_W), with witness: the
     first minimiser in `combinations` order.
 
-    The independent ground truth for the rank formula.  Admission, the
-    mu = 0 answer and the refusal of mu above the edge count come first;
-    then the oracle kept on the code is read (`NetworkCode.prepared`); a
-    table ENUM_CAP refuses is not kept.
+    The independent ground truth for the rank formula.  Its admission
+    (`admit_deltas`) and the mu = 0 answer come first; then the oracle kept
+    on the code is read (`NetworkCode.prepared`); a table ENUM_CAP refuses
+    is not kept.
     """
-    edges = admit_wiretap(H, code, mu, restricted)
+    edges = admit_deltas(H, code, mu, (mu,), restricted)
     if mu == 0:
         return H.rows, ()
-    if mu > len(edges):
-        raise DimensionMismatch(f"mu={mu} exceeds {len(edges)} wiretappable edges")
     oracle = code.prepared("oracle", H.data, lambda: CosetChannelOracle(H, code))
     observations, rows = combinations(edges, mu), oracle._chunk_rows(mu)
     best, witness = None, None

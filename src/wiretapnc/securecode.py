@@ -105,6 +105,17 @@ def admit_wiretap(H: FMatrix, code: NetworkCode, mu: int, restricted=None,
     return wiretappable_edges(code, restricted)
 
 
+def admit_deltas(H: FMatrix, code: NetworkCode, budget: int, mus, restricted=None, name="mu"):
+    """`admit_wiretap` at `budget`, then the refusal of the first of `mus`
+    past the wiretappable edges (DimensionMismatch), reading `mus` no
+    further, so a sweep to any mu_max is refused at once; returns the edges."""
+    edges = admit_wiretap(H, code, budget, restricted, name=name)
+    for mu in mus:
+        if mu > len(edges):
+            raise DimensionMismatch(f"mu={mu} exceeds {len(edges)} wiretappable edges")
+    return edges
+
+
 class Preparation(tuple):
     """The walk's preparation (base, points) from `observation_points`; `ranks`
     is None until `equivocation._deltas` reads (rank C_E, floor) off them."""
@@ -266,11 +277,16 @@ def secure_lif(net: Network, n: int, mu: int, H: FMatrix,
 
 # ---- alphabet-size bounds ----
 
-def alphabet_bound_general(E_count: int, mu: int, t: int) -> int:
-    """Sufficient field size choose(|E|-1, mu-1) + t for the modified LIF."""
-    for name, value in (("the edge count |E|", E_count), ("mu", mu), ("the receiver count t", t)):
+def _bound_arguments(t: int, *named):
+    """Refuse the first of `named`'s (name, value) pairs, then t, below 1."""
+    for name, value in (*named, ("the receiver count t", t)):
         if value < 1:
             raise DimensionMismatch(f"{name}={value} must be at least 1")
+
+
+def alphabet_bound_general(E_count: int, mu: int, t: int) -> int:
+    """Sufficient field size choose(|E|-1, mu-1) + t for the modified LIF."""
+    _bound_arguments(t, ("the edge count |E|", E_count), ("mu", mu))
     return comb(E_count - 1, mu - 1) + t
 
 
@@ -280,9 +296,7 @@ def alphabet_bound_minimal(k: int, mu: int, t: int) -> int:
     Counts only the encoding edges of a minimal multicast network; the
     minimal-network reduction itself is not performed here.
     """
-    for name, value in (("k", k), ("mu", mu), ("the receiver count t", t)):
-        if value < 1:
-            raise DimensionMismatch(f"{name}={value} must be at least 1")
+    _bound_arguments(t, ("k", k), ("mu", mu))
     return comb(2 * k ** 3 * t ** 2, mu - 1) + t
 
 
@@ -292,8 +306,7 @@ def alphabet_bound_two_sources(t: int) -> int:
     s <= sqrt(2t - 7/4) + 1/2 is equivalent to s^2 - s + 2 <= 2t, that is to
     (2s - 1)^2 <= 8t - 7, so the largest such s is (isqrt(8t - 7) + 1) // 2.
     """
-    if t < 1:
-        raise DimensionMismatch(f"the receiver count t={t} must be at least 1")
+    _bound_arguments(t)
     return (isqrt(8 * t - 7) + 1) // 2 + 1
 
 

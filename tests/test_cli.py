@@ -81,6 +81,13 @@ def test_network_names_must_be_strings(gf3, field, edit):
         network_from_json(edit(network_to_json(butterfly_network(gf3))))
 
 
+def test_code_from_json_refuses_a_global_vector_of_an_unknown_edge(gf3):
+    net = butterfly_network(gf3)
+    obj = dict(code_to_json(butterfly_code(gf3)), **{"global": {"XX": [1, 0]}})
+    with pytest.raises(MalformedInput, match="^stored global vector names unknown edge XX$"):
+        code_from_json(net, obj)
+
+
 def test_design_roundtrip(gf3):
     code = butterfly_code(gf3, (1, 2))
     design = SecureDesign(CosetCode(FMatrix(gf3, [[1, 1]])), code, 1,
@@ -122,6 +129,22 @@ def test_build_verify_sweep_oracle_roundtrip(fixtures, capsys):
 
     rc, out = run(["oracle", "--design", design_path, "--mu", "1"], capsys)
     assert rc == 0 and "oracle confirmed" in out
+
+
+def test_oracle_disagreement_exits_2_with_both_witnesses(fixtures, capsys, monkeypatch):
+    design_path = fixtures / "design.json"
+    assert cli.main(["build", "--network", str(fixtures / "net.json"), "--mu", "1",
+                     "--H", str(fixtures / "h.json"), "--out", str(design_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("wiretapnc.oracle.min_equivocation_bruteforce",
+                        lambda H, code, mu, restricted: (0, ("BE",)))
+    rc, out = run(["oracle", "--design", design_path, "--mu", "1"], capsys)
+    manifest, line = out.splitlines()
+    assert rc == 2
+    assert json.loads(manifest)["summary"] == {
+        "mu": 1, "rank_delta": 1, "oracle_delta": 0, "agree": False}
+    assert line == ("DISAGREEMENT at mu=1: rank formula 1 (witness ('AB',)) "
+                    "vs oracle 0 (witness ('BE',))")
 
 
 def test_build_is_deterministic(fixtures, capsys):
@@ -407,6 +430,29 @@ def test_bounds_refusal_names_the_count_and_its_value(tmp_path, capsys, receiver
     write_json(tmp_path / "net.json", network_to_json(net))
     assert cli.main(["bounds", "--network", str(tmp_path / "net.json"), "--mu", str(mu)]) == 1
     assert capsys.readouterr().err.splitlines() == [error]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--network", "{d}/net.json", "--mu", "2"],
+    ["coset", "decode", "--H", "{d}/h.json", "--word", "[1, 2]"],
+], ids=["bounds", "coset-decode"])
+def test_a_closed_stdout_ends_in_exit_1_without_a_traceback(fixtures, argv, unbuffered):
+    """As under `| head -1`, stdout is a pipe whose reader has gone: the
+    command exits 1 and writes nothing to stderr, whether its output is
+    written at once or buffered until the end."""
+    src = Path(wiretapnc.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wiretapnc.cli", *(a.format(d=fixtures) for a in argv)],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 # argv ("{d}" is the fixtures directory), extra environment, exit code: each

@@ -223,6 +223,17 @@ def test_universal_secrecy_prime_counterexample(gf2):
     assert not universal_secrecy_check(H, B)
 
 
+@pytest.mark.parametrize("B, error, message", [
+    ([[1, 0, 1]], DimensionMismatch, "^3 cols vs 2$"),
+    ([[1, 0], [0, 1]], DimensionMismatch, "^stack is 3x2, not square$"),
+    ([[0, 0]], SingularMatrix, "^B must have full row rank$"),
+])
+def test_universal_secrecy_check_refusals(gf2, B, error, message):
+    H = gabidulin_parity_check(2, 1, gf2, 2)
+    with pytest.raises(error, match=message):
+        universal_secrecy_check(H, FMatrix(gf2, B))
+
+
 def test_lift_matrix(gf2):
     ext = field_new(2, 2)
     M = lift_matrix(FMatrix(gf2, [[1, 0], [1, 1]]), ext)

@@ -419,6 +419,37 @@ def test_every_point_is_in_lead_form(q):
     assert seen[True] and seen[False], seen
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9])
+def test_delta_steps_down_by_at_most_one_and_d_profile_is_its_definition(q):
+    """On seeded sweeps to |E|, with and without a restricted set, Delta(mu + 1)
+    is Delta(mu) or Delta(mu) - 1, and d_profile equals the nested-loop
+    definition: for r = 0..k, the smallest mu with Delta(mu) = k - r, if any,
+    in the order of r."""
+    rng = random.Random(900 + q)
+    for _ in range(6):
+        _, code, H = random_coded_instance(rng, q=q, max_edges=8)
+        ids = sorted(code.global_vectors)
+        for restricted in (None, sorted(rng.sample(ids, rng.randint(1, len(ids))))):
+            mu_max = len(ids if restricted is None else restricted)
+            report = equivocation_sweep(H, code, mu_max, restricted)
+            delta, k, profile = report.delta, H.rows, {}
+            assert all(delta[mu] - delta[mu + 1] in (0, 1) for mu in range(mu_max)), delta
+            for r in range(k + 1):
+                for mu in range(mu_max + 1):
+                    if delta[mu] == k - r:
+                        profile[r] = mu
+                        break
+            assert list(report.d_profile.items()) == list(profile.items())
+
+
+def test_sweep_refuses_a_huge_mu_max_before_any_preparation(gf3, monkeypatch):
+    """mu_max = 10**9 is refused with the first mu past |E| = 9, found without
+    a walk over the whole range, before any point is prepared."""
+    monkeypatch.setattr(equivocation, "observation_points", None)  # a call would fail
+    with pytest.raises(DimensionMismatch, match="^mu=10 exceeds 9 wiretappable edges$"):
+        equivocation_sweep(FMatrix(gf3, [[1, 1]]), butterfly_code(gf3), 10 ** 9)
+
+
 def test_plane_fan_walk_yields_one_pair():
     """Over GF(31) the plane fan code (`plane_fan_instance`, the instance of
     CI's GF(2003) wall) keeps the secrecy condition at mu = 2, as the plain

@@ -80,6 +80,17 @@ def test_empty_identity_and_inverse_are_0x0(gf3):
     assert (empty.rows, empty.cols) == (0, 0)
 
 
+def test_invert_refuses_a_non_square_matrix(gf3):
+    with pytest.raises(SingularMatrix, match="^matrix is 1x2, not square$"):
+        FMatrix(gf3, [[1, 2]]).invert()
+
+
+def test_transpose_of_a_zero_row_matrix_has_a_row_per_column(gf3):
+    T = FMatrix(gf3, [], 3).transpose()
+    assert (T.rows, T.cols, T.data) == (3, 0, ((), (), ()))
+    assert T.transpose() == FMatrix(gf3, [], 3)
+
+
 def test_structural_operations(gf3):
     M = FMatrix(gf3, [[1, 2, 0], [0, 1, 1]])
     assert M.transpose().data == ((1, 0), (2, 1), (0, 1))

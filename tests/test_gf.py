@@ -253,3 +253,18 @@ def test_element_range_checked():
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_is_prime_equals_odd_trial_division_below_10_5():
+    def by_odd_divisors(n):
+        if n < 4:
+            return n > 1
+        if n % 2 == 0:
+            return False
+        d = 3
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
+        return True
+    assert all(is_prime(n) == by_odd_divisors(n) for n in range(-3, 10 ** 5))

@@ -87,6 +87,11 @@ def test_construction_guards(gf2):
         Network(("S", "R"), [("e", "S", "R")], "S", ("R", "R"), 1, gf2)
 
 
+def test_network_refuses_an_unknown_source(gf2):
+    with pytest.raises(UnknownNode, match="^unknown source X$"):
+        Network(("S", "R"), [("e", "S", "R")], "X", ("R",), 1, gf2)
+
+
 def test_edge_disjoint_flows_are_valid(gf3):
     net = butterfly_network(gf3)
     flows = net.edge_disjoint_flows()
@@ -373,6 +378,12 @@ def test_coding_matrix_and_payloads(gf3):
     assert C.data == ((1, 0), (1, 2))
     pay = code.payloads([1, 2])
     assert pay["SA"] == 1 and pay["SC"] == 2 and pay["BE"] == (1 + 2 * 2) % 3
+
+
+@pytest.mark.parametrize("word", [[1], [1, 2, 0]])
+def test_payloads_refuse_a_word_of_another_length(gf3, word):
+    with pytest.raises(DimensionMismatch, match="^channel word must have length 2$"):
+        butterfly_code(gf3).payloads(word)
 
 
 def test_receivers_decode_both_butterfly_codes(gf3):

@@ -529,3 +529,17 @@ def test_reordered_vectors_are_read_by_edge_id(gf3):
     code.global_vectors = dict(zip(keys, code.global_vectors.values()))
     assert min_equivocation_bruteforce(H, code, 1, ["SA"]) == (0, ("SA",))
     assert equivocation_rank(H, code, 1) == (0, ("ED",), False)
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2), (5, 2), (7, 1)])
+def test_digit_matrix_of_a_product_is_the_product_of_digit_matrices(p, m):
+    """D(A B) = D(A) D(B) mod p on random matrices over GF(p^m): the oracle's
+    channel is the digit matrix of the field product c = G_i . g_e."""
+    f, rng = field_new(p, m), random.Random(10 * p + m)
+    for _ in range(10):
+        r, s, c = (rng.randint(1, 4) for _ in range(3))
+        A = [[rng.randrange(f.order) for _ in range(s)] for _ in range(r)]
+        B = [[rng.randrange(f.order) for _ in range(c)] for _ in range(s)]
+        AB = [[f.dot(row, col) for col in zip(*B)] for row in A]
+        product = oracle_module._digit_matrix(f, A) @ oracle_module._digit_matrix(f, B) % p
+        assert np.array_equal(oracle_module._digit_matrix(f, AB), product)

@@ -20,6 +20,7 @@ from wiretapnc.exceptions import (
     DimensionMismatch,
     FieldMismatch,
     FieldTooSmall,
+    InvariantViolated,
     SingularMatrix,
 )
 from wiretapnc.fmatrix import FMatrix
@@ -309,6 +310,27 @@ def test_cai_yeung_refuses_k_outside_0_to_n(gf3):
         with pytest.raises(BadParameters, match=rf"k={k} must lie between 0 and n=3"):
             cai_yeung_to_coset(T, k)
     assert cai_yeung_to_coset(T, 3).k == 3 and cai_yeung_to_coset(T, 0).k == 0
+
+
+def test_cai_yeung_refuses_a_non_square_T(gf3):
+    with pytest.raises(SingularMatrix, match="^T must be square$"):
+        cai_yeung_to_coset(FMatrix(gf3, [[1, 0, 0], [0, 1, 0]]), 1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda f: secure_lif(butterfly_network(f), 2, 1, FMatrix(f, [[1, 1]])),
+     "secure_lif output failed verification, witness ('SA',)"),
+    (lambda f: combination_secure_design(3, 4, f, 2),
+     "combination design failed verification, witness ('SA',)"),
+], ids=["secure_lif", "combination_secure_design"])
+def test_a_design_failing_its_own_verification_raises_with_the_witness(
+        gf7, monkeypatch, build, message):
+    """Each construction verifies its output and raises InvariantViolated,
+    carrying the verification's witness, when that fails."""
+    monkeypatch.setattr(securecode, "verify_secrecy_condition", lambda *args: (False, ("SA",)))
+    with pytest.raises(InvariantViolated) as exc:
+        build(gf7)
+    assert (str(exc.value), exc.value.witness) == (message, ("SA",))
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2)])
