@@ -3,9 +3,11 @@
 Exit codes: 0 success, 2 verification failure (witness on stdout), 1 usage
 error.  Every command is a pure function of its inputs and the seed, which
 only `coset encode` takes (`--seed`, the randomness of its word).  A run
-manifest (command, input hashes, version, elapsed_s, and a summary, which
-for `coset encode` records the seed) goes to stdout, never into result
-files, so result files are byte-identical across runs.
+manifest goes to stdout, never into result files, so result files are
+byte-identical across runs.  `main` derives it from the parsed command line:
+the command, the hashes of its --design, --network or --H files, the
+version, elapsed_s since parsing, and a summary, which for `coset encode`
+records the seed.
 Each command imports the modules it calls when it runs, so a process compiles
 only those, and numpy (for the oracle) only where the oracle runs.
 """
@@ -33,12 +35,16 @@ from .serialize import (
     write_json,
 )
 
-def _print_manifest(command, inputs, t0, summary):
+def _print_manifest(args, summary):
+    """The run manifest of the parsed command line `args`: its command, the
+    hashes of whichever of --design, --network and --H it has, and the time
+    since `main` parsed it."""
     print(json.dumps({
-        "command": command,
-        "inputs": {name: sha256_file(path) for name, path in inputs.items()},
+        "command": args.command,
+        "inputs": {name: sha256_file(path) for name in ("design", "network", "H")
+                   if (path := getattr(args, name, None))},
         "version": __version__,
-        "elapsed_s": round(time.monotonic() - t0, 6),
+        "elapsed_s": round(time.monotonic() - args.t0, 6),
         "summary": summary,
     }, sort_keys=True))
 
@@ -110,7 +116,6 @@ def _golden_dir():
 
 
 def cmd_paper_figures(args):
-    t0 = time.monotonic()
     reports = generate_reference_reports()
     if args.out:
         for name, report in reports.items():
@@ -126,7 +131,7 @@ def cmd_paper_figures(args):
         "golden_ok": not mismatches,
         "mismatches": mismatches,
     }
-    _print_manifest("paper-figures", {}, t0, summary)
+    _print_manifest(args, summary)
     if mismatches:
         print(f"golden mismatch: {', '.join(mismatches)}")
         return 2
@@ -135,22 +140,17 @@ def cmd_paper_figures(args):
 
 def cmd_build(args):
     from .securecode import secure_lif
-    t0 = time.monotonic()
     net = load_json(args.network, network_from_json, "network")
     H = load_json(args.H, matrix_from_json, "matrix")
     design = secure_lif(net, net.n, args.mu, H)
     write_json(args.out, design_to_json(design))
-    inputs = {"network": args.network, "H": args.H}
-    summary = {"out": args.out, "checks": design.certificate["checks"]}
-    _print_manifest("build", inputs, t0, summary)
+    _print_manifest(args, {"out": args.out, "checks": design.certificate["checks"]})
     return 0
 
 
 def cmd_verify(args):
     from .securecode import check_budget, verify_secrecy_condition
-    t0 = time.monotonic()
-    design = load_json(args.design, design_from_json, "design")
-    restricted = _restricted(args, design)
+    design, restricted = _design(args)
     # one walk up to n - k gives the verdict at the claimed mu and the design's
     # achieved level: the condition holds below the first violation's size
     H, mu = design.coset.parity_check, design.mu
@@ -161,7 +161,7 @@ def cmd_verify(args):
     if not ok and len(witness) > mu:
         ok, witness = True, None
     summary = {"ok": ok, "witness": list(witness) if witness else None, "achieved_mu": achieved}
-    _print_manifest("verify", {"design": args.design}, t0, summary)
+    _print_manifest(args, summary)
     if not ok:
         print(f"secrecy violation witness: {','.join(witness)}")
         return 2
@@ -171,11 +171,8 @@ def cmd_verify(args):
 
 def cmd_sweep(args):
     from .equivocation import equivocation_sweep
-    t0 = time.monotonic()
-    design = load_json(args.design, design_from_json, "design")
-    report = equivocation_sweep(
-        design.coset.parity_check, design.netcode, args.mu_max, _restricted(args, design)
-    )
+    design, restricted = _design(args)
+    report = equivocation_sweep(design.coset.parity_check, design.netcode, args.mu_max, restricted)
     obj = {
         "delta": {str(mu): d for mu, d in report.delta.items()},
         "witness": {
@@ -189,16 +186,15 @@ def cmd_sweep(args):
         write_json(args.out, obj)
     else:
         sys.stdout.write(canonical_dumps(obj))
-    _print_manifest("sweep", {"design": args.design}, t0, {"mu_max": args.mu_max})
+    _print_manifest(args, {"mu_max": args.mu_max})
     return 0
 
 
 def cmd_oracle(args):
     from .equivocation import equivocation_rank
     from .oracle import min_equivocation_bruteforce
-    t0 = time.monotonic()
-    design = load_json(args.design, design_from_json, "design")
-    H, restricted = design.coset.parity_check, _restricted(args, design)
+    design, restricted = _design(args)
+    H = design.coset.parity_check
     rank_delta, rank_witness, _ = equivocation_rank(H, design.netcode, args.mu, restricted)
     oracle_delta, oracle_witness = min_equivocation_bruteforce(
         H, design.netcode, args.mu, restricted
@@ -210,7 +206,7 @@ def cmd_oracle(args):
         "oracle_delta": oracle_delta,
         "agree": agree,
     }
-    _print_manifest("oracle", {"design": args.design}, t0, summary)
+    _print_manifest(args, summary)
     if not agree:
         print(
             f"DISAGREEMENT at mu={args.mu}: rank formula {rank_delta} "
@@ -224,20 +220,17 @@ def cmd_oracle(args):
 
 def cmd_bounds(args):
     from .securecode import alphabet_bound_general
-    t0 = time.monotonic()
     net = load_json(args.network, network_from_json, "network")
     if args.mu > net.n:  # choose(|E| - 1, mu - 1) is 0 there: t alone suffices for nothing
         raise BudgetExceedsCut(f"mu={args.mu} exceeds multicast dimension n={net.n}")
     bound = alphabet_bound_general(len(net.edges), args.mu, len(net.receivers))
     print(bound)
-    _print_manifest("bounds", {"network": args.network}, t0, {"bound": bound})
+    _print_manifest(args, {"bound": bound})
     return 0
 
 
-def _vector_argument(field, text, flag, action):
+def _vector_argument(field, text, flag):
     """The field elements of a JSON array given on the command line."""
-    if text is None:
-        raise MalformedInput(f"coset {action} needs {flag}")
     try:
         vector = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -249,27 +242,28 @@ def _vector_argument(field, text, flag, action):
 
 def cmd_coset(args):
     from .coset import CosetCode
-    t0 = time.monotonic()
     H = load_json(args.H, matrix_from_json, "matrix")
     code = CosetCode(H)
     if args.coset_action == "encode":
-        secret = _vector_argument(H.field, args.secret, "--secret", "encode")
+        secret = _vector_argument(H.field, args.secret, "--secret")
         word = code.encode(secret, seed=args.seed)
         print(json.dumps(word))
         summary = {"action": "encode", "seed": args.seed}
     else:
-        word = _vector_argument(H.field, args.word, "--word", "decode")
+        word = _vector_argument(H.field, args.word, "--word")
         secret = code.decode(word)
         print(json.dumps(secret))
         summary = {"action": "decode"}
-    _print_manifest("coset", {"H": args.H}, t0, summary)
+    _print_manifest(args, summary)
     return 0
 
 
-def _restricted(args, design):
-    """The wiretappable edge ids: the comma-separated --restricted list, else
-    the design's restricted edges (None: every edge)."""
-    return args.restricted.split(",") if args.restricted else design.restricted_edges
+def _design(args):
+    """(design, restricted): the --design file's design and the wiretappable
+    edge ids, the comma-separated --restricted list, else the design's
+    restricted edges (None: every edge)."""
+    design = load_json(args.design, design_from_json, "design")
+    return design, args.restricted.split(",") if args.restricted else design.restricted_edges
 
 
 class _Once(argparse.Action):
@@ -344,7 +338,7 @@ def build_parser():
     encode, decode = actions.add_parser("encode"), actions.add_parser("decode")
     for a, flag, what in ((encode, "--secret", "secret"), (decode, "--word", "channel")):
         a.add_argument("--H", required=True)
-        a.add_argument(flag, help=f"JSON array of {what} symbols")
+        a.add_argument(flag, required=True, help=f"JSON array of {what} symbols")
     encode.add_argument("--seed", type=int, default=0, help="seed of the encoder's randomness")
     return parser
 
@@ -352,6 +346,7 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        args.t0 = time.monotonic()  # the manifest's elapsed_s counts the command's imports too
         status = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at the interpreter's exit
         return status

@@ -50,15 +50,15 @@ def equivocation_rank(H: FMatrix, code: NetworkCode, mu: int, restricted=None):
     Returns (delta, witness, flagged); flagged means mu > rank C_E, so no
     size-mu subset achieves rank mu.
     """
-    return next(_deltas(H, code, mu, (mu,), restricted))
+    return next(_deltas(H, code, (mu,), restricted))
 
 
-def _deltas(H, code, budget, mus, restricted=None, name="mu"):
+def _deltas(H, code, mus, restricted=None):
     """(delta, witness, flagged) per mu of `mus`, after one admission
-    (`admit_deltas` at `budget`).  Delta(0) = rank H; the walk's points are
-    prepared (`observation_points`) at the first mu > 0, and rank C_E and
-    the floor are read off them on their first Delta."""
-    edges = admit_deltas(H, code, budget, mus, restricted, name)
+    (`admit_deltas`, at the first mu).  Delta(0) = rank H; the walk's points
+    are prepared (`observation_points`) at the first mu > 0, and rank C_E
+    and the floor are read off them on their first Delta."""
+    edges = admit_deltas(H, code, mus, restricted)
     f, prepared, spanning = code.field, None, None
     for mu in mus:
         if not mu:
@@ -79,11 +79,11 @@ def _deltas(H, code, budget, mus, restricted=None, name="mu"):
                     break
             yield d, W, False
         else:
-            spanning = spanning or _first_spanning(f, code, edges, rank_E)
+            spanning = spanning or _first_spanning(code, edges, rank_E)
             yield floor, spanning(mu), True
 
 
-def _first_spanning(f, code, edges, rank_E):
+def _first_spanning(code, edges, rank_E):
     """mu -> the first mu-subset of `edges` in lexicographic order whose
     coding vectors span C_E (of rank rank_E < mu), from one reduction pass.
     Taking each edge in turn while the positions left can still lift the
@@ -95,7 +95,7 @@ def _first_spanning(f, code, edges, rank_E):
     for i, e in enumerate(edges):
         if len(basis) == rank_E:  # every later edge is in the span
             break
-        step = reduce_row(f, basis, code.global_vectors[e])
+        step = reduce_row(code.field, basis, code.global_vectors[e])
         if step:
             basis.append(step)
             new.append(i)
@@ -112,10 +112,11 @@ def equivocation_sweep(H: FMatrix, code: NetworkCode, mu_max: int,
     """Delta(mu) for mu = 0..mu_max plus the network d_r profile, the first
     mu with Delta(mu) = k - r, in one pass over `_deltas`: Delta never rises
     with mu and falls by at most 1 per step (one more symbol lowers H(S | Z)
-    by at most one q-ary unit), so each r up to k - Delta(mu_max) is met."""
-    report, mus = EquivocationReport(), range(mu_max + 1)
-    deltas = _deltas(H, code, mu_max, mus, restricted, "mu_max")
-    for (delta, witness, flagged), mu in zip(deltas, mus):  # deltas first: it admits an empty mus
+    by at most one q-ary unit), so each r up to k - Delta(mu_max) is met.
+    A negative mu_max is refused first, so mu = 0..mu_max is never empty."""
+    check_budget(mu_max, "mu_max")
+    report = EquivocationReport()
+    for mu, (delta, witness, flagged) in enumerate(_deltas(H, code, range(mu_max + 1), restricted)):
         report.delta[mu], report.witnesses[mu], report.flagged[mu] = delta, witness, flagged
         report.d_profile.setdefault(H.rows - delta, mu)
     return report

@@ -53,9 +53,6 @@ class FMatrix:
         eye.rows = n
         return eye
 
-    def row(self, i):
-        return self.data[i]
-
     def __eq__(self, other):
         return (
             isinstance(other, FMatrix)

@@ -34,12 +34,7 @@ from .fmatrix import FMatrix, combination
 from .gf import FieldSpec
 
 
-class Edge:
-    __slots__ = ("id", "tail", "head", "index")  # index: position in the edge list
-
-    def __init__(self, id: str, tail: str, head: str, index: int):
-        self.id, self.tail, self.head, self.index = id, tail, head, index
-
+Edge = namedtuple("Edge", "id tail head index")  # index: position in the edge list
 
 # n edge-disjoint source-to-receiver paths, as edge-id tuples; immutable: Networks share them
 Flow = namedtuple("Flow", "receiver paths")
@@ -69,13 +64,12 @@ class Network:
                 raise UnknownNode(f"unknown receiver {r}")
             if r == source:  # the source reaches itself, so no search would end
                 raise MalformedInput(f"receiver {r} is the source")
-        ids = [e.id for e in self.edges]
-        if len(set(ids)) != len(ids):
+        self.edge_by_id = {e.id: e for e in self.edges}
+        if len(self.edge_by_id) != len(self.edges):
             raise BadParameters("duplicate edge ids")
         if any(e.head == source for e in self.edges):
             raise BadParameters("source must have no incoming edges")
 
-        self.edge_by_id = {e.id: e for e in self.edges}
         self._in = {v: [] for v in self.nodes}
         self._out = {v: [] for v in self.nodes}
         for e in self.edges:
@@ -95,7 +89,7 @@ class Network:
         indeg = {v: len(self._in[v]) for v in self.nodes}
         queue, order = deque(sorted(v for v, d in indeg.items() if d == 0)), []
         while queue:
-            for e in sorted(self._out[queue.popleft()], key=lambda e: e.id):
+            for e in sorted(self._out[queue.popleft()]):  # by id: ids are unique
                 order.append(e)
                 indeg[e.head] -= 1
                 if indeg[e.head] == 0:
@@ -217,7 +211,7 @@ class NetworkCode:
 
     def __init__(self, network: Network):
         self.network = network
-        self.n = network.n
+        self.n, self.field = network.n, network.field
         self.local = {}
         self.global_vectors = {}
         self.units = FMatrix.identity(network.field, self.n).data  # the source's n virtual inputs
@@ -241,10 +235,6 @@ class NetworkCode:
         if entry is None or entry[0] != key or entry[1] != vectors:
             entry = self._prepared[kind] = key, vectors, prepare()
         return entry[2]
-
-    @property
-    def field(self):
-        return self.network.field
 
     def inputs(self, edge_id):
         """The vectors an edge's local coefficients combine: the n unit

@@ -236,7 +236,7 @@ def min_equivocation_bruteforce(H: FMatrix, code: NetworkCode, mu: int,
     on the code is read (`NetworkCode.prepared`); a table ENUM_CAP refuses
     is not kept.
     """
-    edges = admit_deltas(H, code, mu, (mu,), restricted)
+    edges = admit_deltas(H, code, (mu,), restricted)
     if mu == 0:
         return H.rows, ()
     oracle = code.prepared("oracle", H.data, lambda: CosetChannelOracle(H, code))

@@ -82,7 +82,7 @@ def check_budget(mu: int, name: str = "mu"):
 
 
 def admit_wiretap(H: FMatrix, code: NetworkCode, mu: int, restricted=None,
-                  G: FMatrix | None = None, name: str = "mu"):
+                  G: FMatrix | None = None):
     """Admit a wiretap search on (H, code, mu, restricted), with G in the
     cascade check: the one check of H and G against the network, made by
     every analysis before any shortcut, by `secure_lif` and by a design load.
@@ -90,7 +90,7 @@ def admit_wiretap(H: FMatrix, code: NetworkCode, mu: int, restricted=None,
     a G without n rows or an H whose width is not n, or G's width when given
     (DimensionMismatch), unknown restricted edges, and a rank-deficient H
     (SingularMatrix).  Returns the wiretappable edge ids, sorted."""
-    check_budget(mu, name)
+    check_budget(mu)
     for label, M in (("H", H), ("G", G)):
         if M is not None and M.field != code.field:
             raise FieldMismatch(f"{label} is over {M.field!r}, "
@@ -105,11 +105,12 @@ def admit_wiretap(H: FMatrix, code: NetworkCode, mu: int, restricted=None,
     return wiretappable_edges(code, restricted)
 
 
-def admit_deltas(H: FMatrix, code: NetworkCode, budget: int, mus, restricted=None, name="mu"):
-    """`admit_wiretap` at `budget`, then the refusal of the first of `mus`
-    past the wiretappable edges (DimensionMismatch), reading `mus` no
-    further, so a sweep to any mu_max is refused at once; returns the edges."""
-    edges = admit_wiretap(H, code, budget, restricted, name=name)
+def admit_deltas(H: FMatrix, code: NetworkCode, mus, restricted=None):
+    """`admit_wiretap` at the first of `mus`, a non-empty ascending sequence,
+    then the refusal of the first of `mus` past the wiretappable edges
+    (DimensionMismatch), reading `mus` no further, so a sweep to any mu_max
+    is refused at once; returns the edges."""
+    edges = admit_wiretap(H, code, mus[0], restricted)
     for mu in mus:
         if mu > len(edges):
             raise DimensionMismatch(f"mu={mu} exceeds {len(edges)} wiretappable edges")
@@ -328,7 +329,7 @@ def combination_secure_design(n: int, M: int, f: FieldSpec, k: int) -> SecureDes
     Hfull = rs_parity_check(n, M + k, f)  # n x (M+k)
     Ht = Hfull.transpose()
     H = Ht.submatrix_rows(range(k))  # k x n coset matrix
-    edge_vectors = [Ht.row(k + i) for i in range(M)]
+    edge_vectors = Ht.data[k:]
 
     net = combination_network(n, M, f)
     code = NetworkCode(net)

@@ -287,6 +287,16 @@ def test_coset_actions_refuse_the_other_actions_options(fixtures, capsys, action
     assert errors == [f"error: unrecognized arguments: {' '.join(option)}"]
 
 
+@pytest.mark.parametrize("action, flag", [("encode", "--secret"), ("decode", "--word")])
+def test_coset_refuses_a_missing_vector_flag(fixtures, capsys, action, flag):
+    """argparse refuses a `coset` action without its vector, as it does every
+    other missing required option: one error line and exit 1."""
+    assert cli.main(["coset", action, "--H", str(fixtures / "h.json")]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()) == (
+        "", [f"error: the following arguments are required: {flag}"])
+
+
 def test_paper_figures_golden(capsys, tmp_path):
     rc, out = run(["paper-figures", "--out", tmp_path], capsys)
     assert rc == 0
@@ -389,6 +399,11 @@ print(json.dumps(sorted(sys.modules)))
             assert manifest["inputs"] and manifest["inputs"] == {
                 name: hashlib.sha256(Path(paths[f"--{name}"]).read_bytes()).hexdigest()
                 for name in manifest["inputs"]}, argv
+            # `main` derives the manifest from the parsed command line: its
+            # command, and the input files it names, never an --out
+            assert manifest["command"] == command[0], argv
+            given = {a[2:] for a in command if a in ("--design", "--network", "--H")}
+            assert set(manifest["inputs"]) == given, argv
 
 
 def test_every_public_name_resolves_and_stays_cached():

@@ -450,6 +450,18 @@ def test_sweep_refuses_a_huge_mu_max_before_any_preparation(gf3, monkeypatch):
         equivocation_sweep(FMatrix(gf3, [[1, 1]]), butterfly_code(gf3), 10 ** 9)
 
 
+@pytest.mark.parametrize("call, message", [
+    (equivocation_sweep, "mu_max=-1 must be non-negative"),
+    (equivocation_rank, "mu=-1 must be non-negative"),
+    (min_equivocation_bruteforce, "mu=-1 must be non-negative"),
+], ids=["sweep", "rank", "oracle"])
+def test_a_negative_budget_is_refused_before_another_field(gf3, call, message):
+    """The budget is checked first, before H's field: an H over GF(5) on a
+    GF(3) code at mu (or mu_max) = -1 is a BadBudgets, not a FieldMismatch."""
+    with pytest.raises(BadBudgets, match=f"^{message}$"):
+        call(FMatrix(field_new(5), [[1, 1]]), butterfly_code(gf3), -1)
+
+
 def test_plane_fan_walk_yields_one_pair():
     """Over GF(31) the plane fan code (`plane_fan_instance`, the instance of
     CI's GF(2003) wall) keeps the secrecy condition at mu = 2, as the plain
